@@ -23,7 +23,7 @@ from ..dns.nsselect import ResolverBehavior
 from ..dns.rdata import RdataType, TXT
 from ..dns.recursive import RecursiveResolver
 from ..dns.zone import Zone
-from ..seeding import stable_run_seed
+from ..seeding import render_part, stable_run_seed
 from ..simnet.addr import Family
 from ..simnet.netem import NetemFilter, NetemRule, NetemSpec
 from ..simnet.network import Network
@@ -332,8 +332,13 @@ def resolver_run_key(behavior: ResolverBehavior, seed: int,
 def resolver_campaign_keys(behavior: ResolverBehavior,
                            delays_ms: "list[int]", repetitions: int,
                            seed: int) -> "List[str]":
-    """Every store key a campaign references (``repro cache gc``)."""
-    return [resolver_run_key(behavior, seed, delay_ms, repetition)
+    """Every store key a campaign references (``repro cache gc``), in
+    run order: each run's :func:`resolver_run_key`, with the behaviour
+    rendered once instead of once per key."""
+    key = CampaignStore.keyer("resolver-run", behavior)
+    return [key(render_part(stable_run_seed(seed, behavior.name, delay_ms,
+                                            repetition)),
+                render_part(delay_ms), render_part(repetition))
             for delay_ms in delays_ms
             for repetition in range(repetitions)]
 
@@ -354,23 +359,19 @@ def run_resolver_campaign(behavior: ResolverBehavior,
     which other delays share the campaign.
     """
     result = ResolverCampaignResult(behavior_name=behavior.name)
-    cached_runs: "dict" = {}
-    if store is not None:
-        # Resolve every hit of the campaign in one batch (per-shard
-        # sidecar index reads instead of one JSON read per run).
-        cached_runs = store.get_many(
-            resolver_campaign_keys(behavior, delays_ms, repetitions,
-                                   seed),
-            decode_observation)
+    keys = resolver_campaign_keys(behavior, delays_ms, repetitions, seed)
+    # Resolve every hit of the campaign in one batch (per-shard sidecar
+    # index reads instead of one JSON read per run).
+    cached_runs = ({} if store is None
+                   else store.get_many(keys, decode_observation))
+    keys_in_order = iter(keys)
     for delay_ms in delays_ms:
         for repetition in range(repetitions):
-            key = (resolver_run_key(behavior, seed, delay_ms, repetition)
-                   if store is not None else None)
-            if store is not None:
-                cached = cached_runs.pop(key, None)
-                if cached is not None:
-                    result.observations.append(cached)
-                    continue
+            key = next(keys_in_order)
+            cached = cached_runs.pop(key, None)
+            if cached is not None:
+                result.observations.append(cached)
+                continue
             run_seed = stable_run_seed(seed, behavior.name, delay_ms,
                                        repetition)
             testbed = ResolverTestbed(behavior, seed=run_seed,

@@ -14,12 +14,23 @@ from __future__ import annotations
 import hashlib
 import random
 import zlib
-from typing import Union
+from typing import Callable, Union
 
 SeedPart = Union[int, float, str, bool, None]
 
 #: Run seeds are 31-bit so they fit any RNG seed slot comfortably.
 _SEED_MASK = 0x7FFFFFFF
+
+
+def render_part(part: SeedPart) -> str:
+    """The type-tagged rendering of one primitive: ``1``, ``1.0``,
+    ``"1"`` and ``True`` all render differently.  Shared by run seeds
+    and by the store's :func:`~repro.testbed.store.canonical`."""
+    return f"{type(part).__name__}:{part!r}"
+
+
+def _seed_text(parts: "tuple") -> bytes:
+    return "\x1f".join(map(render_part, parts)).encode("utf-8")
 
 
 def stable_run_seed(*parts: SeedPart) -> int:
@@ -30,8 +41,19 @@ def stable_run_seed(*parts: SeedPart) -> int:
     pool workers, so campaigns replay exactly no matter where each run
     executes.
     """
-    canonical = "\x1f".join(f"{type(p).__name__}:{p!r}" for p in parts)
-    return zlib.crc32(canonical.encode("utf-8")) & _SEED_MASK
+    return zlib.crc32(_seed_text(parts)) & _SEED_MASK
+
+
+def run_seeder(*prefix: SeedPart) -> "Callable[..., int]":
+    """:func:`stable_run_seed` for runs sharing the leading ``prefix``
+    parts, digested once; the function returned takes the
+    :func:`render_part` texts of the other parts:
+    ``run_seeder(*prefix)(*map(render_part, rest)) ==
+    stable_run_seed(*prefix, *rest)``."""
+    state = zlib.crc32(_seed_text(prefix))
+    return lambda *rendered: (zlib.crc32(
+        "".join(["\x1f" + text for text in rendered]).encode("utf-8"),
+        state) & _SEED_MASK)
 
 
 def stable_unit(*parts: SeedPart) -> float:
@@ -58,8 +80,7 @@ def derive_rng(*parts: SeedPart) -> random.Random:
     is identical across interpreters, ``PYTHONHASHSEED`` values, and
     pool workers.
     """
-    canonical = "\x1f".join(f"{type(p).__name__}:{p!r}" for p in parts)
-    digest = hashlib.sha256(canonical.encode("utf-8")).digest()
+    digest = hashlib.sha256(_seed_text(parts)).digest()
     return random.Random(int.from_bytes(digest, "big"))
 
 

@@ -21,16 +21,19 @@ touches the pool at all.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterator, List, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Sequence, Tuple)
 
 from dataclasses import dataclass
 
 from ..fanout import shared_map
+from ..seeding import render_part, run_seeder
 from .resilience import failure_record, resilient_map
-from .store import decode_record
+from .store import CampaignStore, decode_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..clients.profile import ClientProfile
+    from .config import TestCaseConfig
     from .runner import ResultSet, RunRecord, TestRunner
 
 #: Chunks per worker: small enough to load-balance uneven run costs
@@ -72,26 +75,92 @@ def enumerate_specs(runner: "TestRunner") -> List[RunSpec]:
     return specs
 
 
+def run_seeds(runner: "TestRunner", case: "TestCaseConfig",
+              profile: "ClientProfile") -> "Callable[[str, str], int]":
+    """The stable seed of each run of one (case, client) pair, from
+    the :func:`~repro.seeding.render_part` texts of its ``value_ms``
+    and ``repetition``; the pair's shared parts are digested once."""
+    return run_seeder(runner.seed, case.name, profile.full_name)
+
+
+def run_keys(runner: "TestRunner", case: "TestCaseConfig",
+             profile: "ClientProfile") -> "Callable[[int, int], str]":
+    """The store key of each ``(value_ms, repetition)`` run of one
+    (case, client) pair — the one formula for a run key,
+    ``CampaignStore.key(run_seed, config_digest, value_ms, repetition)``.
+    The pair's configuration digest and seed prefix are computed once,
+    so each run costs one incremental CRC and one SHA-256."""
+    seed_of = run_seeds(runner, case, profile)
+    digest = render_part(runner.config_digest_for(case, profile))
+    key = CampaignStore.keyer()
+
+    def key_of(value_ms: int, repetition: int) -> str:
+        value, rep = render_part(value_ms), render_part(repetition)
+        return key(render_part(seed_of(value, rep)), digest, value, rep)
+
+    return key_of
+
+
 def spec_keys(runner: "TestRunner",
               specs: "Sequence[RunSpec]") -> "List[str]":
-    """The store key of each spec, memoizing the per-(case, client)
-    configuration digest — shared by the executor's hit planning and
+    """The store key of each spec, deriving :func:`run_keys` once per
+    (case, client) pair — shared by the executor's hit planning and
     by anything that needs a campaign's addresses without running it."""
-    digests: "Dict[Tuple[int, int], str]" = {}
+    pairs: "Dict[Tuple[int, int], Callable[[int, int], str]]" = {}
     keys: "List[str]" = []
     for spec in specs:
         pair = (spec.case_index, spec.client_index)
-        digest = digests.get(pair)
-        if digest is None:
-            digest = runner.config_digest_for(
-                runner.cases[spec.case_index],
+        key_of = pairs.get(pair)
+        if key_of is None:
+            key_of = pairs[pair] = run_keys(
+                runner, runner.cases[spec.case_index],
                 runner.clients[spec.client_index])
-            digests[pair] = digest
-        keys.append(runner.store_key_for(
-            runner.cases[spec.case_index],
-            runner.clients[spec.client_index],
-            spec.value_ms, spec.repetition, config_digest=digest))
+        keys.append(key_of(spec.value_ms, spec.repetition))
     return keys
+
+
+def resolve_specs(runner: "TestRunner", specs: "List[RunSpec]",
+                  execute: "Callable[[List[RunSpec]], Iterator[RunRecord]]"
+                  ) -> "Iterator[RunRecord]":
+    """The records of ``specs`` in order — the serial stream's and the
+    executor's shared path through the runner's store.
+
+    Without a store, ``execute(specs)`` runs everything.  With one,
+    the campaign's full key universe is planned up front and every hit
+    resolved in one batch (per-shard sidecar index reads instead of
+    one stat + JSON read per key); only the misses go to ``execute``,
+    whose records arrive in order and are written back here — a single
+    writer, so worker processes never touch the store.  Hits are
+    popped as they are yielded, so memory decays as the stream drains.
+    """
+    store = runner.store
+    if store is None:
+        yield from execute(specs)
+        return
+    res = getattr(runner, "resilience", None)
+    keys = spec_keys(runner, specs)
+    prefetched = store.get_many(keys, decode_record)
+    # A key the campaign repeats (a client listed twice) hits once,
+    # since hits are popped; its later occurrences execute.
+    unclaimed = set(prefetched)
+    pending = []
+    for spec, key in zip(specs, keys):
+        if key in unclaimed:
+            unclaimed.discard(key)
+        else:
+            pending.append(spec)
+    fresh = execute(pending)
+    for key in keys:
+        record = prefetched.pop(key, None)
+        if res is not None:
+            res.note_lookup(key, hit=record is not None)
+        if record is None:
+            record = next(fresh)
+            if res is not None:
+                res.store_fresh(store, key, record)
+            else:
+                store.put_record(key, record)
+        yield record
 
 
 def _execute_chunk(payload: "Tuple[TestRunner, Sequence[RunSpec]]"
@@ -167,42 +236,13 @@ class CampaignExecutor:
         return results
 
     def stream(self) -> "Iterator[RunRecord]":
-        """Records in enumeration order; hits resolved parent-side.
-
-        With a store on the runner, the parent resolves every cache
-        hit up front through :meth:`~repro.testbed.store.CampaignStore
-        .get_many` — one sidecar-index read per touched shard instead
-        of one stat + JSON read per spec — and chunks only the misses
-        onto the pool.  A corrupted or torn entry simply fails the
-        batch lookup for its key and re-executes (and re-stores) like
-        any other miss.  Resolved hits are popped as they are merged,
-        so memory decays as the stream drains; fresh records are
-        written back by the parent — a single writer, so worker
-        processes never touch the cache.
-        """
-        runner = self.runner
-        specs = enumerate_specs(runner)
-        store = runner.store
-        res = getattr(runner, "resilience", None)
-        if store is None:
-            yield from self._execute_pending(specs)
-            return
-        keys = spec_keys(runner, specs)
-        prefetched = store.get_many(keys, decode_record)
-        pending = [spec for spec, key in zip(specs, keys)
-                   if key not in prefetched]
-        fresh = self._execute_pending(pending)
-        for spec, key in zip(specs, keys):
-            record = prefetched.pop(key, None)
-            if res is not None:
-                res.note_lookup(key, hit=record is not None)
-            if record is None:
-                record = next(fresh)
-                if res is not None:
-                    res.store_fresh(store, key, record)
-                else:
-                    store.put_record(key, record)
-            yield record
+        """Records in enumeration order through :func:`resolve_specs`:
+        hits resolve parent-side and only the misses are chunked onto
+        the pool.  A corrupted or torn entry simply fails the batch
+        lookup for its key and re-executes (and re-stores) like any
+        other miss."""
+        return resolve_specs(self.runner, enumerate_specs(self.runner),
+                             self._execute_pending)
 
     def _execute_pending(self, specs: "List[RunSpec]"
                          ) -> "Iterator[RunRecord]":

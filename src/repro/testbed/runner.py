@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from statistics import median
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..clients.base import Client
 from ..clients.profile import ClientProfile
 from ..core.sortlist import HistoryStore
-from ..seeding import stable_run_seed
+from ..seeding import render_part
 from ..simnet.addr import Family
 from ..simnet.capture import PacketCapture
 from ..simnet.packet import Protocol
@@ -37,12 +37,11 @@ from .config import SweepSpec, TestCaseConfig, TestCaseKind
 from .inference import CaptureObservation
 from .modules import (AddressSelectionModule, CaptureModule, ServiceModule,
                       modules_for)
+from .parallel import (CampaignExecutor, RunSpec, resolve_specs, run_keys,
+                       run_seeds, spec_keys)
 from .resilience import Resilience, execute_with_retries, failure_record
-from .store import CampaignStore, config_digest, decode_record
+from .store import CampaignStore, config_digest
 from .topology import LocalTestbed
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .parallel import RunSpec
 
 
 #: Placeholder sweep substituted into a case before digesting its
@@ -355,8 +354,6 @@ class TestRunner:
             if workers < 1:
                 raise ValueError(f"workers must be >= 1: {workers}")
             if workers > 1:
-                from .parallel import CampaignExecutor
-
                 return CampaignExecutor(self, workers=workers).stream()
         return self._stream_serial()
 
@@ -369,8 +366,6 @@ class TestRunner:
         consumer — serial streaming, the parallel executor, key
         planning, resilience — follows automatically.
         """
-        from .parallel import RunSpec
-
         specs: "List[RunSpec]" = []
         for case_index, case in enumerate(self.cases):
             for client_index in range(len(self.clients)):
@@ -381,36 +376,11 @@ class TestRunner:
         return specs
 
     def _stream_serial(self) -> "Iterator[RunRecord]":
-        specs = self.enumerate_specs()
-        if self.store is None:
-            for spec in specs:
-                yield self._execute_serial(self.cases[spec.case_index],
-                                           self.clients[spec.client_index],
-                                           spec.value_ms, spec.repetition)
-            return
-        # Plan the campaign's full key universe up front and resolve
-        # every hit in one batch — per-shard sidecar index reads
-        # instead of one JSON stat/read per key.  Hits are popped as
-        # they are yielded, so memory decays as the stream drains.
-        from .parallel import spec_keys
-
-        keys = spec_keys(self, specs)
-        prefetched = self.store.get_many(keys, decode_record)
-        res = self.resilience
-        for spec, key in zip(specs, keys):
-            case = self.cases[spec.case_index]
-            profile = self.clients[spec.client_index]
-            record = prefetched.pop(key, None)
-            if res is not None:
-                res.note_lookup(key, hit=record is not None)
-            if record is None:
-                record = self._execute_serial(
-                    case, profile, spec.value_ms, spec.repetition)
-                if res is not None:
-                    res.store_fresh(self.store, key, record)
-                else:
-                    self.store.put_record(key, record)
-            yield record
+        return resolve_specs(self, self.enumerate_specs(), lambda specs: (
+            self._execute_serial(self.cases[spec.case_index],
+                                 self.clients[spec.client_index],
+                                 spec.value_ms, spec.repetition)
+            for spec in specs))
 
     def _execute_serial(self, case: TestCaseConfig,
                         profile: ClientProfile, value_ms: int,
@@ -453,16 +423,13 @@ class TestRunner:
         """The content address of every run in this campaign, in
         enumeration order, without executing anything.  ``repro cache
         gc`` uses this to mark a campaign's entries as live."""
-        from .parallel import spec_keys
-
         yield from spec_keys(self, self.enumerate_specs())
 
     def run_seed_for(self, case: TestCaseConfig, profile: ClientProfile,
                      value_ms: int, repetition: int) -> int:
-        """The stable seed of one run — a pure function of campaign
-        seed and run coordinates (see :mod:`repro.seeding`)."""
-        return stable_run_seed(self.seed, case.name, profile.full_name,
-                               value_ms, repetition)
+        """The stable seed of one run (see :func:`.parallel.run_seeds`)."""
+        return run_seeds(self, case, profile)(render_part(value_ms),
+                                              render_part(repetition))
 
     def config_digest_for(self, case: TestCaseConfig,
                           profile: ClientProfile) -> str:
@@ -481,27 +448,9 @@ class TestRunner:
                              self.resolver_timeout, self.hev3_flag)
 
     def store_key_for(self, case: TestCaseConfig, profile: ClientProfile,
-                      value_ms: int, repetition: int,
-                      config_digest: Optional[str] = None) -> str:
-        digest = (config_digest if config_digest is not None
-                  else self.config_digest_for(case, profile))
-        run_seed = self.run_seed_for(case, profile, value_ms, repetition)
-        return CampaignStore.key(run_seed, digest, value_ms, repetition)
-
-    def run_cached(self, case: TestCaseConfig, profile: ClientProfile,
-                   value_ms: int, repetition: int = 0,
-                   config_digest: Optional[str] = None) -> RunRecord:
-        """:meth:`run_single` through the store: cache hits skip
-        execution entirely; misses execute and populate the store."""
-        if self.store is None:
-            return self.run_single(case, profile, value_ms, repetition)
-        key = self.store_key_for(case, profile, value_ms, repetition,
-                                 config_digest)
-        record = self.store.get_record(key)
-        if record is None:
-            record = self.run_single(case, profile, value_ms, repetition)
-            self.store.put_record(key, record)
-        return record
+                      value_ms: int, repetition: int) -> str:
+        """The store key of one run (see :func:`.parallel.run_keys`)."""
+        return run_keys(self, case, profile)(value_ms, repetition)
 
     # -- one run ------------------------------------------------------------------
 

@@ -38,6 +38,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, TYPE_CHECKING, Tuple, TypeVar, Union)
 
 from .. import __version__
+from ..seeding import render_part
 from ..simnet.addr import Family
 from ..simnet.packet import Protocol
 from .config import TestCaseKind
@@ -68,6 +69,10 @@ BEHAVIOR_VERSION = __version__
 Decoded = TypeVar("Decoded")
 
 
+#: One renderer per concrete type, built on first sight of the type.
+_RENDERERS: "Dict[type, Callable[[Any], str]]" = {}
+
+
 def canonical(obj: Any) -> str:
     """A deterministic, content-complete rendering of ``obj``.
 
@@ -75,22 +80,47 @@ def canonical(obj: Any) -> str:
     recursive: dataclasses render field-by-field, enums by class and
     member name, containers element-wise, and primitives type-tagged —
     so two configurations render identically iff every field that can
-    influence a run is identical.
+    influence a run is identical.  Store keys are digests of this
+    text, so it is a persistence format: it must never change.
     """
-    if isinstance(obj, enum.Enum):
-        return f"{type(obj).__name__}.{obj.name}"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = ",".join(
-            f"{f.name}={canonical(getattr(obj, f.name))}"
-            for f in dataclasses.fields(obj))
-        return f"{type(obj).__name__}({fields})"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical(item) for item in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted((canonical(k), canonical(v))
-                       for k, v in obj.items())
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    return f"{type(obj).__name__}:{obj!r}"
+    render = _RENDERERS.get(type(obj))
+    if render is None:
+        render = _RENDERERS[type(obj)] = _renderer_for(type(obj))
+    return render(obj)
+
+
+def _renderer_for(cls: type) -> "Callable[[Any], str]":
+    """The renderer of ``cls``'s instances, in precedence order:
+    class objects, enums, dataclasses, sequences, mappings, sets,
+    primitives."""
+    if issubclass(cls, type):
+        return render_part
+    if issubclass(cls, enum.Enum):
+        names = {member: f"{cls.__name__}.{member.name}"
+                 for member in cls.__members__.values()}
+        return lambda member: (names.get(member)
+                               or f"{cls.__name__}.{member.name}")
+    if dataclasses.is_dataclass(cls):
+        head = f"{cls.__name__}("
+        labels = tuple((f.name, f"{f.name}=")
+                       for f in dataclasses.fields(cls))
+        return lambda obj: head + ",".join(
+            [label + canonical(getattr(obj, name))
+             for name, label in labels]) + ")"
+    if issubclass(cls, (list, tuple)):
+        return lambda items: "[" + ",".join(map(canonical, items)) + "]"
+    if issubclass(cls, dict):
+        return lambda mapping: "{" + ",".join(
+            f"{k}:{v}" for k, v in sorted(
+                (canonical(k), canonical(v))
+                for k, v in mapping.items())) + "}"
+    if issubclass(cls, (set, frozenset)):
+        # Sorted by element rendering: a set's repr order follows
+        # string hashes, which PYTHONHASHSEED salts per interpreter.
+        head = f"{cls.__name__}{{"
+        return lambda items: head + ",".join(
+            sorted(map(canonical, items))) + "}"
+    return render_part
 
 
 def config_digest(*parts: Any) -> str:
@@ -256,6 +286,21 @@ class CampaignStore:
         """The content address of an entry: a digest over ``parts``
         plus the store format and package behavior version."""
         return config_digest(STORE_FORMAT, BEHAVIOR_VERSION, *parts)
+
+    @staticmethod
+    def keyer(*prefix: Any) -> "Callable[..., str]":
+        """:meth:`key` for keys sharing ``prefix``, rendered once; the
+        function returned takes the canonical texts of the other parts:
+        ``keyer(*prefix)(*map(canonical, rest)) == key(*prefix, *rest)``
+        for a non-empty ``rest``."""
+        # The canonical text of the full tuple, minus its closing "]".
+        head = canonical((STORE_FORMAT, BEHAVIOR_VERSION) + prefix)[:-1]
+
+        def key(*rendered: str) -> str:
+            text = f"{head},{','.join(rendered)}]"
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        return key
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

@@ -263,13 +263,10 @@ class WebCampaign:
         pending: List[int] = []
         cached_entries: dict = {}
         if store is not None:
-            keys = [store.key("web-campaign", self.seed, entry, reps,
-                              self.conditions) for entry in entries]
+            keys = self.store_keys(entries, reps)
             # One batch lookup over the whole matrix: warm campaigns
             # resolve through the per-shard sidecar index.
-            cached_entries = store.get_many(
-                [key for key in keys if key is not None],
-                _decode_sessions)
+            cached_entries = store.get_many(keys, _decode_sessions)
         for index, entry in enumerate(entries):
             if store is not None:
                 cached = cached_entries.get(keys[index])

@@ -75,6 +75,14 @@ class TestCampaignCaching:
         keys = resolver_campaign_keys(BIND9, DELAYS, REPS, 3)
         assert {key for key, _ in store.entries()} == set(keys)
 
+    def test_campaign_keys_match_run_keys_in_order(self):
+        """The campaign renders the behaviour once; every key must
+        still equal the per-run formula."""
+        for behavior in (BIND9, UNBOUND):
+            assert resolver_campaign_keys(behavior, [0, 50, 100], 3, 7) == [
+                resolver_run_key(behavior, 7, delay_ms, repetition)
+                for delay_ms in (0, 50, 100) for repetition in range(3)]
+
 
 class TestTable3Store:
     def test_warm_rerender_all_hits_and_identical_rows(self, tmp_path):

@@ -1,17 +1,30 @@
 """The incremental campaign store: identity, invalidation, fallback."""
 
+import collections
 import dataclasses
+import enum
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.clients import get_profile
+from repro.clients.registry import all_profiles
+from repro.conformance.scenarios import (hev3_battery, scenario_battery,
+                                         sortlist_battery, svcb_battery)
+from repro.seeding import stable_run_seed
+from repro.simnet.addr import Family
 from repro.testbed import (CampaignExecutor, CampaignStore, ResultSet,
                            SweepSpec, TestCaseConfig, TestCaseKind,
-                           TestRunner, run_campaign_spec)
+                           TestRunner, enumerate_specs, run_campaign_spec,
+                           spec_keys)
 from repro.testbed.store import (STORE_FORMAT, canonical, config_digest,
                                  decode_record, encode_record)
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def small_runner(seed: int = 5, store: CampaignStore = None,
@@ -48,6 +61,156 @@ class TestCanonicalDigest:
             TestCaseKind.RESOLUTION_DELAY)
         assert canonical((1, 2)) == canonical([1, 2])
         assert canonical({"b": 1, "a": 2}) == canonical({"a": 2, "b": 1})
+
+
+def reference_canonical(obj):
+    """The recursive ``isinstance`` ladder ``canonical`` was first
+    written as, kept verbatim: the type-dispatched version must render
+    every value exactly as this did (sets aside — see below)."""
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__name__}.{obj.name}"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = ",".join(
+            f"{f.name}={reference_canonical(getattr(obj, f.name))}"
+            for f in dataclasses.fields(obj))
+        return f"{type(obj).__name__}({fields})"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_canonical(item)
+                              for item in obj) + "]"
+    if isinstance(obj, dict):
+        items = sorted((reference_canonical(k), reference_canonical(v))
+                       for k, v in obj.items())
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    return f"{type(obj).__name__}:{obj!r}"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+    BOTTOM = 1  # an alias renders under its canonical member's name
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
+@dataclasses.dataclass(frozen=True)
+class Base:
+    a: int
+    kind: TestCaseKind = TestCaseKind.CONNECTION_ATTEMPT_DELAY
+
+
+@dataclasses.dataclass(frozen=True)
+class Child(Base):
+    b: str = "child"
+    nested: tuple = ()
+
+
+class PlainChild(Base):
+    """A non-dataclass subclass still renders its inherited fields."""
+
+
+@dataclasses.dataclass
+class TaggedList(list):
+    """A dataclass that is also a list renders as a dataclass."""
+
+    tag: str = "t"
+
+
+EDGE_CASES = [
+    True, 1, False, 0, [True, 1, 1.0, "1"], {1: "int", "1": "str"},
+    Level.LOW, Level.HIGH, Level.BOTTOM, [Level.LOW, 1],
+    Point(1, 2), [Point(x=Point(0, 0), y=[Point(3, 4)])],
+    Base(1), Child(2, nested=(Child(3),)), PlainChild(4), TaggedList(),
+    TestCaseConfig, TestCaseKind, Family, Base, int, [TestCaseKind, Level],
+    {"a": {1: [2.0, None], "1": (True,)}, 2: {}, (1, "x"): "tuple key",
+     None: {False: Level.HIGH}},
+    -0.0, 0.0, float("nan"), float("inf"), float("-inf"), [1e-300, 1e300],
+    None, "", "quote'd \"s\"", b"bytes", 10 ** 30, (), [], {},
+]
+
+
+class TestCanonicalMatchesReference:
+    @pytest.mark.parametrize("value", EDGE_CASES, ids=repr)
+    def test_edge_cases(self, value):
+        assert canonical(value) == reference_canonical(value)
+
+    def test_every_registered_profile(self):
+        profiles = all_profiles()
+        assert profiles
+        for profile in profiles:
+            assert canonical(profile) == reference_canonical(profile)
+
+    def test_every_battery_case(self):
+        scenarios = (scenario_battery() + hev3_battery() + svcb_battery()
+                     + sortlist_battery())
+        assert scenarios
+        for scenario in scenarios:
+            assert (canonical(scenario.case)
+                    == reference_canonical(scenario.case)), scenario.name
+            assert canonical(scenario) == reference_canonical(scenario)
+
+
+class TestCanonicalSets:
+    """Sets render sorted by element: their ``repr`` order follows
+    string hashes, which ``PYTHONHASHSEED`` salts per interpreter."""
+
+    def test_order_independent_and_distinct_from_lists(self):
+        assert canonical({"b", "a"}) == canonical({"a", "b"})
+        assert canonical(frozenset({2, 1})) == "frozenset{int:1,int:2}"
+        assert canonical({"a", "b"}) != canonical(["a", "b"])
+        assert canonical({"a"}) != canonical(frozenset({"a"}))
+        assert canonical(set()) != canonical([])
+
+    def test_identical_across_hash_seeds(self):
+        script = ("from repro.testbed.store import canonical\n"
+                  "words = frozenset('abcdefghijklmnopqrstuvwxyz')\n"
+                  "print(canonical({'key': words}))\n"
+                  "print(repr(words))\n")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC),
+                       PYTHONHASHSEED=hash_seed)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  check=True)
+            outputs.append(done.stdout.splitlines())
+        (canonical_1, repr_1), (canonical_2, repr_2) = outputs
+        assert repr_1 != repr_2  # the hazard is real under these seeds
+        assert canonical_1 == canonical_2
+
+
+class TestKeyDerivation:
+    """``spec_keys`` derives every run key from per-pair state; it must
+    equal the generic formula key by key."""
+
+    def test_spec_keys_match_generic_formula(self):
+        runner = small_runner(seed=9)
+        runner.cases.append(dataclasses.replace(
+            runner.cases[0], name="rd", kind=TestCaseKind.RESOLUTION_DELAY))
+        specs = enumerate_specs(runner)
+        expected = []
+        for spec in specs:
+            case = runner.cases[spec.case_index]
+            profile = runner.clients[spec.client_index]
+            run_seed = stable_run_seed(runner.seed, case.name,
+                                       profile.full_name, spec.value_ms,
+                                       spec.repetition)
+            assert runner.run_seed_for(case, profile, spec.value_ms,
+                                       spec.repetition) == run_seed
+            expected.append(CampaignStore.key(
+                run_seed, runner.config_digest_for(case, profile),
+                spec.value_ms, spec.repetition))
+            assert runner.store_key_for(case, profile, spec.value_ms,
+                                        spec.repetition) == expected[-1]
+        assert spec_keys(runner, specs) == expected
+
+    def test_keyer_matches_key(self):
+        behaviour = Child(5, nested=(Base(6),))
+        key = CampaignStore.keyer("prefix", behaviour)
+        rest = (123, "digest", 150, 0)
+        assert (key(*map(canonical, rest))
+                == CampaignStore.key("prefix", behaviour, *rest))
+        assert CampaignStore.keyer()(canonical(7)) == CampaignStore.key(7)
 
 
 class TestRecordRoundTrip:
@@ -95,6 +258,20 @@ class TestWarmCampaigns:
         assert warm.records == cold.records
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_repeated_key_warm_run_identical(self, tmp_path, workers):
+        """A client listed twice repeats every key: the warm run pops
+        each hit once and executes the repeats, in order."""
+        def runner(store):
+            twice = small_runner(store=store)
+            twice.clients = [twice.clients[1], twice.clients[1]]
+            return twice
+
+        cold = runner(CampaignStore(tmp_path)).run()
+        warm = runner(CampaignStore(tmp_path)).run(workers=workers)
+        assert len(cold.records) == 12
+        assert warm.records == cold.records
 
     def test_serial_cold_parallel_warm_identity(self, tmp_path):
         store = CampaignStore(tmp_path)
