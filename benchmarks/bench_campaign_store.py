@@ -8,48 +8,23 @@ directory and checks the store's two contracts:
   store-less run);
 * the warm re-render skips every simulation — all lookups hit — and is
   at least 5x faster than the cold run (in practice it is orders of
-  magnitude: file reads versus thousands of simulated connections).
+  magnitude: pack reads versus thousands of simulated connections).
 
 Cold and warm wall-clock go into ``results/bench_timings.json`` as
 ``figure2_store_cold`` / ``figure2_store_warm`` so the perf trajectory
 records the re-render win alongside the serial/parallel timings.
-
-A second phase runs the paper's *dense* Figure 2 grid (5 ms steps,
-1377 runs) and times warm hit resolution both ways — the batch
-``get_many`` path through the per-shard sidecar index versus plain
-per-key JSON reads — recording ``figure2_store_warm_indexed`` /
-``figure2_store_warm_perkey`` and asserting the index wins.
-
-A third phase measures the sidecar *generation counter* on a dense
-synthetic campaign (16 shards x 125 entries): batch lookups with
-entry writes interleaved between batches.  Before the counter, each
-write invalidated its shard's index (the old dir-mtime freshness
-rule) and the next batch re-read every entry of the shard; with
-generations the writing handle extends its in-memory index and never
-rebuilds.  Recorded as ``figure2_store_mixed_rw_generation`` /
-``figure2_store_mixed_rw_rebuild`` (the baseline simulates the old
-behaviour by dropping the written shards' sidecars before every
-batch).
 """
 
-import json
 import time
 
 from repro.analysis import figure2_sweep, render_figure2
 from repro.testbed import CampaignStore
-from repro.testbed.store import decode_record
 
 from _util import emit, record_timing
 
 STEP_MS = 25
 SEED = 2
 RUNS = 17 * len(range(0, 401, STEP_MS))
-
-#: The dense (paper-grid) sweep used for the index comparison.
-DENSE_STEP_MS = 5
-DENSE_RUNS = 17 * len(range(0, 401, DENSE_STEP_MS))
-#: Timing repetitions per lookup path (best-of, to shed IO noise).
-TIMING_ROUNDS = 3
 
 
 def sweep(store):
@@ -94,162 +69,3 @@ def test_warm_cache_rerender(benchmark, tmp_path):
     assert cold_s / warm_s >= 5.0, (
         f"warm re-render should be >=5x faster: cold {cold_s:.3f}s "
         f"vs warm {warm_s:.3f}s")
-
-
-def test_indexed_warm_lookup_beats_per_key(benchmark, tmp_path):
-    """Warm hit resolution through get_many + the per-shard sidecar
-    index must beat plain per-key JSON reads on the dense Figure 2
-    campaign — the ROADMAP "parallel parent-side cache lookup" win."""
-    root = tmp_path / "cache"
-
-    def dense_sweep(store):
-        start = time.perf_counter()
-        series = figure2_sweep(step_ms=DENSE_STEP_MS, stop_ms=400,
-                               seed=SEED, store=store)
-        return series, time.perf_counter() - start
-
-    def best_warm(use_index):
-        elapsed = []
-        series = None
-        for _ in range(TIMING_ROUNDS):
-            store = CampaignStore(root, use_index=use_index)
-            series, seconds = dense_sweep(store)
-            assert store.stats.misses == 0
-            assert store.stats.hits == DENSE_RUNS
-            elapsed.append(seconds)
-        return series, min(elapsed)
-
-    def run_comparison():
-        cold, _ = dense_sweep(CampaignStore(root))
-        # One priming pass builds the sidecar indexes, so both timed
-        # paths then resolve against identical on-disk state.
-        dense_sweep(CampaignStore(root))
-        indexed, indexed_s = best_warm(use_index=True)
-        perkey, perkey_s = best_warm(use_index=False)
-        return cold, indexed, indexed_s, perkey, perkey_s
-
-    cold, indexed, indexed_s, perkey, perkey_s = benchmark.pedantic(
-        run_comparison, rounds=1, iterations=1)
-
-    # Both lookup paths are byte-identical to the cold execution.
-    cold_text = render_figure2(cold)
-    assert render_figure2(indexed) == cold_text
-    assert render_figure2(perkey) == cold_text
-
-    record_timing("figure2_store_warm_indexed", indexed_s,
-                  {"runs": DENSE_RUNS, "step_ms": DENSE_STEP_MS})
-    record_timing("figure2_store_warm_perkey", perkey_s,
-                  {"runs": DENSE_RUNS, "step_ms": DENSE_STEP_MS})
-    emit("campaign_store_indexed_lookup",
-         f"dense figure2 warm lookup over {DENSE_RUNS} cached runs:\n"
-         f"per-key reads {perkey_s * 1000:.1f} ms -> sidecar index "
-         f"{indexed_s * 1000:.1f} ms "
-         f"({perkey_s / indexed_s:.2f}x)")
-    assert indexed_s < perkey_s, (
-        f"indexed warm lookup should beat per-key reads: "
-        f"indexed {indexed_s * 1000:.1f} ms vs per-key "
-        f"{perkey_s * 1000:.1f} ms")
-
-
-#: Interleaved write/lookup rounds of the mixed read/write phase.
-MIXED_ROUNDS = 4
-#: Shape of the synthetic hot campaign: dense shards are exactly the
-#: case where a per-write index invalidation hurts (a rebuild re-reads
-#: every entry of the shard; the counter path re-reads none).
-MIXED_SHARDS = 16
-MIXED_ENTRIES_PER_SHARD = 125
-
-
-def test_generation_keeps_mixed_read_write_warm(benchmark, tmp_path):
-    """Hot mixed read/write campaigns keep batch-lookup speed: with
-    the generation counter, interleaved writes extend the in-memory
-    index instead of invalidating it, so batches never pay a rebuild
-    (the ROADMAP "generation counter" perf item)."""
-    root = tmp_path / "cache"
-    payload = {"case": "mixed-rw", "value_ms": 0}
-
-    def synthetic_key(shard, tag):
-        return (shard + tag + "0" * 62)[:64]
-
-    def seed_store():
-        store = CampaignStore(root)
-        keys = []
-        for shard_index in range(MIXED_SHARDS):
-            shard = format(shard_index, "02x")
-            for entry in range(MIXED_ENTRIES_PER_SHARD):
-                key = synthetic_key(shard, format(entry, "04x"))
-                store.put(key, payload)
-                keys.append(key)
-        return sorted(keys)
-
-    def mixed_rounds(store, keys, drop_index_per_round):
-        """Batch-lookup seconds across rounds of interleaved writes.
-
-        Each round writes one new entry into *every* shard and then
-        resolves the whole key universe in one batch.  Only the batch
-        lookups are timed — the entry writes cost the same either
-        way; the ROADMAP item is about keeping *batch-lookup* speed.
-        The baseline drops exactly the written shards' sidecars (and
-        in-memory mirrors) per round — precisely what the
-        pre-generation dir-mtime rule invalidated — so the comparison
-        isolates the rebuild churn the counter avoids, nothing more.
-        """
-        shards = sorted({key[:2] for key in keys})
-        extra = []
-        lookup_seconds = 0.0
-        for round_index in range(MIXED_ROUNDS):
-            for shard in shards:
-                if drop_index_per_round:
-                    sidecar = root / ".index" / f"{shard}.json"
-                    if sidecar.exists():
-                        sidecar.unlink()
-                    store._mem_index.pop(shard, None)
-                newcomer = synthetic_key(shard, f"f{round_index:x}")
-                store.put(newcomer, payload)
-                extra.append(newcomer)
-            start = time.perf_counter()
-            got = store.get_many(keys + extra, lambda data: data)
-            lookup_seconds += time.perf_counter() - start
-            assert set(got) == set(keys) | set(extra)
-        return lookup_seconds
-
-    def run_comparison():
-        runner_keys = seed_store()
-
-        generation_store = CampaignStore(root)
-        generation_store.get_many(runner_keys, lambda d: d)  # prime
-        prime_rebuilds = generation_store.index_rebuilds
-        generation_s = mixed_rounds(generation_store, runner_keys,
-                                    drop_index_per_round=False)
-        rebuilds_during_mix = (generation_store.index_rebuilds
-                               - prime_rebuilds)
-
-        rebuild_store = CampaignStore(root)
-        rebuild_store.get_many(runner_keys, lambda d: d)
-        baseline_rebuilds = rebuild_store.index_rebuilds
-        rebuild_s = mixed_rounds(rebuild_store, runner_keys,
-                                 drop_index_per_round=True)
-        return (generation_s, rebuilds_during_mix, rebuild_s,
-                rebuild_store.index_rebuilds - baseline_rebuilds,
-                len(runner_keys))
-
-    (generation_s, generation_rebuilds, rebuild_s, forced_rebuilds,
-     key_count) = benchmark.pedantic(run_comparison, rounds=1,
-                                     iterations=1)
-
-    record_timing("figure2_store_mixed_rw_generation", generation_s,
-                  {"rounds": MIXED_ROUNDS, "keys": key_count})
-    record_timing("figure2_store_mixed_rw_rebuild", rebuild_s,
-                  {"rounds": MIXED_ROUNDS, "keys": key_count})
-    emit("campaign_store_generation_counter",
-         f"{MIXED_ROUNDS} interleaved write+batch rounds over "
-         f"{key_count} cached runs:\n"
-         f"forced rebuilds {rebuild_s * 1000:.1f} ms "
-         f"({forced_rebuilds} rebuild passes) -> generation counter "
-         f"{generation_s * 1000:.1f} ms ({generation_rebuilds} rebuild "
-         f"passes, {rebuild_s / generation_s:.2f}x)")
-    # The prime pass paid for every build; the mixed rounds paid none.
-    assert generation_rebuilds == 0 or generation_s < rebuild_s, (
-        f"generation-counter path should avoid rebuild churn: "
-        f"{generation_s * 1000:.1f} ms vs {rebuild_s * 1000:.1f} ms")
-    assert forced_rebuilds >= MIXED_ROUNDS  # the baseline really churned

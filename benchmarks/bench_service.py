@@ -1,147 +1,23 @@
-"""Campaign service bench: submit throughput and the packed-store win.
+"""Campaign service bench: warm submit throughput.
 
-Two headline numbers for ``results/bench_timings.json``:
-
-* ``service_submit_throughput`` — warm submissions per second through
-  the full service path (admission plan, single-flight claims, tiered
-  store, resilience bundle) for the real Figure 2 experiment.  Warm,
-  because that is the service's steady state: a campaign fleet
-  re-requesting artifacts whose runs are already cached.
-* ``store_packed_vs_perfile_warm`` — a fresh process resolving a dense
-  synthetic grid (32 shards x 40 entries) warm, packed layout versus
-  the one-JSON-file-per-entry layout.  Fresh-handle resolution is the
-  scenario the packed layout exists for: the per-file side must open
-  every entry file (and rebuild its sidecar) while the packed side
-  reads one pack per shard and bulk-parses it.  The steady-state
-  numbers (sidecars hot on both sides) ride along in the meta.
-
-``check_perf_regression.py`` imports :func:`measure_packed_vs_perfile`
-and re-runs it against the committed baseline, so a regression in the
-packed read path fails CI the same way a simulator-core regression
-does.
+``service_submit_throughput`` in ``results/bench_timings.json`` is warm
+submissions per second through the full service path (admission plan,
+single-flight claims, tiered store, resilience bundle) for the real
+Figure 2 experiment.  Warm, because that is the service's steady
+state: a campaign fleet re-requesting artifacts whose runs are already
+cached.
 """
 
-import shutil
 import time
 
 from repro.experiments.base import Session, knob_mapping
 from repro.experiments.registry import get_experiment
 from repro.service import CampaignService
-from repro.testbed import CampaignStore, PackedCampaignStore
 
 from _util import emit, record_timing
 
-#: Dense synthetic grid shape for the layout comparison.
-GRID_SHARDS = 32
-GRID_ENTRIES_PER_SHARD = 40
-GRID_ENTRIES = GRID_SHARDS * GRID_ENTRIES_PER_SHARD
-#: Timing repetitions (best-of, to shed IO noise).
-TIMING_ROUNDS = 3
 #: Warm submissions timed for the throughput number.
 WARM_SUBMISSIONS = 20
-
-
-def _grid_keys():
-    keys = []
-    for shard_index in range(GRID_SHARDS):
-        shard = format(shard_index, "02x")
-        for entry in range(GRID_ENTRIES_PER_SHARD):
-            keys.append((shard + format(entry, "04x") + "0" * 58)[:64])
-    return keys
-
-
-def _grid_payload(index):
-    return {"case": "packed-grid", "index": index,
-            "value_ms": (index * 5) % 400,
-            "samples": [index % 7, index % 11, index % 13]}
-
-
-def measure_packed_vs_perfile(root, rounds=TIMING_ROUNDS):
-    """Best-of-``rounds`` fresh-handle warm resolve of the dense grid
-    on both layouts; returns ``(packed_s, perfile_s, entries)``.
-
-    Each round starts from a sidecar-less store — the fresh-process
-    scenario — so the per-file side pays its real per-entry read cost
-    and the packed side its real one-read-per-shard scan.
-    """
-    keys = _grid_keys()
-    packed_root = root / "packed"
-    perfile_root = root / "perfile"
-    packed = PackedCampaignStore(packed_root)
-    perfile = CampaignStore(perfile_root)
-    for index, key in enumerate(keys):
-        payload = _grid_payload(index)
-        packed.put(key, payload)
-        perfile.put(key, payload)
-
-    def best(make_store, store_root):
-        elapsed = []
-        for _ in range(rounds):
-            shutil.rmtree(store_root / ".index", ignore_errors=True)
-            store = make_store()
-            start = time.perf_counter()
-            found = store.get_many(keys, lambda payload: payload)
-            elapsed.append(time.perf_counter() - start)
-            assert len(found) == len(keys)
-            assert store.stats.misses == 0
-        return min(elapsed)
-
-    packed_s = best(lambda: PackedCampaignStore(packed_root),
-                    packed_root)
-    perfile_s = best(lambda: CampaignStore(perfile_root), perfile_root)
-    return packed_s, perfile_s, len(keys)
-
-
-def measure_steady_warm(root, rounds=TIMING_ROUNDS):
-    """Same grid with hot sidecars on both sides (the meta numbers)."""
-    keys = _grid_keys()
-    packed_root, perfile_root = root / "packed", root / "perfile"
-    # Prime: flush both sidecar flavours.
-    PackedCampaignStore(packed_root).get_many(keys, lambda p: p)
-    primer = CampaignStore(perfile_root)
-    primer.get_many(keys, lambda p: p)
-    primer.get_many(keys, lambda p: p)
-
-    def best(make_store):
-        elapsed = []
-        for _ in range(rounds):
-            store = make_store()
-            start = time.perf_counter()
-            found = store.get_many(keys, lambda payload: payload)
-            elapsed.append(time.perf_counter() - start)
-            assert len(found) == len(keys)
-        return min(elapsed)
-
-    return (best(lambda: PackedCampaignStore(packed_root)),
-            best(lambda: CampaignStore(perfile_root)))
-
-
-def test_packed_beats_perfile_on_dense_grid(benchmark, tmp_path):
-    """Fresh-handle warm resolve of the dense grid: the packed layout
-    must beat one-file-per-entry (it reads ~32 files, not ~1280)."""
-    packed_s, perfile_s, entries = benchmark.pedantic(
-        lambda: measure_packed_vs_perfile(tmp_path), rounds=1,
-        iterations=1)
-    steady_packed_s, steady_perfile_s = measure_steady_warm(tmp_path)
-
-    record_timing("store_packed_vs_perfile_warm", packed_s,
-                  {"entries": entries, "shards": GRID_SHARDS,
-                   "perfile_seconds": round(perfile_s, 6),
-                   "speedup": round(perfile_s / packed_s, 2),
-                   "steady_packed_seconds": round(steady_packed_s, 6),
-                   "steady_perfile_seconds": round(steady_perfile_s, 6)})
-    emit("service_packed_store",
-         f"dense grid ({entries} entries, {GRID_SHARDS} shards), "
-         f"fresh-handle warm resolve:\n"
-         f"per-file {perfile_s * 1000:.1f} ms -> packed "
-         f"{packed_s * 1000:.1f} ms ({perfile_s / packed_s:.2f}x)\n"
-         f"steady state (hot sidecars): per-file "
-         f"{steady_perfile_s * 1000:.1f} ms, packed "
-         f"{steady_packed_s * 1000:.1f} ms")
-    assert packed_s < perfile_s, (
-        f"packed warm resolve should beat per-file: packed "
-        f"{packed_s * 1000:.1f} ms vs per-file "
-        f"{perfile_s * 1000:.1f} ms")
 
 
 def test_service_submit_throughput(benchmark, tmp_path):

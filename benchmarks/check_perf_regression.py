@@ -1,20 +1,16 @@
-"""CI perf gate for the simulator core, the campaign store, the
-population campaign, and the synthesis search.
+"""CI perf gate for the simulator core, the population campaign, and
+the synthesis search.
 
-Re-measures four headline workloads and fails when one is more than
+Re-measures three headline workloads and fails when one is more than
 30% slower than the best committed sample in
 ``results/bench_timings.json``:
 
 * the cold Figure 2 step-10 grid, 697 runs — the same thing
   ``bench_simnet_core.py`` records as ``figure2_runs_per_second``;
-* the packed-store fresh-handle warm resolve of the dense synthetic
-  grid — what ``bench_service.py`` records as
-  ``store_packed_vs_perfile_warm`` (the measurement is imported from
-  there, so gate and bench can never drift apart);
 * the cold 250-user population-latency campaign — what
   ``bench_population.py`` records as
-  ``population_samples_per_second`` (measurement imported from there
-  too);
+  ``population_samples_per_second`` (the measurement is imported from
+  there, so gate and bench can never drift apart);
 * the cold 12-seed synthesize-scenarios search — what
   ``bench_synthesis.py`` records as
   ``synthesis_candidates_per_second`` (measurement imported from
@@ -39,7 +35,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from repro.analysis import figure2_sweep  # noqa: E402
 
 from bench_population import measure_population  # noqa: E402
-from bench_service import measure_packed_vs_perfile  # noqa: E402
 from bench_synthesis import measure_synthesis  # noqa: E402
 
 TIMINGS_PATH = (pathlib.Path(__file__).resolve().parent
@@ -68,34 +63,6 @@ def gate_simnet_core(timings) -> int:
     if ratio > THRESHOLD:
         print("[perf-gate] FAIL: simulator core regressed by "
               f"{(ratio - 1) * 100:.0f}% on the figure2 grid")
-        return 1
-    return 0
-
-
-def gate_packed_store(timings) -> int:
-    """Relative gate: packed must keep beating per-file on the dense
-    grid.  Absolute drift against the committed sample is reported for
-    the trajectory but not failed on — a ~15 ms disk measurement on a
-    shared runner jitters far more than the 30% threshold, while the
-    packed/per-file ratio is load-immune (both sides share it)."""
-    samples = timings.get("store_packed_vs_perfile_warm", [])
-    if not samples:
-        print("[perf-gate] no committed store_packed_vs_perfile_warm "
-              "baseline; skipping")
-        return 0
-    baseline = min(sample["seconds"] for sample in samples)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        packed_s, perfile_s, entries = measure_packed_vs_perfile(
-            pathlib.Path(tmp))
-
-    print(f"[perf-gate] packed store: packed {packed_s * 1000:.1f}ms "
-          f"vs per-file {perfile_s * 1000:.1f}ms over {entries} "
-          f"entries ({perfile_s / packed_s:.2f}x; committed best "
-          f"{baseline * 1000:.1f}ms)")
-    if packed_s >= perfile_s:
-        print("[perf-gate] FAIL: packed layout no longer beats "
-              "per-file on the dense grid")
         return 1
     return 0
 
@@ -165,8 +132,8 @@ def main() -> int:
         timings = json.loads(TIMINGS_PATH.read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):
         timings = {}
-    failures = (gate_simnet_core(timings) + gate_packed_store(timings)
-                + gate_population(timings) + gate_synthesis(timings))
+    failures = (gate_simnet_core(timings) + gate_population(timings)
+                + gate_synthesis(timings))
     if failures:
         return 1
     print("[perf-gate] OK")

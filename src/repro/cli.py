@@ -40,19 +40,15 @@ def _store_from(args: argparse.Namespace):
     """The campaign store selected by ``--cache-dir`` / ``--no-cache``
     (or the ``REPRO_CACHE_DIR`` environment default), or None.
 
-    ``--store-layout`` picks the on-disk layout; the default ("auto")
-    detects an existing packed store by its ``*.pack`` files and
-    otherwise keeps the historical one-JSON-file-per-entry layout, so
-    one-shot runs against a service's packed cache directory warm-hit
-    it transparently.
+    One-shot runs and ``repro serve`` share the packed layout, so a
+    run against a service's cache directory warm-hits it.
     """
     if getattr(args, "no_cache", False) or not getattr(args, "cache_dir",
                                                       None):
         return None
-    from .testbed.store import open_store
+    from .testbed.store import CampaignStore
 
-    return open_store(args.cache_dir,
-                      layout=getattr(args, "store_layout", "auto"))
+    return CampaignStore(args.cache_dir)
 
 
 def _resilience_from(args: argparse.Namespace, store,
@@ -260,10 +256,10 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     """``repro serve``: run the long-lived campaign service.
 
     Binds the HTTP admission endpoint over a
-    :class:`~repro.service.CampaignService` whose tiered store lives in
-    ``--cache-dir``.  The service defaults to the packed per-shard
-    store layout on a fresh cache directory; an existing per-file
-    store is detected and served as-is under ``--store-layout auto``.
+    :class:`~repro.service.CampaignService` whose tiered store — an
+    LRU over the packed per-shard store — lives in ``--cache-dir``.  A
+    directory left by the retired one-file-per-entry layout serves as
+    all misses until re-executed; ``repro cache gc`` reclaims it.
     """
     if not getattr(args, "cache_dir", None):
         raise SystemExit("repro serve needs --cache-dir (or "
@@ -272,28 +268,17 @@ def _cmd_serve(args: argparse.Namespace) -> None:
     from .service import CampaignService
     from .service.http import CampaignServiceServer
 
-    layout = args.store_layout
-    if layout == "auto":
-        # A service on a fresh directory should scale: default to
-        # packed unless a per-file store already lives there.
-        from pathlib import Path
-
-        root = Path(args.cache_dir)
-        has_file_shards = root.is_dir() and any(
-            child.is_dir() and len(child.name) == 2
-            for child in root.iterdir())
-        layout = "file" if has_file_shards else "packed"
     service = CampaignService(
         args.cache_dir, seed=args.seed, workers=args.workers,
         retries=args.retries if args.retries is not None else 0,
-        layout=layout, lru_capacity=args.lru_capacity,
+        lru_capacity=args.lru_capacity,
         service_workers=args.service_workers,
         coalesce=not args.no_coalesce)
     server = CampaignServiceServer(service, args.host, args.port)
     host, port = server.address
     print(f"[serve] campaign service on http://{host}:{port} "
-          f"root={args.cache_dir} layout={layout} "
-          f"lru={args.lru_capacity}", file=sys.stderr, flush=True)
+          f"root={args.cache_dir} lru={args.lru_capacity}",
+          file=sys.stderr, flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -381,14 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="run everything fresh even when a cache "
                              "directory is configured")
-    parser.add_argument("--store-layout", default="auto",
-                        choices=("auto", "file", "packed"),
-                        help="campaign store on-disk layout: 'file' is "
-                             "one JSON file per entry, 'packed' is one "
-                             "append-only pack per shard (what 'repro "
-                             "serve' uses); 'auto' (default) detects an "
-                             "existing packed store and otherwise uses "
-                             "'file'")
     parser.add_argument("--retries", type=int, default=None,
                         metavar="N",
                         help="re-execute each failed campaign entry up "

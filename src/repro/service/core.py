@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..experiments.base import Session, knob_mapping
 from ..testbed.resilience import CampaignJournal, Resilience, RetryPolicy
-from ..testbed.store import config_digest, open_store
+from ..testbed.store import CampaignStore, config_digest
 from .singleflight import SingleFlight, SingleFlightStore
 from .tiering import TieredStore
 
@@ -92,10 +92,6 @@ class CampaignService:
     Parameters mirror the CLI's global flags where they overlap
     (``seed``, ``workers``, ``retries``); the service-specific ones:
 
-    ``layout``
-        Store layout for ``cache_dir`` — the service defaults to
-        ``"packed"`` (population-scale entry counts are its reason to
-        exist); ``"auto"`` respects an existing per-file store.
     ``lru_capacity``
         Entries held by the in-memory tier.
     ``service_workers``
@@ -114,7 +110,6 @@ class CampaignService:
                  seed: int = 0,
                  workers: Optional[int] = None,
                  retries: int = 0,
-                 layout: str = "packed",
                  lru_capacity: int = 8192,
                  service_workers: int = 8,
                  coalesce: bool = True,
@@ -133,7 +128,7 @@ class CampaignService:
         self.rebalance_min_reads = rebalance_min_reads
         self.rebalance_skew = rebalance_skew
         self._lookup = lookup
-        self.store = TieredStore(open_store(cache_dir, layout=layout),
+        self.store = TieredStore(CampaignStore(cache_dir),
                                  capacity=lru_capacity)
         self.flight = SingleFlight()
         self.stats = ServiceStats()

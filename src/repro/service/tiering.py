@@ -1,6 +1,6 @@
 """Tiered store: bounded in-memory LRU over the on-disk campaign store.
 
-The disk tier (per-file or packed) is the source of truth; the LRU in
+The disk tier (the packed store) is the source of truth; the LRU in
 front of it holds *serialized payloads* — the canonical JSON text the
 store persists — so a memory hit decodes through ``json.loads`` plus
 the same ``decode_record`` path as a disk hit and byte-identity is
@@ -12,8 +12,8 @@ mutation: every hit materializes a fresh object.
 The tier also watches where disk reads land.  A skewed campaign mix
 concentrates traffic on a few shards (hot partitions); when a shard's
 backing-read count exceeds a multiple of the uniform share, the
-rebalancer preloads it into the LRU and — on the packed layout —
-compacts its dead bytes in the background.
+rebalancer preloads it into the LRU and compacts its pack's dead
+bytes in the background.
 """
 
 from __future__ import annotations
@@ -131,8 +131,7 @@ class RebalanceEvent:
     shard: str
     #: Entries preloaded into the memory tier.
     preloaded: int
-    #: Dead bytes reclaimed by packed-shard compaction (0 on the
-    #: per-file layout, which has no dead bytes).
+    #: Dead bytes reclaimed by compacting the shard's pack.
     reclaimed_bytes: int
 
     def summary(self) -> str:
@@ -243,9 +242,9 @@ class TieredStore:
     def rebalance(self, min_reads: int = 64,
                   skew: float = 8.0) -> "List[RebalanceEvent]":
         """Handle every currently hot shard: preload its payloads into
-        the memory tier and, on the packed layout, compact its dead
-        bytes.  Returns one event per shard handled (empty when nothing
-        is hot), then decays the heat counters."""
+        the memory tier and compact its pack's dead bytes.  Returns one
+        event per shard handled (empty when nothing is hot), then
+        decays the heat counters."""
         with self._lock:
             hot = self.heat.hot_shards(min_reads=min_reads, skew=skew)
             if not hot:
@@ -253,8 +252,6 @@ class TieredStore:
             events: "List[RebalanceEvent]" = []
             budget = max(1, int(self.lru.capacity
                                 * self.preload_fraction))
-            compact = getattr(self.backing, "compact_shard", None)
-            dead = getattr(self.backing, "dead_bytes", None)
             for shard in hot:
                 preloaded = 0
                 for key, payload in self.backing.shard_payloads(
@@ -265,9 +262,8 @@ class TieredStore:
                         self.lru.put(key, _freeze(payload))
                         preloaded += 1
                 reclaimed = 0
-                if (compact is not None and dead is not None
-                        and dead(shard) > 0):
-                    reclaimed = compact(shard)
+                if self.backing.dead_bytes(shard) > 0:
+                    reclaimed = self.backing.compact_shard(shard)
                 events.append(RebalanceEvent(
                     shard=shard, preloaded=preloaded,
                     reclaimed_bytes=reclaimed))

@@ -343,6 +343,66 @@ class TestCliCacheGC:
         assert " misses=0 " in [line for line in warm.splitlines()
                                 if line.startswith("[cache]")][0]
 
+    def test_gc_reclaims_a_legacy_per_file_cache(self, capsys, tmp_path):
+        """A directory of the retired one-file-per-entry layout reads
+        as all misses, reruns byte-identically into packs, and gc
+        leaves only the packs, the journal and quarantine."""
+        import json
+
+        from repro.testbed import CampaignStore
+
+        argv = ["figure2", "--step", "400"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        donor = CampaignStore(tmp_path / "donor")
+        assert main(["--cache-dir", str(donor.root), *argv]) == 0
+        capsys.readouterr()
+        legacy = tmp_path / "legacy"
+        entries = 0
+        for shard in donor.shards():
+            payloads = donor.shard_payloads(shard)
+            (legacy / shard).mkdir(parents=True)
+            for key, payload in payloads.items():
+                (legacy / shard / f"{key}.json").write_text(json.dumps(
+                    {"complete": True, "format": 2, "key": key,
+                     "payload": payload}, sort_keys=True))
+                entries += 1
+            (legacy / ".index").mkdir(exist_ok=True)
+            (legacy / ".index" / f"{shard}.json").write_text(json.dumps(
+                {"index_format": 2, "store_format": 2, "generation": 0,
+                 "dir_mtime_ns": 1, "entries": payloads}, sort_keys=True))
+        (legacy / shard / ".tmp-crashed.json").write_text("torn")
+        evidence = legacy / ".quarantine" / shard / "evidence.json"
+        evidence.parent.mkdir(parents=True)
+        evidence.write_text("{ not json")
+
+        assert main(["--cache-dir", str(legacy), *argv]) == 0
+        rerun = capsys.readouterr().out
+        assert "[cache] hits=0 misses=34 stores=34 " in rerun
+        assert rerun.rsplit("[cache]", 1)[0] == clean
+        assert list(legacy.glob("*.pack"))
+
+        def cache_gc(*flags):
+            assert main(["--cache-dir", str(legacy), "cache", "gc",
+                         *flags]) == 0
+            return capsys.readouterr().out
+
+        before = sorted(legacy.rglob("*"))
+        dry = cache_gc("--dry-run")
+        assert f"removed={entries} tmp=1 " in dry
+        assert sorted(legacy.rglob("*")) == before
+        assert "kept=34 " in cache_gc()
+        packs = {f"{shard}.pack" for shard in CampaignStore(legacy).shards()}
+        assert {path.name for path in legacy.iterdir()} - packs <= {
+            ".journal", ".quarantine", ".index"}
+        # What planning left in .index are the packs' own offset indexes.
+        for sidecar in (legacy / ".index").glob("*"):
+            assert f"{sidecar.stem}.pack" in packs
+            assert json.loads(sidecar.read_text())["layout"] == "packed"
+        assert evidence.read_text() == "{ not json"
+        assert main(["--cache-dir", str(legacy), *argv]) == 0
+        assert "[cache] hits=34 misses=0 " in capsys.readouterr().out
+
 
 class TestCliCache:
     def figure2(self, capsys, *argv):

@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.clients import get_profile
-from repro.faults import FaultPlan
+from repro.faults import FaultKind, FaultPlan
 from repro.fanout import shared_pool, shutdown_shared_pool
 from repro.seeding import backoff_jitter
 from repro.testbed import (CampaignJournal, CampaignStore, Resilience,
@@ -158,28 +158,34 @@ class TestChaosInvariant:
     def test_corrupt_store_writes_heal_on_rerun(self, tmp_path,
                                                 clean_records):
         """Torn writes poison the cold run's cache without touching its
-        output; the warm rerun quarantines the torn entries,
-        re-executes them, and is byte-identical too."""
-        plan = FaultPlan.parse("corrupt:0.5,partial:0.3", seed=5)
+        output; the warm rerun re-executes the torn entries and is
+        byte-identical too.  A ``corrupt`` write is a torn tail that is
+        never indexed, so it reads as a plain miss; a ``partial`` line
+        is indexed and quarantined on first read."""
+        plan = FaultPlan.parse("partial:0.3,corrupt:0.5", seed=5)
         store = CampaignStore(tmp_path / "cache")
         store.fault_plan = plan
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
         cold = list(chaos_runner(resilience=res, store=store).stream())
         assert cold == clean_records
-        torn = sum(1 for key in store.fault_plan._occurrences)
-        assert torn > 0, "plan must actually tear writes"
+        kinds = [kind for kind, _ in store.fault_plan._occurrences]
+        corrupt = kinds.count(FaultKind.CORRUPT_WRITE)
+        partial = kinds.count(FaultKind.PARTIAL_WRITE)
+        assert corrupt > 0 and partial > 0, \
+            "plan must actually tear writes of both kinds"
 
         warm_store = CampaignStore(tmp_path / "cache")  # fault-free handle
         res2 = Resilience(policy=RetryPolicy(retries=2, **FAST))
         warm = list(chaos_runner(resilience=res2,
                                  store=warm_store).stream())
         assert warm == clean_records
-        assert warm_store.stats.quarantined == torn
-        assert warm_store.stats.invalid == torn
+        assert warm_store.stats.misses == corrupt + partial
+        assert warm_store.stats.quarantined == partial
+        assert warm_store.stats.invalid == partial
         quarantined = list((tmp_path / "cache" / ".quarantine")
                            .rglob("*.json"))
-        assert len(quarantined) == torn
+        assert len(quarantined) == partial
 
         # Third run: fully healed, pure hits.
         healed_store = CampaignStore(tmp_path / "cache")
@@ -278,8 +284,8 @@ class TestJournalResume:
         assert list(chaos_runner(resilience=res,
                                  store=store).stream()) == clean_records
         res.close()
-        key, path = next(store.entries())
-        path.unlink()  # the store lost a journaled entry
+        keys = [key for key, _ in store.entries()]
+        store.gc(keys[1:])  # the store lost a journaled entry
 
         store2 = CampaignStore(tmp_path / "cache")
         res2 = self._resilience(tmp_path, resume=True)

@@ -1,5 +1,6 @@
 """The incremental campaign store: identity, invalidation, fallback."""
 
+import builtins
 import collections
 import dataclasses
 import enum
@@ -38,8 +39,40 @@ def small_runner(seed: int = 5, store: CampaignStore = None,
         seed=seed, store=store, **knobs)
 
 
-def entry_paths(store: CampaignStore):
-    return sorted(store.root.rglob("*.json"))
+def pack_paths(store: CampaignStore):
+    return sorted(store.root.glob("*.pack"))
+
+
+def first_key(root) -> str:
+    """The first key of the store at ``root``, in shard then key order."""
+    return next(CampaignStore(root).entries())[0]
+
+
+def tamper(root, key: str, transform) -> bytes:
+    """Rewrite ``key``'s record line in its pack in place, as bit rot or
+    a buggy foreign writer would; returns the new line (newline
+    excluded).  ``transform`` maps the old line to the new one."""
+    pack = pathlib.Path(root) / f"{key[:2]}.pack"
+    lines = pack.read_bytes().split(b"\n")
+    marker = f'"key": "{key}"'.encode("ascii")
+    [index] = [i for i, line in enumerate(lines) if marker in line]
+    lines[index] = transform(lines[index])
+    pack.write_bytes(b"\n".join(lines))
+    return lines[index]
+
+
+def edit_entry(mutate):
+    """A :func:`tamper` transform that edits the decoded record."""
+    def transform(line: bytes) -> bytes:
+        data = json.loads(line)
+        mutate(data)
+        return json.dumps(data, sort_keys=True).encode("ascii")
+    return transform
+
+
+def truncate(line: bytes) -> bytes:
+    """Torn JSON that still names its key, so it stays indexed."""
+    return line[:120]
 
 
 class TestCanonicalDigest:
@@ -289,7 +322,7 @@ class TestWarmCampaigns:
         first = run_campaign_spec(spec)
         second = run_campaign_spec(spec)
         assert first.records == second.records
-        assert entry_paths(CampaignStore(tmp_path))  # populated on disk
+        assert pack_paths(CampaignStore(tmp_path))  # populated on disk
 
 
 class TestStoreGC:
@@ -318,16 +351,15 @@ class TestStoreGC:
         assert stats.removed == len(live)
         assert stats.kept == 0
         assert list(store.entries()) == []
-        # Emptied shard directories are pruned.
-        assert not any(p.is_dir() for p in store.root.iterdir())
+        # Emptied packs (and their generation counters) are pruned.
+        assert not list(store.root.iterdir())
 
     def test_gc_sweeps_stale_tmp_files(self, tmp_path):
         store, live = self.populate(tmp_path)
-        shard = next(iter(store.root.iterdir()))
-        (shard / ".tmp-crashed.json").write_text("torn")
+        (store.root / ".tmp-crashed.pack").write_text("torn")
         stats = store.gc(live)
         assert stats.removed_tmp == 1
-        assert not list(shard.glob(".tmp-*"))
+        assert not list(store.root.glob(".tmp-*"))
 
     def test_gc_survivors_still_hit(self, tmp_path):
         store, live = self.populate(tmp_path)
@@ -347,15 +379,13 @@ class TestStoreGC:
                       for index in range(3)]
         for key in stale_keys:
             store.put(key, {"orphaned": True})
-        shard = next(s for s in store.root.iterdir()
-                     if s.is_dir() and len(s.name) == 2)
-        (shard / ".tmp-crashed.json").write_text("torn")
+        (store.root / ".tmp-crashed.pack").write_text("torn")
         before = {key for key, _ in store.entries()}
         dry = store.gc(live, dry_run=True)
         # Nothing was touched: every entry (and the tmp dropping)
         # survives, and live keys still resolve from disk.
         assert {key for key, _ in store.entries()} == before
-        assert list(shard.glob(".tmp-*"))
+        assert list(store.root.glob(".tmp-*"))
         fresh = CampaignStore(tmp_path)
         assert all(fresh.has(key) for key in live)
         # The accounting matches the later real sweep.
@@ -494,9 +524,7 @@ class TestCorruptEntries:
 
     def test_corrupted_entry_falls_back_to_fresh(self, tmp_path):
         cold = self.populate(tmp_path)
-        store = CampaignStore(tmp_path)
-        victim = entry_paths(store)[0]
-        victim.write_text("{ not json", encoding="utf-8")
+        tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
         assert warm.records == cold.records
@@ -509,11 +537,10 @@ class TestCorruptEntries:
         assert repaired.stats.hits == len(cold)
 
     def test_corrupted_entry_parallel_inline_repair(self, tmp_path):
-        """The parallel planner sees the entry file and plans a hit;
-        the lazy read discovers the corruption and repairs inline."""
+        """The parallel planner sees the indexed record and plans a
+        hit; the read discovers the corruption and repairs inline."""
         cold = self.populate(tmp_path)
-        victim = entry_paths(CampaignStore(tmp_path))[0]
-        victim.write_text("{ not json", encoding="utf-8")
+        tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run(workers=2)
         assert warm.records == cold.records
@@ -525,11 +552,8 @@ class TestCorruptEntries:
     def test_partial_entry_falls_back_to_fresh(self, tmp_path):
         """An entry without the completeness marker is a miss."""
         cold = self.populate(tmp_path)
-        store = CampaignStore(tmp_path)
-        victim = entry_paths(store)[0]
-        data = json.loads(victim.read_text(encoding="utf-8"))
-        del data["complete"]
-        victim.write_text(json.dumps(data), encoding="utf-8")
+        tamper(tmp_path, first_key(tmp_path),
+               edit_entry(lambda data: data.pop("complete")))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
         assert warm.records == cold.records
@@ -537,11 +561,8 @@ class TestCorruptEntries:
 
     def test_format_version_mismatch_is_invalid(self, tmp_path):
         cold = self.populate(tmp_path)
-        store = CampaignStore(tmp_path)
-        victim = entry_paths(store)[0]
-        data = json.loads(victim.read_text(encoding="utf-8"))
-        data["format"] = STORE_FORMAT + 1
-        victim.write_text(json.dumps(data), encoding="utf-8")
+        tamper(tmp_path, first_key(tmp_path), edit_entry(
+            lambda data: data.update(format=STORE_FORMAT + 1)))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
         assert warm.records == cold.records
@@ -549,11 +570,8 @@ class TestCorruptEntries:
 
     def test_undecodable_payload_is_invalid(self, tmp_path):
         cold = self.populate(tmp_path)
-        store = CampaignStore(tmp_path)
-        victim = entry_paths(store)[0]
-        data = json.loads(victim.read_text(encoding="utf-8"))
-        data["payload"]["winning_family"] = "V9"
-        victim.write_text(json.dumps(data), encoding="utf-8")
+        tamper(tmp_path, first_key(tmp_path), edit_entry(
+            lambda data: data["payload"].update(winning_family="V9")))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
         assert warm.records == cold.records
@@ -561,21 +579,20 @@ class TestCorruptEntries:
 
 
 class TestQuarantine:
-    """Content-invalid entries are moved aside, not just skipped:
-    the evidence survives for postmortems and the bad file can never
+    """Content-invalid records are copied aside, not just skipped:
+    the evidence survives for postmortems and the bad record can never
     shadow its repaired replacement."""
 
     def populate(self, tmp_path) -> ResultSet:
         return small_runner(store=CampaignStore(tmp_path)).run()
 
-    def corrupt_one(self, tmp_path) -> str:
-        victim = entry_paths(CampaignStore(tmp_path))[0]
-        victim.write_text("{ not json", encoding="utf-8")
-        return victim.stem
+    def corrupt_one(self, tmp_path) -> "tuple[str, bytes]":
+        key = first_key(tmp_path)
+        return key, tamper(tmp_path, key, truncate)
 
     def test_corrupt_entry_is_quarantined(self, tmp_path):
         cold = self.populate(tmp_path)
-        key = self.corrupt_one(tmp_path)
+        key, bad = self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
         assert warm.records == cold.records
@@ -583,8 +600,8 @@ class TestQuarantine:
         assert warm_store.stats.invalid == 1
         moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"
         assert moved.is_file()
-        assert moved.read_text(encoding="utf-8") == "{ not json"
-        # The re-execution rewrote the entry in place: pure hits next.
+        assert moved.read_bytes() == bad + b"\n"
+        # The re-execution appended a fresh record: pure hits next.
         repaired = CampaignStore(tmp_path)
         small_runner(store=repaired).run()
         assert repaired.stats.hits == len(cold)
@@ -593,29 +610,35 @@ class TestQuarantine:
     def test_unreadable_entry_is_not_quarantined(self, tmp_path,
                                                  monkeypatch):
         """A transient read error (permissions, NFS hiccup) proves
-        nothing about the entry's content — leave it in place."""
+        nothing about the records' content — leave them in place."""
         cold = self.populate(tmp_path)
-        victim = entry_paths(CampaignStore(tmp_path))[0]
-        original = pathlib.Path.read_text
+        keys = [key for key, _ in CampaignStore(tmp_path).entries()]
+        store = CampaignStore(tmp_path)
+        assert store.has(keys[0])  # offsets indexed while readable
+        victim = store._pack_path(keys[0][:2])
+        original = builtins.open
 
-        def flaky(self, *args, **kwargs):
-            if self == victim:
+        def flaky(file, *args, **kwargs):
+            if os.fspath(file) == victim:
                 raise OSError("injected transient read error")
-            return original(self, *args, **kwargs)
+            return original(file, *args, **kwargs)
 
-        warm_store = CampaignStore(tmp_path)
-        monkeypatch.setattr(pathlib.Path, "read_text", flaky)
-        warm = small_runner(store=warm_store).run()
+        monkeypatch.setattr(builtins, "open", flaky)
+        got = store.get_many(keys, decode_record)
         monkeypatch.undo()
-        assert warm.records == cold.records
-        assert warm_store.stats.invalid == 1
-        assert warm_store.stats.quarantined == 0
-        assert victim.is_file()
+        unreadable = [key for key in keys if key[:2] == keys[0][:2]]
+        assert set(got) == set(keys) - set(unreadable)
+        assert store.stats.invalid == len(unreadable)
+        assert store.stats.quarantined == 0
         assert not (tmp_path / ".quarantine").exists()
+        # Readable again: every record is still there.
+        warm = CampaignStore(tmp_path).get_many(keys, decode_record)
+        assert sorted(warm.values(), key=repr) == sorted(cold.records,
+                                                         key=repr)
 
     def test_gc_leaves_quarantine_intact(self, tmp_path):
         self.populate(tmp_path)
-        key = self.corrupt_one(tmp_path)
+        key, _ = self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
         small_runner(store=warm_store).run()
         moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"

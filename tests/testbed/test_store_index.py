@@ -1,4 +1,4 @@
-"""Batch lookup (get_many) and the per-shard sidecar index."""
+"""Batch lookup (get_many) and the per-shard sidecar offset index."""
 
 import json
 
@@ -28,17 +28,23 @@ def index_files(tmp_path):
     return sorted((tmp_path / ".index").glob("*.json"))
 
 
+def record_line(key, payload):
+    return (json.dumps({"complete": True, "format": 2, "key": key,
+                        "payload": payload}, sort_keys=True)
+            + "\n").encode("ascii")
+
+
 class TestGetMany:
     def test_matches_per_key_lookup(self, tmp_path):
         keys = populate(tmp_path)
-        indexed = CampaignStore(tmp_path)
-        perkey = CampaignStore(tmp_path, use_index=False)
-        got_indexed = indexed.get_many(keys, decode_record)
-        got_perkey = perkey.get_many(keys, decode_record)
-        assert got_indexed == got_perkey
-        assert set(got_indexed) == set(keys)
-        assert indexed.stats.hits == len(keys)
-        assert indexed.stats.misses == 0
+        batch = CampaignStore(tmp_path)
+        perkey = CampaignStore(tmp_path)
+        got_batch = batch.get_many(keys, decode_record)
+        got_perkey = {key: perkey.get(key, decode_record) for key in keys}
+        assert got_batch == got_perkey
+        assert set(got_batch) == set(keys)
+        assert batch.stats.hits == len(keys)
+        assert batch.stats.misses == 0
         assert perkey.stats.hits == len(keys)
 
     def test_absent_keys_count_as_misses(self, tmp_path):
@@ -71,27 +77,26 @@ class TestSidecarIndex:
         assert set(warm.get_many(keys, decode_record)) == set(keys)
         assert warm.stats.hits == len(keys)
         assert warm.stats.misses == 0
+        assert warm.index_rebuilds == 0
 
     def test_stale_index_is_ignored(self, tmp_path):
-        """An index whose shard changed since it was built (generation
-        counter mismatch) is ignored: lookups read the entry files."""
+        """An index stamped with another generation than the shard's
+        counter (the pack was rewritten since) is ignored: lookups
+        rescan the pack."""
         keys = populate(tmp_path)
         store = CampaignStore(tmp_path)
         truth = store.get_many(keys, decode_record)  # builds sidecars
         victim_key = keys[0]
-        shard = victim_key[:2]
-        index_path = tmp_path / ".index" / f"{shard}.json"
+        index_path = tmp_path / ".index" / f"{victim_key[:2]}.json"
         index = json.loads(index_path.read_text(encoding="utf-8"))
-        # Tamper the indexed payload *and* change the shard (an entry
-        # write through put() bumps the generation counter) — the
-        # stale sidecar must not be believed.
-        index["entries"][victim_key]["value_ms"] = 99999
+        # Tamper the indexed offsets *and* the stamp — the stale
+        # sidecar must not be believed.
+        index["offsets"][victim_key] = [0, 10]
+        index["generation"] += 1
         index_path.write_text(json.dumps(index), encoding="utf-8")
-        newcomer = shard + "0" * 62
-        CampaignStore(tmp_path).put(newcomer, {"unrelated": True})
-        reread = CampaignStore(tmp_path).get_many(keys, decode_record)
-        assert reread[victim_key] == truth[victim_key]
-        assert reread[victim_key].value_ms != 99999
+        fresh = CampaignStore(tmp_path)
+        assert fresh.get_many(keys, decode_record) == truth
+        assert fresh.stats.invalid == 0
 
     def test_generation_survives_interleaved_writes(self, tmp_path):
         """The ROADMAP perf item: a handle that writes through the
@@ -106,9 +111,7 @@ class TestSidecarIndex:
         extra = []
         for nibble in "0123456789abcdef":
             newcomer = shard + nibble * 62
-            store.put(newcomer, dict(
-                json.loads(store._path(keys[0])
-                           .read_text(encoding="utf-8"))["payload"]))
+            store.put(newcomer, store.get(keys[0], lambda p: p))
             extra.append(newcomer)
             got = store.get_many(keys + extra, decode_record)
             assert set(got) == set(keys + extra)
@@ -124,14 +127,18 @@ class TestSidecarIndex:
         assert fresh.stats.misses == 0
 
     def test_out_of_band_deletion_invalidates_the_index(self, tmp_path):
-        """An entry removed behind the store's back (manual pruning,
-        partial sync) never bumps the generation — the directory-mtime
-        cross-check must catch it, keeping get_many and get agreeing."""
+        """A record cut out of its pack behind the store's back (manual
+        pruning, partial sync) never bumps the generation — the
+        stamped pack size must catch it, keeping get_many and get
+        agreeing."""
         keys = populate(tmp_path)
         store = CampaignStore(tmp_path)
         store.get_many(keys, decode_record)  # builds sidecars
-        victim = store._path(keys[0])
-        victim.unlink()
+        pack = tmp_path / f"{keys[0][:2]}.pack"
+        marker = f'"key": "{keys[0]}"'.encode("ascii")
+        pack.write_bytes(b"".join(
+            line for line in pack.read_bytes().splitlines(keepends=True)
+            if marker not in line))
         fresh = CampaignStore(tmp_path)
         got = fresh.get_many(keys, decode_record)
         assert keys[0] not in got
@@ -139,17 +146,16 @@ class TestSidecarIndex:
         assert fresh.get(keys[0], decode_record) is None
 
     def test_out_of_band_addition_is_served(self, tmp_path):
-        """An entry file dropped in without put() still resolves —
-        via index rebuild or per-key fallback, never a false miss."""
+        """A record appended without put() (another writer) still
+        resolves — the scan resumes past the stamped pack size, never
+        a false miss."""
         keys = populate(tmp_path)
         store = CampaignStore(tmp_path)
         truth = store.get_many(keys, decode_record)  # builds sidecars
-        source = store._path(keys[0])
         newcomer = keys[0][:2] + "e" * 62
-        data = json.loads(source.read_text(encoding="utf-8"))
-        data["key"] = newcomer
-        (source.parent / f"{newcomer}.json").write_text(
-            json.dumps(data), encoding="utf-8")
+        with (tmp_path / f"{keys[0][:2]}.pack").open("ab") as handle:
+            handle.write(record_line(newcomer,
+                                     store.get(keys[0], lambda p: p)))
         fresh = CampaignStore(tmp_path)
         got = fresh.get_many(keys + [newcomer], decode_record)
         assert got[newcomer] == truth[keys[0]]
@@ -178,29 +184,24 @@ class TestSidecarIndex:
         assert fresh.stats.misses == 0
 
     def test_invalid_entry_excluded_from_index(self, tmp_path):
-        """A corrupt entry file never reaches the sidecar: its key
-        keeps falling back to a per-key read that counts truthfully."""
+        """A corrupt record is counted truthfully once, then leaves
+        the offset map — the next flushed sidecar no longer lists it."""
         keys = populate(tmp_path)
-        store = CampaignStore(tmp_path)
-        victim = store._path(keys[0])
-        victim.write_text("{ not json", encoding="utf-8")
+        pack = tmp_path / f"{keys[0][:2]}.pack"
+        marker = f'"key": "{keys[0]}"'.encode("ascii")
+        pack.write_bytes(b"".join(
+            line[:120] + b"\n" if marker in line else line
+            for line in pack.read_bytes().splitlines(keepends=True)))
         fresh = CampaignStore(tmp_path)
         got = fresh.get_many(keys, decode_record)
         assert keys[0] not in got
         assert fresh.stats.invalid == 1
         assert fresh.stats.misses == 1
         assert fresh.stats.hits == len(keys) - 1
-
-    def test_all_miss_lookup_builds_no_index(self, tmp_path):
-        """A campaign whose keys are all new must not pay for (or
-        duplicate on disk) an index of unrelated existing entries."""
-        populate(tmp_path)
-        other = small_runner(seed=99)  # disjoint key universe
-        other_keys = list(other.store_keys())
-        store = CampaignStore(tmp_path)
-        assert store.get_many(other_keys, decode_record) == {}
-        assert store.stats.misses == len(other_keys)
-        assert not index_files(tmp_path)
+        fresh.get_many(keys, decode_record)  # flushes the sidecar
+        index = json.loads((tmp_path / ".index" / f"{keys[0][:2]}.json")
+                           .read_text(encoding="utf-8"))
+        assert keys[0] not in index["offsets"]
 
     def test_gc_sweeps_crashed_index_writer_droppings(self, tmp_path):
         keys = populate(tmp_path)
@@ -238,16 +239,18 @@ class TestSidecarIndex:
         keys = populate(tmp_path)
         store = CampaignStore(tmp_path)
         store.get_many(keys, decode_record)  # builds sidecars
-        stats = store.gc(keys[1:])  # evict exactly one entry
-        assert stats.removed == 1
-        assert stats.removed_index >= 1
         swept_shard = keys[0][:2]
+        evicted = [key for key in keys if key[:2] == swept_shard]
+        stats = store.gc([key for key in keys if key not in evicted])
+        assert stats.removed == len(evicted)
+        assert stats.removed_index >= 1
+        assert not (tmp_path / f"{swept_shard}.pack").exists()
         assert not (tmp_path / ".index" / f"{swept_shard}.json").exists()
-        # Surviving keys still resolve; the evicted one is a miss.
+        # Surviving keys still resolve; the evicted ones are misses.
         warm = CampaignStore(tmp_path)
         got = warm.get_many(keys, decode_record)
-        assert set(got) == set(keys[1:])
-        assert warm.stats.misses == 1
+        assert set(got) == set(keys) - set(evicted)
+        assert warm.stats.misses == len(evicted)
 
 
 class TestRunnerBatchPath:
@@ -267,11 +270,3 @@ class TestRunnerBatchPath:
         assert warm.records == cold.records
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
-
-    def test_disabled_index_still_correct(self, tmp_path):
-        cold = small_runner(store=CampaignStore(tmp_path)).run()
-        warm_store = CampaignStore(tmp_path, use_index=False)
-        warm = small_runner(store=warm_store).run()
-        assert warm.records == cold.records
-        assert warm_store.stats.hits == len(cold)
-        assert not index_files(tmp_path)

@@ -1,6 +1,10 @@
-"""The packed per-shard store: round-trip, torn tails, gc, sidecars."""
+"""The packed per-shard store: round-trip, torn tails, gc, sidecars,
+concurrent writers."""
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -8,7 +12,7 @@ from repro.clients import get_profile
 from repro.testbed import (CampaignStore, PackedCampaignStore, SweepSpec,
                           TestCaseConfig, TestCaseKind, TestRunner,
                           open_store)
-from repro.testbed.store import decode_record, encode_record
+from repro.testbed.store import STORE_FORMAT, decode_record, encode_record
 
 
 def small_runner(seed: int = 5, store=None, **knobs) -> TestRunner:
@@ -22,17 +26,23 @@ def small_runner(seed: int = 5, store=None, **knobs) -> TestRunner:
 
 
 class TestPackedRoundTrip:
-    def test_records_round_trip_byte_identical_to_per_file(self, tmp_path):
-        """The absolute invariant: layout never changes decoded records."""
-        packed = PackedCampaignStore(tmp_path / "packed")
-        perfile = CampaignStore(tmp_path / "perfile")
-        small_runner(store=packed).run()
-        small_runner(store=perfile).run()
-        packed_keys = dict(packed.entries())
-        perfile_keys = dict(perfile.entries())
-        assert set(packed_keys) == set(perfile_keys)
-        for key in packed_keys:
-            assert packed.get_record(key) == perfile.get_record(key)
+    def test_record_lines_are_canonical_json(self, tmp_path):
+        """The persistence format: one ``json.dumps(sort_keys=True)``
+        line per record, and it decodes to the executed record."""
+        store = CampaignStore(tmp_path)
+        cold = small_runner(store=store).run()
+        lines = {}
+        for pack in tmp_path.glob("*.pack"):
+            for line in pack.read_bytes().splitlines(keepends=True):
+                lines[json.loads(line)["key"]] = line
+        by_key = dict(zip(small_runner().store_keys(), cold.records))
+        assert set(lines) == set(by_key)
+        for key, record in by_key.items():
+            assert lines[key] == (json.dumps(
+                {"complete": True, "format": STORE_FORMAT, "key": key,
+                 "payload": encode_record(record)}, sort_keys=True)
+                + "\n").encode("ascii")
+            assert CampaignStore(tmp_path).get_record(key) == record
 
     def test_many_entries_per_shard_few_files(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
@@ -64,19 +74,16 @@ class TestPackedRoundTrip:
             key, lambda p: p["v"]) == 2
         assert store.dead_bytes("ab") > 0
 
-    def test_open_store_autodetects_layout(self, tmp_path):
-        packed_root = tmp_path / "packed"
-        PackedCampaignStore(packed_root).put("cd" * 32, {"v": 1})
-        assert isinstance(open_store(packed_root), PackedCampaignStore)
-        perfile_root = tmp_path / "perfile"
-        CampaignStore(perfile_root).put("cd" * 32, {"v": 1})
-        opened = open_store(perfile_root)
-        assert isinstance(opened, CampaignStore)
-        assert not isinstance(opened, PackedCampaignStore)
-        assert isinstance(open_store(tmp_path / "empty"),
-                          CampaignStore)  # empty root: per-file default
-        with pytest.raises(ValueError):
-            open_store(tmp_path, layout="bogus")
+    def test_open_store_has_one_layout(self, tmp_path):
+        assert PackedCampaignStore is CampaignStore
+        CampaignStore(tmp_path).put("cd" * 32, {"v": 1})
+        for layout in ("auto", "packed"):
+            opened = open_store(tmp_path, layout=layout)
+            assert type(opened) is CampaignStore
+            assert opened.get("cd" * 32, lambda p: p["v"]) == 1
+        for layout in ("file", "bogus"):
+            with pytest.raises(ValueError):
+                open_store(tmp_path, layout=layout)
 
 
 class TestTornTail:
@@ -212,24 +219,130 @@ class TestPackedSidecars:
         fresh = PackedCampaignStore(tmp_path)
         assert fresh.get(key2, lambda p: p["v"]) == 2
 
-    def test_no_index_mode(self, tmp_path):
-        store = PackedCampaignStore(tmp_path, use_index=False)
-        key = "ef" * 32
-        store.put(key, {"v": 9})
-        assert not list(tmp_path.glob(".index/*"))
-        fresh = PackedCampaignStore(tmp_path, use_index=False)
-        assert fresh.get(key, lambda p: p["v"]) == 9
+    def test_flushed_sidecar_is_canonical_json(self, tmp_path):
+        """The sidecar goes out through the one-shot C encoder: its
+        bytes equal ``json.dumps(index, sort_keys=True)``."""
+        store = CampaignStore(tmp_path)
+        keys = ["ab" + format(i, "02x") * 31 for i in range(5)]
+        for i, key in enumerate(keys):
+            store.put(key, {"v": i, "text": "caf\u00e9"})
+        store.put(keys[0], {"v": 10})  # dead bytes in the stamp too
+        assert len(store.get_many(keys, lambda p: p)) == len(keys)
+        text = (tmp_path / ".index" / "ab.json").read_text(encoding="ascii")
+        index = json.loads(text)
+        assert text == json.dumps(index, sort_keys=True)
+        assert index["layout"] == "packed" and index["dead"] > 0
+        assert set(index["offsets"]) == set(keys)
 
-    def test_shard_payloads_both_layouts(self, tmp_path):
-        packed = PackedCampaignStore(tmp_path / "p")
-        perfile = CampaignStore(tmp_path / "f")
+    def test_shard_payloads(self, tmp_path):
+        store = CampaignStore(tmp_path)
         runner = small_runner()
         record = runner.run_single(runner.cases[0], runner.clients[0], 310)
         payload = encode_record(record)
         key = "ab" * 32
-        packed.put(key, payload)
-        perfile.put(key, payload)
-        assert packed.shard_payloads("ab") == perfile.shard_payloads("ab")
-        assert decode_record(
-            packed.shard_payloads("ab")[key]) == record
-        assert packed.shards() == perfile.shards() == ["ab"]
+        store.put(key, payload)
+        store.put("ab" + "01" * 31, {"v": 1})
+        payloads = store.shard_payloads("ab")
+        assert payloads == {key: payload, "ab" + "01" * 31: {"v": 1}}
+        assert decode_record(payloads[key]) == record
+        assert store.shards() == ["ab"]
+
+
+def _payload(writer: str, key: str, version: int) -> dict:
+    """A record-sized payload; the final version is writer-independent,
+    as a content-addressed key's payload is."""
+    if version < 0:
+        return {"key": key, "final": True, "pad": "x" * 600}
+    return {"key": key, "by": writer, "version": version, "pad": "y" * 600}
+
+
+def _append_worker(root, writer, own, shared, start, versions):
+    start.wait(60)
+    store = CampaignStore(root)
+    for version in [*range(versions), -1]:
+        for key in own + shared:
+            store.put(key, _payload(writer, key, version))
+            time.sleep(0.0002)  # let the other writer interleave
+    # The writer's own map, built from offsets read back from its
+    # descriptor, resolves every key only it writes.
+    got = store.get_many(own, lambda p: p)
+    assert got == {key: _payload(writer, key, -1) for key in own}
+    assert store.stats.invalid == 0
+
+
+class TestConcurrentWriters:
+    """Cross-process appends into the same packs: every record lands at
+    the offset its writer read back, and torn or foreign bytes between
+    one handle's writes are healed, never glued onto a record."""
+
+    SHARDS = ("aa", "ab", "ac")
+
+    def keys(self, tag: str, count: int):
+        return [shard + tag + format(i, "02x") * 30 + "0"
+                for shard in self.SHARDS for i in range(count)]
+
+    def test_two_processes_disjoint_and_overlapping_keys(self, tmp_path):
+        context = multiprocessing.get_context("spawn")
+        start = context.Barrier(3)  # both writers and this test
+        shared = self.keys("0", 6)
+        own = {"a": self.keys("a", 12), "b": self.keys("b", 12)}
+        writers = [context.Process(target=_append_worker, args=(
+            tmp_path, writer, own[writer], shared, start, 3))
+            for writer in own]
+        for process in writers:
+            process.start()
+        start.wait(60)
+        for process in writers:
+            process.join(60)
+            assert process.exitcode == 0
+        everything = shared + own["a"] + own["b"]
+        fresh = CampaignStore(tmp_path)
+        got = fresh.get_many(everything, lambda p: p)
+        assert got == {key: _payload("", key, -1) for key in everything}
+        assert fresh.stats.invalid == fresh.stats.quarantined == 0
+        assert not (tmp_path / ".quarantine").exists()
+
+    def test_foreign_fragment_between_puts_is_healed(self, tmp_path):
+        store = CampaignStore(tmp_path)
+        first, second = "aa" + "01" * 31, "aa" + "02" * 31
+        store.put(first, {"v": 1})
+        with (tmp_path / "aa.pack").open("ab") as handle:
+            handle.write(b'{"complete": tru')  # a writer died mid-append
+        store.put(second, {"v": 2})
+        lines = (tmp_path / "aa.pack").read_bytes().splitlines()
+        assert lines[1] == b'{"complete": tru'  # one dead, healed line
+        for handle in (store, CampaignStore(tmp_path)):
+            assert handle.get(first, lambda p: p["v"]) == 1
+            assert handle.get(second, lambda p: p["v"]) == 2
+            assert handle.stats.invalid == 0
+        fresh = CampaignStore(tmp_path)
+        assert {key for key, _ in fresh.entries()} == {first, second}
+        assert fresh.dead_bytes("aa") == len(b'{"complete": tru\n')
+
+    def test_record_offset_is_read_back_not_assumed(self, tmp_path,
+                                                    monkeypatch):
+        """Another writer appends between a put's size probe and its
+        write: the record still lands at the offset its descriptor
+        reports, and the foreign record is indexed too."""
+        store = CampaignStore(tmp_path)
+        first, second, foreign = ["aa" + tag * 62 for tag in "123"]
+        store.put(first, {"v": 1})
+        foreign_line = (json.dumps(
+            {"complete": True, "format": STORE_FORMAT, "key": foreign,
+             "payload": {"v": 3}}, sort_keys=True) + "\n").encode("ascii")
+        real_fstat = os.fstat
+
+        def racing_fstat(fd):
+            probed = real_fstat(fd)
+            with (tmp_path / "aa.pack").open("ab") as handle:
+                handle.write(foreign_line)
+            return probed
+
+        monkeypatch.setattr(os, "fstat", racing_fstat)
+        store.put(second, {"v": 2})
+        monkeypatch.undo()
+        for handle in (store, CampaignStore(tmp_path)):
+            got = handle.get_many([first, second, foreign],
+                                  lambda p: p["v"])
+            assert got == {first: 1, second: 2, foreign: 3}
+            assert handle.stats.invalid == 0
