@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..clients.profile import ClientProfile
 from ..clients.registry import table2_clients
 from ..core.params import (HEParams, RFC_PARAMETER_SETS)
-from ..fanout import map_maybe_parallel
+from ..fanout import shared_map
 from ..resolvers.models import LOCAL_RESOLVERS
 from ..resolvers.open_resolvers import (OPEN_RESOLVERS, OpenResolverService,
                                         evaluated_services)
@@ -196,9 +196,10 @@ def evaluate_client_features(profile: ClientProfile, seed: int = 0,
 
 
 def _evaluate_features_task(
-        payload: "Tuple[ClientProfile, int, Optional[CampaignStore]]"
-        ) -> "Tuple[Table2Row, Optional[CacheStats]]":
-    """Process-pool entry point: evaluate one client's feature row.
+        payload: "Tuple[ClientProfile, int, Optional[CampaignStore]]",
+        attempt: int) -> "Tuple[Table2Row, Optional[CacheStats]]":
+    """Process-pool entry point: evaluate one client's feature row
+    (``attempt`` is unused: no fault plan reaches table tasks).
 
     Returns the row plus the task-local cache counters, so the parent
     can fold worker stats into the campaign total.
@@ -231,8 +232,8 @@ def table2_features(seed: int = 0,
                  CampaignStore(store.root) if store is not None else None)
                 for profile in profiles]
     base_rows = []
-    for row, stats in map_maybe_parallel(_evaluate_features_task,
-                                         payloads, workers):
+    for row, stats in shared_map(_evaluate_features_task, payloads,
+                                 workers):
         base_rows.append(row)
         if store is not None and stats is not None:
             store.stats.merge(stats)
@@ -327,9 +328,10 @@ def _aaaa_mark_from_campaign(campaign: ResolverCampaignResult,
 
 def _measure_resolver_subject(
         payload: "Tuple[str, object, int, int, int, List[int], "
-                 "Optional[CampaignStore]]"
-        ) -> "Tuple[Table3Row, Optional[CacheStats]]":
-    """Share + shaped-delay campaigns for one resolver subject.
+                 "Optional[CampaignStore]]",
+        attempt: int) -> "Tuple[Table3Row, Optional[CacheStats]]":
+    """Share + shaped-delay campaigns for one resolver subject
+    (``attempt`` is unused: no fault plan reaches table tasks).
 
     Top-level so process pools can pickle it; each call builds its own
     testbeds, so subjects parallelize with no shared state.  Returns
@@ -402,8 +404,8 @@ def table3_resolvers(seed: int = 0, share_repetitions: int = 32,
                  CampaignStore(store.root) if store is not None else None)
                 for name, behavior in subjects]
     rows: List[Table3Row] = []
-    for row, stats in map_maybe_parallel(_measure_resolver_subject,
-                                         payloads, workers):
+    for row, stats in shared_map(_measure_resolver_subject, payloads,
+                                 workers):
         rows.append(row)
         if store is not None and stats is not None:
             store.stats.merge(stats)

@@ -58,9 +58,9 @@ def _resilience_from(args: argparse.Namespace, store,
     Any of ``--retries/--entry-timeout/--fault-plan/--resume`` makes
     resilience *explicit* (the ``[faults]`` summary prints).  A plain
     cached run still gets an implicit bundle whose only job is the
-    crash-safe campaign journal — execution stays on the legacy fast
-    path and the output stays byte-identical, but a killed invocation
-    becomes resumable.
+    crash-safe campaign journal — a failing run still fails the
+    campaign and the output stays byte-identical, but a killed
+    invocation becomes resumable.
     """
     retries = getattr(args, "retries", None)
     entry_timeout = getattr(args, "entry_timeout", None)

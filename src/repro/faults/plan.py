@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..seeding import SeedPart, stable_unit
+from ..seeding import SeedPart, digest_unit
 
 
 class FaultKind(enum.Enum):
@@ -164,8 +164,11 @@ class FaultPlan:
     def targets(self, spec: FaultSpec, *coords: SeedPart) -> bool:
         """Whether ``spec`` targets ``coords`` — a pure function of the
         plan seed, the spec kind, and the coordinates, so serial and
-        parallel execution (and every replay) agree exactly."""
-        return stable_unit(self.seed, spec.kind.value, *coords) < spec.rate
+        parallel execution (and every replay) agree exactly.  The draw
+        is a SHA-256 digest, so the kinds of one plan target
+        independent sets of coordinates and listing order only breaks
+        ties where two store kinds target the same key."""
+        return digest_unit(self.seed, spec.kind.value, *coords) < spec.rate
 
     def entry_fault(self, coords: "Sequence[SeedPart]",
                     attempt: int) -> Optional[FaultSpec]:
@@ -203,22 +206,24 @@ class FaultPlan:
         return None
 
 
-def inject_entry_fault(spec: FaultSpec, in_worker: bool) -> None:
+def inject_entry_fault(spec: FaultSpec) -> None:
     """Fire an entry fault at the execution seam.
 
-    ``in_worker`` distinguishes a pool worker (where a crash really
-    kills the process, producing a genuine ``BrokenProcessPool``
-    parent-side) from in-process serial execution (where the crash is
-    simulated as a raised :class:`InjectedFault` — killing the parent
-    would abort the campaign, which is exactly the failure mode the
-    resilient runtime exists to prevent).
+    In a pool worker (a process with a parent) a crash really kills
+    the process, producing a genuine ``BrokenProcessPool`` parent-side.
+    In the campaign process itself the crash is simulated as a raised
+    :class:`InjectedFault` — killing the parent would abort the
+    campaign, which is exactly the failure mode the fault-tolerant
+    runtime exists to prevent.
     """
     if spec.kind is FaultKind.ENTRY_HANG:
         time.sleep(spec.hang_s)
         raise InjectedFault(
             f"injected entry hang ({spec.hang_s:.3f}s)")
     if spec.kind is FaultKind.WORKER_CRASH:
-        if in_worker:
+        import multiprocessing
+
+        if multiprocessing.parent_process() is not None:
             import os
 
             os._exit(70)  # hard kill: no atexit, no cleanup, no mercy

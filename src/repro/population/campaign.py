@@ -6,10 +6,10 @@ existing campaign machinery by *pairing* ``cases[i]`` with
 scenario) plus one client (its sampled profile) — instead of the
 default cases × clients cross product.  Everything downstream rides
 unchanged: the content-addressed store keys digest each sample's
-concrete case + profile, :class:`~repro.testbed.parallel
-.CampaignExecutor` fans the paired specs out over the pool,
-resilience/journal/resume address runs by the sample-unique case name,
-and ``repro cache gc`` marks liveness through :meth:`store_keys`.
+concrete case + profile, :func:`~repro.fanout.shared_map` fans the
+paired specs out over the pool, resilience/journal/resume address
+runs by the sample-unique case name, and ``repro cache gc`` marks
+liveness through :meth:`store_keys`.
 
 Samples materialize lazily and memoize: enumeration touches no
 sampler state (every case shares the degradation sweep), and the

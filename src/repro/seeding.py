@@ -68,6 +68,15 @@ def stable_unit(*parts: SeedPart) -> float:
     return stable_run_seed(*parts) / float(_SEED_MASK + 1)
 
 
+def digest_unit(*parts: SeedPart) -> float:
+    """A deterministic uniform draw in ``[0, 1)`` from the SHA-256 of
+    ``parts``.  Unlike the CRC behind :func:`stable_unit`, draws for
+    parts that differ in one field (a fault kind) are independent —
+    what a fault plan's per-kind targeting needs."""
+    digest = hashlib.sha256(_seed_text(parts)).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+
+
 def derive_rng(*parts: SeedPart) -> random.Random:
     """An independent :class:`random.Random` derived from ``parts``.
 

@@ -9,7 +9,7 @@ package is the serving layer for that shape:
 * :mod:`~repro.service.core` — :class:`CampaignService`: admission
   through the Experiment registry's pure ``plan()``, submission
   coalescing, and per-submission sessions threaded through the
-  fault-tolerant runtime (journal + ``resilient_map``).
+  fault-tolerant runtime (journal + retrying ``shared_map``).
 * :mod:`~repro.service.singleflight` — in-flight key dedup: a stampede
   of identical requests executes every run exactly once.
 * :mod:`~repro.service.tiering` — a bounded in-memory LRU in front of

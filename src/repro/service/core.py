@@ -132,7 +132,7 @@ class CampaignService:
                                  capacity=lru_capacity)
         self.flight = SingleFlight()
         self.stats = ServiceStats()
-        self._pool = ThreadPoolExecutor(
+        self._threads = ThreadPoolExecutor(
             max_workers=service_workers,
             thread_name_prefix="campaign-service")
         self._inflight: "Dict[str, Future]" = {}
@@ -189,15 +189,15 @@ class CampaignService:
                                self.seed)
         self.stats.submissions += 1
         if not self.coalesce:
-            return self._pool.submit(self._execute, experiment, values,
-                                     keys, digest)
+            return self._threads.submit(self._execute, experiment,
+                                        values, keys, digest)
         with self._lock:
             leader = self._inflight.get(digest)
             if leader is not None:
                 self.stats.coalesced += 1
                 return _follower(leader)
-            future = self._pool.submit(self._execute, experiment,
-                                       values, keys, digest)
+            future = self._threads.submit(self._execute, experiment,
+                                          values, keys, digest)
             self._inflight[digest] = future
         # Outside the lock: a future that already finished runs its
         # callback synchronously right here, and _forget retakes the
@@ -267,7 +267,7 @@ class CampaignService:
         if self.store.heat.hot_shards(
                 min_reads=self.rebalance_min_reads,
                 skew=self.rebalance_skew):
-            self._pool.submit(self._rebalance)
+            self._threads.submit(self._rebalance)
 
     def _rebalance(self) -> "List[Any]":
         events = self.store.rebalance(
@@ -281,7 +281,7 @@ class CampaignService:
     def close(self) -> None:
         """Drain in-flight submissions and shut the pool down."""
         self._closed = True
-        self._pool.shutdown(wait=True)
+        self._threads.shutdown(wait=True)
 
     def __enter__(self) -> "CampaignService":
         return self

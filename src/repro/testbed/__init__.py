@@ -18,10 +18,10 @@ from .inference import (CaptureObservation, aaaa_before_a,
 from .modules import (AddressSelectionModule, CaptureModule, DnsDelayModule,
                       ImpairmentModule, NetemModule, SetupModule,
                       modules_for)
-from .parallel import CampaignExecutor, RunSpec, enumerate_specs, spec_keys
+from .parallel import RunSpec, spec_keys
 from .resilience import (CampaignJournal, FailureEntry, FaultManifest,
                          Resilience, RetryPolicy, failure_record,
-                         is_harness_failure, resilient_map)
+                         is_harness_failure)
 from .runner import (NonMonotonicSeriesError, ResultSet, RunRecord,
                      StreamingResultSet, TestRunner, majority_family,
                      series_flap_window)
@@ -32,21 +32,21 @@ from .topology import (EchoExchange, EchoWebServer, LocalTestbed,
                        TEST_DOMAIN, WEB_PORT)
 
 __all__ = [
-    "AddressSelectionModule", "CacheStats", "CampaignExecutor",
+    "AddressSelectionModule", "CacheStats",
     "CampaignJournal", "CampaignSpec", "CampaignStore", "CaptureModule",
     "CaptureObservation", "DnsDelayModule", "FailureEntry",
     "FaultManifest", "ImpairmentModule", "ImpairmentSpec",
     "NonMonotonicSeriesError", "PackedCampaignStore", "Resilience",
     "RetryPolicy", "RunSpec", "open_store",
     "SpecError", "StreamingResultSet", "failure_record",
-    "is_harness_failure", "resilient_map", "run_campaign_spec",
+    "is_harness_failure", "run_campaign_spec",
     "EchoExchange", "EchoWebServer", "LocalTestbed", "NetemModule",
     "ResultSet", "RunRecord", "SetupModule", "SweepSpec", "TEST_DOMAIN",
     "TestCaseConfig", "TestCaseKind", "TestRunner", "WEB_PORT",
     "aaaa_before_a", "address_selection_case", "attempt_sequence",
     "attempts_per_family", "cad_case", "clear_dns_decode_intern",
     "config_digest", "delayed_a_case",
-    "dns_observations", "enumerate_specs", "established_family",
+    "dns_observations", "established_family",
     "infer_cad", "infer_resolution_delay", "majority_family",
     "modules_for", "query_order", "rd_case", "series_flap_window",
     "spec_keys", "time_to_first_attempt",

@@ -1,20 +1,17 @@
 """Fault-tolerant campaign runtime: retries, journal, failure manifest.
 
 Blackbox measurement pipelines are only trustworthy when the harness
-itself tolerates and reports faults.  Before this module, one crashed
-worker broke the shared ``ProcessPoolExecutor`` and aborted the whole
-campaign — discarding every completed result — a killed CLI invocation
-could not resume, and a hung run wedged the campaign forever.  The
-pieces here defend each of those seams:
+itself tolerates and reports faults: one crashed worker must not
+abort a campaign and discard every completed result, a killed CLI
+invocation must be resumable, and a hung run must not wedge the
+campaign forever.  The pieces here describe and record that defence;
+the one dispatcher that enforces it, chunk by chunk over the shared
+pool, is :func:`repro.fanout.shared_map`:
 
 * :class:`RetryPolicy` — bounded retries with seeded exponential
   backoff + jitter (:func:`repro.seeding.backoff_jitter`), so retry
-  schedules are deterministic and replayable.
-* :func:`resilient_map` — per-future dispatch over the shared pool: a
-  ``BrokenProcessPool`` respawns the pool and re-dispatches only the
-  unfinished payloads; a per-entry watchdog (``entry_timeout``)
-  converts hung payloads into recorded failures instead of wedged
-  campaigns.
+  schedules are deterministic and replayable, and the watchdog budget
+  (``entry_timeout`` per item of a pool task).
 * :class:`CampaignJournal` — an append-only log of completed store
   keys, flushed per append, so a SIGKILLed campaign resumes
   (``--resume``) with zero re-executions of journaled work.
@@ -22,29 +19,18 @@ pieces here defend each of those seams:
   exhausts an entry's retry budget completes anyway, with the failure
   (payload, attempts, last error, elapsed) recorded and surfaced in a
   ``[faults]`` summary line next to ``[cache]``.
-
-The crash-attribution problem: when a pool breaks, *every* in-flight
-future fails with ``BrokenProcessPool`` — the culprit is
-indistinguishable from its innocent pool-mates.  Charging everyone an
-attempt would let one persistent crasher exhaust its neighbours'
-retry budgets; charging no one would let it crash-loop forever.  The
-dispatcher therefore re-dispatches break survivors in a *settle*
-phase (no new payloads join until the survivors clear): a recoverable
-crasher heals on its next attempt and nobody is charged, while a pool
-that breaks *again* during settle can only have been broken by a
-survivor — so all of them are charged, bounding persistent crashers
-by the retry budget without ever spuriously failing an innocent.
+* :class:`Resilience` — the bundle a campaign threads through: policy,
+  fault plan, journal, manifest, and the raise-or-degrade rule
+  (:attr:`Resilience.degrades`).
 """
 
 from __future__ import annotations
 
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Set, TYPE_CHECKING, Tuple, Union)
+from typing import List, Optional, Set, TYPE_CHECKING, Union
 
 from ..faults import FaultPlan
 from ..seeding import backoff_jitter, stable_run_seed
@@ -72,11 +58,12 @@ class RetryPolicy:
 
     #: Re-executions allowed per entry beyond the first attempt.
     retries: int = 0
-    #: Per-entry watchdog in seconds: a dispatched entry that has not
-    #: completed within this budget is treated as hung — the pool is
-    #: abandoned (hung workers are terminated best-effort) and the
-    #: entry charged a failed attempt.  None disables the watchdog.
-    #: Serial execution cannot preempt itself, so the watchdog needs
+    #: Per-entry watchdog in seconds: a pool task of N entries that has
+    #: not completed within N times this budget is treated as hung —
+    #: the pool is abandoned (hung workers are terminated best-effort),
+    #: a lone entry is charged a failed attempt, and a chunk's entries
+    #: re-dispatch one by one.  None disables the watchdog.  Serial
+    #: execution cannot preempt itself, so the watchdog needs
     #: ``workers >= 2``; serially, injected hangs degrade to slow
     #: transient failures.
     entry_timeout: Optional[float] = None
@@ -120,14 +107,14 @@ class FailureEntry:
 
 @dataclass
 class FaultManifest:
-    """Everything the resilient runtime observed in one invocation.
+    """Everything the fault-tolerant runtime observed in one invocation.
 
     Parent-side only (workers never mutate it), so unlike
     :class:`~repro.testbed.store.CacheStats` it needs no merge step.
     """
 
     failures: List[FailureEntry] = field(default_factory=list)
-    #: Entries executed under the resilient runtime (fresh work only).
+    #: Entries executed under a degrading policy (fresh work only).
     dispatched: int = 0
     #: Re-dispatches charged against entry retry budgets.
     retries: int = 0
@@ -135,7 +122,7 @@ class FaultManifest:
     pool_breaks: int = 0
     #: Pools replaced (breaks + watchdog abandonments).
     respawns: int = 0
-    #: Entries converted to failed attempts by the watchdog.
+    #: Watchdog expiries (pool tasks that overran their budget).
     hang_timeouts: int = 0
     #: Store writes that errored and were skipped (degraded caching).
     store_write_errors: int = 0
@@ -257,9 +244,11 @@ class Resilience:
     _resumable: Optional[frozenset] = field(default=None, repr=False)
 
     @property
-    def wants_resilient_dispatch(self) -> bool:
-        """Whether execution must route through the retrying
-        dispatcher; journaling alone keeps the legacy fast path."""
+    def degrades(self) -> bool:
+        """Whether an entry that fails past its budget degrades to a
+        harness-failure record (a retry budget, fault plan or watchdog
+        is armed) instead of propagating its exception; journaling
+        alone keeps the fail-fast rule."""
         return (self.policy.retries > 0
                 or self.policy.entry_timeout is not None
                 or self.fault_plan is not None)
@@ -329,244 +318,3 @@ def failure_record(case: "TestCaseConfig", profile: "ClientProfile",
 def is_harness_failure(record: "RunRecord") -> bool:
     return (record.error is not None
             and record.error.startswith(HARNESS_ERROR_PREFIX))
-
-
-# -- serial retry loop ---------------------------------------------------------
-
-
-def execute_with_retries(execute: "Callable[[int], Any]", label: str,
-                         resilience: Resilience
-                         ) -> "Tuple[Any, Optional[FailureEntry]]":
-    """Run ``execute(attempt)`` under the retry policy, in-process.
-
-    Returns ``(value, None)`` on success or ``(None, failure)`` once
-    the budget is exhausted.  ``KeyboardInterrupt``/``SystemExit``
-    always propagate — resilience is for the harness's faults, not
-    for overriding the operator.
-    """
-    policy = resilience.policy
-    manifest = resilience.manifest
-    start = time.monotonic()
-    attempt = 0
-    while True:
-        try:
-            return execute(attempt), None
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            attempt += 1
-            error = str(exc) or type(exc).__name__
-            if attempt > policy.retries:
-                failure = FailureEntry(
-                    label=label, attempts=attempt, error=error,
-                    elapsed_s=time.monotonic() - start)
-                manifest.failures.append(failure)
-                return None, failure
-            manifest.retries += 1
-            delay = policy.backoff_for(label, attempt - 1)
-            if delay > 0:
-                time.sleep(delay)
-
-
-# -- parallel resilient dispatch -----------------------------------------------
-
-
-def resilient_map(fn: "Callable[[Any, int], Any]",
-                  payloads: "Sequence[Any]", workers: int,
-                  resilience: Resilience,
-                  describe: "Callable[[Any], str]",
-                  fallback: "Callable[[Any, FailureEntry], Any]"
-                  ) -> "Iterator[Any]":
-    """Per-future map over the shared pool, yielding results in
-    payload order, surviving crashes and hangs.
-
-    ``fn(payload, attempt)`` runs in a pool worker; the attempt number
-    is threaded through so seeded fault plans target deterministically.
-    At most ``workers`` payloads are in flight (a sliding window), so
-    the per-entry watchdog measures actual execution time, not queue
-    time.  Recovery behavior:
-
-    * **worker crash** (``BrokenProcessPool``): the pool is respawned
-      and only unfinished payloads re-dispatch.  Survivors advance
-      their fault-targeting attempt but are charged a retry only if
-      the pool breaks *again* while they settle (see module docstring).
-    * **entry hang** (watchdog): the overdue entries are charged a
-      failed attempt, the pool is abandoned without waiting
-      (:func:`~repro.fanout.abandon_shared_pool`), and everything
-      unfinished re-dispatches.
-    * **entry exception**: charged against that entry alone; the pool
-      keeps running.
-
-    An entry that exhausts ``policy.retries`` resolves to
-    ``fallback(payload, failure)`` — the campaign completes with a
-    failure manifest instead of aborting.
-    """
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    from ..fanout import (abandon_shared_pool, shared_pool,
-                          shutdown_shared_pool)
-
-    policy = resilience.policy
-    manifest = resilience.manifest
-    n = len(payloads)
-    results: "Dict[int, Any]" = {}
-    resolved = 0
-    next_yield = 0
-    charged = [0] * n
-    fault_attempt = [0] * n
-    first_dispatch: "List[Optional[float]]" = [None] * n
-    ready_at = [0.0] * n
-    pending: "List[int]" = list(range(n))
-    inflight: "Dict[Any, int]" = {}
-    submitted_at: "Dict[Any, float]" = {}
-    #: After an unattributed pool break: the survivor indices that
-    #: must settle before new payloads dispatch (None = normal mode).
-    settling: "Optional[Set[int]]" = None
-
-    def resolve(index: int, value: Any) -> None:
-        nonlocal resolved
-        results[index] = value
-        resolved += 1
-
-    def charge(index: int, error: str) -> None:
-        """One failed attempt attributed to ``index`` itself."""
-        charged[index] += 1
-        fault_attempt[index] += 1
-        if charged[index] > policy.retries:
-            started = first_dispatch[index]
-            failure = FailureEntry(
-                label=describe(payloads[index]), attempts=charged[index],
-                error=error,
-                elapsed_s=(time.monotonic() - started
-                           if started is not None else 0.0))
-            manifest.failures.append(failure)
-            resolve(index, fallback(payloads[index], failure))
-        else:
-            manifest.retries += 1
-            ready_at[index] = time.monotonic() + policy.backoff_for(
-                describe(payloads[index]), charged[index] - 1)
-            pending.append(index)
-
-    def on_pool_break() -> None:
-        """Respawn after ``BrokenProcessPool``: every in-flight future
-        is doomed; survivors re-dispatch (settle phase decides who, if
-        anyone, gets charged — see module docstring)."""
-        nonlocal settling
-        manifest.pool_breaks += 1
-        manifest.respawns += 1
-        survivors = sorted(inflight.values())
-        in_settle = settling is not None
-        inflight.clear()
-        submitted_at.clear()
-        for index in survivors:
-            if in_settle:
-                # charge() advances the fault-targeting attempt too.
-                charge(index, "worker crashed (pool broke repeatedly "
-                              "while settling)")
-            else:
-                fault_attempt[index] += 1
-                pending.append(index)
-        settling = {index for index in survivors
-                    if index not in results}
-        shutdown_shared_pool()
-
-    while resolved < n or next_yield < n:
-        while next_yield in results:
-            value = results.pop(next_yield)
-            next_yield += 1
-            yield value
-        if next_yield >= n:
-            break
-        now = time.monotonic()
-        if settling is not None and not (settling & set(pending)) \
-                and not (settling & set(inflight.values())):
-            settling = None  # survivors cleared: back to normal mode
-        dispatchable = sorted(
-            index for index in pending
-            if ready_at[index] <= now
-            and (settling is None or index in settling))
-        dispatched_any = False
-        while dispatchable and len(inflight) < max(1, workers):
-            index = dispatchable.pop(0)
-            pending.remove(index)
-            if first_dispatch[index] is None:
-                first_dispatch[index] = time.monotonic()
-            pool = shared_pool(workers)
-            try:
-                future = pool.submit(fn, payloads[index],
-                                     fault_attempt[index])
-            except BrokenProcessPool:
-                pending.append(index)
-                on_pool_break()
-                break
-            inflight[future] = index
-            submitted_at[future] = time.monotonic()
-            dispatched_any = True
-        if not inflight:
-            if pending:
-                # Everyone is backing off (or settling members are
-                # waiting on their backoff): sleep to the earliest
-                # ready time instead of spinning.
-                gate = [ready_at[index] for index in pending
-                        if settling is None or index in settling]
-                if not gate:
-                    gate = [ready_at[index] for index in pending]
-                pause = max(0.0, min(gate) - time.monotonic())
-                if pause > 0 and not dispatched_any:
-                    time.sleep(min(pause, 0.05))
-            continue
-        timeout = None
-        if policy.entry_timeout is not None:
-            deadline = (min(submitted_at[f] for f in inflight)
-                        + policy.entry_timeout)
-            timeout = max(0.0, deadline - time.monotonic())
-        done, _ = wait(set(inflight), timeout=timeout,
-                       return_when=FIRST_COMPLETED)
-        if done:
-            broke = False
-            for future in done:
-                index = inflight.pop(future)
-                submitted_at.pop(future, None)
-                try:
-                    value = future.result()
-                except BrokenProcessPool:
-                    # Handled once for the whole break below: put this
-                    # future's index back so on_pool_break sees it.
-                    inflight[future] = index
-                    broke = True
-                except Exception as exc:
-                    if settling is not None:
-                        settling.discard(index)
-                    charge(index, str(exc) or type(exc).__name__)
-                else:
-                    if settling is not None:
-                        settling.discard(index)
-                    resolve(index, value)
-            if broke:
-                on_pool_break()
-            continue
-        # Watchdog: the wait timed out — charge every overdue entry,
-        # abandon the wedged pool, re-dispatch everything unfinished.
-        now = time.monotonic()
-        overdue = [future for future, started in submitted_at.items()
-                   if policy.entry_timeout is not None
-                   and now - started >= policy.entry_timeout]
-        if not overdue:
-            continue  # spurious wake (e.g. clamped timeout)
-        manifest.respawns += 1
-        survivors = []
-        for future, index in list(inflight.items()):
-            if future in overdue:
-                manifest.hang_timeouts += 1
-                if settling is not None:
-                    settling.discard(index)
-                charge(index, f"entry exceeded the "
-                              f"{policy.entry_timeout:.3f}s watchdog")
-            else:
-                survivors.append(index)
-        inflight.clear()
-        submitted_at.clear()
-        for index in survivors:
-            pending.append(index)  # healthy: uncharged, same attempt
-        abandon_shared_pool()

@@ -22,6 +22,7 @@ Campaigns can be consumed three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from statistics import median
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -29,6 +30,7 @@ from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
 from ..clients.base import Client
 from ..clients.profile import ClientProfile
 from ..core.sortlist import HistoryStore
+from ..fanout import shared_map
 from ..seeding import render_part
 from ..simnet.addr import Family
 from ..simnet.capture import PacketCapture
@@ -37,9 +39,9 @@ from .config import SweepSpec, TestCaseConfig, TestCaseKind
 from .inference import CaptureObservation
 from .modules import (AddressSelectionModule, CaptureModule, ServiceModule,
                       modules_for)
-from .parallel import (CampaignExecutor, RunSpec, resolve_specs, run_keys,
-                       run_seeds, spec_keys)
-from .resilience import Resilience, execute_with_retries, failure_record
+from .parallel import (RunSpec, resolve_specs, run_keys, run_seeds,
+                       run_spec, spec_keys, spec_label)
+from .resilience import Resilience, failure_record
 from .store import CampaignStore, config_digest
 from .topology import LocalTestbed
 
@@ -345,17 +347,18 @@ class TestRunner:
         list on the *execution* path: consumers aggregate
         incrementally (see :class:`StreamingResultSet`), so cold
         campaigns run in bounded memory regardless of size.  With a
-        store attached, cache *hits* are resolved in one batch up
-        front (the sidecar-index fast path) and popped as the stream
-        drains — warm memory is proportional to the resolved hit
-        count, traded deliberately for index-speed lookups.
+        store attached, cache *hits* are resolved in one batched
+        lookup up front and popped as the stream drains — warm memory
+        is proportional to the resolved hit count.  The misses run
+        through :func:`~repro.fanout.shared_map`, in-process or over
+        ``workers`` processes, under the attached resilience policy.
         """
-        if workers is not None:
-            if workers < 1:
-                raise ValueError(f"workers must be >= 1: {workers}")
-            if workers > 1:
-                return CampaignExecutor(self, workers=workers).stream()
-        return self._stream_serial()
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1: {workers}")
+        return resolve_specs(self, self.enumerate_specs(), lambda pending: (
+            shared_map(partial(run_spec, self), pending, workers,
+                       self.resilience, partial(spec_label, self),
+                       self._failure_record)))
 
     def enumerate_specs(self) -> "List[RunSpec]":
         """Every run's coordinates, in campaign enumeration order.
@@ -363,8 +366,8 @@ class TestRunner:
         The default campaign shape is the full ``cases × clients``
         cross product; subclasses redefine the pairing (the population
         sampler pairs ``cases[i]`` with ``clients[i]``) and every
-        consumer — serial streaming, the parallel executor, key
-        planning, resilience — follows automatically.
+        consumer — streaming, key planning, resilience — follows
+        automatically.
         """
         specs: "List[RunSpec]" = []
         for case_index, case in enumerate(self.cases):
@@ -375,47 +378,11 @@ class TestRunner:
                                              value_ms, repetition))
         return specs
 
-    def _stream_serial(self) -> "Iterator[RunRecord]":
-        return resolve_specs(self, self.enumerate_specs(), lambda specs: (
-            self._execute_serial(self.cases[spec.case_index],
-                                 self.clients[spec.client_index],
-                                 spec.value_ms, spec.repetition)
-            for spec in specs))
-
-    def _execute_serial(self, case: TestCaseConfig,
-                        profile: ClientProfile, value_ms: int,
-                        repetition: int) -> RunRecord:
-        """One in-process run, through the retry loop when a resilient
-        runtime with retries/faults is attached.
-
-        Injected faults fire with ``in_worker=False`` — a "worker
-        crash" is simulated as a raised exception, since the serial
-        worker *is* the campaign.  Entries that exhaust the retry
-        budget degrade to a harness-failure record instead of aborting
-        the campaign.
-        """
-        res = self.resilience
-        if res is None or not res.wants_resilient_dispatch:
-            return self.run_single(case, profile, value_ms, repetition)
-        res.manifest.dispatched += 1
-        coords = (case.name, profile.full_name, value_ms, repetition)
-        label = f"{case.name}/{profile.full_name}/v{value_ms}/r{repetition}"
-
-        def execute(attempt: int) -> RunRecord:
-            plan = res.fault_plan
-            if plan is not None:
-                spec = plan.entry_fault(coords, attempt)
-                if spec is not None:
-                    from ..faults import inject_entry_fault
-
-                    inject_entry_fault(spec, in_worker=False)
-            return self.run_single(case, profile, value_ms, repetition)
-
-        record, failure = execute_with_retries(execute, label, res)
-        if failure is not None:
-            record = failure_record(case, profile, value_ms, repetition,
-                                    failure)
-        return record
+    def _failure_record(self, spec: RunSpec, failure) -> RunRecord:
+        """The harness-failure record of a spec out of retries."""
+        return failure_record(self.cases[spec.case_index],
+                              self.clients[spec.client_index],
+                              spec.value_ms, spec.repetition, failure)
 
     # -- caching ------------------------------------------------------------------
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import get_profile
-from ..fanout import map_maybe_parallel
+from ..fanout import shared_map
 from ..seeding import stable_run_seed
 from ..simnet.addr import Family
 from ..testbed.store import CampaignStore
@@ -195,9 +195,10 @@ def _decode_sessions(payload: list) -> List[SessionResult]:
 
 
 def _run_entry_sessions(
-        payload: "Tuple[UAEntry, int, int, NetworkConditions]"
-        ) -> List[SessionResult]:
-    """Process-pool entry point: all repetitions of one UA entry.
+        payload: "Tuple[UAEntry, int, int, NetworkConditions]",
+        attempt: int) -> List[SessionResult]:
+    """Process-pool entry point: all repetitions of one UA entry
+    (``attempt`` is unused: no fault plan reaches web entries).
 
     Each entry gets its own deployment seeded from the campaign seed
     and the entry label, and explicit session indices — results are a
@@ -264,8 +265,7 @@ class WebCampaign:
         cached_entries: dict = {}
         if store is not None:
             keys = self.store_keys(entries, reps)
-            # One batch lookup over the whole matrix: warm campaigns
-            # resolve through the per-shard sidecar index.
+            # One batched lookup over the whole matrix.
             cached_entries = store.get_many(keys, _decode_sessions)
         for index, entry in enumerate(entries):
             if store is not None:
@@ -276,7 +276,7 @@ class WebCampaign:
             pending.append(index)
         payloads = [(entries[index], self.seed, reps, self.conditions)
                     for index in pending]
-        fresh = map_maybe_parallel(_run_entry_sessions, payloads, workers)
+        fresh = shared_map(_run_entry_sessions, payloads, workers)
         for index, sessions in zip(pending, fresh):
             entry_sessions[index] = sessions
             if store is not None:

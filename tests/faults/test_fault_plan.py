@@ -98,6 +98,21 @@ class TestTargeting:
 
 
 class TestStoreFaults:
+    @pytest.mark.parametrize("text", ["corrupt:0.5,partial:0.3",
+                                      "partial:0.3,corrupt:0.5"])
+    def test_store_kinds_target_independently(self, text):
+        """Each kind draws its own targets, so both fire at their
+        independent rates whatever the listing order: ``partial``
+        tears 30% of the keys ``corrupt`` leaves alone listed second,
+        and 30% of all keys listed first."""
+        plan = FaultPlan.parse(text, seed=5)
+        keys = [f"{index:064x}" for index in range(3000)]
+        kinds = [plan.store_fault("write", key) for key in keys]
+        partial = sum(1 for spec in kinds if spec is not None
+                      and spec.kind is FaultKind.PARTIAL_WRITE)
+        expected = 0.15 if text.startswith("corrupt") else 0.30
+        assert abs(partial / len(keys) - expected) <= 0.03
+
     def test_occurrence_counter_bounds_faults(self):
         plan = FaultPlan.parse("corrupt:1.0:2", seed=1)
         key = "ab" * 32
@@ -130,9 +145,9 @@ class TestInjection:
         """In-process 'crashes' must raise, not kill the campaign."""
         (spec,) = FaultPlan.parse("crash:1.0").specs
         with pytest.raises(InjectedFault, match="serial simulation"):
-            inject_entry_fault(spec, in_worker=False)
+            inject_entry_fault(spec)
 
     def test_hang_sleeps_then_raises(self):
         (spec,) = FaultPlan.parse("hang:1.0:1:0.0").specs
         with pytest.raises(InjectedFault, match="injected entry hang"):
-            inject_entry_fault(spec, in_worker=True)
+            inject_entry_fault(spec)

@@ -8,9 +8,9 @@ import pytest
 
 from repro.clients import get_profile
 from repro.seeding import stable_run_seed
-from repro.testbed import (CampaignExecutor, SweepSpec, TestCaseConfig,
-                           TestCaseKind, TestRunner, address_selection_case,
-                           enumerate_specs, run_campaign_spec)
+from repro.testbed import (SweepSpec, TestCaseConfig, TestCaseKind,
+                           TestRunner, address_selection_case,
+                           run_campaign_spec)
 
 
 def small_runner(seed: int = 5) -> TestRunner:
@@ -65,7 +65,7 @@ class TestStableRunSeed:
 class TestSpecEnumeration:
     def test_matches_serial_loop_order(self):
         runner = small_runner()
-        specs = enumerate_specs(runner)
+        specs = runner.enumerate_specs()
         expected = [(ci, pi, v, r)
                     for ci, case in enumerate(runner.cases)
                     for pi in range(len(runner.clients))
@@ -74,15 +74,7 @@ class TestSpecEnumeration:
         assert [(s.case_index, s.client_index, s.value_ms, s.repetition)
                 for s in specs] == expected
 
-    def test_chunks_partition_in_order(self):
-        executor = CampaignExecutor(small_runner(), workers=3)
-        specs = enumerate_specs(executor.runner)
-        flattened = [spec for chunk in executor.chunks() for spec in chunk]
-        assert flattened == specs
-
     def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            CampaignExecutor(small_runner(), workers=0)
         with pytest.raises(ValueError):
             small_runner().run(workers=0)
         with pytest.raises(ValueError):

@@ -18,10 +18,9 @@ from repro.conformance.scenarios import (hev3_battery, scenario_battery,
                                          sortlist_battery, svcb_battery)
 from repro.seeding import stable_run_seed
 from repro.simnet.addr import Family
-from repro.testbed import (CampaignExecutor, CampaignStore, ResultSet,
-                           SweepSpec, TestCaseConfig, TestCaseKind,
-                           TestRunner, enumerate_specs, run_campaign_spec,
-                           spec_keys)
+from repro.testbed import (CampaignStore, ResultSet, SweepSpec,
+                           TestCaseConfig, TestCaseKind, TestRunner,
+                           run_campaign_spec, spec_keys)
 from repro.testbed.store import (STORE_FORMAT, canonical, config_digest,
                                  decode_record, encode_record)
 
@@ -220,7 +219,7 @@ class TestKeyDerivation:
         runner = small_runner(seed=9)
         runner.cases.append(dataclasses.replace(
             runner.cases[0], name="rd", kind=TestCaseKind.RESOLUTION_DELAY))
-        specs = enumerate_specs(runner)
+        specs = runner.enumerate_specs()
         expected = []
         for spec in specs:
             case = runner.cases[spec.case_index]
@@ -657,22 +656,7 @@ class TestQuarantine:
         assert len(list(warm_store.entries())) == len(cold)
 
 
-class _SpeclessRunner:
-    """A runner shape with nothing to enumerate (cases define specs)."""
-
-    cases = []
-    clients = []
-    store = None
-
-
 class TestExecutorEdges:
-    def test_empty_spec_list_chunks(self):
-        executor = CampaignExecutor(_SpeclessRunner(), workers=3)
-        assert executor.chunks() == []
-        result = executor.execute()
-        assert len(result) == 0
-        assert result.records == []
-
     def test_workers_exceed_spec_count(self):
         runner = TestRunner(
             clients=[get_profile("curl", "7.88.1")],
