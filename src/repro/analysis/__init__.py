@@ -1,30 +1,18 @@
 """Analysis: turning measurements into the paper's tables and figures."""
 
-from .figures import (Figure2Series, Figure5Series, figure2_runner,
-                      figure2_sweep, figure4_sessions, figure5_attempts,
-                      figure5_runner, render_figure2, render_figure5)
-from .render import (format_ms, format_percent, render_family_strip,
-                     render_mark, render_table)
-from .stats import (StreamingCDF, Summary, cad_summary, outlier_fraction,
-                    rd_summary, stall_summary, summarize, summarize_metric)
-from .tables import (RESOLVER_DELAY_GRID, Table2Row, Table3Row, Table4Row,
-                     evaluate_client_features, render_table2, render_table3,
-                     render_table4, table1_parameters, table2_features,
-                     table2_local_runner, table3_resolvers,
-                     table3_store_keys, table4_inventory, table5_matrix)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Figure2Series", "Figure5Series", "RESOLVER_DELAY_GRID",
-    "StreamingCDF", "Summary",
-    "Table2Row", "cad_summary", "outlier_fraction", "rd_summary",
-    "stall_summary", "summarize", "summarize_metric",
-    "Table3Row", "Table4Row", "evaluate_client_features",
-    "figure2_runner", "figure2_sweep",
-    "figure4_sessions", "figure5_attempts", "figure5_runner",
-    "format_ms", "format_percent",
-    "render_family_strip", "render_figure2", "render_figure5",
-    "render_mark", "render_table", "render_table2", "render_table3",
-    "render_table4", "table1_parameters", "table2_features",
-    "table2_local_runner", "table3_resolvers", "table3_store_keys",
-    "table4_inventory", "table5_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "figures": ("Figure2Series", "Figure5Series", "figure2_runner",
+                "figure2_sweep", "figure4_sessions", "figure5_attempts",
+                "figure5_runner", "render_figure2", "render_figure5"),
+    "render": ("format_ms", "format_percent", "render_family_strip",
+               "render_mark", "render_table"),
+    "stats": ("StreamingCDF", "Summary", "cad_summary", "outlier_fraction",
+              "rd_summary", "stall_summary", "summarize", "summarize_metric"),
+    "tables": ("RESOLVER_DELAY_GRID", "Table2Row", "Table3Row", "Table4Row",
+               "evaluate_client_features", "render_table2", "render_table3",
+               "render_table4", "table1_parameters", "table2_features",
+               "table2_local_runner", "table3_resolvers",
+               "table3_store_keys", "table4_inventory", "table5_matrix"),
+})

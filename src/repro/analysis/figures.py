@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import figure2_clients
@@ -20,8 +20,10 @@ from ..testbed.resilience import Resilience
 from ..testbed.runner import (StreamingResultSet, TestRunner,
                               series_flap_window)
 from ..testbed.store import CampaignStore
-from ..webtool.session import SessionResult
 from .render import render_family_strip
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..webtool.session import SessionResult
 
 # --------------------------------------------------------------------------
 # Figure 2 — established family vs configured IPv6 delay

@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # -- the campaign service ---------------------------------------------------
 
-    from .service.http import DEFAULT_HOST, DEFAULT_PORT
+    from .service import DEFAULT_HOST, DEFAULT_PORT
 
     p_serve = sub.add_parser(
         "serve",

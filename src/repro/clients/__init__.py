@@ -7,26 +7,18 @@ simulated host.  The registry carries every client/version from
 Figure 2 and Table 2.
 """
 
-from .base import CLIENT_STUB_TIMEOUT, Client, FetchResult
-from .icpr import (AKAMAI_EGRESS, CLOUDFLARE_EGRESS, EGRESS_OPERATORS,
-                   EgressOperatorProfile, ICPREgressNode, ICPRRelayClient,
-                   ICPRRelayService)
-from .profile import (ClientProfile, SERIAL_CAD, chromium_params,
-                      chromium_stack, curl_params, curl_stack,
-                      gecko_params, gecko_stack, hev3_reference_stack,
-                      webkit_params, webkit_stack, wget_params, wget_stack)
-from .registry import (all_profiles, figure2_clients, get_profile,
-                       local_testbed_clients, resolve_profiles,
-                       table2_clients)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AKAMAI_EGRESS", "CLIENT_STUB_TIMEOUT", "CLOUDFLARE_EGRESS", "Client",
-    "ClientProfile", "EGRESS_OPERATORS", "EgressOperatorProfile",
-    "FetchResult", "ICPREgressNode", "ICPRRelayClient",
-    "ICPRRelayService", "SERIAL_CAD", "all_profiles",
-    "chromium_params", "chromium_stack", "curl_params", "curl_stack",
-    "figure2_clients", "gecko_params", "gecko_stack",
-    "get_profile", "hev3_reference_stack", "local_testbed_clients",
-    "resolve_profiles", "table2_clients", "webkit_params", "webkit_stack",
-    "wget_params", "wget_stack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("CLIENT_STUB_TIMEOUT", "Client", "FetchResult"),
+    "icpr": ("AKAMAI_EGRESS", "CLOUDFLARE_EGRESS", "EGRESS_OPERATORS",
+             "EgressOperatorProfile", "ICPREgressNode", "ICPRRelayClient",
+             "ICPRRelayService"),
+    "profile": ("ClientProfile", "SERIAL_CAD", "chromium_params",
+                "chromium_stack", "curl_params", "curl_stack",
+                "gecko_params", "gecko_stack", "hev3_reference_stack",
+                "webkit_params", "webkit_stack", "wget_params", "wget_stack"),
+    "registry": ("all_profiles", "figure2_clients", "get_profile",
+                 "local_testbed_clients", "resolve_profiles",
+                 "table2_clients"),
+})

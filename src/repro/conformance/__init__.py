@@ -14,30 +14,19 @@ RFC 8305 MUST/SHOULD deviation flags
 :mod:`repro.conformance.report`).
 """
 
-from .drift import (DriftRow, FingerprintDiff, diff_fingerprints,
-                    fingerprint_diff_to_dict, render_fingerprint_diff)
-from .fingerprint import (ClientFingerprint, Deviation, ParameterVerdict,
-                          Requirement, assemble_fingerprint,
-                          fingerprint_client, outcomes_from_records)
-from .probe import (ConformanceProbe, ScenarioOutcome,
-                    refinement_window)
-from .report import (fingerprint_to_dict, fingerprints_to_json,
-                     render_battery_summary, render_conformance_summary,
-                     render_fingerprint, render_scenario_catalog)
-from .scenarios import (RFC8305Parameter, SYNTH_PREFIX, Scenario,
-                        hev3_battery, scenario_battery, scenario_by_name,
-                        sortlist_battery, svcb_battery)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClientFingerprint", "ConformanceProbe", "Deviation", "DriftRow",
-    "FingerprintDiff", "ParameterVerdict", "RFC8305Parameter",
-    "Requirement", "SYNTH_PREFIX", "Scenario", "ScenarioOutcome",
-    "assemble_fingerprint", "diff_fingerprints", "fingerprint_client",
-    "fingerprint_diff_to_dict", "fingerprint_to_dict",
-    "fingerprints_to_json", "hev3_battery", "outcomes_from_records",
-    "refinement_window", "render_battery_summary",
-    "render_conformance_summary", "render_fingerprint",
-    "render_fingerprint_diff", "render_scenario_catalog",
-    "scenario_battery", "scenario_by_name", "sortlist_battery",
-    "svcb_battery",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "drift": ("DriftRow", "FingerprintDiff", "diff_fingerprints",
+              "fingerprint_diff_to_dict", "render_fingerprint_diff"),
+    "fingerprint": ("ClientFingerprint", "Deviation", "ParameterVerdict",
+                    "Requirement", "assemble_fingerprint",
+                    "fingerprint_client", "outcomes_from_records"),
+    "probe": ("ConformanceProbe", "ScenarioOutcome", "refinement_window"),
+    "report": ("fingerprint_to_dict", "fingerprints_to_json",
+               "render_battery_summary", "render_conformance_summary",
+               "render_fingerprint", "render_scenario_catalog"),
+    "scenarios": ("RFC8305Parameter", "SYNTH_PREFIX", "Scenario",
+                  "hev3_battery", "scenario_battery", "scenario_by_name",
+                  "sortlist_battery", "svcb_battery"),
+})

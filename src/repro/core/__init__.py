@@ -7,40 +7,27 @@ SVCB-driven protocol selection — into a configurable client, and every
 client model in :mod:`repro.clients` is a parameterization of it.
 """
 
-from .cache import CachedOutcome, OutcomeCache
-from .engine import HEResult, HappyEyeballsEngine, HappyEyeballsError
-from .events import HEEvent, HEEventKind, HETrace
-from .interlace import (apply_interlace, interlace_first_family_burst,
-                        interlace_rfc8305, interlace_sequential)
-from .params import (HEParams, HEVersion, InterlaceStrategy,
-                     RFC_PARAMETER_SETS, ResolutionPolicy, hev3_draft_params,
-                     rfc6555_params, rfc8305_params)
-from .policy import (PolicyStack, RacingStage, ResolutionStage,
-                     SortingStage, coerce_stack)
-from .racing import (AllAttemptsFailed, AttemptOutcome, AttemptRecord,
-                     ConnectionRacer, NEVER_CAD, RaceDeadlineExceeded,
-                     RaceResult)
-from .resolution import ResolutionOutcome, resolve_addresses
-from .sortlist import (AddressHistory, HistoryStore, POLICY_TABLES,
-                       PolicyEntry, PolicyTable, common_prefix_len,
-                       order_addresses, policy_table, scope_of,
-                       select_source)
-from .svcb import (ServiceCandidate, candidates_from_addresses,
-                   candidates_from_svcb, order_candidates)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressHistory", "AllAttemptsFailed", "AttemptOutcome", "AttemptRecord",
-    "CachedOutcome", "ConnectionRacer", "HEEvent", "HEEventKind", "HEParams",
-    "HEResult", "HETrace", "HEVersion", "HappyEyeballsEngine",
-    "HappyEyeballsError", "HistoryStore", "InterlaceStrategy", "NEVER_CAD",
-    "OutcomeCache", "POLICY_TABLES", "PolicyEntry", "PolicyStack",
-    "PolicyTable", "RFC_PARAMETER_SETS", "RaceDeadlineExceeded",
-    "RaceResult", "RacingStage", "ResolutionOutcome", "ResolutionPolicy",
-    "ResolutionStage", "ServiceCandidate", "SortingStage",
-    "apply_interlace", "candidates_from_addresses", "candidates_from_svcb",
-    "coerce_stack", "common_prefix_len", "hev3_draft_params",
-    "interlace_first_family_burst", "interlace_rfc8305",
-    "interlace_sequential", "order_addresses", "order_candidates",
-    "policy_table", "resolve_addresses", "rfc6555_params", "rfc8305_params",
-    "scope_of", "select_source",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("CachedOutcome", "OutcomeCache"),
+    "engine": ("HEResult", "HappyEyeballsEngine", "HappyEyeballsError"),
+    "events": ("HEEvent", "HEEventKind", "HETrace"),
+    "interlace": ("apply_interlace", "interlace_first_family_burst",
+                  "interlace_rfc8305", "interlace_sequential"),
+    "params": ("HEParams", "HEVersion", "InterlaceStrategy",
+               "RFC_PARAMETER_SETS", "ResolutionPolicy", "hev3_draft_params",
+               "rfc6555_params", "rfc8305_params"),
+    "policy": ("PolicyStack", "RacingStage", "ResolutionStage",
+               "SortingStage", "coerce_stack"),
+    "racing": ("AllAttemptsFailed", "AttemptOutcome", "AttemptRecord",
+               "ConnectionRacer", "NEVER_CAD", "RaceDeadlineExceeded",
+               "RaceResult"),
+    "resolution": ("ResolutionOutcome", "resolve_addresses"),
+    "sortlist": ("AddressHistory", "HistoryStore", "POLICY_TABLES",
+                 "PolicyEntry", "PolicyTable", "common_prefix_len",
+                 "order_addresses", "policy_table", "scope_of",
+                 "select_source"),
+    "svcb": ("ServiceCandidate", "candidates_from_addresses",
+             "candidates_from_svcb", "order_candidates"),
+})

@@ -14,31 +14,23 @@ This package provides every DNS component the study needs:
   resolver (:mod:`repro.dns.recursive`, :mod:`repro.dns.nsselect`).
 """
 
-from .auth import AuthoritativeServer, QueryLogEntry, TestParams
-from .cache import CacheEntry, DNSCache
-from .errors import (DNSError, MessageError, NoAnswerError, NxDomainError,
-                     QueryTimeout, ResolutionError, ServFailError)
-from .message import (DNSMessage, Opcode, Question, Rcode, ResourceRecord)
-from .name import DNSName
-from .nsselect import (ConfigurableNSPolicy, GluePlan, ResolverBehavior,
-                       RetryAction, ServerInfo)
-from .rdata import (A, AAAA, CNAME, HTTPS, NS, OPT, PTR, Rdata, RdataClass,
-                    RdataType, SOA, SVCB, SvcParamKey, TXT, address_rdata)
-from .recursive import (ForwardingResolver, RecursiveResolver,
-                        ResolutionResult, UpstreamQuery)
-from .stub import DualLookup, StubAnswer, StubResolver
-from .zone import LookupKind, NotInZoneError, RRset, Zone, ZoneLookupResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "A", "AAAA", "AuthoritativeServer", "CNAME", "CacheEntry",
-    "ConfigurableNSPolicy", "DNSCache",
-    "DNSError", "DNSMessage", "DNSName", "DualLookup", "ForwardingResolver",
-    "GluePlan", "HTTPS", "LookupKind", "MessageError", "NS", "NoAnswerError",
-    "NotInZoneError", "NxDomainError", "OPT", "Opcode", "PTR", "QueryLogEntry",
-    "QueryTimeout", "Question", "RRset", "Rcode", "Rdata", "RdataClass",
-    "RdataType", "RecursiveResolver", "ResolutionError", "ResolutionResult",
-    "ResolverBehavior", "ResourceRecord", "RetryAction", "SOA", "SVCB",
-    "ServFailError", "ServerInfo", "StubAnswer", "StubResolver",
-    "SvcParamKey", "TXT", "TestParams", "UpstreamQuery", "Zone",
-    "ZoneLookupResult", "address_rdata",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "auth": ("AuthoritativeServer", "QueryLogEntry", "TestParams"),
+    "cache": ("CacheEntry", "DNSCache"),
+    "errors": ("DNSError", "MessageError", "NoAnswerError", "NxDomainError",
+               "QueryTimeout", "ResolutionError", "ServFailError"),
+    "message": ("DNSMessage", "Opcode", "Question", "Rcode", "ResourceRecord"),
+    "name": ("DNSName",),
+    "nsselect": ("ConfigurableNSPolicy", "GluePlan", "ResolverBehavior",
+                 "RetryAction", "ServerInfo"),
+    "rdata": ("A", "AAAA", "CNAME", "HTTPS", "NS", "OPT", "PTR", "Rdata",
+              "RdataClass", "RdataType", "SOA", "SVCB", "SvcParamKey", "TXT",
+              "address_rdata"),
+    "recursive": ("ForwardingResolver", "RecursiveResolver",
+                  "ResolutionResult", "UpstreamQuery"),
+    "stub": ("DualLookup", "StubAnswer", "StubResolver"),
+    "zone": ("LookupKind", "NotInZoneError", "RRset", "Zone",
+             "ZoneLookupResult"),
+})

@@ -18,18 +18,17 @@ Registering a new experiment (subclass + :func:`register`) is all it
 takes to surface it in the CLI — ``repro ls``, ``repro run <name>``,
 and gc liveness come from the registry, not from command plumbing.
 
-Importing this package loads the built-in catalogue
-(:mod:`repro.experiments.catalog`).
+The built-in catalogue (:mod:`repro.experiments.catalog`) loads on
+the first registry lookup, not on import, so a leaf module such as
+:mod:`repro.population.experiments` can import
+:mod:`repro.experiments.base` without re-entering the catalogue.
 """
 
-from .base import Artifact, Experiment, Knob, Session, knob_mapping
-from .registry import (all_experiments, experiment_names, get_experiment,
-                       register)
-from . import catalog  # noqa: F401  (registers the built-in catalogue)
-from .catalog import FIGURE5_CLIENTS, TABLE2_WEB_ENTRIES
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Artifact", "Experiment", "FIGURE5_CLIENTS", "Knob", "Session",
-    "TABLE2_WEB_ENTRIES", "all_experiments", "experiment_names",
-    "get_experiment", "knob_mapping", "register",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Artifact", "Experiment", "Knob", "Session", "knob_mapping"),
+    "registry": ("all_experiments", "experiment_names", "get_experiment",
+                 "register"),
+    "catalog": ("FIGURE5_CLIENTS", "TABLE2_WEB_ENTRIES"),
+})

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterator, Mapping, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping,
+                    Optional, Tuple)
 
-from ..testbed.resilience import Resilience
-from ..testbed.store import CampaignStore
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.resilience import Resilience
+    from ..testbed.store import CampaignStore
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Each entry ports one former hand-wired CLI command onto the
 :class:`~repro.experiments.base.Experiment` contract — declared knobs,
 a pure :meth:`plan`, an :meth:`execute` producing data, a
 :meth:`render` producing the byte-identical artifact text the old
-command printed.  Heavy modules import *inside* the phase methods, so
-building the catalogue (parser construction, ``repro ls``) stays as
-light as the old lazy-importing CLI.
+command printed.  Heavy modules import *inside* the phase methods and
+every package ``__init__`` exports lazily, so building the catalogue
+(parser construction, ``repro ls``) imports only the experiment
+modules, and a warm ``plan`` → store lookup → ``render`` never loads
+the simulator: it imports only where a run executes.
 
 Adding a scenario to the framework is now one subclass + one
 :func:`~repro.experiments.registry.register` call: the CLI verbs

@@ -8,16 +8,27 @@ tables, figures, diagnostics, conformance).  The registry is the
 ``repro cache gc`` computes its live-key universe as the union of
 every registered experiment's plan — so registering an experiment is
 all it takes to make it runnable, listable, and gc-safe.
+
+Every lookup first loads the built-in catalogue, so the built-ins
+always register first and in catalogue order, whichever module imports
+the registry first.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Dict, Iterator, List
 
 from .base import Experiment
 
 _REGISTRY: "Dict[str, Experiment]" = {}
 _ORDER: "List[str]" = []
+
+
+def _load_catalog() -> None:
+    """Import the built-in catalogue once.  Its own ``register`` calls
+    re-enter here and get the partially initialized module back."""
+    import_module(".catalog", __package__)
 
 
 def register(experiment: Experiment) -> Experiment:
@@ -27,6 +38,7 @@ def register(experiment: Experiment) -> Experiment:
     silently shadowing each other would make ``repro run`` ambiguous
     and gc planning wrong.
     """
+    _load_catalog()
     if not experiment.name:
         raise ValueError("experiment needs a non-empty name")
     if experiment.name in _REGISTRY:
@@ -39,6 +51,7 @@ def register(experiment: Experiment) -> Experiment:
 
 def get_experiment(name: str) -> Experiment:
     """Look up one experiment; KeyError lists the valid names."""
+    _load_catalog()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -48,8 +61,10 @@ def get_experiment(name: str) -> Experiment:
 
 def all_experiments() -> "List[Experiment]":
     """Every registered experiment, in registration order."""
+    _load_catalog()
     return [_REGISTRY[name] for name in _ORDER]
 
 
 def experiment_names() -> "Iterator[str]":
+    _load_catalog()
     return iter(_ORDER)

@@ -5,11 +5,10 @@ chaos tooling (CLI ``--fault-plan``, spec ``faults`` stanzas, the
 robustness battery) shares one vocabulary of injectable faults.
 """
 
-from .plan import (ENTRY_KINDS, STORE_KINDS, WRITE_KINDS, FaultKind,
-                   FaultPlan, FaultPlanError, FaultSpec, InjectedFault,
-                   inject_entry_fault)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENTRY_KINDS", "STORE_KINDS", "WRITE_KINDS", "FaultKind", "FaultPlan",
-    "FaultPlanError", "FaultSpec", "InjectedFault", "inject_entry_fault",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "plan": ("ENTRY_KINDS", "STORE_KINDS", "WRITE_KINDS", "FaultKind",
+             "FaultPlan", "FaultPlanError", "FaultSpec", "InjectedFault",
+             "inject_entry_fault"),
+})

@@ -8,59 +8,23 @@ campaign through the existing store/executor/resilience machinery
 (:mod:`repro.population.campaign`).  The registered experiments live
 in :mod:`repro.population.experiments`.
 
-Submodules import lazily so that building the experiment catalogue
-(CLI parser construction, ``repro ls``) stays light.
+Every name below resolves on first use (:mod:`repro._lazy`), so
+importing one submodule — as the experiment catalogue does — runs no
+other; the sampler, campaign and distributions load only when a
+population experiment plans or executes.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from typing import TYPE_CHECKING
-
-_EXPORTS = {
-    "Categorical": "distributions",
-    "Choice": "distributions",
-    "Fixed": "distributions",
-    "IMPAIRMENT_MIXES": "distributions",
-    "Normal": "distributions",
-    "OS_SORTLISTS": "distributions",
-    "PRESETS": "distributions",
-    "PopulationSpec": "distributions",
-    "PopulationSpecError": "distributions",
-    "RESOLVER_BEHAVIORS": "distributions",
-    "STACK_FAMILIES": "distributions",
-    "Uniform": "distributions",
-    "parse_numeric": "distributions",
-    "resolve_spec": "distributions",
-    "PopulationSampler": "sampler",
-    "SampledUser": "sampler",
-    "DEGRADATION_SPEC": "campaign",
-    "DEFAULT_DEGRADATION": "campaign",
-    "PopulationRunner": "campaign",
-    "PopulationFamilyShareExperiment": "experiments",
-    "PopulationLatencyExperiment": "experiments",
-}
-
-__all__ = sorted(_EXPORTS)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .campaign import (DEFAULT_DEGRADATION, DEGRADATION_SPEC,
-                           PopulationRunner)
-    from .distributions import (IMPAIRMENT_MIXES, OS_SORTLISTS, PRESETS,
-                                RESOLVER_BEHAVIORS, STACK_FAMILIES,
-                                Categorical, Choice, Fixed, Normal,
-                                PopulationSpec, PopulationSpecError,
-                                Uniform, parse_numeric, resolve_spec)
-    from .experiments import (PopulationFamilyShareExperiment,
-                              PopulationLatencyExperiment)
-    from .sampler import PopulationSampler, SampledUser
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    return getattr(module, name)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "distributions": ("Categorical", "Choice", "Fixed", "IMPAIRMENT_MIXES",
+                      "Normal", "OS_SORTLISTS", "PRESETS", "PopulationSpec",
+                      "PopulationSpecError", "RESOLVER_BEHAVIORS",
+                      "STACK_FAMILIES", "Uniform", "parse_numeric",
+                      "resolve_spec"),
+    "sampler": ("PopulationSampler", "SampledUser"),
+    "campaign": ("DEGRADATION_SPEC", "DEFAULT_DEGRADATION",
+                 "PopulationRunner"),
+    "experiments": ("PopulationFamilyShareExperiment",
+                    "PopulationLatencyExperiment"),
+})

@@ -6,19 +6,15 @@ real iterative engine; the 17 public open-resolver services carry both
 their Table 4 inventory and their Table 3 behaviour.
 """
 
-from .models import BIND9, KNOT, LOCAL_RESOLVERS, LOCAL_RESOLVER_BY_NAME, UNBOUND
-from .open_resolvers import (AaaaQueryMark, OPEN_RESOLVERS,
-                             OPEN_RESOLVER_BY_NAME, OpenResolverService,
-                             evaluated_services, excluded_services)
-from .testbed import (ResolverCampaignResult, ResolverRunObservation,
-                      ResolverTestbed, probe_ipv6_only_capability,
-                      run_resolver_campaign)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AaaaQueryMark", "BIND9", "KNOT", "LOCAL_RESOLVERS",
-    "LOCAL_RESOLVER_BY_NAME", "OPEN_RESOLVERS", "OPEN_RESOLVER_BY_NAME",
-    "OpenResolverService", "ResolverCampaignResult",
-    "ResolverRunObservation", "ResolverTestbed", "UNBOUND",
-    "evaluated_services", "excluded_services",
-    "probe_ipv6_only_capability", "run_resolver_campaign",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "models": ("BIND9", "KNOT", "LOCAL_RESOLVERS", "LOCAL_RESOLVER_BY_NAME",
+               "UNBOUND"),
+    "open_resolvers": ("AaaaQueryMark", "OPEN_RESOLVERS",
+                       "OPEN_RESOLVER_BY_NAME", "OpenResolverService",
+                       "evaluated_services", "excluded_services"),
+    "testbed": ("ResolverCampaignResult", "ResolverRunObservation",
+                "ResolverTestbed", "probe_ipv6_only_capability",
+                "run_resolver_campaign"),
+})

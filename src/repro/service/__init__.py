@@ -24,13 +24,16 @@ experiment run directly via ``repro run``, cold or warm, serial or
 parallel.
 """
 
-from .core import (AdmissionError, CampaignService, ServedResult,
-                   ServiceStats)
-from .singleflight import SingleFlight, SingleFlightStore
-from .tiering import LRUCache, RebalanceEvent, ShardHeat, TieredStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionError", "CampaignService", "LRUCache", "RebalanceEvent",
-    "ServedResult", "ServiceStats", "ShardHeat", "SingleFlight",
-    "SingleFlightStore", "TieredStore",
-]
+#: Where ``repro serve`` binds and ``repro submit`` connects by default
+#: (defined here so the CLI parser reads them without the HTTP stack).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8377
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "core": ("AdmissionError", "CampaignService", "ServedResult",
+             "ServiceStats"),
+    "singleflight": ("SingleFlight", "SingleFlightStore"),
+    "tiering": ("LRUCache", "RebalanceEvent", "ShardHeat", "TieredStore"),
+})

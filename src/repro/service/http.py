@@ -28,10 +28,8 @@ from typing import Any, Dict, Optional, Tuple
 from urllib import error as urlerror
 from urllib import request as urlrequest
 
+from . import DEFAULT_HOST, DEFAULT_PORT
 from .core import AdmissionError, CampaignService, ServedResult
-
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8377
 
 
 def result_payload(result: ServedResult) -> "Dict[str, Any]":

@@ -13,28 +13,21 @@ This package provides the equivalent substrate in simulation:
 * :class:`PacketCapture` — the tcpdump equivalent all inference reads.
 """
 
-from .addr import (AddressAllocator, DualStackAllocator, Family, IPAddress,
-                   family_of, is_v6, parse_address, split_by_family)
-from .capture import CapturedFrame, Direction, PacketCapture
-from .clock import SimClock
-from .events import (AllOf, AnyOf, ConditionValue, Event,
-                     EventAlreadyTriggered, SimulationError, Timeout)
-from .host import Host, NoRouteError
-from .iface import Interface
-from .netem import (NetemFilter, NetemQdisc, NetemRule, NetemSpec,
-                    TrafficShaper)
-from .network import Network, NetworkSegment
-from .packet import (Packet, Protocol, QUICPacketType, TCPFlags)
-from .process import Interrupt, Process
-from .scheduler import ScheduledCall, Simulator
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressAllocator", "AllOf", "AnyOf", "CapturedFrame", "ConditionValue",
-    "Direction", "DualStackAllocator", "Event", "EventAlreadyTriggered",
-    "Family", "Host", "IPAddress", "Interface", "Interrupt", "NetemFilter",
-    "NetemQdisc", "NetemRule", "NetemSpec", "Network", "NetworkSegment",
-    "NoRouteError", "Packet", "PacketCapture", "Process", "Protocol",
-    "QUICPacketType", "ScheduledCall", "SimClock", "SimulationError",
-    "Simulator", "TCPFlags", "Timeout", "TrafficShaper", "family_of",
-    "is_v6", "parse_address", "split_by_family",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "addr": ("AddressAllocator", "DualStackAllocator", "Family", "IPAddress",
+             "family_of", "is_v6", "parse_address", "split_by_family"),
+    "capture": ("CapturedFrame", "Direction", "PacketCapture"),
+    "clock": ("SimClock",),
+    "events": ("AllOf", "AnyOf", "ConditionValue", "Event",
+               "EventAlreadyTriggered", "SimulationError", "Timeout"),
+    "host": ("Host", "NoRouteError"),
+    "iface": ("Interface",),
+    "netem": ("NetemFilter", "NetemQdisc", "NetemRule", "NetemSpec",
+              "TrafficShaper"),
+    "network": ("Network", "NetworkSegment"),
+    "packet": ("Packet", "Protocol", "QUICPacketType", "TCPFlags"),
+    "process": ("Interrupt", "Process"),
+    "scheduler": ("ScheduledCall", "Simulator"),
+})

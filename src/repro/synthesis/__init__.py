@@ -13,30 +13,13 @@ scenarios with provenance.  Registered as the ``synthesize-scenarios``
 and ``synthesize-report`` experiments.
 """
 
-from .promote import Promoter, Promotion, battery_identities
-from .score import (ABLATION_STAGES, CandidateScore, Scorer,
-                    ablation_variants, rank, signature_of)
-from .search import (RoundReport, SearchBudget, SearchResult,
-                     SearchStrategy, SynthesisSearch)
-from .space import Candidate, Dimension, ScenarioSpace, SORTLIST_SPACE
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ABLATION_STAGES",
-    "Candidate",
-    "CandidateScore",
-    "Dimension",
-    "Promoter",
-    "Promotion",
-    "RoundReport",
-    "ScenarioSpace",
-    "Scorer",
-    "SearchBudget",
-    "SearchResult",
-    "SearchStrategy",
-    "SORTLIST_SPACE",
-    "SynthesisSearch",
-    "ablation_variants",
-    "battery_identities",
-    "rank",
-    "signature_of",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "promote": ("Promoter", "Promotion", "battery_identities"),
+    "score": ("ABLATION_STAGES", "CandidateScore", "Scorer",
+              "ablation_variants", "rank", "signature_of"),
+    "search": ("RoundReport", "SearchBudget", "SearchResult",
+               "SearchStrategy", "SynthesisSearch"),
+    "space": ("Candidate", "Dimension", "ScenarioSpace", "SORTLIST_SPACE"),
+})

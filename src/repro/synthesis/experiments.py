@@ -12,14 +12,12 @@ plain :class:`~repro.experiments.base.Experiment`\\ s: pure ``plan()``
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List
 
 from ..experiments.base import Artifact, Experiment, Knob, Session
-from .promote import Promoter
-from .score import Scorer
-from .search import (SearchBudget, SearchResult, SearchStrategy,
-                     SynthesisSearch)
-from .space import ScenarioSpace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .search import SearchBudget, SearchResult, SynthesisSearch
 
 #: The default ablation base: the draft reference client consumes
 #: SVCB, sorts by RFC 6724, and races QUIC — every single-stage edit
@@ -65,6 +63,8 @@ class _SynthesisExperiment(Experiment):
     )
 
     def _budget(self, session: Session) -> SearchBudget:
+        from .search import SearchBudget
+
         try:
             return SearchBudget(
                 seeds=session.knob("synthesis_seeds", 32),
@@ -75,6 +75,11 @@ class _SynthesisExperiment(Experiment):
             raise SystemExit(f"synthesis: {exc}")
 
     def _search(self, session: Session) -> SynthesisSearch:
+        from .promote import Promoter
+        from .score import Scorer
+        from .search import SearchStrategy, SynthesisSearch
+        from .space import ScenarioSpace
+
         space = ScenarioSpace.default()
         budget = self._budget(session)
         limit = session.knob("promote", 6)
@@ -149,6 +154,8 @@ class _SynthesisExperiment(Experiment):
     def _promotion_lines(result: SearchResult) -> List[str]:
         if not result.promotions:
             return ["promoted scenarios: (none)"]
+        from .space import ScenarioSpace
+
         lines = ["promoted scenarios:"]
         space = ScenarioSpace.default()
         for rank_index, promotion in enumerate(result.promotions, 1):

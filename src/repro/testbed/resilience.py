@@ -32,11 +32,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Set, TYPE_CHECKING, Union
 
-from ..faults import FaultPlan
 from ..seeding import backoff_jitter, stable_run_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..clients.profile import ClientProfile
+    from ..faults import FaultPlan
     from .config import TestCaseConfig
     from .runner import RunRecord
 

@@ -24,26 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 from statistics import median
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
-from ..clients.base import Client
 from ..clients.profile import ClientProfile
-from ..core.sortlist import HistoryStore
 from ..fanout import shared_map
 from ..seeding import render_part
 from ..simnet.addr import Family
-from ..simnet.capture import PacketCapture
 from ..simnet.packet import Protocol
 from .config import SweepSpec, TestCaseConfig, TestCaseKind
-from .inference import CaptureObservation
-from .modules import (AddressSelectionModule, CaptureModule, ServiceModule,
-                      modules_for)
 from .parallel import (RunSpec, resolve_specs, run_keys, run_seeds,
                        run_spec, spec_keys, spec_label)
 from .resilience import Resilience, failure_record
 from .store import CampaignStore, config_digest
-from .topology import LocalTestbed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..simnet.capture import PacketCapture
 
 
 #: Placeholder sweep substituted into a case before digesting its
@@ -423,7 +419,16 @@ class TestRunner:
 
     def run_single(self, case: TestCaseConfig, profile: ClientProfile,
                    value_ms: int, repetition: int = 0) -> RunRecord:
-        """One fully isolated test run (fresh testbed + client)."""
+        """One fully isolated test run (fresh testbed + client).
+
+        The simulator stack imports here, not at module level, so a
+        campaign whose runs all come from the store never loads it.
+        """
+        from ..clients.base import Client
+        from ..core.sortlist import HistoryStore
+        from .modules import modules_for
+        from .topology import LocalTestbed
+
         run_seed = self.run_seed_for(case, profile, value_ms, repetition)
         testbed = LocalTestbed(seed=run_seed,
                                resolver_timeout=self.resolver_timeout)
@@ -464,6 +469,8 @@ class TestRunner:
 
     def _hostname_for(self, case: TestCaseConfig, modules, testbed,
                       value_ms: int) -> str:
+        from .modules import AddressSelectionModule, ServiceModule
+
         if case.kind is TestCaseKind.ADDRESS_SELECTION:
             for module in modules:
                 if isinstance(module, AddressSelectionModule):
@@ -485,6 +492,8 @@ class TestRunner:
 
     @staticmethod
     def _find_capture(modules) -> PacketCapture:
+        from .modules import CaptureModule
+
         for module in modules:
             if isinstance(module, CaptureModule):
                 assert module.capture is not None
@@ -499,6 +508,8 @@ class TestRunner:
         decodes each DNS payload once; every recorded field derives
         from that single pass.
         """
+        from .inference import CaptureObservation
+
         observation = CaptureObservation(capture)
         record.winning_family = observation.established_family
         record.winning_protocol = observation.established_protocol

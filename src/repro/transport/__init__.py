@@ -4,19 +4,15 @@ TCP and QUIC expose the handshake observables the study measures
 (connection-attempt packets, success/refusal/timeout); UDP carries DNS.
 """
 
-from .errors import (ConnectError, ConnectRefused, ConnectTimeout,
-                     ConnectionAborted, PortInUse, SocketClosed,
-                     TransportError)
-from .quic import (QUICConnection, QUICConnectionState, QUICListener,
-                   QUICStack)
-from .tcp import (TCPConnection, TCPListener, TCPStack, TCPState,
-                  DEFAULT_INITIAL_RTO, DEFAULT_SYN_RETRIES)
-from .udp import Datagram, UDPSocket, UDPStack
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConnectError", "ConnectRefused", "ConnectTimeout", "ConnectionAborted",
-    "Datagram", "DEFAULT_INITIAL_RTO", "DEFAULT_SYN_RETRIES", "PortInUse",
-    "QUICConnection", "QUICConnectionState", "QUICListener", "QUICStack",
-    "SocketClosed", "TCPConnection", "TCPListener", "TCPStack", "TCPState",
-    "TransportError", "UDPSocket", "UDPStack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "errors": ("ConnectError", "ConnectRefused", "ConnectTimeout",
+               "ConnectionAborted", "PortInUse", "SocketClosed",
+               "TransportError"),
+    "quic": ("QUICConnection", "QUICConnectionState", "QUICListener",
+             "QUICStack"),
+    "tcp": ("TCPConnection", "TCPListener", "TCPStack", "TCPState",
+            "DEFAULT_INITIAL_RTO", "DEFAULT_SYN_RETRIES"),
+    "udp": ("Datagram", "UDPSocket", "UDPStack"),
+})

@@ -6,25 +6,18 @@ address to the client, session drivers for visiting browsers, and
 campaign aggregation over the Table 5 browser/OS matrix.
 """
 
-from .campaign import (BrowserAggregate, CampaignResult, TABLE5_MATRIX,
-                       UAEntry, WebCampaign, profile_for_entry)
-from .ladder import (DELAY_LADDER_MS, DelayStep, WEBTOOL_DOMAIN,
-                     build_ladder, cad_interval_from_outcomes)
-from .rd_page import (RD_DELAY_STEPS_MS, RDProbeOutcome, RDSessionResult,
-                      RDWebSession, render_rd_session)
-from .report import (ConsistencyMark, classify_consistency,
-                     format_cad_interval, render_session_ladder)
-from .server import WebToolDeployment
-from .session import (NetworkConditions, SessionResult, StepOutcome,
-                      WebToolSession)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BrowserAggregate", "CampaignResult", "ConsistencyMark",
-    "DELAY_LADDER_MS", "DelayStep", "NetworkConditions",
-    "RD_DELAY_STEPS_MS", "RDProbeOutcome", "RDSessionResult",
-    "RDWebSession", "SessionResult", "StepOutcome", "TABLE5_MATRIX",
-    "UAEntry", "WEBTOOL_DOMAIN", "WebCampaign", "WebToolDeployment",
-    "WebToolSession", "build_ladder", "cad_interval_from_outcomes",
-    "classify_consistency", "format_cad_interval", "profile_for_entry",
-    "render_rd_session", "render_session_ladder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "campaign": ("BrowserAggregate", "CampaignResult", "TABLE5_MATRIX",
+                 "UAEntry", "WebCampaign", "profile_for_entry"),
+    "ladder": ("DELAY_LADDER_MS", "DelayStep", "WEBTOOL_DOMAIN",
+               "build_ladder", "cad_interval_from_outcomes"),
+    "rd_page": ("RD_DELAY_STEPS_MS", "RDProbeOutcome", "RDSessionResult",
+                "RDWebSession", "render_rd_session"),
+    "report": ("ConsistencyMark", "classify_consistency",
+               "format_cad_interval", "render_session_ladder"),
+    "server": ("WebToolDeployment",),
+    "session": ("NetworkConditions", "SessionResult", "StepOutcome",
+                "WebToolSession"),
+})
