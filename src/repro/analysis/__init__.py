@@ -3,9 +3,10 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "figures": ("Figure2Series", "Figure5Series", "figure2_runner",
-                "figure2_sweep", "figure4_sessions", "figure5_attempts",
-                "figure5_runner", "render_figure2", "render_figure5"),
+    "figures": ("Figure2Series", "Figure5Series", "figure2_plan",
+                "figure2_series", "figure2_sweep", "figure4_sessions",
+                "figure5_attempts", "figure5_plan", "figure5_series",
+                "render_figure2", "render_figure5"),
     "render": ("format_ms", "format_percent", "render_family_strip",
                "render_mark", "render_table"),
     "stats": ("StreamingCDF", "Summary", "cad_summary", "outlier_fraction",
@@ -13,6 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "tables": ("RESOLVER_DELAY_GRID", "Table2Row", "Table3Row", "Table4Row",
                "evaluate_client_features", "render_table2", "render_table3",
                "render_table4", "table1_parameters", "table2_features",
-               "table2_local_runner", "table3_resolvers",
-               "table3_store_keys", "table4_inventory", "table5_matrix"),
+               "table2_plan", "table3_plan", "table3_resolvers",
+               "table4_inventory", "table5_matrix"),
 })

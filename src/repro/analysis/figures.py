@@ -16,6 +16,7 @@ from ..clients.registry import figure2_clients
 from ..simnet.addr import Family
 from ..testbed.config import (SweepSpec, TestCaseConfig, TestCaseKind,
                               address_selection_case)
+from ..testbed.parallel import Plan, resolve_specs
 from ..testbed.resilience import Resilience
 from ..testbed.runner import (StreamingResultSet, TestRunner,
                               series_flap_window)
@@ -62,17 +63,32 @@ class Figure2Series:
              if family is not None}) is None
 
 
-def figure2_runner(profiles: Sequence[ClientProfile], step_ms: int = 5,
-                   stop_ms: int = 400, seed: int = 0,
-                   store: Optional[CampaignStore] = None,
-                   resilience: Optional[Resilience] = None) -> TestRunner:
-    """The Figure 2 campaign runner (shared by the sweep and by
-    ``repro cache gc``'s key planning)."""
+def figure2_plan(profiles: Sequence[ClientProfile], step_ms: int = 5,
+                 stop_ms: int = 400, seed: int = 0) -> Plan:
+    """The Figure 2 campaign: a CAD sweep per client version."""
     case = TestCaseConfig(name="figure2",
                           kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                           sweep=SweepSpec.range(0, stop_ms, step_ms))
-    return TestRunner(list(profiles), [case], seed=seed, store=store,
-                      resilience=resilience)
+    return TestRunner(list(profiles), [case], seed=seed).plan()
+
+
+def figure2_series(plan: Plan, store: Optional[CampaignStore] = None,
+                   workers: Optional[int] = None,
+                   resilience: Optional[Resilience] = None
+                   ) -> List[Figure2Series]:
+    """Figure 2 from its plan (see :func:`figure2_plan`).
+
+    Records stream through :class:`StreamingResultSet` — the campaign
+    aggregates incrementally and never materializes the full record
+    list, so run count only costs time, not memory.
+    """
+    aggregate = StreamingResultSet.consume(
+        resolve_specs(plan, store, workers, resilience))
+    runner = plan[0].campaign
+    return [Figure2Series(client=profile.full_name, label=profile.label,
+                          outcomes=aggregate.outcomes(profile.full_name,
+                                                      runner.cases[0].name))
+            for profile in runner.clients]
 
 
 def figure2_sweep(clients: Optional[Sequence[ClientProfile]] = None,
@@ -90,23 +106,10 @@ def figure2_sweep(clients: Optional[Sequence[ClientProfile]] = None,
     results — the fine-grained paper sweep is ~1400 isolated runs.
     ``store`` attaches the incremental campaign store: a re-render
     with unchanged configuration replays from cache byte-identically.
-
-    Records stream through :class:`StreamingResultSet` — the campaign
-    aggregates incrementally and never materializes the full record
-    list, so run count only costs time, not memory.
     """
     profiles = list(clients) if clients is not None else figure2_clients()
-    runner = figure2_runner(profiles, step_ms=step_ms, stop_ms=stop_ms,
-                            seed=seed, store=store, resilience=resilience)
-    aggregate = StreamingResultSet.consume(runner.stream(workers=workers))
-    series: List[Figure2Series] = []
-    for profile in profiles:
-        entry = Figure2Series(client=profile.full_name,
-                              label=profile.label)
-        entry.outcomes = aggregate.outcomes(profile.full_name,
-                                            runner.cases[0].name)
-        series.append(entry)
-    return series
+    return figure2_series(figure2_plan(profiles, step_ms, stop_ms, seed),
+                          store, workers, resilience)
 
 
 def render_figure2(series: List[Figure2Series]) -> str:
@@ -155,14 +158,30 @@ class Figure5Series:
                        for family in self.families)
 
 
-def figure5_runner(clients: Sequence[ClientProfile],
-                   addresses_per_family: int = 10, seed: int = 0,
-                   store: Optional[CampaignStore] = None,
-                   resilience: Optional[Resilience] = None) -> TestRunner:
-    """The Figure 5 campaign runner (shared with cache gc planning)."""
+def figure5_plan(clients: Sequence[ClientProfile],
+                 addresses_per_family: int = 10, seed: int = 0) -> Plan:
+    """The Figure 5 campaign: the address-selection case per client."""
     case = address_selection_case(addresses_per_family)
-    return TestRunner(list(clients), [case], seed=seed, store=store,
-                      resilience=resilience)
+    return TestRunner(list(clients), [case], seed=seed).plan()
+
+
+def figure5_series(plan: Plan, store: Optional[CampaignStore] = None,
+                   workers: Optional[int] = None,
+                   resilience: Optional[Resilience] = None
+                   ) -> List[Figure5Series]:
+    """Figure 5 from its plan (see :func:`figure5_plan`).
+
+    Streams the campaign: only each client's attempt-family list is
+    retained, never the records themselves.
+    """
+    families_by_client: Dict[str, List[Family]] = {}
+    for record in resolve_specs(plan, store, workers, resilience):
+        if record.client not in families_by_client:
+            families_by_client[record.client] = [
+                family for _, family in record.attempts]
+    return [Figure5Series(client=profile.full_name,
+                          families=families_by_client[profile.full_name])
+            for profile in plan[0].campaign.clients]
 
 
 def figure5_attempts(clients: Sequence[ClientProfile],
@@ -172,21 +191,9 @@ def figure5_attempts(clients: Sequence[ClientProfile],
                      store: Optional[CampaignStore] = None,
                      resilience: Optional[Resilience] = None
                      ) -> List[Figure5Series]:
-    """Run the address-selection case and extract attempt sequences.
-
-    Streams the campaign: only each client's attempt-family list is
-    retained, never the records themselves.
-    """
-    runner = figure5_runner(clients, addresses_per_family, seed=seed,
-                            store=store, resilience=resilience)
-    families_by_client: Dict[str, List[Family]] = {}
-    for record in runner.stream(workers=workers):
-        if record.client not in families_by_client:
-            families_by_client[record.client] = [
-                family for _, family in record.attempts]
-    return [Figure5Series(client=profile.full_name,
-                          families=families_by_client[profile.full_name])
-            for profile in clients]
+    """Run the address-selection case and extract attempt sequences."""
+    return figure5_series(figure5_plan(clients, addresses_per_family, seed),
+                          store, workers, resilience)
 
 
 def render_figure5(series: List[Figure5Series],

@@ -8,26 +8,25 @@ out of captures and query logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import table2_clients
 from ..core.params import (HEParams, RFC_PARAMETER_SETS)
-from ..fanout import shared_map
-from ..resolvers.models import LOCAL_RESOLVERS
-from ..resolvers.open_resolvers import (OPEN_RESOLVERS, OpenResolverService,
-                                        evaluated_services)
-from ..resolvers.testbed import (ResolverCampaignResult,
-                                 probe_ipv6_only_capability,
-                                 run_resolver_campaign)
 from ..simnet.addr import Family
 from ..testbed.config import (SweepSpec, TestCaseConfig, TestCaseKind,
                               address_selection_case)
-from ..testbed.runner import ResultSet, RunRecord, TestRunner
-from ..testbed.store import CacheStats, CampaignStore
-from ..webtool.campaign import CampaignResult
-from ..webtool.report import ConsistencyMark, classify_consistency
+from ..testbed.parallel import Plan, resolve_specs
+from ..testbed.store import CampaignStore
+from ..webtool.report import ConsistencyMark
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..resolvers.testbed import ResolverCampaignResult
+    from ..testbed.resilience import Resilience
+    from ..testbed.runner import RunRecord
+    from ..webtool.campaign import CampaignResult
 
 # --------------------------------------------------------------------------
 # Table 1 — parameter comparison across HE versions
@@ -117,45 +116,35 @@ class Table2Row:
 _TABLE2_CAD_SWEEP = SweepSpec.fixed(0, 150, 250, 350, 400, 1000, 2500)
 
 
-def table2_local_runner(profile: ClientProfile, seed: int = 0,
-                        store: Optional[CampaignStore] = None
-                        ) -> TestRunner:
-    """The per-client local campaign behind Table 2 (shared by the
-    feature evaluation and ``repro cache gc``'s key planning)."""
-    cad_case_config = TestCaseConfig(
-        name="t2-cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
-        sweep=_TABLE2_CAD_SWEEP)
-    rd_case_config = TestCaseConfig(
-        name="t2-rd", kind=TestCaseKind.RESOLUTION_DELAY,
-        sweep=SweepSpec.fixed(1500))
-    selection_case = address_selection_case()
-    return TestRunner([profile],
-                      [cad_case_config, rd_case_config, selection_case],
-                      seed=seed, resolver_timeout=3.0, store=store)
+def table2_plan(seed: int = 0,
+                clients: Optional[Sequence[ClientProfile]] = None) -> Plan:
+    """The local campaign behind Table 2: the §4.1 CAD, RD and
+    address-selection runs of every local-testbed client, client by
+    client."""
+    from ..testbed.runner import TestRunner
+
+    cases = [TestCaseConfig(name="t2-cad",
+                            kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
+                            sweep=_TABLE2_CAD_SWEEP),
+             TestCaseConfig(name="t2-rd", kind=TestCaseKind.RESOLUTION_DELAY,
+                            sweep=SweepSpec.fixed(1500)),
+             address_selection_case()]
+    entries: list = []
+    for profile in (clients if clients is not None else table2_clients()):
+        if profile.supports_local_tests:
+            entries.extend(TestRunner([profile], cases, seed=seed,
+                                      resolver_timeout=3.0).plan())
+    return Plan(entries)
 
 
-def evaluate_client_features(profile: ClientProfile, seed: int = 0,
-                             store: Optional[CampaignStore] = None
-                             ) -> Table2Row:
-    """Run the local test cases of §4.1 against one client.
-
-    Consumes the runner's streaming interface: records are folded into
-    the row as they arrive (only the single RD and address-selection
-    records are kept), so the campaign never materializes a record
-    list.  ``store`` replays unchanged runs from the campaign cache.
-    """
-    row = Table2Row(client=profile.full_name)
-    if not profile.supports_local_tests:
-        return row
-
-    runner = table2_local_runner(profile, seed=seed, store=store)
-
-    zero_run: Optional[RunRecord] = None
+def _fold_features(row: Table2Row, records: "Sequence[RunRecord]") -> None:
+    """One client's local test cases of §4.1, folded into its row."""
+    zero_run: "Optional[RunRecord]" = None
     fallback_seen = False
     cads: List[float] = []
-    rd_run: Optional[RunRecord] = None
-    selection_run: Optional[RunRecord] = None
-    for record in runner.stream():
+    rd_run: "Optional[RunRecord]" = None
+    selection_run: "Optional[RunRecord]" = None
+    for record in records:
         if record.case == "t2-cad":
             if record.value_ms == 0 and zero_run is None:
                 zero_run = record
@@ -192,53 +181,51 @@ def evaluate_client_features(profile: ClientProfile, seed: int = 0,
     # "Address selection" means more than HEv1's single fallback pair.
     row.address_selection = (selection_run.attempts_v6 > 1
                              or selection_run.attempts_v4 > 1)
+
+
+def evaluate_client_features(profile: ClientProfile, seed: int = 0,
+                             store: Optional[CampaignStore] = None
+                             ) -> Table2Row:
+    """Run the local test cases of §4.1 against one client (``store``
+    replays unchanged runs from the campaign cache)."""
+    row = Table2Row(client=profile.full_name)
+    if profile.supports_local_tests:
+        _fold_features(row, list(resolve_specs(
+            table2_plan(seed, [profile]), store)))
     return row
 
 
-def _evaluate_features_task(
-        payload: "Tuple[ClientProfile, int, Optional[CampaignStore]]",
-        attempt: int) -> "Tuple[Table2Row, Optional[CacheStats]]":
-    """Process-pool entry point: evaluate one client's feature row
-    (``attempt`` is unused: no fault plan reaches table tasks).
-
-    Returns the row plus the task-local cache counters, so the parent
-    can fold worker stats into the campaign total.
-    """
-    profile, seed, store = payload
-    row = evaluate_client_features(profile, seed=seed, store=store)
-    return row, (store.stats if store is not None else None)
-
-
 def table2_features(seed: int = 0,
-                    web_campaign: Optional[CampaignResult] = None,
+                    web_campaign: "Optional[CampaignResult]" = None,
                     clients: Optional[Sequence[ClientProfile]] = None,
                     workers: Optional[int] = None,
-                    store: Optional[CampaignStore] = None
+                    store: Optional[CampaignStore] = None,
+                    plan: Optional[Plan] = None,
+                    resilience: "Optional[Resilience]" = None
                     ) -> List[Table2Row]:
     """The full Table 2: local features + web consistency validation.
 
-    ``workers=N`` evaluates the client profiles over N processes; rows
-    are identical to the serial path (each profile's campaign is fully
-    seeded by its own coordinates) and stay in profile order.
+    ``plan`` is :func:`table2_plan` for the same seed and clients
+    (built here when omitted); its runs resolve through the one
+    executor, so ``workers=N`` fans them out over N processes with rows
+    identical to the serial path, in profile order.
     """
-    rows: List[Table2Row] = []
+    from ..webtool.report import classify_consistency
+
     profiles = list(clients) if clients is not None else table2_clients()
+    if plan is None:
+        plan = table2_plan(seed, profiles)
+    local: "Dict[str, List[RunRecord]]" = {}
+    for record in resolve_specs(plan, store, workers, resilience):
+        local.setdefault(record.client, []).append(record)
     aggregates = (web_campaign.by_browser() if web_campaign is not None
                   else {})
-    # Each task gets a fresh store handle on the same directory: its
-    # counters start at zero, so the parent can merge them whether the
-    # task ran in-process or in a pool worker.
-    payloads = [(profile, seed,
-                 CampaignStore(store.root) if store is not None else None)
-                for profile in profiles]
-    base_rows = []
-    for row, stats in shared_map(_evaluate_features_task, payloads,
-                                 workers):
-        base_rows.append(row)
-        if store is not None and stats is not None:
-            store.stats.merge(stats)
-    for profile, row in zip(profiles, base_rows):
-        if not profile.supports_local_tests:
+    rows: List[Table2Row] = []
+    for profile in profiles:
+        row = Table2Row(client=profile.full_name)
+        if profile.supports_local_tests:
+            _fold_features(row, local[profile.full_name])
+        else:
             # Mobile rows: engine-level knowledge only (footnote 1).
             row.prefers_ipv6 = True
             row.cad_implemented = profile.implements_happy_eyeballs
@@ -301,7 +288,7 @@ class Table3Row:
     ipv6_share: Optional[float]
     max_ipv6_delay_ms: Optional[int]
     ipv6_packets: Optional[int]
-    campaign: Optional[ResolverCampaignResult] = None
+    campaign: "Optional[ResolverCampaignResult]" = None
 
 
 #: Delay grid for the resolver sweep: hits every service's timeout.
@@ -309,7 +296,7 @@ RESOLVER_DELAY_GRID = [0, 25, 50, 100, 200, 250, 300, 376, 400, 500,
                        600, 800, 1000, 1250, 1500]
 
 
-def _aaaa_mark_from_campaign(campaign: ResolverCampaignResult,
+def _aaaa_mark_from_campaign(campaign: "ResolverCampaignResult",
                              glue_plan_name: str) -> str:
     before_probe = [o.aaaa_before_probe for o in campaign.observations
                     if o.aaaa_before_probe is not None]
@@ -326,54 +313,58 @@ def _aaaa_mark_from_campaign(campaign: ResolverCampaignResult,
     return "AAAA after IPv4 use"
 
 
-def _measure_resolver_subject(
-        payload: "Tuple[str, object, int, int, int, List[int], "
-                 "Optional[CampaignStore]]",
-        attempt: int) -> "Tuple[Table3Row, Optional[CacheStats]]":
-    """Share + shaped-delay campaigns for one resolver subject
-    (``attempt`` is unused: no fault plan reaches table tasks).
+def _table3_grid(delays_ms: Optional[List[int]]) -> List[int]:
+    return [d for d in (delays_ms if delays_ms is not None
+                        else RESOLVER_DELAY_GRID) if d > 0]
 
-    Top-level so process pools can pickle it; each call builds its own
-    testbeds, so subjects parallelize with no shared state.  Returns
-    the row plus the task-local cache counters (like the Table 2
-    tasks), so the parent can fold worker stats into the total.
+
+def _table3_subjects() -> "List[Tuple[str, Any]]":
+    """Every local daemon and evaluated open service, as (name,
+    behaviour), in table order."""
+    from ..resolvers.models import LOCAL_RESOLVERS
+    from ..resolvers.open_resolvers import evaluated_services
+
+    subjects: "List[Tuple[str, Any]]" = [
+        (behavior.name, behavior) for behavior in LOCAL_RESOLVERS]
+    subjects += [(service.service, service.behavior)
+                 for service in evaluated_services()]
+    return subjects
+
+
+def table3_plan(seed: int = 0, share_repetitions: int = 32,
+                delay_repetitions: int = 3,
+                delays_ms: Optional[List[int]] = None) -> Plan:
+    """Every run a Table 3 render may reference, subject by subject:
+    the share campaign, then the delay campaign with the IPv6 address
+    forced first.
+
+    Conservative: the delay campaign only runs for subjects whose
+    share campaign shows IPv6 use, but the plan (and so ``repro cache
+    gc``) keeps both unconditionally — keeping an unreferenced key is
+    harmless, dropping a referenced one forces a re-execution.
     """
     from dataclasses import replace as dc_replace
 
-    (name, behavior, seed, share_repetitions, delay_repetitions, grid,
-     store) = payload
-    share_campaign = run_resolver_campaign(
-        behavior, delays_ms=[0], repetitions=share_repetitions,
-        seed=seed, store=store)
-    share = share_campaign.ipv6_share
-    packets = share_campaign.max_v6_packets
-    max_delay: Optional[int] = None
-    if share and share > 0:
-        forced = dc_replace(behavior, v6_preference=1.0)
-        delay_campaign = run_resolver_campaign(
-            forced, delays_ms=grid, repetitions=delay_repetitions,
-            seed=seed + 1, store=store)
-        packets = max(packets, delay_campaign.max_v6_packets)
-        if not behavior.parallel_families:
-            # Parallel-family services (DNS0.EU) make the fallback
-            # delay unmeasurable — the paper's footnote 1.
-            max_delay = delay_campaign.reliable_max_ipv6_delay_ms()
-    row = Table3Row(
-        service=name,
-        aaaa_query=_aaaa_mark_from_campaign(
-            share_campaign, behavior.glue_plan.name),
-        ipv6_share=share,
-        max_ipv6_delay_ms=max_delay,
-        ipv6_packets=packets if packets else None,
-        campaign=share_campaign)
-    return row, (store.stats if store is not None else None)
+    from ..resolvers.testbed import resolver_campaign_plan
+
+    grid = _table3_grid(delays_ms)
+    entries: list = []
+    for _name, behavior in _table3_subjects():
+        entries.extend(resolver_campaign_plan(
+            behavior, [0], share_repetitions, seed))
+        entries.extend(resolver_campaign_plan(
+            dc_replace(behavior, v6_preference=1.0), grid,
+            delay_repetitions, seed + 1))
+    return Plan(entries)
 
 
 def table3_resolvers(seed: int = 0, share_repetitions: int = 32,
                      delay_repetitions: int = 3,
                      delays_ms: Optional[List[int]] = None,
                      workers: Optional[int] = None,
-                     store: Optional[CampaignStore] = None
+                     store: Optional[CampaignStore] = None,
+                     plan: Optional[Plan] = None,
+                     resilience: "Optional[Resilience]" = None
                      ) -> List[Table3Row]:
     """Measure every local daemon and evaluated open service.
 
@@ -383,62 +374,62 @@ def table3_resolvers(seed: int = 0, share_repetitions: int = 32,
       and how often IPv6 is chosen at the authoritative server;
     * a *delay* campaign over the shaped-delay grid with the IPv6
       address forced as first choice, measuring the reliable fallback
-      point and the packet counts.
+      point and the packet counts — run only for subjects whose share
+      campaign used IPv6.
 
-    ``workers=N`` measures subjects over N processes; every subject is
-    seeded independently, so rows match the serial path exactly.
-    ``store`` attaches the content-addressed campaign cache: resolver
-    runs are keyed by (behaviour, seed, delay, repetition), so a
-    re-render replays unchanged runs instead of re-executing them.
+    ``plan`` is :func:`table3_plan` for the same arguments (built here
+    when omitted).  Each stage — every subject's share runs, then the
+    delay runs it calls for — resolves in one executor call, so
+    ``workers=N`` fans runs out over N processes with rows identical
+    to the serial path, and ``store`` replays unchanged runs.
     """
-    grid = [d for d in (delays_ms if delays_ms is not None
-                        else RESOLVER_DELAY_GRID) if d > 0]
-    subjects: List[Tuple[str, object]] = [
-        (behavior.name, behavior) for behavior in LOCAL_RESOLVERS]
-    subjects += [(service.service, service.behavior)
-                 for service in evaluated_services()]
-    # Fresh store handle per task (counters start at zero), so worker
-    # stats merge into the campaign total like the Table 2 tasks.
-    payloads = [(name, behavior, seed, share_repetitions,
-                 delay_repetitions, grid,
-                 CampaignStore(store.root) if store is not None else None)
-                for name, behavior in subjects]
+    from ..resolvers.testbed import ResolverCampaignResult
+
+    if plan is None:
+        plan = table3_plan(seed, share_repetitions, delay_repetitions,
+                           delays_ms)
+    subjects = _table3_subjects()
+    delay_runs = len(_table3_grid(delays_ms)) * delay_repetitions
+    stride = share_repetitions + delay_runs
+    starts = [index * stride for index in range(len(subjects))]
+
+    def campaigns(stage_starts: "List[int]", offset: int,
+                  length: int) -> "List[ResolverCampaignResult]":
+        stage = [entry for start in stage_starts
+                 for entry in plan[start + offset:start + offset + length]]
+        observations = iter(resolve_specs(stage, store, workers,
+                                          resilience))
+        return [ResolverCampaignResult(
+            plan[start + offset].behavior.name if length else "",
+            [next(observations) for _ in range(length)])
+            for start in stage_starts]
+
+    shares = campaigns(starts, 0, share_repetitions)
+    probed = [start for start, share in zip(starts, shares)
+              if share.ipv6_share]
+    delayed = dict(zip(probed, campaigns(probed, share_repetitions,
+                                         delay_runs)))
     rows: List[Table3Row] = []
-    for row, stats in shared_map(_measure_resolver_subject, payloads,
-                                 workers):
-        rows.append(row)
-        if store is not None and stats is not None:
-            store.stats.merge(stats)
+    for start, (name, behavior), share_campaign in zip(starts, subjects,
+                                                      shares):
+        packets = share_campaign.max_v6_packets
+        max_delay: Optional[int] = None
+        delay_campaign = delayed.get(start)
+        if delay_campaign is not None:
+            packets = max(packets, delay_campaign.max_v6_packets)
+            if not behavior.parallel_families:
+                # Parallel-family services (DNS0.EU) make the fallback
+                # delay unmeasurable — the paper's footnote 1.
+                max_delay = delay_campaign.reliable_max_ipv6_delay_ms()
+        rows.append(Table3Row(
+            service=name,
+            aaaa_query=_aaaa_mark_from_campaign(
+                share_campaign, behavior.glue_plan.name),
+            ipv6_share=share_campaign.ipv6_share,
+            max_ipv6_delay_ms=max_delay,
+            ipv6_packets=packets if packets else None,
+            campaign=share_campaign))
     return rows
-
-
-def table3_store_keys(seed: int = 0, share_repetitions: int = 32,
-                      delay_repetitions: int = 3,
-                      delays_ms: Optional[List[int]] = None
-                      ) -> List[str]:
-    """Every store key a Table 3 render may reference (cache gc).
-
-    Conservative: the delay campaign only runs for subjects whose
-    share campaign shows IPv6 use, but gc keeps both unconditionally —
-    keeping an unreferenced key is harmless, dropping a referenced one
-    forces a re-execution.
-    """
-    from dataclasses import replace as dc_replace
-
-    from ..resolvers.testbed import resolver_campaign_keys
-
-    grid = [d for d in (delays_ms if delays_ms is not None
-                        else RESOLVER_DELAY_GRID) if d > 0]
-    subjects = [behavior for behavior in LOCAL_RESOLVERS]
-    subjects += [service.behavior for service in evaluated_services()]
-    keys: List[str] = []
-    for behavior in subjects:
-        keys.extend(resolver_campaign_keys(
-            behavior, [0], share_repetitions, seed))
-        forced = dc_replace(behavior, v6_preference=1.0)
-        keys.extend(resolver_campaign_keys(
-            forced, grid, delay_repetitions, seed + 1))
-    return keys
 
 
 def render_table3(rows: List[Table3Row]) -> str:
@@ -478,6 +469,9 @@ def table4_inventory(seed: int = 0, probe: bool = True) -> List[Table4Row]:
     Services the paper flags as incapable are modeled with an
     IPv4-only resolution backend, which the probe then discovers.
     """
+    from ..resolvers.open_resolvers import OPEN_RESOLVERS
+    from ..resolvers.testbed import probe_ipv6_only_capability
+
     rows: List[Table4Row] = []
     for service in OPEN_RESOLVERS:
         if probe:
@@ -511,7 +505,7 @@ def render_table4(rows: List[Table4Row]) -> str:
 # --------------------------------------------------------------------------
 
 
-def table5_matrix(campaign: CampaignResult
+def table5_matrix(campaign: "CampaignResult"
                   ) -> "Tuple[List[str], List[List[str]]]":
     """OS/browser combinations covered by a web campaign."""
     combos: Dict[Tuple[str, str], int] = {}

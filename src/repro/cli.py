@@ -246,7 +246,7 @@ def _cmd_cache_gc(args: argparse.Namespace) -> None:
         knobs = experiment.default_knobs()
         knobs.update(overrides.get(experiment.name, {}))
         session = Session(seed=args.seed, store=store, knobs=knobs)
-        live.update(experiment.plan(session))
+        live.update(entry.key for entry in experiment.plan(session))
     stats = store.gc(live, dry_run=args.dry_run)
     prefix = "[cache gc] (dry run) " if args.dry_run else "[cache gc] "
     print(f"{prefix}{stats.summary()} root={store.root}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..clients.profile import ClientProfile
 from ..simnet.addr import Family
@@ -23,6 +23,9 @@ from ..testbed.runner import RunRecord
 from ..testbed.store import CampaignStore
 from .probe import ConformanceProbe, ScenarioOutcome
 from .scenarios import RFC8305Parameter, SYNTH_PREFIX, Scenario
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.parallel import PlanCursor
 
 #: RFC 8305 §5: recommended fixed CAD and its hard bounds.
 RECOMMENDED_CAD_MS = 250.0
@@ -111,12 +114,14 @@ class ClientFingerprint:
 def fingerprint_client(profile: ClientProfile, seed: int = 0,
                        store: Optional[CampaignStore] = None,
                        workers: Optional[int] = None,
-                       battery: "Optional[Sequence[Scenario]]" = None
+                       battery: "Optional[Sequence[Scenario]]" = None,
+                       cursor: "Optional[PlanCursor]" = None
                        ) -> ClientFingerprint:
-    """Probe one client with the battery and assemble its fingerprint."""
+    """Probe one client with the battery and assemble its fingerprint
+    (taking each stage from the plan ``cursor`` walks, when given)."""
     probe = ConformanceProbe(profile, seed=seed, store=store,
                              workers=workers, battery=battery)
-    return assemble_fingerprint(profile, probe.run())
+    return assemble_fingerprint(profile, probe.run(cursor))
 
 
 def outcomes_from_records(battery: "Sequence[Scenario]",

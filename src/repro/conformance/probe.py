@@ -8,8 +8,9 @@ paper's two-phase strategy (§4.3(i)): a coarse pass over the full
 range, then a fine pass bounded to the window around the observed
 family crossover.  Because run digests are independent of the sweep
 shape, the fine pass replays every coarse value it overlaps from the
-store and executes only genuinely new values — the ROADMAP's
-"cache-aware sweep refinement" is this loop.
+store and executes only genuinely new values.  That coarse→fine loop
+is written once, as a stage driver (:meth:`ConformanceProbe.stages`):
+planning drives it against the store, execution through the executor.
 
 Everything is deterministic: the fine window is a pure function of the
 coarse records, which are a pure function of the run coordinates — so
@@ -20,11 +21,13 @@ fingerprints, which the conformance tests and the CI smoke enforce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
 from ..simnet.addr import Family
 from ..testbed.config import SweepSpec, TestCaseConfig
+from ..testbed.parallel import (Plan, PlanCursor, StageDriver,
+                                execute_stages, plan_stages)
 from ..testbed.runner import RunRecord, TestRunner, series_flap_window
 from ..testbed.store import CampaignStore
 from .scenarios import Scenario, scenario_battery
@@ -107,13 +110,13 @@ class ConformanceProbe:
         self.battery: "Tuple[Scenario, ...]" = tuple(
             battery if battery is not None else scenario_battery())
 
-    # -- execution -------------------------------------------------------------
+    # -- the one stage loop ----------------------------------------------------
 
-    def run(self) -> "List[ScenarioOutcome]":
-        return [self.run_scenario(scenario) for scenario in self.battery]
-
-    def run_scenario(self, scenario: Scenario) -> ScenarioOutcome:
-        coarse = self._run_case(scenario.case)
+    def stages(self, scenario: Scenario) -> StageDriver:
+        """One scenario's stages: the coarse pass, then — for an
+        adaptive scenario whose coarse series has a crossover to
+        refine — the fine pass around it."""
+        coarse = yield self._runner(scenario.case), not scenario.adaptive
         outcome = ScenarioOutcome(scenario=scenario, records=coarse)
         if not scenario.adaptive:
             return outcome
@@ -127,14 +130,38 @@ class ConformanceProbe:
         if fine_case is None:
             return outcome
         outcome.refined_window_ms = window
-        fine = self._run_case(fine_case)
+        fine = yield self._runner(fine_case), True
         outcome.records = _merge_records(coarse, fine)
         return outcome
 
-    def _run_case(self, case: TestCaseConfig) -> "List[RunRecord]":
-        runner = TestRunner([self.profile], [case], seed=self.seed,
-                            store=self.store)
-        return list(runner.stream(workers=self.workers))
+    def plan(self) -> Plan:
+        """Every run the battery would reference, executing nothing.
+
+        Coarse runs are planned unconditionally — with no store
+        attached (``repro ls`` planning a cold catalogue), they are
+        all there is.  A fine pass is planned only when every coarse
+        record of its scenario is in the store: the stage loop then
+        reproduces the fine window from them.  ``repro cache gc`` uses
+        this to keep a warm conformance battery alive.
+        """
+        return plan_stages((self.stages(scenario)
+                            for scenario in self.battery), self.store)
+
+    def run(self, cursor: Optional[PlanCursor] = None
+            ) -> "List[ScenarioOutcome]":
+        """Every scenario's outcome, taking each stage from the plan
+        ``cursor`` walks where planning reached it."""
+        return [self.run_scenario(scenario, cursor)
+                for scenario in self.battery]
+
+    def run_scenario(self, scenario: Scenario,
+                     cursor: Optional[PlanCursor] = None
+                     ) -> ScenarioOutcome:
+        return execute_stages(self.stages(scenario), self.store,
+                              self.workers, cursor=cursor)
+
+    def _runner(self, case: TestCaseConfig) -> TestRunner:
+        return TestRunner([self.profile], [case], seed=self.seed)
 
     @staticmethod
     def _fine_case(scenario: Scenario,
@@ -145,45 +172,6 @@ class ConformanceProbe:
             return None  # the coarse grid is already that fine
         return replace(scenario.case,
                        sweep=SweepSpec.range(lo, hi, scenario.fine_step_ms))
-
-    # -- planning (cache gc) ---------------------------------------------------
-
-    def store_keys(self) -> "Iterator[str]":
-        """Content address of every run the battery would reference.
-
-        Coarse keys are enumerable unconditionally — with no store
-        attached (``repro ls`` planning a cold catalogue), they are
-        all there is.  Fine keys exist only once the coarse pass ran,
-        so they are resolved *from the store*: when every coarse
-        record of an adaptive scenario is cached, the same pure
-        refinement logic reproduces the fine window — without
-        executing anything.  ``repro cache gc`` uses this to keep a
-        warm conformance battery alive.
-        """
-        for scenario in self.battery:
-            runner = TestRunner([self.profile], [scenario.case],
-                                seed=self.seed, store=self.store)
-            keys = list(runner.store_keys())
-            yield from keys
-            if not scenario.adaptive or self.store is None:
-                continue
-            cached_map = self.store.get_many_records(keys)
-            if len(cached_map) < len(keys):
-                continue  # cold coarse pass: fine window unknowable
-            outcome = ScenarioOutcome(
-                scenario=scenario,
-                records=[cached_map[key] for key in keys])
-            window = refinement_window(
-                outcome.family_series, scenario.coarse_step_ms,
-                max(scenario.case.sweep))
-            if window is None:
-                continue
-            fine_case = self._fine_case(scenario, window)
-            if fine_case is None:
-                continue
-            fine_runner = TestRunner([self.profile], [fine_case],
-                                     seed=self.seed, store=self.store)
-            yield from fine_runner.store_keys()
 
 
 def _merge_records(coarse: "List[RunRecord]",

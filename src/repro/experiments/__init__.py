@@ -4,12 +4,12 @@ Every artifact the reproduction produces — tables, figures,
 conformance reports, diagnostics — is a first-class, enumerable
 :class:`Experiment` living in one process-wide registry:
 
-* :meth:`Experiment.plan` enumerates the content address of every
-  campaign run the experiment would reference (pure — nothing
-  executes), which powers ``repro ls`` key counts, batch warm-run
-  lookups, and a ``repro cache gc`` that can never silently collect a
-  registered experiment's entries;
-* :meth:`Experiment.execute` runs the measurement through one shared
+* :meth:`Experiment.plan` returns every campaign run the experiment
+  would reference as data — a ``Plan`` of typed entries with their
+  seeds and store keys (pure — nothing executes) — which powers
+  ``repro ls`` key counts, service admission, and a ``repro cache gc``
+  that can never silently collect a registered experiment's entries;
+* :meth:`Experiment.execute` consumes that plan through one shared
   :class:`Session` (seed, workers, campaign store);
 * :meth:`Experiment.render` turns the result into an
   :class:`Artifact` (text + optional machine-readable JSON).

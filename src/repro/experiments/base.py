@@ -5,33 +5,40 @@ figures, the conformance battery, diagnostic traces — is an
 :class:`Experiment`: a named, registered object with three separable
 phases:
 
-* :meth:`Experiment.plan` — the content address of every campaign run
-  the experiment would reference, **without executing anything**.
-  ``repro cache gc`` marks the union of all registered plans as live,
-  so a newly registered experiment can never be silently collected,
-  and warm runs can resolve the whole key universe in one batch
-  (:meth:`~repro.testbed.store.CampaignStore.get_many`).
-* :meth:`Experiment.execute` — run the measurement and return a
-  result object (pure data, no I/O besides the campaign store).
+* :meth:`Experiment.plan` — the experiment's runs as data, **without
+  executing anything**: a :class:`~repro.testbed.parallel.Plan`, a
+  flat ordered tuple of typed entries, each holding its coordinates,
+  run seed and store key.  ``repro cache gc`` marks the union of all
+  registered plans' keys as live, so a newly registered experiment can
+  never be silently collected; ``repro ls`` counts them; the campaign
+  service admits a submission by its plan.
+* :meth:`Experiment.execute` — consume that plan: resolve its entries
+  through the one store-backed executor
+  (:func:`~repro.testbed.parallel.resolve_specs`) and return a result
+  object (pure data, no I/O besides the campaign store).
 * :meth:`Experiment.render` — turn a result into an :class:`Artifact`
   (text, optionally with a machine-readable JSON form).
+
+Keys and seeds are derived once, in ``plan()``; :meth:`Experiment.run`
+plans once and hands the plan to ``execute``.
 
 A single :class:`Session` carries everything an invocation shares —
 seed, worker count, campaign store, and the experiment's knob values —
 replacing the per-command ``(seed, workers, cache_dir)`` threading the
 CLI used to hand-wire.  The session also owns cache-summary reporting,
-so worker-merged store counters are printed exactly once per
-invocation instead of being copy-pasted into every command.
+so store counters are printed exactly once per invocation instead of
+being copy-pasted into every command.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping,
-                    Optional, Tuple)
+from dataclasses import dataclass, field, replace
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.parallel import Plan
     from ..testbed.resilience import Resilience
     from ..testbed.store import CampaignStore
 
@@ -127,20 +134,12 @@ class Session:
         value = self.knobs.get(name)
         return default if value is None else value
 
-    def with_knobs(self, **overrides: Any) -> "Session":
-        """A session sharing seed/workers/store with knobs replaced —
-        how ``repro cache gc`` plans every experiment at its own
-        defaults (plus targeted overrides) against one store."""
-        return Session(seed=self.seed, workers=self.workers,
-                       store=self.store, knobs=dict(overrides),
-                       resilience=self.resilience)
-
     def cache_line(self) -> Optional[str]:
         """The one-per-invocation ``[cache]`` summary, or None.
 
-        Worker handles merge their counters into ``store.stats``
-        inside the campaign helpers; this is the single place the
-        merged totals get rendered.  A session whose store was never
+        The executor resolves every entry parent-side, so
+        ``store.stats`` holds the invocation's totals; this is the
+        single place they get rendered.  A session whose store was never
         touched (e.g. ``conformance --list``) reports nothing, so
         pure commands stay byte-identical with and without a
         configured cache directory.
@@ -198,12 +197,18 @@ class Experiment:
 
     # -- the three phases ------------------------------------------------------
 
-    def plan(self, session: Session) -> Iterator[str]:
-        """Every store key this experiment's campaigns would
-        reference under ``session`` — pure, no execution."""
-        return iter(())
+    def plan(self, session: Session) -> "Plan":
+        """Every run this experiment's campaigns would reference under
+        ``session`` — pure, no execution.  An adaptive campaign plans
+        each later stage only while ``session.store`` already holds
+        every record of the stage before it."""
+        from ..testbed.parallel import Plan
 
-    def execute(self, session: Session) -> Any:
+        return Plan()
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        """Run ``plan`` (what :meth:`plan` returned) and return the
+        result data."""
         raise NotImplementedError
 
     def render(self, result: Any) -> Artifact:
@@ -212,12 +217,19 @@ class Experiment:
     # -- conveniences ----------------------------------------------------------
 
     def run(self, session: Session) -> Artifact:
-        """execute + render in one call (the common host path)."""
-        return self.render(self.execute(session))
+        """plan + execute + render in one call (the common host path).
+
+        Plans once, without the store: execution resolves every stage
+        against the store itself, so probing it while planning would
+        only look each hit up twice."""
+        from ..testbed.parallel import Plan
+
+        plan = Plan(self.plan(replace(session, store=None)))
+        return self.render(self.execute(session, plan))
 
     def planned_keys(self, session: Session) -> int:
         """Distinct planned keys under ``session`` (``repro ls``)."""
-        return len(set(self.plan(session)))
+        return len({entry.key for entry in self.plan(session)})
 
     def sample_space(self, session: Session
                      ) -> "Optional[Tuple[int, str]]":

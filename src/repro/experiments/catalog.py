@@ -2,7 +2,8 @@
 
 Each entry ports one former hand-wired CLI command onto the
 :class:`~repro.experiments.base.Experiment` contract — declared knobs,
-a pure :meth:`plan`, an :meth:`execute` producing data, a
+a pure :meth:`plan` returning its runs as data, an :meth:`execute`
+consuming that plan and producing data, a
 :meth:`render` producing the byte-identical artifact text the old
 command printed.  Heavy modules import *inside* the phase methods and
 every package ``__init__`` exports lazily, so building the catalogue
@@ -18,10 +19,13 @@ liveness all pick it up from the registry with no plumbing changes.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List
+from typing import TYPE_CHECKING, Any, List
 
 from .base import Artifact, Experiment, Knob, Session
 from .registry import register
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.parallel import Plan
 
 #: The UA combinations the Table 2 web-validation campaign visits
 #: (planned by the table2 experiment, kept live by ``repro cache gc``).
@@ -51,7 +55,7 @@ class Table1Experiment(Experiment):
     paper = "Table 1"
     json_capable = True
 
-    def execute(self, session: Session) -> Any:
+    def execute(self, session: Session, plan: "Plan") -> Any:
         from ..analysis import table1_parameters
 
         return table1_parameters()
@@ -78,41 +82,35 @@ class Table2Experiment(Experiment):
              help="skip the web-validation campaign"),
     )
 
-    def execute(self, session: Session) -> Any:
-        from ..analysis import table2_features
+    def plan(self, session: Session) -> "Plan":
+        from ..analysis import table2_plan
+        from ..testbed.parallel import Plan
         from ..webtool import UAEntry, WebCampaign
 
+        web = WebCampaign(seed=session.seed + 1,
+                          repetitions=session.knob("repetitions", 10))
+        return Plan(table2_plan(seed=session.seed) + web.plan(
+            tuple(UAEntry(*entry) for entry in TABLE2_WEB_ENTRIES)))
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..analysis import table2_features
+        from ..testbed.parallel import TestbedRun
+        from ..webtool import run_web_plan
+
+        local = [entry for entry in plan if type(entry) is TestbedRun]
         web = None
         if not session.knob("no_web", False):
-            campaign = WebCampaign(
-                seed=session.seed + 1,
-                repetitions=session.knob("repetitions", 10))
-            web = campaign.run(
-                entries=tuple(UAEntry(*entry)
-                              for entry in TABLE2_WEB_ENTRIES),
-                workers=session.workers, store=session.store)
+            web = run_web_plan(plan[len(local):], session.store,
+                               session.workers, session.resilience)
         return table2_features(seed=session.seed, web_campaign=web,
                                workers=session.workers,
-                               store=session.store)
+                               store=session.store, plan=local,
+                               resilience=session.resilience)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_table2
 
         return Artifact(text=render_table2(result))
-
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..analysis import table2_local_runner
-        from ..clients.registry import table2_clients
-        from ..webtool import UAEntry, WebCampaign
-
-        for profile in table2_clients():
-            if profile.supports_local_tests:
-                yield from table2_local_runner(
-                    profile, seed=session.seed).store_keys()
-        yield from WebCampaign(
-            seed=session.seed + 1,
-            repetitions=session.knob("repetitions", 10)).store_keys(
-                tuple(UAEntry(*entry) for entry in TABLE2_WEB_ENTRIES))
 
 
 class Table3Experiment(Experiment):
@@ -126,7 +124,14 @@ class Table3Experiment(Experiment):
         share = session.knob("repetitions", 160)
         return share, max(3, share // 20)
 
-    def execute(self, session: Session) -> Any:
+    def plan(self, session: Session) -> "Plan":
+        from ..analysis import table3_plan
+
+        share, delay = self._repetitions(session)
+        return table3_plan(seed=session.seed, share_repetitions=share,
+                           delay_repetitions=delay)
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
         from ..analysis import table3_resolvers
 
         share, delay = self._repetitions(session)
@@ -134,20 +139,13 @@ class Table3Experiment(Experiment):
                                 share_repetitions=share,
                                 delay_repetitions=delay,
                                 workers=session.workers,
-                                store=session.store)
+                                store=session.store, plan=plan,
+                                resilience=session.resilience)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_table3
 
         return Artifact(text=render_table3(result))
-
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..analysis import table3_store_keys
-
-        share, delay = self._repetitions(session)
-        return iter(table3_store_keys(seed=session.seed,
-                                      share_repetitions=share,
-                                      delay_repetitions=delay))
 
 
 class Table4Experiment(Experiment):
@@ -155,7 +153,7 @@ class Table4Experiment(Experiment):
     title = "open resolver inventory"
     paper = "Table 4"
 
-    def execute(self, session: Session) -> Any:
+    def execute(self, session: Session, plan: "Plan") -> Any:
         from ..analysis import table4_inventory
 
         return table4_inventory(seed=session.seed)
@@ -173,13 +171,18 @@ class Table5Experiment(Experiment):
     knobs = (Knob("repetitions", type=int, default=5,
                   help="sessions per OS/browser combination"),)
 
-    def execute(self, session: Session) -> Any:
+    def plan(self, session: Session) -> "Plan":
         from ..webtool import TABLE5_MATRIX, WebCampaign
 
-        campaign = WebCampaign(seed=session.seed,
-                               repetitions=session.knob("repetitions", 5))
-        return campaign.run(entries=TABLE5_MATRIX,
-                            workers=session.workers, store=session.store)
+        return WebCampaign(seed=session.seed,
+                           repetitions=session.knob("repetitions", 5)
+                           ).plan(TABLE5_MATRIX)
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..webtool import run_web_plan
+
+        return run_web_plan(plan, session.store, session.workers,
+                            session.resilience)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_table, table5_matrix
@@ -191,14 +194,6 @@ class Table5Experiment(Experiment):
         return Artifact(
             text=(f"{table}\n\n{len(result)} sessions, "
                   f"{result.combinations()} OS/browser combinations"))
-
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..webtool import TABLE5_MATRIX, WebCampaign
-
-        return iter(WebCampaign(
-            seed=session.seed,
-            repetitions=session.knob("repetitions", 5))
-            .store_keys(TABLE5_MATRIX))
 
 
 # --------------------------------------------------------------------------
@@ -217,28 +212,25 @@ class Figure2Experiment(Experiment):
              help="sweep upper bound in ms"),
     )
 
-    def execute(self, session: Session) -> Any:
-        from ..analysis import figure2_sweep
+    def plan(self, session: Session) -> "Plan":
+        from ..analysis import figure2_plan
+        from ..clients.registry import figure2_clients
 
-        return figure2_sweep(step_ms=session.knob("step", 25),
-                             stop_ms=session.knob("stop", 400),
-                             seed=session.seed, workers=session.workers,
-                             store=session.store,
-                             resilience=session.resilience)
+        return figure2_plan(figure2_clients(),
+                            step_ms=session.knob("step", 25),
+                            stop_ms=session.knob("stop", 400),
+                            seed=session.seed)
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..analysis import figure2_series
+
+        return figure2_series(plan, session.store, session.workers,
+                              session.resilience)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_figure2
 
         return Artifact(text=render_figure2(result))
-
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..analysis import figure2_runner
-        from ..clients.registry import figure2_clients
-
-        return figure2_runner(figure2_clients(),
-                              step_ms=session.knob("step", 25),
-                              stop_ms=session.knob("stop", 400),
-                              seed=session.seed).store_keys()
 
 
 class Figure4Experiment(Experiment):
@@ -246,7 +238,7 @@ class Figure4Experiment(Experiment):
     title = "web tool ladders"
     paper = "Figure 4"
 
-    def execute(self, session: Session) -> Any:
+    def execute(self, session: Session, plan: "Plan") -> Any:
         from ..clients import get_profile
         from ..webtool import WebToolDeployment, WebToolSession
 
@@ -268,30 +260,24 @@ class Figure5Experiment(Experiment):
     title = "address selection attempts"
     paper = "Figure 5"
 
-    def _clients(self) -> List:
+    def plan(self, session: Session) -> "Plan":
+        from ..analysis import figure5_plan
         from ..clients import get_profile
 
-        return [get_profile(name, version)
-                for name, version in FIGURE5_CLIENTS]
+        return figure5_plan([get_profile(name, version)
+                             for name, version in FIGURE5_CLIENTS],
+                            seed=session.seed)
 
-    def execute(self, session: Session) -> Any:
-        from ..analysis import figure5_attempts
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..analysis import figure5_series
 
-        return figure5_attempts(self._clients(), seed=session.seed,
-                                workers=session.workers,
-                                store=session.store,
-                                resilience=session.resilience)
+        return figure5_series(plan, session.store, session.workers,
+                              session.resilience)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_figure5
 
         return Artifact(text=render_figure5(result))
-
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..analysis import figure5_runner
-
-        return figure5_runner(self._clients(),
-                              seed=session.seed).store_keys()
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +290,7 @@ class DelayedAExperiment(Experiment):
     title = "the §5.2 delayed-A pathology"
     paper = "§5.2"
 
-    def execute(self, session: Session) -> Any:
+    def execute(self, session: Session, plan: "Plan") -> Any:
         from ..clients import Client, get_profile
         from ..dns import RdataType
         from ..testbed.topology import LocalTestbed
@@ -341,7 +327,7 @@ class TraceExperiment(Experiment):
     knobs = (Knob("delay_ms", type=int, default=400,
                   help="configured IPv6 TCP delay in ms"),)
 
-    def execute(self, session: Session) -> Any:
+    def execute(self, session: Session, plan: "Plan") -> Any:
         from ..core import rfc8305_params
         from ..core.engine import HappyEyeballsEngine
         from ..dns.stub import StubResolver
@@ -388,6 +374,32 @@ def _fingerprint_profiles(selector: str) -> List:
     return profiles
 
 
+def _probe_plan(session: Session, profiles: List, battery) -> "Plan":
+    """Every probe's plan, client by client."""
+    from ..conformance import ConformanceProbe
+    from ..testbed.parallel import Plan
+
+    return Plan(entry for profile in profiles
+                for entry in ConformanceProbe(
+                    profile, seed=session.seed, store=session.store,
+                    battery=battery).plan())
+
+
+def _fingerprints(session: Session, plan: "Plan", profiles: List,
+                  battery) -> List:
+    """Every client's fingerprint, each probe stage taken from
+    ``plan`` where planning reached it."""
+    from ..conformance import fingerprint_client
+    from ..testbed.parallel import PlanCursor
+
+    cursor = PlanCursor(plan)
+    return [fingerprint_client(profile, seed=session.seed,
+                               store=session.store,
+                               workers=session.workers, battery=battery,
+                               cursor=cursor)
+            for profile in profiles]
+
+
 class FingerprintExperiment(Experiment):
     name = "fingerprint"
     title = "RFC 8305 fingerprint report for one client"
@@ -401,16 +413,20 @@ class FingerprintExperiment(Experiment):
              help="CAD sweep upper bound in ms (default 400)"),
     )
 
-    def execute(self, session: Session) -> Any:
-        from ..conformance import fingerprint_client, scenario_battery
+    def plan(self, session: Session) -> "Plan":
+        from ..conformance import scenario_battery
 
-        battery = scenario_battery(stop_ms=session.knob("stop", 400))
-        return [fingerprint_client(profile, seed=session.seed,
-                                   store=session.store,
-                                   workers=session.workers,
-                                   battery=battery)
-                for profile in _fingerprint_profiles(
-                    session.knob("client", "all"))]
+        return _probe_plan(
+            session, _fingerprint_profiles(session.knob("client", "all")),
+            scenario_battery(stop_ms=session.knob("stop", 400)))
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..conformance import scenario_battery
+
+        return _fingerprints(
+            session, plan,
+            _fingerprint_profiles(session.knob("client", "all")),
+            scenario_battery(stop_ms=session.knob("stop", 400)))
 
     def render(self, result: Any) -> Artifact:
         from ..conformance import fingerprint_to_dict, render_fingerprint
@@ -419,16 +435,6 @@ class FingerprintExperiment(Experiment):
             text="\n\n".join(render_fingerprint(fp) for fp in result),
             data=[fingerprint_to_dict(fp) for fp in result])
 
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..conformance import ConformanceProbe, scenario_battery
-
-        battery = scenario_battery(stop_ms=session.knob("stop", 400))
-        for profile in _fingerprint_profiles(
-                session.knob("client", "all")):
-            probe = ConformanceProbe(profile, seed=session.seed,
-                                     store=session.store,
-                                     battery=battery)
-            yield from probe.store_keys()
 
 
 class ConformanceExperiment(Experiment):
@@ -443,18 +449,23 @@ class ConformanceExperiment(Experiment):
              help="print the scenario catalog and exit"),
     )
 
-    def execute(self, session: Session) -> Any:
+    def plan(self, session: Session) -> "Plan":
         from ..clients.registry import local_testbed_clients
-        from ..conformance import fingerprint_client, scenario_battery
+        from ..conformance import scenario_battery
+
+        return _probe_plan(
+            session, local_testbed_clients(),
+            scenario_battery(stop_ms=session.knob("stop", 400)))
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..clients.registry import local_testbed_clients
+        from ..conformance import scenario_battery
 
         battery = scenario_battery(stop_ms=session.knob("stop", 400))
         if session.knob("list", False):
             return {"catalog": battery}
-        return {"fingerprints": [
-            fingerprint_client(profile, seed=session.seed,
-                               store=session.store,
-                               workers=session.workers, battery=battery)
-            for profile in local_testbed_clients()]}
+        return {"fingerprints": _fingerprints(
+            session, plan, local_testbed_clients(), battery)}
 
     def render(self, result: Any) -> Artifact:
         from ..conformance import (fingerprint_to_dict,
@@ -469,16 +480,6 @@ class ConformanceExperiment(Experiment):
             text=render_conformance_summary(fingerprints),
             data=[fingerprint_to_dict(fp) for fp in fingerprints])
 
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..clients.registry import local_testbed_clients
-        from ..conformance import ConformanceProbe, scenario_battery
-
-        battery = scenario_battery(stop_ms=session.knob("stop", 400))
-        for profile in local_testbed_clients():
-            probe = ConformanceProbe(profile, seed=session.seed,
-                                     store=session.store,
-                                     battery=battery)
-            yield from probe.store_keys()
 
 
 class StageBatteryExperiment(Experiment):
@@ -498,16 +499,18 @@ class StageBatteryExperiment(Experiment):
 
         return getattr(conformance, f"{self.battery_name}_battery")()
 
-    def execute(self, session: Session) -> Any:
+    def plan(self, session: Session) -> "Plan":
         from ..clients.registry import local_testbed_clients
-        from ..conformance import fingerprint_client
+
+        return _probe_plan(session, local_testbed_clients(),
+                           self._battery())
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..clients.registry import local_testbed_clients
 
         battery = self._battery()
-        return {"battery": battery, "fingerprints": [
-            fingerprint_client(profile, seed=session.seed,
-                               store=session.store,
-                               workers=session.workers, battery=battery)
-            for profile in local_testbed_clients()]}
+        return {"battery": battery, "fingerprints": _fingerprints(
+            session, plan, local_testbed_clients(), battery)}
 
     def render(self, result: Any) -> Artifact:
         from ..conformance import fingerprint_to_dict, render_battery_summary
@@ -518,15 +521,6 @@ class StageBatteryExperiment(Experiment):
             data=[fingerprint_to_dict(fp)
                   for fp in result["fingerprints"]])
 
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..clients.registry import local_testbed_clients
-        from ..conformance import ConformanceProbe
-
-        battery = self._battery()
-        for profile in local_testbed_clients():
-            probe = ConformanceProbe(profile, seed=session.seed,
-                                     store=session.store, battery=battery)
-            yield from probe.store_keys()
 
 
 class HEv3BatteryExperiment(StageBatteryExperiment):
@@ -583,16 +577,22 @@ class FingerprintDiffExperiment(Experiment):
             profiles.append(matches[0])
         return profiles
 
-    def execute(self, session: Session) -> Any:
-        from ..conformance import (diff_fingerprints, fingerprint_client,
-                                   scenario_battery)
+    def plan(self, session: Session) -> "Plan":
+        from ..conformance import scenario_battery
+        from ..testbed.parallel import Plan
 
-        battery = scenario_battery(stop_ms=session.knob("stop", 400))
-        first, second = [
-            fingerprint_client(profile, seed=session.seed,
-                               store=session.store,
-                               workers=session.workers, battery=battery)
-            for profile in self._profiles(session)]
+        if not (session.knob("client_a") and session.knob("client_b")):
+            return Plan()  # no clients selected: nothing beyond others
+        return _probe_plan(
+            session, self._profiles(session),
+            scenario_battery(stop_ms=session.knob("stop", 400)))
+
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..conformance import diff_fingerprints, scenario_battery
+
+        first, second = _fingerprints(
+            session, plan, self._profiles(session),
+            scenario_battery(stop_ms=session.knob("stop", 400)))
         return diff_fingerprints(first, second)
 
     def render(self, result: Any) -> Artifact:
@@ -602,17 +602,6 @@ class FingerprintDiffExperiment(Experiment):
         return Artifact(text=render_fingerprint_diff(result),
                         data=fingerprint_diff_to_dict(result))
 
-    def plan(self, session: Session) -> Iterator[str]:
-        from ..conformance import ConformanceProbe, scenario_battery
-
-        if not (session.knob("client_a") and session.knob("client_b")):
-            return  # no clients selected: nothing beyond other plans
-        battery = scenario_battery(stop_ms=session.knob("stop", 400))
-        for profile in self._profiles(session):
-            probe = ConformanceProbe(profile, seed=session.seed,
-                                     store=session.store,
-                                     battery=battery)
-            yield from probe.store_keys()
 
 
 # --------------------------------------------------------------------------

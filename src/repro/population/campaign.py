@@ -9,7 +9,7 @@ unchanged: the content-addressed store keys digest each sample's
 concrete case + profile, :func:`~repro.fanout.shared_map` fans the
 paired specs out over the pool, resilience/journal/resume address
 runs by the sample-unique case name, and ``repro cache gc`` marks
-liveness through :meth:`store_keys`.
+liveness through the plan's keys.
 
 Samples materialize lazily and memoize: enumeration touches no
 sampler state (every case shares the degradation sweep), and the

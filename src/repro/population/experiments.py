@@ -19,9 +19,12 @@ stays light.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..experiments.base import Artifact, Experiment, Knob, Session
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.parallel import Plan
 
 #: CDF thresholds rendered per degradation level (ms).
 CDF_THRESHOLDS_MS = (50, 100, 250, 500, 1000, 2500)
@@ -58,7 +61,7 @@ class PopulationExperiment(Experiment):
         except PopulationSpecError as exc:
             raise SystemExit(f"repro {self.name}: {exc}")
 
-    def _runner(self, session: Session):
+    def plan(self, session: Session) -> "Plan":
         from ..testbed.config import SweepSpec
         from .campaign import PopulationRunner
 
@@ -69,23 +72,21 @@ class PopulationExperiment(Experiment):
         sweep = SweepSpec.range(0, session.knob("degrade_stop", 200),
                                 session.knob("degrade_step", 100))
         return PopulationRunner(self._spec(session), samples,
-                                seed=session.seed, degradation=sweep,
-                                store=session.store,
-                                resilience=session.resilience)
-
-    def plan(self, session: Session) -> Iterator[str]:
-        return self._runner(session).store_keys()
+                                seed=session.seed, degradation=sweep).plan()
 
     def sample_space(self, session: Session
                      ) -> "Optional[Tuple[int, str]]":
         return (session.knob("samples", 250),
                 self._spec(session).short_digest())
 
-    def execute(self, session: Session) -> Any:
-        runner = self._runner(session)
+    def execute(self, session: Session, plan: "Plan") -> Any:
+        from ..testbed.parallel import resolve_specs
+
+        runner = plan[0].campaign
         levels = {value_ms: self._level_aggregate()
                   for value_ms in runner.degradation}
-        for record in runner.stream(workers=session.workers):
+        for record in resolve_specs(plan, session.store, session.workers,
+                                    session.resilience):
             self._aggregate(levels[record.value_ms], record)
         return {
             "experiment": self.name,

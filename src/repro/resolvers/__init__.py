@@ -14,7 +14,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "open_resolvers": ("AaaaQueryMark", "OPEN_RESOLVERS",
                        "OPEN_RESOLVER_BY_NAME", "OpenResolverService",
                        "evaluated_services", "excluded_services"),
-    "testbed": ("ResolverCampaignResult", "ResolverRunObservation",
-                "ResolverTestbed", "probe_ipv6_only_capability",
+    "testbed": ("ResolverCampaignResult", "ResolverRun",
+                "ResolverRunObservation", "ResolverTestbed",
+                "probe_ipv6_only_capability", "resolver_campaign_plan",
                 "run_resolver_campaign"),
 })

@@ -15,7 +15,7 @@ observables collected from the *authoritative* query log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..dns.auth import AuthoritativeServer, QueryLogEntry
 from ..dns.name import DNSName
@@ -27,6 +27,7 @@ from ..seeding import render_part, stable_run_seed
 from ..simnet.addr import Family
 from ..simnet.netem import NetemFilter, NetemRule, NetemSpec
 from ..simnet.network import Network
+from ..testbed.parallel import Plan, resolve_specs
 from ..testbed.store import CampaignStore
 
 RESOLVER_V4 = "192.0.2.100"
@@ -320,27 +321,57 @@ def decode_observation(data: dict) -> ResolverRunObservation:
     )
 
 
-def resolver_run_key(behavior: ResolverBehavior, seed: int,
-                     delay_ms: int, repetition: int) -> str:
-    """Content address of one resolver run: the full behaviour
-    dataclass (any knob change misses) plus the run coordinates."""
-    run_seed = stable_run_seed(seed, behavior.name, delay_ms, repetition)
-    return CampaignStore.key("resolver-run", behavior, run_seed,
-                             delay_ms, repetition)
+class ResolverRun(NamedTuple):
+    """One resolution measurement: the resolver campaign's plan entry.
+
+    A pure function of ``(behavior, run_seed, delay_ms, repetition)``
+    — the zone apex and name-server addresses derive from the
+    repetition index, not from a campaign-wide counter — so it caches
+    exactly like a testbed run, independent of which other delays
+    share the campaign.
+    """
+
+    behavior: ResolverBehavior
+    delay_ms: int
+    repetition: int
+    run_seed: int
+    key: str
+
+    decode = staticmethod(decode_observation)
+    encode = staticmethod(encode_observation)
+
+    def execute(self, fault_plan: Any,
+                attempt: int) -> ResolverRunObservation:
+        return ResolverTestbed(self.behavior, seed=self.run_seed,
+                               delay_ms=self.delay_ms,
+                               zone_index=self.repetition).run()
+
+    def label(self) -> str:
+        return (f"resolver/{self.behavior.name}/v{self.delay_ms}"
+                f"/r{self.repetition}")
+
+    def failed(self, failure: Any) -> ResolverRunObservation:
+        raise RuntimeError(f"{self.label()}: {failure.error} "
+                           f"(attempts={failure.attempts})")
 
 
-def resolver_campaign_keys(behavior: ResolverBehavior,
+def resolver_campaign_plan(behavior: ResolverBehavior,
                            delays_ms: "list[int]", repetitions: int,
-                           seed: int) -> "List[str]":
-    """Every store key a campaign references (``repro cache gc``), in
-    run order: each run's :func:`resolver_run_key`, with the behaviour
-    rendered once instead of once per key."""
+                           seed: int) -> Plan:
+    """Every run of a delays × repetitions sweep, in run order, keyed
+    by the full behaviour dataclass (any knob change misses) plus the
+    run coordinates — the behaviour is rendered once, not per key."""
     key = CampaignStore.keyer("resolver-run", behavior)
-    return [key(render_part(stable_run_seed(seed, behavior.name, delay_ms,
-                                            repetition)),
-                render_part(delay_ms), render_part(repetition))
-            for delay_ms in delays_ms
-            for repetition in range(repetitions)]
+    entries = []
+    for delay_ms in delays_ms:
+        for repetition in range(repetitions):
+            run_seed = stable_run_seed(seed, behavior.name, delay_ms,
+                                       repetition)
+            entries.append(ResolverRun(
+                behavior, delay_ms, repetition, run_seed,
+                key(render_part(run_seed), render_part(delay_ms),
+                    render_part(repetition))))
+    return Plan(entries)
 
 
 def run_resolver_campaign(behavior: ResolverBehavior,
@@ -349,39 +380,12 @@ def run_resolver_campaign(behavior: ResolverBehavior,
                           seed: int = 0,
                           store: "Optional[CampaignStore]" = None
                           ) -> ResolverCampaignResult:
-    """Sweep delays × repetitions for one resolver behaviour.
-
-    Every run is a pure function of ``(behavior, seed, delay_ms,
-    repetition)`` — the zone apex and name-server addresses derive
-    from the repetition index, not from a campaign-wide counter — so
-    with ``store`` attached, unchanged runs replay from the
-    content-addressed cache exactly like testbed runs, independent of
-    which other delays share the campaign.
-    """
-    result = ResolverCampaignResult(behavior_name=behavior.name)
-    keys = resolver_campaign_keys(behavior, delays_ms, repetitions, seed)
-    # Resolve every hit of the campaign in one batch (per-shard sidecar
-    # index reads instead of one JSON read per run).
-    cached_runs = ({} if store is None
-                   else store.get_many(keys, decode_observation))
-    keys_in_order = iter(keys)
-    for delay_ms in delays_ms:
-        for repetition in range(repetitions):
-            key = next(keys_in_order)
-            cached = cached_runs.pop(key, None)
-            if cached is not None:
-                result.observations.append(cached)
-                continue
-            run_seed = stable_run_seed(seed, behavior.name, delay_ms,
-                                       repetition)
-            testbed = ResolverTestbed(behavior, seed=run_seed,
-                                      delay_ms=delay_ms,
-                                      zone_index=repetition)
-            observation = testbed.run()
-            if store is not None:
-                store.put(key, encode_observation(observation))
-            result.observations.append(observation)
-    return result
+    """Sweep delays × repetitions for one resolver behaviour; with
+    ``store``, unchanged runs replay from the content-addressed cache
+    exactly like testbed runs."""
+    plan = resolver_campaign_plan(behavior, delays_ms, repetitions, seed)
+    return ResolverCampaignResult(behavior.name,
+                                  list(resolve_specs(plan, store)))
 
 
 def probe_ipv6_only_capability(behavior: Optional[ResolverBehavior],

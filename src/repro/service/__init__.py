@@ -7,14 +7,14 @@ concurrent sessions, mostly redundant, hammering one store.  This
 package is the serving layer for that shape:
 
 * :mod:`~repro.service.core` — :class:`CampaignService`: admission
-  through the Experiment registry's pure ``plan()``, submission
-  coalescing, and per-submission sessions threaded through the
-  fault-tolerant runtime (journal + retrying ``shared_map``).
+  through the Experiment registry's pure ``plan()`` (the admitted
+  plan is the one that executes), submission coalescing, and
+  per-submission sessions threaded through the fault-tolerant runtime
+  (journal + retrying ``shared_map``).
 * :mod:`~repro.service.singleflight` — in-flight key dedup: a stampede
   of identical requests executes every run exactly once.
 * :mod:`~repro.service.tiering` — a bounded in-memory LRU in front of
-  the (packed) campaign store, with hot-shard detection and background
-  rebalancing.
+  the (packed) campaign store.
 * :mod:`~repro.service.http` — a stdlib HTTP endpoint (`repro serve`)
   and the matching client (`repro submit`).
 
@@ -35,5 +35,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "core": ("AdmissionError", "CampaignService", "ServedResult",
              "ServiceStats"),
     "singleflight": ("SingleFlight", "SingleFlightStore"),
-    "tiering": ("LRUCache", "RebalanceEvent", "ShardHeat", "TieredStore"),
+    "tiering": ("LRUCache", "TieredStore"),
 })

@@ -2,10 +2,11 @@
 
 Admission is the Experiment registry's pure ``plan()``: a submission
 names a registered experiment plus knob values, the service resolves
-the knobs and plans the key universe *without executing anything*, and
+the knobs and plans its runs *without executing anything*, and
 oversized or unknown requests are rejected before they cost a single
-simulated run.  Admitted submissions execute on a thread pool, each in
-its own :class:`~repro.experiments.Session` wired to
+simulated run.  An admitted submission executes the plan admission
+built — it is planned once — on a thread pool, in its own
+:class:`~repro.experiments.Session` wired to
 
 * the shared tiered store (memory LRU over the packed disk store),
 * a :class:`~repro.service.singleflight.SingleFlightStore` wrapper, so
@@ -26,9 +27,10 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from ..experiments.base import Session, knob_mapping
+from ..testbed.parallel import Plan
 from ..testbed.resilience import CampaignJournal, Resilience, RetryPolicy
 from ..testbed.store import CampaignStore, config_digest
 from .singleflight import SingleFlight, SingleFlightStore
@@ -80,7 +82,6 @@ class ServiceStats:
     keys_planned: int = 0
     keys_executed: int = 0
     keys_waited: int = 0
-    rebalances: int = 0
 
     def snapshot(self) -> "Dict[str, int]":
         return dataclasses.asdict(self)
@@ -114,9 +115,7 @@ class CampaignService:
                  service_workers: int = 8,
                  coalesce: bool = True,
                  admission_limit: int = 1_000_000,
-                 lookup: Optional[Callable[[str], Any]] = None,
-                 rebalance_min_reads: int = 64,
-                 rebalance_skew: float = 8.0) -> None:
+                 lookup: Optional[Callable[[str], Any]] = None) -> None:
         if lookup is None:
             from ..experiments.registry import get_experiment
             lookup = get_experiment
@@ -125,8 +124,6 @@ class CampaignService:
         self.retries = retries
         self.coalesce = coalesce
         self.admission_limit = admission_limit
-        self.rebalance_min_reads = rebalance_min_reads
-        self.rebalance_skew = rebalance_skew
         self._lookup = lookup
         self.store = TieredStore(CampaignStore(cache_dir),
                                  capacity=lru_capacity)
@@ -158,17 +155,18 @@ class CampaignService:
         planning = Session(seed=self.seed, workers=self.workers,
                            store=self.store, knobs=values)
         try:
-            keys = sorted(set(experiment.plan(planning)))
+            plan = Plan(experiment.plan(planning))
         except Exception as exc:
             self.stats.rejected += 1
             raise AdmissionError(
                 f"cannot plan {experiment_name}: {exc}") from None
-        if self.admission_limit and len(keys) > self.admission_limit:
+        planned = len(set(plan.keys()))
+        if self.admission_limit and planned > self.admission_limit:
             self.stats.rejected += 1
             raise AdmissionError(
-                f"{experiment_name} plans {len(keys)} keys, over the "
+                f"{experiment_name} plans {planned} keys, over the "
                 f"admission limit of {self.admission_limit}")
-        return experiment, values, keys
+        return experiment, values, plan, planned
 
     # -- submission ------------------------------------------------------------
 
@@ -184,20 +182,21 @@ class CampaignService:
         """
         if self._closed:
             raise AdmissionError("service is shut down")
-        experiment, values, keys = self._admit(experiment_name, knobs)
+        experiment, values, plan, planned = self._admit(experiment_name,
+                                                        knobs)
         digest = config_digest(experiment.name, sorted(values.items()),
                                self.seed)
         self.stats.submissions += 1
         if not self.coalesce:
             return self._threads.submit(self._execute, experiment,
-                                        values, keys, digest)
+                                        values, plan, planned, digest)
         with self._lock:
             leader = self._inflight.get(digest)
             if leader is not None:
                 self.stats.coalesced += 1
                 return _follower(leader)
             future = self._threads.submit(self._execute, experiment,
-                                          values, keys, digest)
+                                          values, plan, planned, digest)
             self._inflight[digest] = future
         # Outside the lock: a future that already finished runs its
         # callback synchronously right here, and _forget retakes the
@@ -231,22 +230,21 @@ class CampaignService:
                           journal=journal, resume=False,
                           explicit=False)
 
-    def _execute(self, experiment, values: "Dict[str, Any]",
-                 keys: "List[str]", digest: str) -> ServedResult:
+    def _execute(self, experiment, values: "Dict[str, Any]", plan: Plan,
+                 planned: int, digest: str) -> ServedResult:
         flight_store = SingleFlightStore(self.store, self.flight)
         resilience = self._resilience(experiment.name)
         session = Session(seed=self.seed, workers=self.workers,
                           store=flight_store, knobs=values,
                           resilience=resilience)
         try:
-            artifact = experiment.run(session)
+            artifact = experiment.render(experiment.execute(session, plan))
         except Exception:
             self.stats.failed += 1
             raise
         finally:
             resilience.close()
             flight_store.release()
-        planned = len(keys)
         executed = flight_store.executed
         result = ServedResult(
             experiment=experiment.name, knobs=dict(values),
@@ -257,24 +255,7 @@ class CampaignService:
         self.stats.keys_planned += planned
         self.stats.keys_executed += executed
         self.stats.keys_waited += flight_store.waited
-        self._maybe_rebalance()
         return result
-
-    def _maybe_rebalance(self) -> None:
-        """Kick the hot-shard rebalancer in the background when the
-        heat counters say a shard is skewed; never on the submission's
-        critical path."""
-        if self.store.heat.hot_shards(
-                min_reads=self.rebalance_min_reads,
-                skew=self.rebalance_skew):
-            self._threads.submit(self._rebalance)
-
-    def _rebalance(self) -> "List[Any]":
-        events = self.store.rebalance(
-            min_reads=self.rebalance_min_reads,
-            skew=self.rebalance_skew)
-        self.stats.rebalances += len(events)
-        return events
 
     # -- lifecycle -------------------------------------------------------------
 

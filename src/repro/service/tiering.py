@@ -8,12 +8,6 @@ preserved by construction (a payload that JSON would normalize, e.g.
 tuples to lists, normalizes identically from either tier).  Caching
 text rather than live objects also makes hits immune to caller-side
 mutation: every hit materializes a fresh object.
-
-The tier also watches where disk reads land.  A skewed campaign mix
-concentrates traffic on a few shards (hot partitions); when a shard's
-backing-read count exceeds a multiple of the uniform share, the
-rebalancer preloads it into the LRU and compacts its pack's dead
-bytes in the background.
 """
 
 from __future__ import annotations
@@ -21,7 +15,6 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..testbed.store import (CacheStats, Decoded, decode_record,
@@ -88,57 +81,6 @@ class LRUCache:
         self._data.clear()
 
 
-class ShardHeat:
-    """Backing-read traffic per shard, for hot-partition detection.
-
-    Content-addressed keys spread uniformly over 256 shards, so the
-    expected share of any shard is ``total / 256``; a shard is *hot*
-    when its reads exceed ``skew`` times that share (and an absolute
-    floor, so cold services never rebalance on noise).  Counts are
-    halved after every rebalance pass, keeping the signal recent.
-    """
-
-    SHARD_SPACE = 256
-
-    def __init__(self) -> None:
-        self.counts: "Dict[str, int]" = {}
-
-    def note(self, shard: str, reads: int = 1) -> None:
-        if reads > 0:
-            self.counts[shard] = self.counts.get(shard, 0) + reads
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def hot_shards(self, min_reads: int = 64,
-                   skew: float = 8.0) -> "List[str]":
-        total = self.total()
-        uniform_share = total / self.SHARD_SPACE
-        return sorted(shard for shard, reads in self.counts.items()
-                      if reads >= min_reads
-                      and reads >= skew * uniform_share)
-
-    def decay(self) -> None:
-        self.counts = {shard: reads // 2
-                       for shard, reads in self.counts.items()
-                       if reads // 2 > 0}
-
-
-@dataclass
-class RebalanceEvent:
-    """One hot shard handled by a rebalance pass."""
-
-    shard: str
-    #: Entries preloaded into the memory tier.
-    preloaded: int
-    #: Dead bytes reclaimed by compacting the shard's pack.
-    reclaimed_bytes: int
-
-    def summary(self) -> str:
-        return (f"shard={self.shard} preloaded={self.preloaded} "
-                f"reclaimed={self.reclaimed_bytes}B")
-
-
 class TieredStore:
     """Memory tier + disk tier behind the one store interface.
 
@@ -157,11 +99,7 @@ class TieredStore:
         self.backing = backing
         self.lru = LRUCache(capacity)
         self.stats = CacheStats()
-        self.heat = ShardHeat()
         self._lock = threading.RLock()
-        #: A rebalance preload fills at most this fraction of the LRU
-        #: per shard, so one huge hot shard cannot flush the whole tier.
-        self.preload_fraction = 0.25
 
     # -- reads -----------------------------------------------------------------
 
@@ -184,8 +122,6 @@ class TieredStore:
                     continue
                 self.stats.hits += 1
             if missing:
-                for key in missing:
-                    self.heat.note(key[:2])
                 found = self.backing.get_many(missing, _identity)
                 for key in missing:
                     payload = found.get(key, _MISSING)
@@ -239,37 +175,6 @@ class TieredStore:
             self.lru.clear()
             return stats
 
-    def rebalance(self, min_reads: int = 64,
-                  skew: float = 8.0) -> "List[RebalanceEvent]":
-        """Handle every currently hot shard: preload its payloads into
-        the memory tier and compact its pack's dead bytes.  Returns one
-        event per shard handled (empty when nothing is hot), then
-        decays the heat counters."""
-        with self._lock:
-            hot = self.heat.hot_shards(min_reads=min_reads, skew=skew)
-            if not hot:
-                return []
-            events: "List[RebalanceEvent]" = []
-            budget = max(1, int(self.lru.capacity
-                                * self.preload_fraction))
-            for shard in hot:
-                preloaded = 0
-                for key, payload in self.backing.shard_payloads(
-                        shard).items():
-                    if preloaded >= budget:
-                        break
-                    if key not in self.lru:
-                        self.lru.put(key, _freeze(payload))
-                        preloaded += 1
-                reclaimed = 0
-                if self.backing.dead_bytes(shard) > 0:
-                    reclaimed = self.backing.compact_shard(shard)
-                events.append(RebalanceEvent(
-                    shard=shard, preloaded=preloaded,
-                    reclaimed_bytes=reclaimed))
-            self.heat.decay()
-            return events
-
     # -- plumbing ----------------------------------------------------------------
 
     @property
@@ -293,6 +198,4 @@ class TieredStore:
         self.backing = state["backing"]
         self.lru = LRUCache(state["capacity"])
         self.stats = CacheStats()
-        self.heat = ShardHeat()
         self._lock = threading.RLock()
-        self.preload_fraction = 0.25

@@ -12,11 +12,12 @@ plain :class:`~repro.experiments.base.Experiment`\\ s: pure ``plan()``
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from ..experiments.base import Artifact, Experiment, Knob, Session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.parallel import Plan
     from .search import SearchBudget, SearchResult, SynthesisSearch
 
 #: The default ablation base: the draft reference client consumes
@@ -104,8 +105,8 @@ class _SynthesisExperiment(Experiment):
         promoter = Promoter(space, limit=limit)
         return SynthesisSearch(space, strategy, scorer, promoter)
 
-    def plan(self, session: Session) -> Iterator[str]:
-        yield from self._search(session).plan()
+    def plan(self, session: Session) -> "Plan":
+        return self._search(session).plan()
 
     # -- shared rendering pieces ----------------------------------------------
 
@@ -185,8 +186,11 @@ class SynthesizeScenariosExperiment(_SynthesisExperiment):
     title = "search the impairment space for discriminating scenarios"
     paper = "§4.3 extension; PAPERS.md: Ang 2025, Rath 2018"
 
-    def execute(self, session: Session) -> SearchResult:
-        return self._search(session).execute(workers=session.workers)
+    def execute(self, session: Session, plan: "Plan") -> SearchResult:
+        from ..testbed.parallel import PlanCursor
+
+        return self._search(session).execute(session.workers,
+                                             PlanCursor(plan))
 
     def render(self, result: SearchResult) -> Artifact:
         lines = self._header_lines(result)
@@ -202,11 +206,12 @@ class SynthesizeReportExperiment(_SynthesisExperiment):
     title = "fingerprint clients against the synthesized battery"
     paper = "§4.3 extension; PAPERS.md: Ang 2025, Rath 2018"
 
-    def execute(self, session: Session) -> Dict[str, Any]:
+    def execute(self, session: Session, plan: "Plan") -> Dict[str, Any]:
         from ..conformance import fingerprint_client
+        from ..testbed.parallel import PlanCursor
 
-        search = self._search(session)
-        result = search.execute(workers=session.workers)
+        cursor = PlanCursor(plan)
+        result = self._search(session).execute(session.workers, cursor)
         battery = [p.scenario for p in result.promotions]
         fingerprints = []
         if battery:
@@ -214,7 +219,7 @@ class SynthesizeReportExperiment(_SynthesisExperiment):
                 fingerprint_client(profile, seed=session.seed,
                                    store=session.store,
                                    workers=session.workers,
-                                   battery=battery)
+                                   battery=battery, cursor=cursor)
                 for profile in _resolve_clients(
                     session.knob("clients", "all"))]
         return {"result": result, "battery": battery,

@@ -1,9 +1,10 @@
 """Candidate scoring: behaviour signatures, disagreement, ablations.
 
 A candidate is worth promoting when registered clients *behave
-differently* under it.  The scorer runs every candidate case through
-the regular :class:`~repro.testbed.runner.TestRunner` (store-backed,
-worker-pooled) against all registered clients plus per-stage ablation
+differently* under it.  The scorer builds every candidate round as a
+regular :class:`~repro.testbed.runner.TestRunner` campaign (resolved
+store-backed and worker-pooled by the one executor) against all
+registered clients plus per-stage ablation
 variants of a base profile, compresses each run into a categorical
 :func:`behaviour signature <signature_of>`, and scores:
 
@@ -25,7 +26,7 @@ and warm-store scoring are byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
 from ..testbed.resilience import Resilience
@@ -160,24 +161,12 @@ class Scorer:
     # -- campaign plumbing -----------------------------------------------------
 
     def runner_for(self, candidates: "Sequence[Candidate]") -> TestRunner:
+        """One scoring round's campaign: every candidate case against
+        the campaign client list."""
         cases = [self.space.case_for(c) for c in candidates]
-        return TestRunner(self._runner_clients, cases, seed=self.seed,
-                          store=self.store, resilience=self.resilience)
-
-    def plan_keys(self, candidates: "Sequence[Candidate]"
-                  ) -> "Iterator[str]":
-        """Store keys of one scoring round, enumeration order, pure."""
-        yield from self.runner_for(candidates).store_keys()
+        return TestRunner(self._runner_clients, cases, seed=self.seed)
 
     # -- scoring ---------------------------------------------------------------
-
-    def score_candidates(self, candidates: "Sequence[Candidate]",
-                         workers: "Optional[int]" = None
-                         ) -> "List[CandidateScore]":
-        """Execute (or warm-replay) one round and score it."""
-        runner = self.runner_for(candidates)
-        return self.score_records(candidates,
-                                  list(runner.stream(workers=workers)))
 
     def score_records(self, candidates: "Sequence[Candidate]",
                       records: "Sequence[RunRecord]"

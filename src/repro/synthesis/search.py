@@ -10,11 +10,12 @@ and because seeding streams are per-dimension and per-index
 candidate list instead of reshuffling it, replaying every overlapping
 key of a smaller run.
 
-``plan()`` follows the probe's plan-purity contract: the seeding
-round's keys are known statically and always yielded; refinement
-rounds depend on scores, so they are resolved from the store *only*
-when every key of the previous round is already cached — a cold plan
-is the seeding round, a warm plan is the whole search.
+The rounds are one stage loop (:meth:`SynthesisSearch.stages`), which
+planning drives against the store and execution through the executor:
+the seeding round is known statically and always planned; refinement
+rounds depend on scores, so they are planned *only* when every record
+of the previous round is already cached — a cold plan is the seeding
+round, a warm plan is the whole search.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..testbed.parallel import (Plan, PlanCursor, StageDriver,
+                                execute_stages, plan_stages)
 from .promote import Promoter, Promotion
 from .score import CandidateScore, Scorer, rank
 from .space import Candidate, ScenarioSpace
@@ -143,7 +146,9 @@ class SynthesisSearch:
         for round_index in range(1, self.strategy.budget.rounds + 1):
             yield round_index, "refine"
 
-    def execute(self, workers: "Optional[int]" = None) -> SearchResult:
+    def stages(self) -> StageDriver:
+        """The search's one stage loop: the seeding round, then each
+        refinement round proposed from the scores so far."""
         pool: "Dict[str, CandidateScore]" = {}
         reports: "List[RoundReport]" = []
         candidates = self.strategy.seed_round()
@@ -151,15 +156,16 @@ class SynthesisSearch:
             fresh = [c for c in candidates if c.digest not in pool]
             if not fresh:
                 break
-            scores = self.scorer.score_candidates(fresh, workers=workers)
-            for score in scores:
+            last = round_index >= self.strategy.budget.rounds
+            records = yield self.scorer.runner_for(fresh), last
+            for score in self.scorer.score_records(fresh, records):
                 pool[score.candidate.digest] = score
             best = rank(list(pool.values()))[0]
             reports.append(RoundReport(
                 index=round_index, kind=kind, evaluated=len(fresh),
                 best_total=best.total,
                 best_digest=best.candidate.digest))
-            if round_index >= self.strategy.budget.rounds:
+            if last:
                 break
             candidates = self.strategy.refine(pool)
         ranked = tuple(rank(list(pool.values())))
@@ -170,34 +176,13 @@ class SynthesisSearch:
                             rounds=tuple(reports), ranked=ranked,
                             promotions=promotions)
 
-    def plan(self) -> "Iterator[str]":
-        """Store keys the search will touch, without executing.
+    def execute(self, workers: "Optional[int]" = None,
+                cursor: "Optional[PlanCursor]" = None) -> SearchResult:
+        """Run the search, taking each round from the plan ``cursor``
+        walks where planning reached it."""
+        return execute_stages(self.stages(), self.scorer.store, workers,
+                              self.scorer.resilience, cursor)
 
-        Seeding-round keys are static.  Each refinement round is
-        planned only when every key of the previous round resolves
-        from the store (the probe's plan-purity template): scores are
-        then recomputed from the cached records, and the next round's
-        proposals — hence keys — follow deterministically.
-        """
-        store = self.scorer.store
-        pool: "Dict[str, CandidateScore]" = {}
-        candidates = self.strategy.seed_round()
-        for round_index, _kind in self._rounds():
-            fresh = [c for c in candidates if c.digest not in pool]
-            if not fresh:
-                break
-            runner = self.scorer.runner_for(fresh)
-            keys = list(runner.store_keys())
-            for key in keys:
-                yield key
-            if round_index >= self.strategy.budget.rounds:
-                break
-            if store is None:
-                break
-            cached = store.get_many_records(keys)
-            if len(cached) < len(keys):
-                break
-            records = [cached[key] for key in keys]
-            for score in self.scorer.score_records(fresh, records):
-                pool[score.candidate.digest] = score
-            candidates = self.strategy.refine(pool)
+    def plan(self) -> Plan:
+        """Every run the search will touch, without executing."""
+        return plan_stages([self.stages()], self.scorer.store)

@@ -30,7 +30,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Set, TYPE_CHECKING, Union
+from typing import Any, List, Optional, Set, TYPE_CHECKING, Union
 
 from ..seeding import backoff_jitter, stable_run_seed
 
@@ -274,17 +274,13 @@ class Resilience:
         else:
             self.manifest.journal_stale += 1
 
-    def store_fresh(self, store, key: str, record: "RunRecord") -> None:
-        """Persist + journal one freshly executed record.
-
-        Harness-failure records are never stored (a later run must
-        retry, not replay the failure); store write errors degrade to
-        an uncached record instead of aborting the campaign.
-        """
-        if is_harness_failure(record):
-            return
+    def store_fresh(self, store, key: str, payload: Any) -> None:
+        """Persist + journal one freshly executed entry's payload
+        (harness-failure records never get here: a later run must
+        retry, not replay the failure).  A store write error degrades
+        to an uncached record instead of aborting the campaign."""
         try:
-            store.put_record(key, record)
+            store.put(key, payload)
         except OSError:
             self.manifest.store_write_errors += 1
             return
@@ -315,6 +311,9 @@ def failure_record(case: "TestCaseConfig", profile: "ClientProfile",
                f"(attempts={failure.attempts})"))
 
 
-def is_harness_failure(record: "RunRecord") -> bool:
-    return (record.error is not None
-            and record.error.startswith(HARNESS_ERROR_PREFIX))
+def is_harness_failure(record: Any) -> bool:
+    """Whether ``record`` is a run record the harness gave up on (any
+    other kind of record — web sessions, resolver observations — never
+    is)."""
+    error = getattr(record, "error", None)
+    return isinstance(error, str) and error.startswith(HARNESS_ERROR_PREFIX)

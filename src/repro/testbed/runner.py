@@ -22,20 +22,17 @@ Campaigns can be consumed three ways:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from statistics import median
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
 from ..clients.profile import ClientProfile
-from ..fanout import shared_map
-from ..seeding import render_part
+from ..seeding import render_part, run_seeder
 from ..simnet.addr import Family
 from ..simnet.packet import Protocol
 from .config import SweepSpec, TestCaseConfig, TestCaseKind
-from .parallel import (RunSpec, resolve_specs, run_keys, run_seeds,
-                       run_spec, spec_keys, spec_label)
-from .resilience import Resilience, failure_record
+from .parallel import Plan, RunSpec, resolve_specs, spec_keys
+from .resilience import Resilience
 from .store import CampaignStore, config_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -351,10 +348,13 @@ class TestRunner:
         """
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
-        return resolve_specs(self, self.enumerate_specs(), lambda pending: (
-            shared_map(partial(run_spec, self), pending, workers,
-                       self.resilience, partial(spec_label, self),
-                       self._failure_record)))
+        return resolve_specs(self.plan(), self.store, workers,
+                             self.resilience)
+
+    def plan(self) -> Plan:
+        """Every run of the campaign as a plan entry — coordinates,
+        seed and store key — in enumeration order, executing nothing."""
+        return Plan(spec_keys(self, self.enumerate_specs()))
 
     def enumerate_specs(self) -> "List[RunSpec]":
         """Every run's coordinates, in campaign enumeration order.
@@ -374,25 +374,7 @@ class TestRunner:
                                              value_ms, repetition))
         return specs
 
-    def _failure_record(self, spec: RunSpec, failure) -> RunRecord:
-        """The harness-failure record of a spec out of retries."""
-        return failure_record(self.cases[spec.case_index],
-                              self.clients[spec.client_index],
-                              spec.value_ms, spec.repetition, failure)
-
     # -- caching ------------------------------------------------------------------
-
-    def store_keys(self) -> "Iterator[str]":
-        """The content address of every run in this campaign, in
-        enumeration order, without executing anything.  ``repro cache
-        gc`` uses this to mark a campaign's entries as live."""
-        yield from spec_keys(self, self.enumerate_specs())
-
-    def run_seed_for(self, case: TestCaseConfig, profile: ClientProfile,
-                     value_ms: int, repetition: int) -> int:
-        """The stable seed of one run (see :func:`.parallel.run_seeds`)."""
-        return run_seeds(self, case, profile)(render_part(value_ms),
-                                              render_part(repetition))
 
     def config_digest_for(self, case: TestCaseConfig,
                           profile: ClientProfile) -> str:
@@ -410,16 +392,13 @@ class TestRunner:
         return config_digest(case_identity, profile,
                              self.resolver_timeout, self.hev3_flag)
 
-    def store_key_for(self, case: TestCaseConfig, profile: ClientProfile,
-                      value_ms: int, repetition: int) -> str:
-        """The store key of one run (see :func:`.parallel.run_keys`)."""
-        return run_keys(self, case, profile)(value_ms, repetition)
-
     # -- one run ------------------------------------------------------------------
 
     def run_single(self, case: TestCaseConfig, profile: ClientProfile,
-                   value_ms: int, repetition: int = 0) -> RunRecord:
-        """One fully isolated test run (fresh testbed + client).
+                   value_ms: int, repetition: int = 0,
+                   run_seed: Optional[int] = None) -> RunRecord:
+        """One fully isolated test run (fresh testbed + client), seeded
+        by its plan entry's ``run_seed`` (derived here when omitted).
 
         The simulator stack imports here, not at module level, so a
         campaign whose runs all come from the store never loads it.
@@ -429,7 +408,9 @@ class TestRunner:
         from .modules import modules_for
         from .topology import LocalTestbed
 
-        run_seed = self.run_seed_for(case, profile, value_ms, repetition)
+        if run_seed is None:
+            run_seed = run_seeder(self.seed, case.name, profile.full_name)(
+                render_part(value_ms), render_part(repetition))
         testbed = LocalTestbed(seed=run_seed,
                                resolver_timeout=self.resolver_timeout)
         modules = modules_for(case)

@@ -230,15 +230,6 @@ class CacheStats:
         ``invalid`` under the name the ``[cache]`` line reports)."""
         return self.invalid
 
-    def merge(self, other: "CacheStats") -> None:
-        """Fold counters from another handle in (e.g. a worker's
-        pickled store copy) so campaign totals stay truthful."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.invalid += other.invalid
-        self.quarantined += other.quarantined
-
     def summary(self) -> str:
         return (f"hits={self.hits} misses={self.misses} "
                 f"stores={self.stores} entries_invalid={self.invalid} "
@@ -343,8 +334,7 @@ class CampaignStore:
     refuses to index and the next append heals by prefixing a newline
     (the torn bytes become one dead, never-indexed line).  Superseding
     writes and quarantined records leave dead bytes behind; they are
-    tracked per shard and reclaimed by :meth:`compact_shard` or
-    :meth:`gc`.
+    tracked per shard and reclaimed by :meth:`gc`.
 
     Handles are not internally locked: callers that share one handle
     across threads must serialize access (the campaign service's tiered
@@ -856,30 +846,9 @@ class CampaignStore:
             for key in sorted(state["offsets"]):
                 yield key, path
 
-    def shard_payloads(self, shard: str) -> "Dict[str, Any]":
-        """Every valid payload of one shard, keyed by entry key — the
-        bulk-preload primitive hot-shard rebalancing uses.  Does not
-        touch the lookup counters."""
-        state = self._ensure_shard(shard)
-        if state is None:
-            return {}
-        buffer, rows = self._read_pack(shard)
-        out: "Dict[str, Any]" = {}
-        for key, (start, length) in sorted(state["offsets"].items()):
-            data = (rows[start] if start in rows
-                    else _parse_line(buffer[start:start + length]))
-            payload = _entry_payload(key, data)
-            if payload is not _INVALID:
-                out[key] = payload
-        return out
-
     def dead_bytes(self, shard: str) -> int:
         state = self._ensure_shard(shard)
         return 0 if state is None else state["dead"]
-
-    def pack_size(self, shard: str) -> int:
-        state = self._ensure_shard(shard)
-        return 0 if state is None else state["size"]
 
     def _rewrite_pack(self, shard: str, keys: "List[str]",
                       state: dict) -> "Tuple[int, int]":
@@ -916,18 +885,6 @@ class CampaignStore:
         self._flush_pack_index(shard, new_state)
         return old_size, offset
 
-    def compact_shard(self, shard: str) -> int:
-        """Drop a shard's dead bytes (superseded and quarantined
-        records, healed torn tails); returns the bytes reclaimed.
-        This is the background half of hot-shard rebalancing."""
-        state = self._ensure_shard(shard)
-        if state is None or (state["dead"] == 0
-                             and state["scanned"] == state["size"]):
-            return 0
-        keys = sorted(state["offsets"])
-        old_size, new_size = self._rewrite_pack(shard, keys, state)
-        return old_size - new_size
-
     def gc(self, live_keys: "Iterable[str]",
            dry_run: bool = False) -> GCStats:
         """Drop every entry whose key is not in ``live_keys``.
@@ -935,7 +892,8 @@ class CampaignStore:
         Content-addressed entries accumulate forever: any sweep, seed,
         profile, or package-version change strands the old digests.  GC
         is a mark-and-sweep — the caller enumerates the keys its current
-        campaigns reference (see ``TestRunner.store_keys``) and each
+        campaigns reference (every registered experiment's plan keys)
+        and each
         pack is *rewritten* keeping only live records (byte-identical
         slices); a shard whose records are all live and dead-byte-free
         is left untouched.  Stale ``.tmp-*`` droppings go, and so do

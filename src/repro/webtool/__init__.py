@@ -10,7 +10,8 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "campaign": ("BrowserAggregate", "CampaignResult", "TABLE5_MATRIX",
-                 "UAEntry", "WebCampaign", "profile_for_entry"),
+                 "UAEntry", "WebCampaign", "WebRun", "profile_for_entry",
+                 "run_web_plan"),
     "ladder": ("DELAY_LADDER_MS", "DelayStep", "WEBTOOL_DOMAIN",
                "build_ladder", "cad_interval_from_outcomes"),
     "rd_page": ("RD_DELAY_STEPS_MS", "RDProbeOutcome", "RDSessionResult",

@@ -10,13 +10,13 @@ validation and consistency columns of Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import get_profile
-from ..fanout import shared_map
 from ..seeding import stable_run_seed
 from ..simnet.addr import Family
+from ..testbed.parallel import Plan, resolve_specs
 from ..testbed.store import CampaignStore
 from .server import WebToolDeployment
 from .session import (NetworkConditions, SessionResult, StepOutcome,
@@ -194,29 +194,44 @@ def _decode_sessions(payload: list) -> List[SessionResult]:
     return sessions
 
 
-def _run_entry_sessions(
-        payload: "Tuple[UAEntry, int, int, NetworkConditions]",
-        attempt: int) -> List[SessionResult]:
-    """Process-pool entry point: all repetitions of one UA entry
-    (``attempt`` is unused: no fault plan reaches web entries).
+class WebRun(NamedTuple):
+    """One UA entry's sessions: the web campaign's plan entry."""
 
-    Each entry gets its own deployment seeded from the campaign seed
-    and the entry label, and explicit session indices — results are a
-    pure function of the payload, independent of worker scheduling.
-    """
-    entry, seed, repetitions, conditions = payload
-    deployment = WebToolDeployment(
-        seed=stable_run_seed(seed, "web-entry", entry.label))
-    profile = profile_for_entry(entry)
-    sessions: List[SessionResult] = []
-    for repetition in range(repetitions):
-        session = WebToolSession(
+    campaign: "WebCampaign"
+    entry: UAEntry
+    repetitions: int
+    key: str
+
+    decode = staticmethod(_decode_sessions)
+    encode = staticmethod(_encode_sessions)
+
+    def execute(self, fault_plan: Any, attempt: int) -> List[SessionResult]:
+        """All repetitions of the entry, in this process (no fault
+        plan targets web entries).
+
+        Each entry gets its own deployment seeded from the campaign
+        seed and the entry label, and explicit session indices —
+        results are a pure function of the entry, independent of
+        worker scheduling.
+        """
+        entry = self.entry
+        deployment = WebToolDeployment(
+            seed=stable_run_seed(self.campaign.seed, "web-entry",
+                                 entry.label))
+        profile = profile_for_entry(entry)
+        return [WebToolSession(
             deployment, profile,
             os_name=f"{entry.os_name} {entry.os_version}".strip(),
-            repetition=repetition, conditions=conditions,
-            session_index=repetition + 1)
-        sessions.append(session.run())
-    return sessions
+            repetition=repetition, conditions=self.campaign.conditions,
+            session_index=repetition + 1).run()
+            for repetition in range(self.repetitions)]
+
+    def label(self) -> str:
+        return f"web/{self.entry.label}"
+
+    def failed(self, failure: Any) -> List[SessionResult]:
+        raise RuntimeError(f"{self.label()}: {failure.error} "
+                           f"(attempts={failure.attempts})")
 
 
 class WebCampaign:
@@ -228,61 +243,43 @@ class WebCampaign:
         self.repetitions = repetitions
         self.conditions = conditions or NetworkConditions.residential()
 
-    def store_keys(self, entries: "Tuple[UAEntry, ...]" = TABLE5_MATRIX,
-                   repetitions: Optional[int] = None) -> "List[str]":
-        """The content address of every entry's session list, without
-        running anything (``repro cache gc`` marks these as live)."""
+    def plan(self, entries: "Tuple[UAEntry, ...]" = TABLE5_MATRIX,
+             repetitions: Optional[int] = None) -> Plan:
+        """One :class:`WebRun` per UA entry, keyed by the full ``(seed,
+        entry, repetitions, conditions)`` content digest — nothing
+        runs."""
         reps = repetitions if repetitions is not None else self.repetitions
-        return [CampaignStore.key("web-campaign", self.seed, entry,
-                                  reps, self.conditions)
-                for entry in entries]
+        return Plan(WebRun(self, entry, reps,
+                           CampaignStore.key("web-campaign", self.seed,
+                                             entry, reps, self.conditions))
+                    for entry in entries)
 
     def run(self, entries: "Tuple[UAEntry, ...]" = TABLE5_MATRIX,
             repetitions: Optional[int] = None,
             workers: Optional[int] = None,
             store: Optional[CampaignStore] = None) -> CampaignResult:
-        """Visit the tool for every entry × repetition.
+        """Visit the tool for every entry × repetition (see
+        :func:`run_web_plan`)."""
+        return run_web_plan(self.plan(entries, repetitions), store,
+                            workers)
 
-        Every entry runs on its own deployment seeded from the
-        campaign seed and the entry label, with explicit session
-        indices — the campaign result is a pure function of
-        ``(seed, entries, repetitions, conditions)``, independent of
-        process history.  ``workers=N`` fans entries out over N
-        processes and returns *identical* results in entry order.
 
-        That purity makes entries cacheable exactly like testbed runs:
-        with ``store``, each entry's sessions are keyed by the full
-        ``(seed, entry, repetitions, conditions)`` content digest, so
-        a re-run with unchanged configuration replays from cache and
-        only changed entries execute.
-        """
-        result = CampaignResult()
-        reps = repetitions if repetitions is not None else self.repetitions
-        entry_sessions: List[Optional[List[SessionResult]]] = \
-            [None] * len(entries)
-        keys: List[Optional[str]] = [None] * len(entries)
-        pending: List[int] = []
-        cached_entries: dict = {}
-        if store is not None:
-            keys = self.store_keys(entries, reps)
-            # One batched lookup over the whole matrix.
-            cached_entries = store.get_many(keys, _decode_sessions)
-        for index, entry in enumerate(entries):
-            if store is not None:
-                cached = cached_entries.get(keys[index])
-                if cached is not None:
-                    entry_sessions[index] = cached
-                    continue
-            pending.append(index)
-        payloads = [(entries[index], self.seed, reps, self.conditions)
-                    for index in pending]
-        fresh = shared_map(_run_entry_sessions, payloads, workers)
-        for index, sessions in zip(pending, fresh):
-            entry_sessions[index] = sessions
-            if store is not None:
-                store.put(keys[index], _encode_sessions(sessions))
-        for sessions in entry_sessions:
-            assert sessions is not None
-            for session in sessions:
-                result.add(session)
-        return result
+def run_web_plan(plan: "Plan", store: Any = None,
+                 workers: Optional[int] = None,
+                 resilience: Any = None) -> CampaignResult:
+    """Every session of a web campaign's plan, in entry order.
+
+    Every entry runs on its own deployment seeded from the campaign
+    seed and the entry label, with explicit session indices — the
+    result is a pure function of ``(seed, entries, repetitions,
+    conditions)``, independent of process history.  ``workers=N`` fans
+    entries out over N processes and returns *identical* results.
+    That purity makes entries cacheable exactly like testbed runs: with
+    ``store``, a re-run with unchanged configuration replays from cache
+    and only changed entries execute.
+    """
+    result = CampaignResult()
+    for sessions in resolve_specs(plan, store, workers, resilience):
+        for session in sessions:
+            result.add(session)
+    return result

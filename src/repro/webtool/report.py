@@ -7,10 +7,11 @@ and into the "Consistency" column of Table 2.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from .campaign import BrowserAggregate
-from .session import SessionResult
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .campaign import BrowserAggregate
+    from .session import SessionResult
 
 
 class ConsistencyMark(enum.Enum):

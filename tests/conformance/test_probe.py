@@ -84,7 +84,7 @@ class TestAdaptiveProbe:
 
 
 class TestKeyPlanning:
-    def test_store_keys_cover_the_warm_battery(self, tmp_path):
+    def test_plan_covers_the_warm_battery(self, tmp_path):
         """After a cold probe, the planned key set contains every key
         the probe touched — the gc contract that a warm battery stays
         fully cached."""
@@ -97,7 +97,7 @@ class TestKeyPlanning:
         on_disk = {key for key, _ in store.entries()}
         planned = set(ConformanceProbe(
             profile, seed=7, store=CampaignStore(tmp_path),
-            battery=battery).store_keys())
+            battery=battery).plan().keys())
         assert on_disk <= planned
 
     def test_cold_planning_skips_unknowable_fine_keys(self, tmp_path):
@@ -106,7 +106,7 @@ class TestKeyPlanning:
         probe = ConformanceProbe(profile, seed=7,
                                  store=CampaignStore(tmp_path),
                                  battery=[scenario])
-        planned = list(probe.store_keys())
+        planned = probe.plan().keys()
         # Cold store: only the enumerable coarse keys are planned.
         assert len(planned) == len(scenario.case.sweep)
 
@@ -117,7 +117,7 @@ class TestKeyPlanning:
         battery = [scenario_by_name("v6-delay-sweep"),
                    scenario_by_name("v6-blackhole")]
         probe = ConformanceProbe(profile, battery=battery)
-        planned = list(probe.store_keys())
+        planned = probe.plan().keys()
         expected = sum(len(s.case.sweep) * s.case.repetitions
                        for s in battery)
         assert len(planned) == expected

@@ -138,8 +138,8 @@ class TestTargetedInvalidation:
         runner = PopulationRunner(spec, samples, seed=0)
         specs = runner.enumerate_specs()
         keyed = {}
-        for spec_item, key in zip(specs, spec_keys(runner, specs)):
-            keyed.setdefault(spec_item.case_index, set()).add(key)
+        for spec_item, entry in zip(specs, spec_keys(runner, specs)):
+            keyed.setdefault(spec_item.case_index, set()).add(entry.key)
         return runner, keyed
 
     def test_spec_edit_invalidates_exactly_the_moved_samples(self):
@@ -185,9 +185,9 @@ class TestRunnerShape:
         assert all(s.case_index == s.client_index for s in specs)
         assert all(s.repetition == 0 for s in specs)
 
-    def test_store_keys_are_distinct(self):
+    def test_plan_keys_are_distinct(self):
         runner = PopulationRunner(resolve_spec("default"), 10, seed=0)
-        keys = list(runner.store_keys())
+        keys = runner.plan().keys()
         assert len(keys) == len(set(keys)) == 10 * 3
 
     def test_runner_pickles_as_its_recipe(self):

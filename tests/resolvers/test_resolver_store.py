@@ -7,9 +7,9 @@ import pytest
 from repro.resolvers.models import BIND9, UNBOUND
 from repro.resolvers.testbed import (decode_observation,
                                      encode_observation,
-                                     resolver_campaign_keys,
-                                     resolver_run_key,
+                                     resolver_campaign_plan,
                                      run_resolver_campaign)
+from repro.seeding import stable_run_seed
 from repro.testbed import CampaignStore
 
 DELAYS = [0, 100]
@@ -61,27 +61,41 @@ class TestCampaignCaching:
         assert store.stats.misses == 1 * REPS  # only the 50 ms runs
 
     def test_behavior_change_misses(self):
-        base = resolver_run_key(BIND9, 3, 100, 0)
+        def run_key(behavior, seed, delay_ms, repetition):
+            plan = resolver_campaign_plan(behavior, [delay_ms],
+                                          repetition + 1, seed)
+            return plan[repetition].key
+
+        base = run_key(BIND9, 3, 100, 0)
         slower = dataclasses.replace(BIND9, attempt_timeout=1.2)
-        assert resolver_run_key(slower, 3, 100, 0) != base
-        assert resolver_run_key(BIND9, 4, 100, 0) != base
-        assert resolver_run_key(BIND9, 3, 101, 0) != base
-        assert resolver_run_key(BIND9, 3, 100, 1) != base
+        assert run_key(slower, 3, 100, 0) != base
+        assert run_key(BIND9, 4, 100, 0) != base
+        assert run_key(BIND9, 3, 101, 0) != base
+        assert run_key(BIND9, 3, 100, 1) != base
 
     def test_campaign_keys_enumerate_every_run(self, tmp_path):
         store = CampaignStore(tmp_path)
         run_resolver_campaign(BIND9, delays_ms=DELAYS, repetitions=REPS,
                               seed=3, store=store)
-        keys = resolver_campaign_keys(BIND9, DELAYS, REPS, 3)
+        keys = resolver_campaign_plan(BIND9, DELAYS, REPS, 3).keys()
         assert {key for key, _ in store.entries()} == set(keys)
 
     def test_campaign_keys_match_run_keys_in_order(self):
-        """The campaign renders the behaviour once; every key must
-        still equal the per-run formula."""
+        """The plan renders the behaviour once; every entry's seed and
+        key must still equal the per-run formula, in run order."""
         for behavior in (BIND9, UNBOUND):
-            assert resolver_campaign_keys(behavior, [0, 50, 100], 3, 7) == [
-                resolver_run_key(behavior, 7, delay_ms, repetition)
-                for delay_ms in (0, 50, 100) for repetition in range(3)]
+            plan = resolver_campaign_plan(behavior, [0, 50, 100], 3, 7)
+            coordinates = [(delay_ms, repetition)
+                           for delay_ms in (0, 50, 100)
+                           for repetition in range(3)]
+            assert [(e.delay_ms, e.repetition) for e in plan] == coordinates
+            for entry in plan:
+                run_seed = stable_run_seed(7, behavior.name, entry.delay_ms,
+                                           entry.repetition)
+                assert entry.run_seed == run_seed
+                assert entry.key == CampaignStore.key(
+                    "resolver-run", behavior, run_seed, entry.delay_ms,
+                    entry.repetition)
 
 
 class TestTable3Store:
@@ -104,15 +118,15 @@ class TestTable3Store:
             assert warm_row.max_ipv6_delay_ms == cold_row.max_ipv6_delay_ms
             assert warm_row.ipv6_packets == cold_row.ipv6_packets
 
-    def test_store_keys_cover_the_warm_table(self, tmp_path):
-        from repro.analysis import table3_resolvers, table3_store_keys
+    def test_plan_covers_the_warm_table(self, tmp_path):
+        from repro.analysis import table3_plan, table3_resolvers
 
         kwargs = dict(seed=2, share_repetitions=4, delay_repetitions=1,
                       delays_ms=[100])
         store = CampaignStore(tmp_path)
         table3_resolvers(store=store, **kwargs)
-        planned = set(table3_store_keys(seed=2, share_repetitions=4,
-                                        delay_repetitions=1,
-                                        delays_ms=[100]))
+        planned = set(table3_plan(seed=2, share_repetitions=4,
+                                  delay_repetitions=1,
+                                  delays_ms=[100]).keys())
         on_disk = {key for key, _ in store.entries()}
         assert on_disk <= planned

@@ -2,6 +2,7 @@
 
 import json
 import threading
+from typing import NamedTuple
 
 import pytest
 
@@ -9,7 +10,15 @@ from repro.experiments.base import Artifact, Experiment, Knob, Session, \
     knob_mapping
 from repro.service import AdmissionError, CampaignService
 from repro.service.http import CampaignServiceServer, submit_request
+from repro.testbed.parallel import Plan
 from repro.testbed.store import config_digest
+
+
+class GridCell(NamedTuple):
+    """One planned grid "run": its coordinate and store key."""
+
+    index: int
+    key: str
 
 
 class GridExperiment(Experiment):
@@ -17,7 +26,7 @@ class GridExperiment(Experiment):
 
     Never registered (the registry's contract tests forbid pollution) —
     served through the service's injectable ``lookup``.  Each planned
-    key is one deterministic "run"; executions are counted on the
+    cell is one deterministic "run"; executions are counted on the
     instance so tests can assert the exactly-once invariant.
     """
 
@@ -30,27 +39,24 @@ class GridExperiment(Experiment):
         self.executions = []  # keys executed (list.append is atomic)
         self.barrier = None  # set by tests to force overlap
 
-    def _keys(self, session):
-        width = int(session.knob("width", 4))
-        return [config_digest("grid-cell", i, session.seed)
-                for i in range(width)]
-
     def plan(self, session):
-        return iter(self._keys(session))
+        width = int(session.knob("width", 4))
+        return Plan(GridCell(i, config_digest("grid-cell", i, session.seed))
+                    for i in range(width))
 
-    def execute(self, session):
-        keys = self._keys(session)
+    def execute(self, session, plan):
         store = session.store
         if self.barrier is not None:
             self.barrier.wait()
-        found = store.get_many(keys, lambda p: p)
+        found = store.get_many(plan.keys(), lambda p: p)
         values = []
-        for i, key in enumerate(keys):
-            payload = found.get(key)
+        for cell in plan:
+            payload = found.get(cell.key)
             if payload is None:
-                self.executions.append(key)
-                payload = {"cell": i, "value": i * i + session.seed}
-                store.put(key, payload)
+                self.executions.append(cell.key)
+                payload = {"cell": cell.index,
+                           "value": cell.index ** 2 + session.seed}
+                store.put(cell.key, payload)
             values.append(payload["value"])
         return values
 
@@ -121,9 +127,9 @@ class TestCoalescing:
 
         original_execute = exp.execute
 
-        def gated_execute(session):
+        def gated_execute(session, plan):
             release.wait(timeout=30.0)
-            return original_execute(session)
+            return original_execute(session, plan)
 
         exp.execute = gated_execute
         with service:
@@ -279,3 +285,66 @@ class TestHTTP:
         finally:
             server.shutdown()
             service.close()
+
+
+class CountingGrid(GridExperiment):
+    """A grid that counts its ``plan()`` calls, and how many of them
+    happened while it executed."""
+
+    def __init__(self):
+        super().__init__()
+        self.plans = 0
+        self.plans_while_executing = []
+
+    def plan(self, session):
+        self.plans += 1
+        return super().plan(session)
+
+    def execute(self, session, plan):
+        before = self.plans
+        result = super().execute(session, plan)
+        self.plans_while_executing.append(self.plans - before)
+        return result
+
+
+class TestPlannedOnce:
+    def test_each_admitted_submission_is_planned_once(self, tmp_path):
+        """Admission plans; execution runs the admitted plan."""
+        exp = CountingGrid()
+        service, _ = make_service(tmp_path, experiment=exp, coalesce=False)
+        with service:
+            cold = service.submit("grid", {"width": 5})
+            warm = service.submit("grid", {"width": 5})
+            narrow = service.submit("grid", {"width": 3})
+        assert exp.plans == 3
+        assert exp.plans_while_executing == [0, 0, 0]
+        assert (cold.planned, warm.planned, narrow.planned) == (5, 5, 3)
+        assert (cold.executed, warm.executed, narrow.executed) == (5, 0, 0)
+
+
+class TestRegisteredCampaigns:
+    """Every run a registered experiment executes goes through the
+    submission's store: the single-flight layer counts it as executed
+    and the memory tier holds it."""
+
+    @pytest.mark.parametrize("name, knobs", [
+        ("table3", {"repetitions": 2}),
+        ("table2", {"repetitions": 1}),
+    ])
+    def test_cold_runs_are_executed_through_the_tiers(self, tmp_path,
+                                                      name, knobs):
+        from repro.experiments import get_experiment
+
+        service = CampaignService(tmp_path / "cache",
+                                  lookup=get_experiment)
+        with service:
+            cold = service.submit(name, knobs)
+            written = [key for key, _ in service.store.backing.entries()]
+            warm = service.submit(name, knobs)
+        assert written
+        assert cold.executed == len(written)
+        assert cold.hits == cold.planned - len(written)
+        assert all(key in service.store.lru for key in written)
+        assert warm.executed == 0
+        assert warm.hits == warm.planned
+        assert warm.text == cold.text

@@ -1,6 +1,6 @@
-"""The memory tier: LRU semantics, hit accounting, hot-shard rebalance."""
+"""The memory tier: LRU semantics, hit accounting, maintenance."""
 
-from repro.service import LRUCache, ShardHeat, TieredStore
+from repro.service import LRUCache, TieredStore
 from repro.service.tiering import _MISSING
 from repro.testbed import CampaignStore, PackedCampaignStore
 
@@ -85,66 +85,7 @@ class TestTieredReads:
         assert found == {key: i for i, key in enumerate(keys)}
 
 
-class TestShardHeat:
-    def test_hot_needs_floor_and_skew(self):
-        heat = ShardHeat()
-        heat.note("aa", 100)
-        heat.note("bb", 1)
-        assert heat.hot_shards(min_reads=64, skew=8.0) == ["aa"]
-        # Below the absolute floor nothing is hot, however skewed.
-        cold = ShardHeat()
-        cold.note("aa", 10)
-        assert cold.hot_shards(min_reads=64, skew=8.0) == []
-
-    def test_uniform_traffic_is_never_hot(self):
-        heat = ShardHeat()
-        for i in range(256):
-            heat.note(format(i, "02x"), 100)
-        assert heat.hot_shards(min_reads=64, skew=8.0) == []
-
-    def test_decay_halves_and_drops(self):
-        heat = ShardHeat()
-        heat.note("aa", 100)
-        heat.note("bb", 1)
-        heat.decay()
-        assert heat.counts == {"aa": 50}
-
-
-class TestRebalance:
-    def test_hot_shard_preloaded_and_compacted(self, tmp_path):
-        backing = PackedCampaignStore(tmp_path)
-        tier = TieredStore(backing, capacity=64)
-        keys = keys_in_shard("aa", 8)
-        for i, key in enumerate(keys):
-            backing.put(key, {"v": i})
-        backing.put(keys[0], {"v": 100})  # dead bytes in the pack
-        for _ in range(10):  # hot: 80 reads on one shard
-            tier.lru.clear()
-            tier.get_many(keys, lambda p: p["v"])
-        events = tier.rebalance(min_reads=64, skew=8.0)
-        assert len(events) == 1
-        event = events[0]
-        assert event.shard == "aa"
-        assert event.reclaimed_bytes > 0
-        assert backing.dead_bytes("aa") == 0
-        assert all(key in tier.lru for key in keys)
-        assert tier.heat.counts.get("aa", 0) < 80  # decayed
-
-    def test_preload_budget_caps_lru_takeover(self, tmp_path):
-        backing = CampaignStore(tmp_path)
-        tier = TieredStore(backing, capacity=8)  # budget = 2 per shard
-        keys = keys_in_shard("aa", 6)
-        for i, key in enumerate(keys):
-            backing.put(key, {"v": i})
-        tier.heat.note("aa", 1000)
-        events = tier.rebalance(min_reads=64, skew=8.0)
-        assert events[0].preloaded == 2
-        assert len(tier.lru) == 2
-
-    def test_nothing_hot_is_a_noop(self, tmp_path):
-        tier = TieredStore(CampaignStore(tmp_path), capacity=8)
-        assert tier.rebalance() == []
-
+class TestMaintenance:
     def test_gc_clears_memory_tier(self, tmp_path):
         tier = TieredStore(CampaignStore(tmp_path), capacity=8)
         key = "aa" * 32

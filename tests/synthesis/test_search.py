@@ -139,7 +139,6 @@ class TestScorer:
         once = scorer.score_records(candidates, records)
         twice = scorer.score_records(candidates, records)
         assert once == twice
-        assert once == scorer.score_candidates(candidates)
 
     def test_record_count_mismatch_raises(self):
         search = build_search()
@@ -149,8 +148,9 @@ class TestScorer:
 
     def test_signatures_cover_registered_clients_in_order(self):
         search = build_search()
-        (score,) = search.scorer.score_candidates(
-            search.strategy.seed_round()[:1])
+        candidates = search.strategy.seed_round()[:1]
+        records = list(search.scorer.runner_for(candidates).stream())
+        (score,) = search.scorer.score_records(candidates, records)
         clients = [client for client, _ in score.signatures]
         assert clients == [p.full_name for p in search.scorer.profiles]
 
@@ -211,29 +211,29 @@ class TestSearchExecution:
 class TestPlan:
     def test_plan_is_pure_on_a_cold_store(self, tmp_path):
         store = CampaignStore(tmp_path)
-        keys = list(build_search(store=store).plan())
+        keys = build_search(store=store).plan().keys()
         assert keys
         assert store.stats.stores == 0
         assert list(store.entries()) == []
 
     def test_cold_plan_is_the_seed_round(self, tmp_path):
         search = build_search(store=CampaignStore(tmp_path))
-        seed_keys = list(search.scorer.runner_for(
-            search.strategy.seed_round()).store_keys())
-        assert list(search.plan()) == seed_keys
+        seed_keys = search.scorer.runner_for(
+            search.strategy.seed_round()).plan().keys()
+        assert search.plan().keys() == seed_keys
 
     def test_warm_plan_covers_the_whole_execution(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
         build_search(store=cold_store).execute()
         on_disk = {key for key, _ in cold_store.entries()}
         warm_plan = set(build_search(
-            store=CampaignStore(tmp_path)).plan())
+            store=CampaignStore(tmp_path)).plan().keys())
         assert on_disk == warm_plan
 
     def test_gc_against_warm_plan_keeps_everything(self, tmp_path):
         store = CampaignStore(tmp_path)
         build_search(store=store).execute()
-        live = set(build_search(store=CampaignStore(tmp_path)).plan())
+        live = set(build_search(store=CampaignStore(tmp_path)).plan().keys())
         stats = CampaignStore(tmp_path).gc(live)
         assert stats.removed == 0
         assert stats.kept == len(live)
@@ -269,4 +269,4 @@ class TestExperimentArtifacts:
     def test_bad_budget_knob_exits_with_a_named_error(self):
         experiment = get_experiment("synthesize-scenarios")
         with pytest.raises(SystemExit, match="seeds"):
-            list(experiment.plan(session(synthesis_seeds=0)))
+            experiment.plan(session(synthesis_seeds=0))

@@ -360,7 +360,9 @@ class TestCliCacheGC:
         legacy = tmp_path / "legacy"
         entries = 0
         for shard in donor.shards():
-            payloads = donor.shard_payloads(shard)
+            payloads = donor.get_many(
+                [key for key, _ in donor.entries() if key[:2] == shard],
+                lambda payload: payload)
             (legacy / shard).mkdir(parents=True)
             for key, payload in payloads.items():
                 (legacy / shard / f"{key}.json").write_text(json.dumps(

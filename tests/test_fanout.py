@@ -151,10 +151,12 @@ def test_chunk_watchdog_splits_without_charging():
 class FailingRunner(TestRunner):
     """``run_single`` raises for one sweep value."""
 
-    def run_single(self, case, profile, value_ms, repetition=0):
+    def run_single(self, case, profile, value_ms, repetition=0,
+                   run_seed=None):
         if value_ms == 80:
             raise RuntimeError("run_single blew up")
-        return super().run_single(case, profile, value_ms, repetition)
+        return super().run_single(case, profile, value_ms, repetition,
+                                  run_seed)
 
 
 def runner(cls=TestRunner, **kwargs):

@@ -2,9 +2,10 @@
 
 Package ``__init__``s export lazily (:mod:`repro._lazy`) and the
 simulator layers import only where a run executes, so ``import
-repro.cli`` and a fully cached ``figure2`` never load the simulator,
-DNS, transport, synthesis scoring, conformance or service stacks.  The
-checks count modules in a fresh interpreter rather than time anything.
+repro.cli``, a fully cached ``figure2`` and ``table1`` never load the
+simulator, DNS, transport, synthesis scoring, conformance or service
+stacks.  The checks count modules in a fresh interpreter rather than
+time anything.
 """
 
 import importlib
@@ -96,6 +97,20 @@ class TestWarmStartup:
         assert report["import"] == []
         assert report["warm"] == []
         assert "misses=0 stores=0" in report["out"]
+
+
+    def test_table1_loads_no_simulator(self):
+        """A pure experiment renders from parameter presets alone."""
+        script = (
+            "import io, json, sys, contextlib\n"
+            f"heavy = {HEAVY!r}\n"
+            "import repro.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    repro.cli.main(['table1'])\n"
+            "print(json.dumps([m for m in heavy if m in sys.modules]))\n")
+        done = _fresh(script)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
 
 
 @pytest.mark.parametrize("package", PACKAGES)

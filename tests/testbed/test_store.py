@@ -18,7 +18,7 @@ from repro.conformance.scenarios import (hev3_battery, scenario_battery,
                                          sortlist_battery, svcb_battery)
 from repro.seeding import stable_run_seed
 from repro.simnet.addr import Family
-from repro.testbed import (CampaignStore, ResultSet, SweepSpec,
+from repro.testbed import (CampaignStore, ResultSet, RunSpec, SweepSpec,
                            TestCaseConfig, TestCaseKind, TestRunner,
                            run_campaign_spec, spec_keys)
 from repro.testbed.store import (STORE_FORMAT, canonical, config_digest,
@@ -36,6 +36,17 @@ def small_runner(seed: int = 5, store: CampaignStore = None,
             name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
             sweep=SweepSpec.fixed(0, 150, 310), repetitions=2)],
         seed=seed, store=store, **knobs)
+
+
+def run_key(runner: TestRunner, case: TestCaseConfig, profile,
+            value_ms: int, repetition: int) -> str:
+    """The planned key of one run of ``case`` × ``profile`` under
+    ``runner``'s seed and knobs."""
+    one = TestRunner([profile], [case], seed=runner.seed,
+                     resolver_timeout=runner.resolver_timeout,
+                     hev3_flag=runner.hev3_flag)
+    (entry,) = spec_keys(one, [RunSpec(0, 0, value_ms, repetition)])
+    return entry.key
 
 
 def pack_paths(store: CampaignStore):
@@ -220,21 +231,22 @@ class TestKeyDerivation:
         runner.cases.append(dataclasses.replace(
             runner.cases[0], name="rd", kind=TestCaseKind.RESOLUTION_DELAY))
         specs = runner.enumerate_specs()
-        expected = []
-        for spec in specs:
+        entries = spec_keys(runner, specs)
+        assert len(entries) == len(specs)
+        for spec, entry in zip(specs, entries):
             case = runner.cases[spec.case_index]
             profile = runner.clients[spec.client_index]
+            assert (entry.case_index, entry.client_index, entry.value_ms,
+                    entry.repetition) == (spec.case_index, spec.client_index,
+                                          spec.value_ms, spec.repetition)
             run_seed = stable_run_seed(runner.seed, case.name,
                                        profile.full_name, spec.value_ms,
                                        spec.repetition)
-            assert runner.run_seed_for(case, profile, spec.value_ms,
-                                       spec.repetition) == run_seed
-            expected.append(CampaignStore.key(
+            assert entry.run_seed == run_seed
+            assert entry.key == CampaignStore.key(
                 run_seed, runner.config_digest_for(case, profile),
-                spec.value_ms, spec.repetition))
-            assert runner.store_key_for(case, profile, spec.value_ms,
-                                        spec.repetition) == expected[-1]
-        assert spec_keys(runner, specs) == expected
+                spec.value_ms, spec.repetition)
+        assert runner.plan() == tuple(entries)
 
     def test_keyer_matches_key(self):
         behaviour = Child(5, nested=(Base(6),))
@@ -329,7 +341,7 @@ class TestStoreGC:
         store = CampaignStore(tmp_path)
         runner = small_runner(store=store)
         runner.run()
-        return store, set(runner.store_keys())
+        return store, set(runner.plan().keys())
 
     def test_gc_keeps_live_and_drops_stale(self, tmp_path):
         store, live = self.populate(tmp_path)
@@ -395,7 +407,7 @@ class TestStoreGC:
         assert dry.reclaimed_bytes > 0
         assert {key for key, _ in store.entries()} == live
 
-    def test_runner_store_keys_match_executed_entries(self, tmp_path):
+    def test_runner_plan_keys_match_executed_entries(self, tmp_path):
         store, live = self.populate(tmp_path)
         assert {key for key, _ in store.entries()} == live
 
@@ -405,7 +417,7 @@ class TestCacheInvalidation:
         """Store keys a campaign with ``overrides`` would use."""
         runner = small_runner(store=CampaignStore(tmp_path), **overrides)
         case, profile = runner.cases[0], runner.clients[0]
-        return runner.store_key_for(case, profile, 150, 0)
+        return run_key(runner, case, profile, 150, 0)
 
     def test_case_field_change_misses(self, tmp_path):
         from repro.testbed import ImpairmentSpec
@@ -414,7 +426,7 @@ class TestCacheInvalidation:
         store = CampaignStore(tmp_path)
         runner = small_runner(store=store)
         base_case, profile = runner.cases[0], runner.clients[0]
-        base_key = runner.store_key_for(base_case, profile, 150, 0)
+        base_key = run_key(runner, base_case, profile, 150, 0)
         for changed in (
                 dataclasses.replace(base_case, name="other"),
                 dataclasses.replace(base_case, run_timeout=10.0),
@@ -424,7 +436,7 @@ class TestCacheInvalidation:
                 dataclasses.replace(base_case, impairments=(
                     ImpairmentSpec(family=Family.V6, loss=0.1),)),
         ):
-            assert runner.store_key_for(changed, profile, 150, 0) != \
+            assert run_key(runner, changed, profile, 150, 0) != \
                 base_key, changed
 
     def test_sweep_and_repetitions_are_campaign_shape(self, tmp_path):
@@ -435,7 +447,7 @@ class TestCacheInvalidation:
         store = CampaignStore(tmp_path)
         runner = small_runner(store=store)
         base_case, profile = runner.cases[0], runner.clients[0]
-        base_key = runner.store_key_for(base_case, profile, 150, 0)
+        base_key = run_key(runner, base_case, profile, 150, 0)
         for same in (
                 dataclasses.replace(base_case,
                                     sweep=SweepSpec.fixed(0, 150, 311)),
@@ -443,7 +455,7 @@ class TestCacheInvalidation:
                                     sweep=SweepSpec.range(100, 200, 5)),
                 dataclasses.replace(base_case, repetitions=3),
         ):
-            assert runner.store_key_for(same, profile, 150, 0) == \
+            assert run_key(runner, same, profile, 150, 0) == \
                 base_key, same
 
     def test_coarse_results_reused_by_fine_sweep(self, tmp_path):
@@ -468,7 +480,7 @@ class TestCacheInvalidation:
         store = CampaignStore(tmp_path)
         runner = small_runner(store=store)
         case, base_profile = runner.cases[0], runner.clients[0]
-        base_key = runner.store_key_for(case, base_profile, 150, 0)
+        base_key = run_key(runner, case, base_profile, 150, 0)
         changed_profiles = [
             dataclasses.replace(base_profile, version="131.0"),
             dataclasses.replace(base_profile, os_hint="Windows"),
@@ -479,7 +491,7 @@ class TestCacheInvalidation:
                 sortlist="rfc3484")),
         ]
         for changed in changed_profiles:
-            assert runner.store_key_for(case, changed, 150, 0) != \
+            assert run_key(runner, case, changed, 150, 0) != \
                 base_key, changed
 
     def test_runner_knob_change_misses(self, tmp_path):
@@ -491,7 +503,7 @@ class TestCacheInvalidation:
     def test_coordinates_distinguish_entries(self, tmp_path):
         runner = small_runner(store=CampaignStore(tmp_path))
         case, profile = runner.cases[0], runner.clients[0]
-        keys = {runner.store_key_for(case, profile, value, repetition)
+        keys = {run_key(runner, case, profile, value, repetition)
                 for value in (0, 150, 310) for repetition in (0, 1)}
         assert len(keys) == 6
 

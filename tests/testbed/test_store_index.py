@@ -21,7 +21,7 @@ def populate(tmp_path):
     """Cold-run a small campaign; returns its keys in order."""
     runner = small_runner(store=CampaignStore(tmp_path))
     runner.run()
-    return list(runner.store_keys())
+    return list(runner.plan().keys())
 
 
 def index_files(tmp_path):
@@ -59,7 +59,7 @@ class TestGetMany:
     def test_empty_store_is_all_misses(self, tmp_path):
         store = CampaignStore(tmp_path / "empty")
         runner = small_runner()
-        keys = list(runner.store_keys())
+        keys = list(runner.plan().keys())
         assert store.get_many(keys, decode_record) == {}
         assert store.stats.misses == len(keys)
         assert not index_files(tmp_path / "empty")

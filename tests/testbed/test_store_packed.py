@@ -35,7 +35,7 @@ class TestPackedRoundTrip:
         for pack in tmp_path.glob("*.pack"):
             for line in pack.read_bytes().splitlines(keepends=True):
                 lines[json.loads(line)["key"]] = line
-        by_key = dict(zip(small_runner().store_keys(), cold.records))
+        by_key = dict(zip(small_runner().plan().keys(), cold.records))
         assert set(lines) == set(by_key)
         for key, record in by_key.items():
             assert lines[key] == (json.dumps(
@@ -181,18 +181,6 @@ class TestPackedGC:
         assert all(after.has(key) for key in live)
         assert not any(after.has(key) for key in dead)
 
-    def test_compaction_reclaims_dead_bytes(self, tmp_path):
-        store = PackedCampaignStore(tmp_path)
-        key = "cd" * 32
-        for version in range(5):
-            store.put(key, {"v": version})
-        before = store.pack_size("cd")
-        reclaimed = store.compact_shard("cd")
-        assert reclaimed > 0
-        assert store.pack_size("cd") < before
-        assert store.dead_bytes("cd") == 0
-        assert store.get(key, lambda p: p["v"]) == 4
-
 
 class TestPackedSidecars:
     def test_sidecar_skips_rescan(self, tmp_path):
@@ -233,19 +221,6 @@ class TestPackedSidecars:
         assert text == json.dumps(index, sort_keys=True)
         assert index["layout"] == "packed" and index["dead"] > 0
         assert set(index["offsets"]) == set(keys)
-
-    def test_shard_payloads(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        runner = small_runner()
-        record = runner.run_single(runner.cases[0], runner.clients[0], 310)
-        payload = encode_record(record)
-        key = "ab" * 32
-        store.put(key, payload)
-        store.put("ab" + "01" * 31, {"v": 1})
-        payloads = store.shard_payloads("ab")
-        assert payloads == {key: payload, "ab" + "01" * 31: {"v": 1}}
-        assert decode_record(payloads[key]) == record
-        assert store.shards() == ["ab"]
 
 
 def _payload(writer: str, key: str, version: int) -> dict:
