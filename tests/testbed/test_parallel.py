@@ -1,16 +1,21 @@
 """The parallel campaign engine and stable run seeding."""
 
 import os
+import pickle
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
 from repro.clients import get_profile
 from repro.seeding import stable_run_seed
-from repro.testbed import (SweepSpec, TestCaseConfig, TestCaseKind,
-                           TestRunner, address_selection_case,
+from repro.testbed import (CampaignStore, SweepSpec, TestCaseConfig,
+                           TestCaseKind, TestRunner, address_selection_case,
                            run_campaign_spec)
+from repro.testbed import parallel
+from repro.testbed.parallel import (Plan, PlanCursor, execute_stages,
+                                    plan_stages, resolve_specs)
 
 
 def small_runner(seed: int = 5) -> TestRunner:
@@ -25,6 +30,22 @@ def small_runner(seed: int = 5) -> TestRunner:
                    sweep=SweepSpec.fixed(1000)),
                address_selection_case(3)],
         seed=seed)
+
+
+def tiny_runner(*values_ms: int, seed: int = 5) -> TestRunner:
+    """One client, one CAD case: a plan of ``len(values_ms)`` runs."""
+    return TestRunner(
+        clients=[get_profile("curl", "7.88.1")],
+        cases=[TestCaseConfig(
+            name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
+            sweep=SweepSpec.fixed(*values_ms))],
+        seed=seed)
+
+
+class OtherRun(NamedTuple):
+    """A second entry kind, for the one-kind-per-call rule."""
+
+    key: str
 
 
 class TestStableRunSeed:
@@ -114,3 +135,122 @@ class TestParallelCampaign:
         parallel = run_campaign_spec(spec)
         serial = run_campaign_spec({**spec, "workers": None})
         assert serial.records == parallel.records
+
+
+class TestPlanEntries:
+    def test_plan_follows_spec_order_with_run_seeds(self):
+        runner = small_runner()
+        plan = runner.plan()
+        assert isinstance(plan, Plan)
+        assert all(isinstance(entry, parallel.TestbedRun) for entry in plan)
+        assert [(e.case_index, e.client_index, e.value_ms, e.repetition)
+                for e in plan] == [
+            (s.case_index, s.client_index, s.value_ms, s.repetition)
+            for s in runner.enumerate_specs()]
+        assert plan.keys() == [entry.key for entry in plan]
+        assert len(set(plan.keys())) == len(plan)
+        # The planned seed is the one run_single derives on its own.
+        entry = plan[1]
+        assert entry.execute(None, 0) == runner.run_single(
+            runner.cases[entry.case_index],
+            runner.clients[entry.client_index],
+            entry.value_ms, entry.repetition)
+
+    def test_plan_rebuilds_and_pickles(self):
+        plan = tiny_runner(0, 150).plan()
+        assert Plan(list(plan)) == plan
+        shipped = pickle.loads(pickle.dumps(plan))
+        assert shipped.keys() == plan.keys()
+        assert ([entry.execute(None, 0) for entry in shipped]
+                == [entry.execute(None, 0) for entry in plan])
+
+
+class TestResolveSpecs:
+    def test_without_store_every_entry_executes(self):
+        plan = tiny_runner(0, 150, 310).plan()
+        assert (list(resolve_specs(plan))
+                == [entry.execute(None, 0) for entry in plan])
+
+    def test_cold_then_warm(self, tmp_path):
+        plan = tiny_runner(0, 150, 310).plan()
+        cold_store = CampaignStore(tmp_path)
+        cold = list(resolve_specs(plan, cold_store))
+        assert cold_store.stats.stores == len(plan)
+        assert {key for key, _ in cold_store.entries()} == set(plan.keys())
+        warm_store = CampaignStore(tmp_path)
+        assert list(resolve_specs(plan, warm_store)) == cold
+        assert warm_store.stats.hits == len(plan)
+        assert warm_store.stats.stores == 0
+
+    def test_partial_warm_executes_only_misses(self, tmp_path):
+        """Hits and fresh records interleave back into plan order, on
+        the parallel path too."""
+        plan = small_runner().plan()
+        store = CampaignStore(tmp_path)
+        warm_part = Plan(plan[::3])
+        list(resolve_specs(warm_part, store))
+        store = CampaignStore(tmp_path)
+        records = list(resolve_specs(plan, store, workers=2))
+        assert records == list(resolve_specs(plan))
+        assert store.stats.hits == len(warm_part)
+        assert store.stats.stores == len(plan) - len(warm_part)
+
+    def test_repeated_key_hits_once(self, tmp_path):
+        """A key the plan repeats is served from the store once; its
+        later occurrence executes and is written back."""
+        entry = tiny_runner(150).plan()[0]
+        store = CampaignStore(tmp_path)
+        list(resolve_specs(Plan([entry]), store))
+        store = CampaignStore(tmp_path)
+        records = list(resolve_specs(Plan([entry, entry]), store))
+        assert records[0] == records[1]
+        assert store.stats.stores == 1
+
+    def test_rejects_mixed_entry_kinds(self, tmp_path):
+        entry = tiny_runner(150).plan()[0]
+        mixed = Plan([entry, OtherRun("ab" * 32)])
+        with pytest.raises(ValueError):
+            list(resolve_specs(mixed, CampaignStore(tmp_path)))
+
+
+def two_stages(first: TestRunner, second: TestRunner):
+    """A stage driver: ``second`` runs once ``first``'s records are in;
+    the result is both stages' records."""
+    head = yield first, False
+    tail = yield second, True
+    return head + tail
+
+
+class TestStages:
+    def test_plan_stops_at_first_stage_with_a_miss(self, tmp_path):
+        first, second = tiny_runner(0, 150), tiny_runner(50, 100, seed=6)
+        store = CampaignStore(tmp_path)
+        plan = plan_stages([two_stages(first, second)], store)
+        assert plan.keys() == first.plan().keys()
+        assert store.stats.stores == 0
+        execute_stages(two_stages(first, second), store)
+        warm = plan_stages([two_stages(first, second)],
+                           CampaignStore(tmp_path))
+        assert warm.keys() == first.plan().keys() + second.plan().keys()
+
+    def test_execution_resumes_past_the_planned_stages(self, tmp_path):
+        first, second = tiny_runner(0, 150), tiny_runner(50, 100, seed=6)
+        store = CampaignStore(tmp_path)
+        cursor = PlanCursor(plan_stages([two_stages(first, second)], store))
+        records = execute_stages(two_stages(first, second), store,
+                                 cursor=cursor)
+        assert cursor.at == len(first.plan())
+        assert records == (list(resolve_specs(first.plan()))
+                           + list(resolve_specs(second.plan())))
+        assert store.stats.stores == len(first.plan()) + len(second.plan())
+
+    def test_cursor_takes_planned_stage_and_derives_the_rest(self):
+        first, second = tiny_runner(0, 150), tiny_runner(50, 100, seed=6)
+        plan = first.plan()
+        cursor = PlanCursor(plan)
+        derived = cursor.take(second)
+        assert [entry.key for entry in derived] == second.plan().keys()
+        assert cursor.at == 0
+        taken = cursor.take(first)
+        assert all(a is b for a, b in zip(taken, plan))
+        assert len(taken) == len(plan) and cursor.at == len(plan)
