@@ -36,7 +36,7 @@ def test_delayed_a_pathology(benchmark):
     plain, flagged = benchmark.pedantic(build_delayed_a, rounds=1,
                                         iterations=1)
 
-    for record in plain.records:
+    for record in plain:
         assert record.winning_family is Family.V6  # IPv6 still preferred
         expected = record.value_ms / 1000.0
         if record.client.startswith("Safari"):
@@ -47,7 +47,7 @@ def test_delayed_a_pathology(benchmark):
             assert record.time_to_first_attempt_s == pytest.approx(
                 expected, abs=0.050), record.client
 
-    for record in flagged.records:
+    for record in flagged:
         # The HEv3 flag adds the RD and removes the stall entirely.
         assert record.winning_family is Family.V6
         assert record.time_to_first_attempt_s < 0.100
@@ -55,10 +55,10 @@ def test_delayed_a_pathology(benchmark):
     lines = ["Delayed-A pathology: time from first query to first "
              "connection attempt",
              f"{'client':<16} {'A delay':>8}  stall"]
-    for record in plain.records:
+    for record in plain:
         lines.append(f"{record.client:<16} {record.value_ms:>5} ms  "
                      f"{record.time_to_first_attempt_s * 1000:8.1f} ms")
-    for record in flagged.records:
+    for record in flagged:
         lines.append(f"{'Chrome+HEv3flag':<16} {record.value_ms:>5} ms  "
                      f"{record.time_to_first_attempt_s * 1000:8.1f} ms")
     emit("delayed_a_pathology", "\n".join(lines))

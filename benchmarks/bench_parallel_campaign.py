@@ -39,7 +39,7 @@ def test_parallel_records_identical():
     runner = TestRunner(figure2_clients()[:4], [case], seed=9)
     serial = runner.run()
     parallel = runner.run(workers=2)
-    assert serial.records == parallel.records
+    assert serial == parallel
 
 
 def test_parallel_figure2_speedup(benchmark):
@@ -63,7 +63,7 @@ def test_parallel_figure2_speedup(benchmark):
                   {"runs": len(serial), "workers": None})
     record_timing("figure2_sweep_parallel", parallel_s,
                   {"runs": len(parallel), "workers": WORKERS})
-    assert serial.records == parallel.records
+    assert serial == parallel
     if (os.cpu_count() or 1) < 4:
         pytest.skip(f"only {os.cpu_count()} cores: a process pool "
                     "cannot demonstrate the speedup here")

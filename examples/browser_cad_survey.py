@@ -13,8 +13,8 @@ import argparse
 
 from repro.analysis import figure2_sweep, render_figure2
 from repro.clients import figure2_clients, get_profile
-from repro.testbed import (SweepSpec, TestCaseConfig, TestCaseKind,
-                           TestRunner)
+from repro.testbed import (StreamingResultSet, SweepSpec, TestCaseConfig,
+                           TestCaseKind, TestRunner)
 
 
 def main() -> None:
@@ -37,7 +37,8 @@ def main() -> None:
     clients = [get_profile("Chrome", "130.0"),
                get_profile("Firefox", "132.0"),
                get_profile("curl", "7.88.1")]
-    results = TestRunner(clients, [case], seed=12).run()
+    results = StreamingResultSet.consume(
+        TestRunner(clients, [case], seed=12).stream())
     for profile in clients:
         cad = results.median_cad(profile.full_name)
         print(f"  {profile.full_name:<16} "

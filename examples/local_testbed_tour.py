@@ -57,7 +57,7 @@ def main() -> None:
                          get_profile("curl", "7.88.1")], [case], seed=2)
     results = runner.run()
     print(f"   {'client':<16}{'delay':>7}  {'family':>7}  {'CAD':>9}")
-    for record in results.records:
+    for record in results:
         cad = (f"{record.cad_s * 1000:.0f} ms"
                if record.cad_s is not None else "-")
         print(f"   {record.client:<16}{record.value_ms:>4} ms  "

@@ -2,8 +2,10 @@
 
 The paper reports medians and notes that "the median and standard
 deviation are within a ms of the obtained value" for Firefox's CAD
-(§5.1).  These helpers compute those aggregates from
-:class:`~repro.testbed.runner.ResultSet` records.
+(§5.1).  These helpers compute those aggregates from any iterable of
+:class:`~repro.testbed.runner.RunRecord` (``TestRunner.run()``'s list
+or a campaign stream); the per-client helpers select the records of
+one client.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from ..testbed.runner import ResultSet, RunRecord
+from ..testbed.runner import RunRecord
 
 
 class StreamingCDF:
@@ -167,30 +169,31 @@ def summarize(values: Iterable[float]) -> Optional[Summary]:
                    maximum=data[-1])
 
 
-def summarize_metric(results: ResultSet, client: str,
+def summarize_metric(records: Iterable[RunRecord], client: str,
                      metric: Callable[[RunRecord], Optional[float]]
                      ) -> Optional[Summary]:
     """Summary of ``metric`` over a client's runs (None values skipped)."""
-    values = [value for record in results.for_client(client)
-              if (value := metric(record)) is not None]
-    return summarize(values)
+    return summarize(value for record in records if record.client == client
+                     and (value := metric(record)) is not None)
 
 
-def cad_summary(results: ResultSet, client: str) -> Optional[Summary]:
-    return summarize_metric(results, client,
-                            lambda record: record.cad_s)
+def cad_summary(records: Iterable[RunRecord],
+                client: str) -> Optional[Summary]:
+    return summarize_metric(records, client, lambda record: record.cad_s)
 
 
-def rd_summary(results: ResultSet, client: str) -> Optional[Summary]:
-    return summarize_metric(results, client, lambda record: record.rd_s)
+def rd_summary(records: Iterable[RunRecord],
+               client: str) -> Optional[Summary]:
+    return summarize_metric(records, client, lambda record: record.rd_s)
 
 
-def stall_summary(results: ResultSet, client: str) -> Optional[Summary]:
+def stall_summary(records: Iterable[RunRecord],
+                  client: str) -> Optional[Summary]:
     return summarize_metric(
-        results, client, lambda record: record.time_to_first_attempt_s)
+        records, client, lambda record: record.time_to_first_attempt_s)
 
 
-def outlier_fraction(results: ResultSet, client: str,
+def outlier_fraction(records: Iterable[RunRecord], client: str,
                      nominal_cad_s: float,
                      tolerance_s: float = 0.010) -> Optional[float]:
     """Fraction of runs whose observed CAD exceeds the nominal value.
@@ -198,8 +201,8 @@ def outlier_fraction(results: ResultSet, client: str,
     This is the paper's Firefox observation operationalized: outliers
     are CADs more than ``tolerance`` above the configured value.
     """
-    values = [record.cad_s for record in results.for_client(client)
-              if record.cad_s is not None]
+    values = [record.cad_s for record in records
+              if record.client == client and record.cad_s is not None]
     if not values:
         return None
     late = sum(1 for value in values

@@ -43,6 +43,7 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..memo import BoundedMemo
 from ..simnet.addr import Family, IPAddress, family_of, parse_address
 
 SRTT_SMOOTHING = 0.25  # weight of a fresh sample, TCP-style
@@ -177,7 +178,7 @@ class PolicyTable:
         parsed = parse_address(address)
         memo = self.__dict__.get("_lookup_memo")
         if memo is None:
-            memo = self.__dict__["_lookup_memo"] = {}
+            memo = self.__dict__["_lookup_memo"] = BoundedMemo()
         if parsed in memo:
             return memo[parsed]
         best: Optional[PolicyEntry] = None
@@ -185,10 +186,7 @@ class PolicyTable:
             if entry.matches(parsed) and (
                     best is None or entry.prefix_len > best.prefix_len):
                 best = entry
-        if len(memo) >= 4096:  # tables are process-wide singletons
-            memo.clear()
-        memo[parsed] = best
-        return best
+        return memo.put(parsed, best)
 
     def precedence(self, address: Union[str, IPAddress]) -> int:
         entry = self.lookup(address)

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from ..memo import BoundedMemo
 from ..simnet.addr import Family, IPAddress, family_of
 from ..simnet.host import Host
 from ..transport.udp import Datagram, UDPSocket
@@ -33,12 +34,6 @@ from .zone import LookupKind, NotInZoneError, Zone
 _PARAM_LABEL = re.compile(
     rb"^d(?P<ms>\d{1,6})-(?P<rtype>a|aaaa|both|none)-(?P<nonce>[a-z0-9]{1,32})$",
     re.IGNORECASE)
-
-
-#: Memo for :meth:`TestParams.parse_label`, keyed by raw label bytes.
-#: ``False`` marks labels that are not parameter labels.
-_PARSE_LABEL_CACHE: "dict" = {}
-_PARSE_LABEL_CACHE_CAP = 65536
 
 
 @dataclass(frozen=True)
@@ -62,22 +57,12 @@ class TestParams:
 
     @classmethod
     def parse_label(cls, label: bytes) -> Optional["TestParams"]:
-        # Memoized: every query against the same test name re-parses the
-        # same first label, and the regex dominates the serve path.
-        cached = _PARSE_LABEL_CACHE.get(label)
-        if cached is not None:
-            return cached or None
         match = _PARAM_LABEL.match(label)
         if match is None:
-            params = None
-        else:
-            params = cls(delay_ms=int(match.group("ms")),
-                         delayed_rtype=match.group("rtype").decode().lower(),
-                         nonce=match.group("nonce").decode().lower())
-        if len(_PARSE_LABEL_CACHE) >= _PARSE_LABEL_CACHE_CAP:
-            _PARSE_LABEL_CACHE.clear()
-        _PARSE_LABEL_CACHE[label] = params if params is not None else False
-        return params
+            return None
+        return cls(delay_ms=int(match.group("ms")),
+                   delayed_rtype=match.group("rtype").decode().lower(),
+                   nonce=match.group("nonce").decode().lower())
 
     def applies_to(self, qtype: RdataType) -> bool:
         if self.delayed_rtype == "none":
@@ -122,8 +107,7 @@ MAX_UDP_PAYLOAD = 512
 #: its first two bytes, so the id-stripped tail can be shared.  Keys
 #: compare by value (tuple/bytes equality), so a hash collision cannot
 #: produce a wrong answer.
-_RESPONSE_WIRE_CACHE: "dict" = {}
-_RESPONSE_WIRE_CACHE_CAP = 65536
+_RESPONSE_WIRE_CACHE = BoundedMemo()
 
 
 class AuthoritativeServer:
@@ -238,9 +222,7 @@ class AuthoritativeServer:
                 truncated = query.make_response(aa=response.aa)
                 truncated.tc = True
                 payload = truncated.encode()
-            if len(_RESPONSE_WIRE_CACHE) >= _RESPONSE_WIRE_CACHE_CAP:
-                _RESPONSE_WIRE_CACHE.clear()
-            _RESPONSE_WIRE_CACHE[key] = (payload[2:], was_truncated)
+            _RESPONSE_WIRE_CACHE.put(key, (payload[2:], was_truncated))
         else:
             tail, was_truncated = cached
             payload = wire[:2] + tail

@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
+from ..memo import BoundedMemo
 from .errors import MessageError
 from .name import DNSName
 from .rdata import (CompressionTable, OPT, Rdata, RdataClass, RdataType,
@@ -20,17 +21,16 @@ from .rdata import (CompressionTable, OPT, Rdata, RdataClass, RdataType,
 
 HEADER_LENGTH = 12
 
-#: Process-wide intern table for :meth:`DNSMessage.decode_interned`.
-#: Separate from the capture-analysis interning in
-#: :mod:`repro.testbed.inference`, which keeps its own hit counters.
-_INTERN_TABLE: "dict[bytes, DNSMessage]" = {}
-_INTERN_TABLE_CAP = 65536
+#: The one process-wide DNS intern table: wire bytes to the decoded
+#: message, shared by :meth:`DNSMessage.decode_interned` (the endpoints)
+#: and :class:`~repro.testbed.inference.CaptureObservation` (the
+#: capture).  Holds only successful decodes.
+INTERN_TABLE = BoundedMemo()
 
 #: Wire templates for plain queries, keyed by (qname, qtype, rd).  Only
 #: the 16-bit id differs between two queries for the same name/type, so
 #: the tail of the wire can be encoded once and reused.
-_QUERY_WIRE_CACHE: "dict" = {}
-_QUERY_WIRE_CACHE_CAP = 65536
+_QUERY_WIRE_CACHE = BoundedMemo()
 
 
 def encode_query_wire(name: "DNSName", rtype: "RdataType", query_id: int,
@@ -44,10 +44,8 @@ def encode_query_wire(name: "DNSName", rtype: "RdataType", query_id: int,
     key = (name, rtype, rd)
     template = _QUERY_WIRE_CACHE.get(key)
     if template is None:
-        template = DNSMessage.make_query(name, rtype, 0, rd=rd).encode()
-        if len(_QUERY_WIRE_CACHE) >= _QUERY_WIRE_CACHE_CAP:
-            _QUERY_WIRE_CACHE.clear()
-        _QUERY_WIRE_CACHE[key] = template
+        template = _QUERY_WIRE_CACHE.put(
+            key, DNSMessage.make_query(name, rtype, 0, rd=rd).encode())
     if not 0 <= query_id <= 0xFFFF:
         raise MessageError(f"bad message id {query_id}")
     return query_id.to_bytes(2, "big") + template[2:]
@@ -236,21 +234,19 @@ class DNSMessage:
         Simulated campaigns decode the same handful of wire payloads
         over and over (the same queries and responses recur across every
         run of a sweep), so this is a decode-free fast path: the first
-        decode of a payload is cached process-wide and returned for
-        every later occurrence.
+        decode of a payload is cached in :data:`INTERN_TABLE` and
+        returned for every later occurrence, to the endpoints and to
+        the capture observation alike.
 
         The returned message is **shared and must be treated as
         read-only** — use plain :meth:`decode` anywhere the caller
         mutates the result (e.g. a resolver stamping flags onto an
-        upstream response).  The table is bounded and cleared on
-        overflow; decode failures are not cached.
+        upstream response).  Bytes that do not decode raise on every
+        call: failures are never cached.
         """
-        message = _INTERN_TABLE.get(wire)
+        message = INTERN_TABLE.get(wire)
         if message is None:
-            message = cls.decode(wire)
-            if len(_INTERN_TABLE) >= _INTERN_TABLE_CAP:
-                _INTERN_TABLE.clear()
-            _INTERN_TABLE[wire] = message
+            message = INTERN_TABLE.put(wire, cls.decode(wire))
         return message
 
     @classmethod

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from ..memo import BoundedMemo
 from .errors import CompressionLoopError, MessageError, NameError_
 
 MAX_LABEL_LENGTH = 63
@@ -17,12 +18,11 @@ MAX_NAME_LENGTH = 255
 _POINTER_MASK = 0xC0
 
 
-#: Bounded memo for :meth:`DNSName.from_text`; simulations build the
-#: same handful of query names millions of times (every run constructs
-#: the same zone and the same queries), and names are immutable, so the
+#: Memo for :meth:`DNSName.from_text`; simulations build the same
+#: handful of query names millions of times (every run constructs the
+#: same zone and the same queries), and names are immutable, so the
 #: instances can be shared freely.
-_FROM_TEXT_CACHE: "Dict[str, DNSName]" = {}
-_FROM_TEXT_CACHE_CAP = 65536
+_FROM_TEXT_CACHE = BoundedMemo()
 
 
 class DNSName:
@@ -68,10 +68,7 @@ class DNSName:
                     raise NameError_(f"empty label in {text!r}")
                 labels.append(part.encode("ascii"))
             name = cls(labels)
-        if len(_FROM_TEXT_CACHE) >= _FROM_TEXT_CACHE_CAP:
-            _FROM_TEXT_CACHE.clear()
-        _FROM_TEXT_CACHE[text] = name
-        return name
+        return _FROM_TEXT_CACHE.put(text, name)
 
     @classmethod
     def _from_wire_labels(cls, labels: "list[bytes]") -> "DNSName":

@@ -448,22 +448,7 @@ def decode_rdata(rtype: int, wire: bytes, offset: int,
     return cls.from_wire(wire, offset, rdlength)
 
 
-_ADDRESS_RDATA_CACHE: "dict" = {}
-_ADDRESS_RDATA_CACHE_CAP = 65536
-
-
 def address_rdata(address: Union[str, IPAddress]) -> Rdata:
-    """A() or AAAA() depending on the address family (memoized).
-
-    A/AAAA rdatas are frozen, so the instances can be shared; zone
-    construction builds the same few records for every simulated run.
-    """
-    cached = _ADDRESS_RDATA_CACHE.get(address)
-    if cached is not None:
-        return cached
+    """A() or AAAA() depending on the address family."""
     parsed = parse_address(address)
-    rdata = A(parsed) if parsed.version == 4 else AAAA(parsed)
-    if len(_ADDRESS_RDATA_CACHE) >= _ADDRESS_RDATA_CACHE_CAP:
-        _ADDRESS_RDATA_CACHE.clear()
-    _ADDRESS_RDATA_CACHE[address] = rdata
-    return rdata
+    return A(parsed) if parsed.version == 4 else AAAA(parsed)

@@ -12,6 +12,8 @@ import enum
 import ipaddress
 from typing import Iterable, Iterator, List, Union
 
+from ..memo import BoundedMemo
+
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
 
@@ -36,27 +38,24 @@ class Family(enum.Enum):
 
 # Simulations parse the same handful of address literals millions of
 # times (every packet hop, route lookup, and capture query goes through
-# here), so both helpers memoize.  The tables are bounded and cleared on
-# overflow — a simulation uses a few hundred distinct addresses, so the
-# caps exist only to keep pathological inputs from growing memory.
-_PARSE_CACHE: "dict[str, IPAddress]" = {}
-_FAMILY_CACHE: "dict[Union[str, IPAddress], Family]" = {}
-_ADDR_CACHE_CAP = 65536
+# here), so these helpers memoize.  A simulation uses a few hundred
+# distinct addresses; the memo bound only stops pathological inputs
+# from growing memory.
+_PARSE_CACHE = BoundedMemo()
+_FAMILY_CACHE = BoundedMemo()
+_STR_CACHE = BoundedMemo()
 
 
 def parse_address(value: Union[str, IPAddress]) -> IPAddress:
     """Parse ``value`` into an IPv4 or IPv6 address object (memoized)."""
-    cached = _PARSE_CACHE.get(value) if type(value) is str else None
+    if type(value) is not str:
+        if isinstance(value, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
+            return value
+        return ipaddress.ip_address(value)
+    cached = _PARSE_CACHE.get(value)
     if cached is not None:
         return cached
-    if isinstance(value, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
-        return value
-    address = ipaddress.ip_address(value)
-    if type(value) is str:
-        if len(_PARSE_CACHE) >= _ADDR_CACHE_CAP:
-            _PARSE_CACHE.clear()
-        _PARSE_CACHE[value] = address
-    return address
+    return _PARSE_CACHE.put(value, ipaddress.ip_address(value))
 
 
 def family_of(address: Union[str, IPAddress]) -> Family:
@@ -72,16 +71,10 @@ def family_of(address: Union[str, IPAddress]) -> Family:
     cached = _FAMILY_CACHE.get(address)
     if cached is not None:
         return cached
-    addr = parse_address(address)
-    family = Family.V4 if addr.version == 4 else Family.V6
+    family = Family.V4 if parse_address(address).version == 4 else Family.V6
     if type(address) is str:
-        if len(_FAMILY_CACHE) >= _ADDR_CACHE_CAP:
-            _FAMILY_CACHE.clear()
-        _FAMILY_CACHE[address] = family
+        _FAMILY_CACHE.put(address, family)
     return family
-
-
-_STR_CACHE: "dict[IPAddress, str]" = {}
 
 
 def address_str(address: Union[str, IPAddress]) -> str:
@@ -90,9 +83,7 @@ def address_str(address: Union[str, IPAddress]) -> str:
         return address
     cached = _STR_CACHE.get(address)
     if cached is None:
-        if len(_STR_CACHE) >= _ADDR_CACHE_CAP:
-            _STR_CACHE.clear()
-        _STR_CACHE[address] = cached = str(address)
+        cached = _STR_CACHE.put(address, str(address))
     return cached
 
 

@@ -47,15 +47,6 @@ _TICK_HZ = 8192.0
 #: Sentinel slot for entries extracted into the due-bucket run.
 _READY = object()
 
-#: Seeded-RNG states for :meth:`Simulator.derive_rng`, keyed by
-#: (seed, label).  Process-wide: a sweep builds a fresh Simulator per
-#: run but derives the same labels from the same seed every time, and
-#: string-seeding ``random.Random`` hashes via SHA-512 — restoring a
-#: saved state is far cheaper.
-_DERIVED_STATE_CACHE: "dict[tuple, tuple]" = {}
-_DERIVED_SEEN: "set[tuple]" = set()
-_DERIVED_STATE_CACHE_CAP = 65536
-
 #: ``object.__new__`` bound once: the schedule fast path allocates a
 #: bare ScheduledCall and assigns its slots inline, skipping the
 #: ``type.__call__`` → ``__init__`` dispatch.
@@ -169,29 +160,11 @@ class Simulator:
 
         Deriving by label keeps components independent: adding a new
         random consumer does not perturb the draw sequence of others.
-        The seeded state is memoized per label, so repeated derivations
-        (web sessions, per-interface shapers) restore a saved state
-        instead of re-hashing the seed string each time.
+        Each call seeds a fresh ``random.Random`` from the seed string:
+        campaign runs derive fresh (seed, label) pairs, so a memo of
+        seeded states would never hit.
         """
-        key = (str(self._seed), label)
-        state = _DERIVED_STATE_CACHE.get(key)
-        if state is not None:
-            rng = random.Random()
-            rng.setstate(state)
-            return rng
-        rng = random.Random(f"{self._seed}:{label}")
-        # Snapshot the seeded state only for keys seen more than once:
-        # campaign runs derive fresh (seed, label) pairs every run, and
-        # an unconditional getstate would cost more than it saves.
-        if key in _DERIVED_SEEN:
-            if len(_DERIVED_STATE_CACHE) >= _DERIVED_STATE_CACHE_CAP:
-                _DERIVED_STATE_CACHE.clear()
-            _DERIVED_STATE_CACHE[key] = rng.getstate()
-        else:
-            if len(_DERIVED_SEEN) >= _DERIVED_STATE_CACHE_CAP:
-                _DERIVED_SEEN.clear()
-            _DERIVED_SEEN.add(key)
-        return rng
+        return random.Random(f"{self._seed}:{label}")
 
     # -- scheduling -------------------------------------------------------
 

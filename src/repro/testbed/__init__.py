@@ -13,8 +13,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                "TestCaseKind", "address_selection_case", "cad_case",
                "delayed_a_case", "rd_case"),
     "inference": ("CaptureObservation", "aaaa_before_a", "attempt_sequence",
-                  "attempts_per_family", "clear_dns_decode_intern",
-                  "dns_observations", "established_family", "infer_cad",
+                  "attempts_per_family", "dns_observations",
+                  "established_family", "infer_cad",
                   "infer_resolution_delay", "query_order",
                   "time_to_first_attempt"),
     "modules": ("AddressSelectionModule", "CaptureModule", "DnsDelayModule",
@@ -24,9 +24,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "resilience": ("CampaignJournal", "FailureEntry", "FaultManifest",
                    "Resilience", "RetryPolicy", "failure_record",
                    "is_harness_failure"),
-    "runner": ("NonMonotonicSeriesError", "ResultSet", "RunRecord",
-               "StreamingResultSet", "TestRunner", "majority_family",
-               "series_flap_window"),
+    "runner": ("NonMonotonicSeriesError", "RunRecord", "StreamingResultSet",
+               "TestRunner", "majority_family", "series_flap_window"),
     "spec": ("CampaignSpec", "SpecError", "run_campaign_spec"),
     "store": ("CacheStats", "CampaignStore", "PackedCampaignStore",
               "config_digest", "open_store"),

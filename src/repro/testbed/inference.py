@@ -23,26 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..simnet.addr import Family
 from ..simnet.capture import Direction, PacketCapture
 from ..simnet.packet import Protocol
-from ..dns.message import DNSMessage
+from ..dns.message import INTERN_TABLE, DNSMessage
 from ..dns.rdata import RdataType
-
-#: Process-wide intern table of decoded DNS payloads, keyed by the raw
-#: payload bytes.  Repetitions of the same run configuration emit
-#: byte-identical queries and answers (repetition-independent qnames,
-#: per-stub deterministic query ids), so a repetition-heavy campaign
-#: decodes each distinct payload once, not once per run.  ``None``
-#: records an undecodable payload, so garbage is not re-parsed either.
-_decode_interned: "Dict[bytes, Optional[DNSMessage]]" = {}
-
-#: Intern-table bound; decoded messages are small, but campaigns are
-#: unbounded.  On overflow the table is simply dropped — interning is
-#: a pure cache, and a clean restart beats eviction bookkeeping.
-_DECODE_INTERN_MAX = 65536
-
-
-def clear_dns_decode_intern() -> None:
-    """Drop the process-wide decode intern table (tests, memory)."""
-    _decode_interned.clear()
 
 
 @dataclass(frozen=True)
@@ -69,16 +51,18 @@ class CaptureObservation:
     at construction time, decoding each DNS payload at most once, and
     exposes all derived values as attributes.
 
-    Identical payload bytes are *interned* across observations: the
-    first sighting decodes (or fails to decode) and the result is
-    memoized process-wide, so repetitions of the same run — which emit
-    byte-identical DNS traffic — cost zero additional decodes.
-    ``dns_payloads_decoded`` counts actual decode attempts and
-    ``dns_payloads_interned`` counts intern-table hits — tests assert
-    the single-decode guarantee and the cross-repetition drop from
-    these.  ``decode_dns=False`` skips DNS handling entirely for
-    callers that only need connection-level fields (the DNS-derived
-    attributes then read as empty/None).
+    Payloads decode through the one DNS intern table
+    (:data:`repro.dns.message.INTERN_TABLE`) the simulated endpoints
+    decode through too, so a payload the stub or a server already
+    decoded, or an earlier repetition of the same run emitted, costs
+    no decode here.  ``dns_payloads_decoded`` counts actual decode
+    attempts and ``dns_payloads_interned`` counts intern-table hits —
+    tests assert the single-decode guarantee and the cross-repetition
+    drop from these.  An undecodable payload is skipped and, since
+    the table holds only messages, decoded again when seen again.
+    ``decode_dns=False`` skips DNS handling entirely for callers that
+    only need connection-level fields (the DNS-derived attributes then
+    read as empty/None).
     """
 
     __slots__ = (
@@ -106,7 +90,8 @@ class CaptureObservation:
         responses: Dict[Tuple[int, RdataType], float] = {}
         decodes = 0
         interned = 0
-        intern_table = _decode_interned
+        intern_get = INTERN_TABLE.get
+        decode = DNSMessage.decode_interned
 
         for frame in capture:
             packet = frame.packet
@@ -143,21 +128,17 @@ class CaptureObservation:
             if not decode_dns or packet.protocol is not Protocol.UDP:
                 continue
             payload = packet.payload
-            internable = type(payload) is bytes
-            if internable and payload in intern_table:
+            message = (intern_get(payload) if type(payload) is bytes
+                       else None)
+            if message is not None:
                 interned += 1
-                message = intern_table[payload]
             else:
                 decodes += 1
                 try:
-                    message = DNSMessage.decode(payload)
+                    message = decode(payload)
                 except Exception:
-                    message = None
-                if internable:
-                    if len(intern_table) >= _DECODE_INTERN_MAX:
-                        intern_table.clear()
-                    intern_table[payload] = message
-            if message is None or not message.questions:
+                    continue
+            if not message.questions:
                 continue
             rtype = message.question.rtype
             if not message.qr and direction is Direction.OUT:

@@ -172,49 +172,48 @@ def resolve_specs(plan: "Sequence[Any]", store: Any = None,
                   ) -> "Iterator[Any]":
     """The records of ``plan``'s entries (all of one kind), in order.
 
-    Without a store every entry executes.  With one, every hit
-    resolves in one batched ``get_many``; only the misses go to
+    Each distinct key is resolved once: a key the plan repeats (a
+    client listed twice) is looked up and executed once, and its record
+    is yielded for every occurrence.  Without a store every distinct
+    entry executes.  With one, every hit resolves in one batched
+    ``get_many``; only the misses go to
     :func:`~repro.fanout.shared_map`, whose records arrive in order and
     are written back (then journaled) here — a single writer, so worker
-    processes never touch the store.  Hits are popped as they are
-    yielded, so memory decays as the stream drains.
+    processes never touch the store.  A record is dropped after its
+    key's last occurrence, so memory decays as the stream drains.
     """
     from ..fanout import shared_map
     from .resilience import is_harness_failure
 
-    fault_plan = resilience.fault_plan if resilience is not None else None
-
-    def dispatch(entries: "Sequence[Any]") -> "Iterator[Any]":
-        return shared_map(partial(_execute, fault_plan), entries, workers,
-                          resilience, _label, _failed)
-
-    if store is None:
-        yield from dispatch(plan)
-        return
     if not plan:
         return
     kind = type(plan[0])
     if any(type(entry) is not kind for entry in plan):
         raise ValueError("one executor call resolves one entry kind")
-    prefetched = store.get_many([entry.key for entry in plan], kind.decode)
-    # A key the plan repeats (a client listed twice) hits once, since
-    # hits are popped; its later occurrences execute.
-    unclaimed = set(prefetched)
-    pending = []
-    for entry in plan:
-        if entry.key in unclaimed:
-            unclaimed.discard(entry.key)
-        else:
-            pending.append(entry)
-    fresh = dispatch(pending)
-    for entry in plan:
-        key = entry.key
-        record = prefetched.pop(key, None)
+    distinct: "Dict[str, Any]" = {}
+    last: "Dict[str, int]" = {}
+    for at, entry in enumerate(plan):
+        distinct.setdefault(entry.key, entry)
+        last[entry.key] = at
+    found: "Dict[str, Any]" = {}
+    if store is not None:
+        found = store.get_many(list(distinct), kind.decode)
         if resilience is not None:
-            resilience.note_lookup(key, hit=record is not None)
+            for key in distinct:
+                resilience.note_lookup(key, hit=key in found)
+    fault_plan = resilience.fault_plan if resilience is not None else None
+    fresh = shared_map(partial(_execute, fault_plan),
+                       [entry for key, entry in distinct.items()
+                        if key not in found],
+                       workers, resilience, _label, _failed)
+    for at, entry in enumerate(plan):
+        key = entry.key
+        record = found.pop(key, None) if last[key] == at else found.get(key)
         if record is None:
             record = next(fresh)
-            if not is_harness_failure(record):
+            if last[key] != at:
+                found[key] = record
+            if store is not None and not is_harness_failure(record):
                 payload = kind.encode(record)
                 if resilience is not None:
                     resilience.store_fresh(store, key, payload)

@@ -7,16 +7,19 @@ run, and collects black-box observations from the packet capture.
 
 Campaigns can be consumed three ways:
 
-* :meth:`TestRunner.run` — materialize every record in a
-  :class:`ResultSet` (the historical interface);
-* :meth:`TestRunner.stream` — an iterator of records in deterministic
-  enumeration order, so cold million-run campaigns never hold every
-  :class:`RunRecord` in memory (warm cache hits resolve in one batch
-  and drain as the stream advances);
+* :meth:`TestRunner.run` — every :class:`RunRecord` as a list, in
+  deterministic enumeration order;
+* :meth:`TestRunner.stream` — the same records as an iterator, so
+  cold million-run campaigns never hold every record in memory (warm
+  cache hits resolve in one batch and drain as the stream advances);
 * either of the above with a :class:`~repro.testbed.store.CampaignStore`
   attached, in which case runs whose coordinates and configuration are
   unchanged come back from the content-addressed cache instead of
   re-executing.
+
+:class:`StreamingResultSet` is the one aggregation type: it folds
+records as they arrive into the family-by-delay series, crossovers
+and CAD medians the paper reports, from a stream or a list alike.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class RunRecord:
         return self.attempts[0][1] if self.attempts else None
 
 
-# -- aggregation helpers (shared by ResultSet and StreamingResultSet) ----------
+# -- aggregation helpers --------------------------------------------------------
 
 
 class NonMonotonicSeriesError(ValueError):
@@ -149,74 +152,14 @@ def _majority_series(votes: "Mapping[int, Mapping[Family, int]]"
             for value_ms, per_value in votes.items() if per_value}
 
 
-@dataclass
-class ResultSet:
-    """All runs of a campaign, with the aggregations the paper reports."""
-
-    records: List[RunRecord] = field(default_factory=list)
-
-    def add(self, record: RunRecord) -> None:
-        self.records.append(record)
-
-    def for_client(self, client: str) -> List[RunRecord]:
-        return [r for r in self.records if r.client == client]
-
-    def for_case(self, case: str) -> List[RunRecord]:
-        return [r for r in self.records if r.case == case]
-
-    def median_cad(self, client: str) -> Optional[float]:
-        values = [r.cad_s for r in self.for_client(client)
-                  if r.cad_s is not None]
-        return median(values) if values else None
-
-    def family_by_delay(self, client: str, case: str
-                        ) -> Dict[int, Family]:
-        """delay_ms -> established family (the Figure 2 series).
-
-        With ``repetitions > 1`` each delay aggregates by majority
-        vote across repetitions (ties break toward IPv4), so the
-        series is independent of record order — a last-write-wins
-        dict would silently let the final repetition overwrite all
-        earlier ones.
-        """
-        votes: Dict[int, Dict[Family, int]] = {}
-        for record in self.records:
-            if (record.client == client and record.case == case
-                    and record.winning_family is not None):
-                per_value = votes.setdefault(record.value_ms, {})
-                per_value[record.winning_family] = \
-                    per_value.get(record.winning_family, 0) + 1
-        return _majority_series(votes)
-
-    def is_monotonic(self, client: str, case: str) -> bool:
-        """False when the series has an IPv4 win below an IPv6 win."""
-        return series_flap_window(
-            self.family_by_delay(client, case)) is None
-
-    def observed_cad_crossover(self, client: str, case: str
-                               ) -> Optional[int]:
-        """Largest delay (ms) still established via IPv6.
-
-        Raises :class:`NonMonotonicSeriesError` for flapping clients
-        instead of silently reporting the max IPv6 delay.
-        """
-        return crossover_from_series(
-            self.family_by_delay(client, case), client, case)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 class StreamingResultSet:
-    """Incremental aggregation over a stream of run records.
+    """Incremental aggregation over run records.
 
     Consumes records one at a time and keeps only aggregates — family
     votes per (client, case, delay) and CAD samples per client — so a
     million-run campaign aggregates in memory proportional to its
-    *configuration space*, not its run count.  The aggregation API
-    (:meth:`median_cad`, :meth:`family_by_delay`,
-    :meth:`observed_cad_crossover`) matches :class:`ResultSet` and
-    produces identical values, which the tests enforce.
+    *configuration space*, not its run count.  Every aggregate is
+    independent of record order.
     """
 
     def __init__(self) -> None:
@@ -256,8 +199,14 @@ class StreamingResultSet:
 
     def family_by_delay(self, client: str, case: str
                         ) -> Dict[int, Family]:
-        """Identical to :meth:`ResultSet.family_by_delay` (majority
-        vote across repetitions, ties toward IPv4)."""
+        """delay_ms -> established family (the Figure 2 series).
+
+        With ``repetitions > 1`` each delay aggregates by majority
+        vote across repetitions (ties break toward IPv4), so the
+        series is independent of record order — a last-write-wins
+        dict would silently let the final repetition overwrite all
+        earlier ones.  Runs that established nothing cast no vote.
+        """
         votes = self._votes.get((client, case), {})
         real_votes: Dict[int, Dict[Family, int]] = {}
         for value_ms, per_value in votes.items():
@@ -277,11 +226,17 @@ class StreamingResultSet:
                 for value_ms in sorted(votes)]
 
     def is_monotonic(self, client: str, case: str) -> bool:
+        """False when the series has an IPv4 win below an IPv6 win."""
         return series_flap_window(
             self.family_by_delay(client, case)) is None
 
     def observed_cad_crossover(self, client: str, case: str
                                ) -> Optional[int]:
+        """Largest delay (ms) still established via IPv6.
+
+        Raises :class:`NonMonotonicSeriesError` for flapping clients
+        instead of silently reporting the max IPv6 delay.
+        """
         return crossover_from_series(
             self.family_by_delay(client, case), client, case)
 
@@ -317,9 +272,9 @@ class TestRunner:
 
     # -- campaign --------------------------------------------------------------
 
-    def run(self, workers: Optional[int] = None) -> ResultSet:
+    def run(self, workers: Optional[int] = None) -> "List[RunRecord]":
         """Execute the campaign; ``workers=N`` fans runs out over N
-        processes (default: serial, preserving exact current behavior).
+        processes (default: serial).
 
         Run seeds are stable digests of the run coordinates, so the
         parallel path returns records identical to the serial path, in
@@ -327,10 +282,7 @@ class TestRunner:
         attached, unchanged runs come back from the cache —
         byte-identical to fresh execution.
         """
-        results = ResultSet()
-        for record in self.stream(workers=workers):
-            results.add(record)
-        return results
+        return list(self.stream(workers=workers))
 
     def stream(self, workers: Optional[int] = None
                ) -> "Iterator[RunRecord]":

@@ -38,7 +38,7 @@ from ..simnet.addr import Family
 from ..simnet.packet import Protocol
 from .config import ImpairmentSpec, SweepSpec, TestCaseConfig, TestCaseKind
 from .resilience import Resilience, RetryPolicy
-from .runner import ResultSet, TestRunner
+from .runner import RunRecord, TestRunner
 from .store import CampaignStore
 
 _DEFAULT_SWEEPS: Dict[TestCaseKind, SweepSpec] = {
@@ -253,8 +253,10 @@ class CampaignSpec:
 
 def run_campaign_spec(data: Mapping[str, Any],
                       workers: Optional[int] = None,
-                      store: Optional[CampaignStore] = None) -> ResultSet:
-    """Parse and execute a campaign specification in one call.
+                      store: Optional[CampaignStore] = None
+                      ) -> List[RunRecord]:
+    """Parse and execute a campaign specification in one call; the
+    records come back in enumeration order.
 
     ``workers`` overrides the spec's own ``workers`` stanza; results
     are identical either way — parallel campaigns replay the serial

@@ -14,11 +14,12 @@ import pytest
 
 from repro.clients import Client, get_profile
 from repro.core.sortlist import HistoryStore
-from repro.dns.message import DNSMessage
+from repro.dns.errors import MessageError
+from repro.dns.message import INTERN_TABLE, DNSMessage
 from repro.dns.rdata import RdataType
 from repro.simnet.addr import Family
 from repro.simnet.capture import Direction, PacketCapture
-from repro.simnet.packet import Protocol
+from repro.simnet.packet import Packet, Protocol
 from repro.testbed import (CaptureObservation, TestCaseConfig, TestCaseKind,
                            SweepSpec, address_selection_case,
                            modules_for, rd_case)
@@ -215,8 +216,6 @@ class TestObservationMatchesLegacy:
 class TestSingleDecode:
     def test_each_dns_payload_decoded_exactly_once(self, harvested,
                                                    monkeypatch):
-        from repro.testbed import clear_dns_decode_intern
-
         udp_frames = sum(1 for frame in harvested
                          if frame.packet.protocol is Protocol.UDP)
         unique_payloads = len({frame.packet.payload for frame in harvested
@@ -231,7 +230,7 @@ class TestSingleDecode:
 
         monkeypatch.setattr(DNSMessage, "decode",
                             staticmethod(counting_decode))
-        clear_dns_decode_intern()
+        INTERN_TABLE.clear()
         observation = CaptureObservation(harvested)
         # Each *distinct* payload decodes once; duplicates intern.
         assert calls["n"] == unique_payloads
@@ -284,7 +283,6 @@ class TestSingleDecode:
         ids), so only the first repetition's observation pays any
         decode cost — every later repetition is fully interned."""
         from repro.seeding import stable_run_seed
-        from repro.testbed import clear_dns_decode_intern
 
         case = TestCaseConfig(
             name="rep-heavy", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
@@ -303,7 +301,7 @@ class TestSingleDecode:
         assert all(payloads == payload_sets[0]
                    for payloads in payload_sets[1:])
 
-        clear_dns_decode_intern()
+        INTERN_TABLE.clear()
         observations = [CaptureObservation(capture)
                         for capture in captures]
         first, rest = observations[0], observations[1:]
@@ -315,6 +313,37 @@ class TestSingleDecode:
         for obs in rest:
             assert obs.query_order == first.query_order
             assert obs.aaaa_first == first.aaaa_first
+
+    def test_endpoint_decodes_count_as_capture_hits(self):
+        """Endpoints and captures share one intern table: the stub and
+        the resolver decode every DNS payload of a run as it arrives,
+        so observing that run's capture afterwards decodes nothing."""
+        INTERN_TABLE.clear()
+        capture = run_and_capture(*CASES[0][1:])
+        observation = CaptureObservation(capture)
+        udp_frames = sum(1 for frame in capture
+                         if frame.packet.protocol is Protocol.UDP)
+        assert udp_frames > 0
+        assert observation.dns_payloads_decoded == 0
+        assert observation.dns_payloads_interned == udp_frames
+        assert observation.dns_observations
+
+    def test_undecodable_payload_reads_as_no_message(self):
+        garbage = b"\x00\x01garbage"  # shorter than a DNS header
+        capture = PacketCapture()
+        for _ in range(2):
+            capture.record(0.0, Direction.OUT, Packet(
+                "2001:db8::1", "2001:db8::53", Protocol.UDP, 5353, 53,
+                payload=garbage))
+        observation = CaptureObservation(capture)
+        # Failures are never interned: each sighting is a decode.
+        assert observation.dns_payloads_decoded == 2
+        assert observation.dns_payloads_interned == 0
+        assert observation.dns_observations == []
+        assert garbage not in INTERN_TABLE
+        with pytest.raises(MessageError):
+            DNSMessage.decode_interned(garbage)
+        assert garbage not in INTERN_TABLE
 
     def test_legacy_wrappers_still_work(self, harvested):
         from repro.testbed import (aaaa_before_a, attempt_sequence,

@@ -10,9 +10,9 @@ import pytest
 
 from repro.clients import get_profile
 from repro.seeding import stable_run_seed
-from repro.testbed import (CampaignStore, SweepSpec, TestCaseConfig,
-                           TestCaseKind, TestRunner, address_selection_case,
-                           run_campaign_spec)
+from repro.testbed import (CampaignStore, StreamingResultSet, SweepSpec,
+                           TestCaseConfig, TestCaseKind, TestRunner,
+                           address_selection_case, run_campaign_spec)
 from repro.testbed import parallel
 from repro.testbed.parallel import (Plan, PlanCursor, execute_stages,
                                     plan_stages, resolve_specs)
@@ -109,16 +109,16 @@ class TestParallelCampaign:
         serial = runner.run()
         parallel = runner.run(workers=2)
         assert len(serial) == len(parallel)
-        assert serial.records == parallel.records
+        assert serial == parallel
 
     def test_workers_one_is_serial(self):
         runner = small_runner(seed=6)
-        assert runner.run().records == runner.run(workers=1).records
+        assert runner.run() == runner.run(workers=1)
 
     def test_aggregations_agree(self):
         runner = small_runner(seed=7)
-        serial = runner.run()
-        parallel = runner.run(workers=2)
+        serial = StreamingResultSet.consume(runner.run())
+        parallel = StreamingResultSet.consume(runner.run(workers=2))
         assert serial.median_cad("Chrome 130.0") == \
             parallel.median_cad("Chrome 130.0")
         assert serial.family_by_delay("curl 7.88.1", "cad") == \
@@ -134,7 +134,7 @@ class TestParallelCampaign:
         }
         parallel = run_campaign_spec(spec)
         serial = run_campaign_spec({**spec, "workers": None})
-        assert serial.records == parallel.records
+        assert serial == parallel
 
 
 class TestPlanEntries:
@@ -196,15 +196,50 @@ class TestResolveSpecs:
         assert store.stats.stores == len(plan) - len(warm_part)
 
     def test_repeated_key_hits_once(self, tmp_path):
-        """A key the plan repeats is served from the store once; its
-        later occurrence executes and is written back."""
+        """A key the plan repeats is looked up once and served for
+        every occurrence; nothing executes or is written back."""
         entry = tiny_runner(150).plan()[0]
         store = CampaignStore(tmp_path)
         list(resolve_specs(Plan([entry]), store))
         store = CampaignStore(tmp_path)
         records = list(resolve_specs(Plan([entry, entry]), store))
         assert records[0] == records[1]
-        assert store.stats.stores == 1
+        assert store.stats.hits == 1
+        assert store.stats.stores == 0
+
+    def test_repeated_client_resolves_each_key_once(self, tmp_path,
+                                                    monkeypatch):
+        """A campaign listing a client twice repeats every key: cold,
+        each distinct key misses, executes and is stored once; warm,
+        nothing executes and nothing is written."""
+        chrome = get_profile("Chrome", "130.0")
+        runner = TestRunner(
+            clients=[chrome, chrome],
+            cases=[TestCaseConfig(
+                name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
+                sweep=SweepSpec.fixed(0, 310))],
+            seed=5)
+        executed = []
+        run_single = TestRunner.run_single
+
+        def counting(self, *args, **kwargs):
+            executed.append(args[2])
+            return run_single(self, *args, **kwargs)
+
+        monkeypatch.setattr(TestRunner, "run_single", counting)
+        runner.store = CampaignStore(tmp_path)
+        cold = runner.run()
+        assert len(cold) == 4 and cold[:2] == cold[2:]
+        assert sorted(executed) == [0, 310]
+        assert (runner.store.stats.misses, runner.store.stats.stores) \
+            == (2, 2)
+        executed.clear()
+        runner.store = CampaignStore(tmp_path)
+        assert runner.run() == cold
+        assert executed == []
+        assert (runner.store.stats.hits, runner.store.stats.misses,
+                runner.store.stats.stores) == (2, 0, 0)
+        assert len(list(runner.store.entries())) == 2
 
     def test_rejects_mixed_entry_kinds(self, tmp_path):
         entry = tiny_runner(150).plan()[0]

@@ -1,10 +1,12 @@
 """Integration tests for the testbed framework (config, modules, runner)."""
 
+from statistics import median
+
 import pytest
 
 from repro.clients import get_profile
 from repro.simnet import Family
-from repro.testbed import (NonMonotonicSeriesError, ResultSet, RunRecord,
+from repro.testbed import (NonMonotonicSeriesError, RunRecord,
                            StreamingResultSet, SweepSpec, TestCaseConfig,
                            TestCaseKind, TestRunner,
                            address_selection_case, cad_case,
@@ -51,7 +53,7 @@ class TestCadRuns:
                 name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                 sweep=SweepSpec.fixed(100, 250, 290, 310, 400))],
             seed=11)
-        results = runner.run()
+        results = StreamingResultSet.consume(runner.run())
         series = results.family_by_delay("Chrome 130.0", "cad")
         assert series[100] is Family.V6
         assert series[250] is Family.V6
@@ -66,7 +68,7 @@ class TestCadRuns:
                 name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                 sweep=SweepSpec.fixed(350, 400))],
             seed=12)
-        results = runner.run()
+        results = StreamingResultSet.consume(runner.run())
         cad = results.median_cad("Firefox 132.0")
         assert cad == pytest.approx(0.250, abs=0.090)  # outliers allowed
 
@@ -77,7 +79,7 @@ class TestCadRuns:
                 name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                 sweep=SweepSpec.fixed(150, 190, 210, 250))],
             seed=13)
-        results = runner.run()
+        results = StreamingResultSet.consume(runner.run())
         crossover = results.observed_cad_crossover("curl 7.88.1", "cad")
         assert crossover == 190  # curl's CAD is 200 ms
 
@@ -89,9 +91,9 @@ class TestCadRuns:
                 name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                 sweep=SweepSpec.fixed(0))],
             seed=14)
-        results = runner.run()
-        chrome = results.for_client("Chrome 130.0")[0]
-        firefox = results.for_client("Firefox 132.0")[0]
+        chrome, firefox = runner.run()
+        assert chrome.client == "Chrome 130.0"
+        assert firefox.client == "Firefox 132.0"
         assert chrome.aaaa_first is True
         assert firefox.aaaa_first is False
 
@@ -104,7 +106,7 @@ class TestRdRuns:
                 name="rd", kind=TestCaseKind.RESOLUTION_DELAY,
                 sweep=SweepSpec.fixed(1000))],
             seed=15)
-        record = runner.run().records[0]
+        record = runner.run()[0]
         assert record.rd_s == pytest.approx(0.050, abs=0.005)
         assert record.winning_family is Family.V4
 
@@ -115,7 +117,7 @@ class TestRdRuns:
                 name="rd", kind=TestCaseKind.RESOLUTION_DELAY,
                 sweep=SweepSpec.fixed(8000))],  # beyond resolver timeout
             seed=16, resolver_timeout=2.0)
-        record = runner.run().records[0]
+        record = runner.run()[0]
         # IPv4 connection only starts after the 2 s resolver timeout.
         assert record.time_to_first_attempt_s == pytest.approx(2.0,
                                                                abs=0.050)
@@ -126,7 +128,7 @@ class TestRdRuns:
             cases=[delayed_a_case()],
             seed=17)
         results = runner.run()
-        for record in results.records:
+        for record in results:
             assert record.winning_family is Family.V6
             expected_stall = record.value_ms / 1000.0
             assert record.time_to_first_attempt_s == pytest.approx(
@@ -139,7 +141,7 @@ class TestRdRuns:
                 name="delayed-a", kind=TestCaseKind.DELAYED_A,
                 sweep=SweepSpec.fixed(2000))],
             seed=18, hev3_flag=True)
-        record = runner.run().records[0]
+        record = runner.run()[0]
         assert record.winning_family is Family.V6
         assert record.time_to_first_attempt_s < 0.100
 
@@ -150,7 +152,7 @@ class TestAddressSelectionRuns:
             clients=[get_profile("Chrome", "130.0")],
             cases=[address_selection_case()],
             seed=19)
-        record = runner.run().records[0]
+        record = runner.run()[0]
         assert record.attempts_v6 == 1
         assert record.attempts_v4 == 1
 
@@ -159,7 +161,7 @@ class TestAddressSelectionRuns:
             clients=[get_profile("Safari", "17.6")],
             cases=[address_selection_case()],
             seed=20)
-        record = runner.run().records[0]
+        record = runner.run()[0]
         assert record.attempts_v6 == 10
         assert record.attempts_v4 == 10
         # Safari's interleave pattern: v6 v6 v4 v6*8 v4*9 (App. D).
@@ -173,7 +175,7 @@ class TestAddressSelectionRuns:
             clients=[get_profile("wget", "1.21.3")],
             cases=[address_selection_case()],
             seed=21)
-        record = runner.run().records[0]
+        record = runner.run()[0]
         assert record.attempts_v6 == 1
         assert record.attempts_v4 == 0
 
@@ -192,7 +194,7 @@ class TestFamilyByDelayAggregation:
     """Repetitions aggregate by majority vote, not last-write-wins."""
 
     def test_majority_wins(self):
-        results = ResultSet()
+        results = StreamingResultSet()
         for repetition, family in enumerate(
                 [Family.V6, Family.V4, Family.V6]):
             results.add(_cad_record(100, repetition, family))
@@ -204,24 +206,21 @@ class TestFamilyByDelayAggregation:
         records = [_cad_record(100, 0, Family.V6),
                    _cad_record(100, 1, Family.V6),
                    _cad_record(100, 2, Family.V4)]
-        forward, backward = ResultSet(), ResultSet()
-        for record in records:
-            forward.add(record)
-        for record in reversed(records):
-            backward.add(record)
+        forward = StreamingResultSet.consume(records)
+        backward = StreamingResultSet.consume(reversed(records))
         assert forward.family_by_delay("c 1.0", "cad") == {100: Family.V6}
         assert backward.family_by_delay("c 1.0", "cad") == \
             forward.family_by_delay("c 1.0", "cad")
 
     def test_tie_breaks_toward_ipv4(self):
-        results = ResultSet()
+        results = StreamingResultSet()
         results.add(_cad_record(100, 0, Family.V6))
         results.add(_cad_record(100, 1, Family.V4))
         assert results.family_by_delay("c 1.0", "cad") == {100: Family.V4}
         assert majority_family({Family.V6: 2, Family.V4: 2}) is Family.V4
 
     def test_none_winners_ignored(self):
-        results = ResultSet()
+        results = StreamingResultSet()
         results.add(_cad_record(100, 0, None))
         results.add(_cad_record(100, 1, Family.V6))
         assert results.family_by_delay("c 1.0", "cad") == {100: Family.V6}
@@ -231,21 +230,21 @@ class TestCrossoverMonotonicity:
     """Non-monotonic series raise instead of masking flapping."""
 
     def test_monotonic_series_unchanged(self):
-        results = ResultSet()
+        results = StreamingResultSet()
         results.add(_cad_record(100, 0, Family.V6))
         results.add(_cad_record(200, 0, Family.V4))
         assert results.is_monotonic("c 1.0", "cad")
         assert results.observed_cad_crossover("c 1.0", "cad") == 100
 
     def test_all_ipv4_has_no_crossover(self):
-        results = ResultSet()
+        results = StreamingResultSet()
         results.add(_cad_record(100, 0, Family.V4))
         assert results.observed_cad_crossover("c 1.0", "cad") is None
 
     def test_flapping_series_raises(self):
         """The regression: IPv4 at 100 ms but IPv6 again at 200 ms used
         to silently report a 200 ms crossover."""
-        results = ResultSet()
+        results = StreamingResultSet()
         results.add(_cad_record(100, 0, Family.V4))
         results.add(_cad_record(200, 0, Family.V6))
         results.add(_cad_record(300, 0, Family.V4))
@@ -262,8 +261,23 @@ class TestCrossoverMonotonicity:
                                    200: Family.V6}) == (100, 200)
 
 
+def oracle_family_by_delay(records, client, case):
+    """Independent reference for the Figure 2 series: per delay, count
+    the established families by hand; the majority wins, a tie goes
+    to IPv4, and runs that established nothing do not vote."""
+    votes = {}
+    for record in records:
+        if (record.client, record.case) == (client, case) \
+                and record.winning_family is not None:
+            votes.setdefault(record.value_ms, []).append(
+                record.winning_family)
+    return {value_ms: Family.V6 if families.count(Family.V6)
+            > families.count(Family.V4) else Family.V4
+            for value_ms, families in votes.items()}
+
+
 class TestStreamingResultSet:
-    """Streaming aggregation matches the materialized ResultSet."""
+    """Streaming aggregation matches a hand-written reference."""
 
     def runner(self) -> TestRunner:
         return TestRunner(
@@ -276,21 +290,29 @@ class TestStreamingResultSet:
 
     def test_matches_materialized_aggregations(self):
         runner = self.runner()
-        materialized = runner.run()
+        records = runner.run()
         streamed = StreamingResultSet.consume(runner.stream())
-        assert len(streamed) == len(materialized)
+        assert len(streamed) == len(records)
         for client in ("Chrome 130.0", "curl 7.88.1"):
+            cads = [record.cad_s for record in records
+                    if record.client == client and record.cad_s is not None]
             assert streamed.median_cad(client) == \
-                materialized.median_cad(client)
-            assert streamed.family_by_delay(client, "cad") == \
-                materialized.family_by_delay(client, "cad")
+                (median(cads) if cads else None)
+            series = oracle_family_by_delay(records, client, "cad")
+            assert series
+            assert streamed.family_by_delay(client, "cad") == series
+            v6 = [delay for delay, family in series.items()
+                  if family is Family.V6]
+            v4 = [delay for delay, family in series.items()
+                  if family is Family.V4]
+            assert all(low > high for low in v4 for high in v6)
             assert streamed.observed_cad_crossover(client, "cad") == \
-                materialized.observed_cad_crossover(client, "cad")
+                (max(v6) if v6 else None)
 
     def test_stream_order_matches_run(self):
         runner = self.runner()
         streamed = list(runner.stream())
-        assert streamed == runner.run().records
+        assert streamed == runner.run()
 
     def test_outcomes_include_unestablished_values(self):
         aggregate = StreamingResultSet()
@@ -311,9 +333,8 @@ class TestStreamingResultSet:
         assert aggregate.errors == 1
 
 
-class TestResultSet:
+class TestRunRecordList:
     def test_filters(self):
-        results = ResultSet()
         runner = TestRunner(
             clients=[get_profile("curl", "7.88.1")],
             cases=[TestCaseConfig(
@@ -322,6 +343,12 @@ class TestResultSet:
             seed=22)
         results = runner.run()
         assert len(results) == 2
-        assert len(results.for_client("curl 7.88.1")) == 2
-        assert len(results.for_case("cad")) == 2
-        assert len(results.for_client("nobody")) == 0
+        assert [r.value_ms for r in results] == [0, 300]
+        assert all(r.client == "curl 7.88.1" and r.case == "cad"
+                   for r in results)
+        aggregate = StreamingResultSet.consume(results)
+        assert len(aggregate) == 2
+        assert sorted(aggregate.family_by_delay("curl 7.88.1", "cad")) \
+            == [0, 300]
+        assert aggregate.family_by_delay("nobody", "cad") == {}
+        assert aggregate.median_cad("nobody") is None

@@ -4,8 +4,8 @@ import pytest
 
 from repro.analysis import (Summary, cad_summary, outlier_fraction,
                             stall_summary, summarize)
-from repro.testbed import (CampaignSpec, SpecError, TestCaseKind,
-                           run_campaign_spec)
+from repro.testbed import (CampaignSpec, SpecError, StreamingResultSet,
+                           TestCaseKind, run_campaign_spec)
 from repro.testbed.spec import parse_case, parse_client, parse_sweep
 
 
@@ -106,7 +106,7 @@ class TestSpecParsing:
         clean = run_campaign_spec(base)
         chaos = run_campaign_spec({**base, "retries": 2,
                                    "faults": "crash:1.0"})
-        assert chaos.records == clean.records
+        assert chaos == clean
 
     def test_end_to_end_execution(self):
         results = run_campaign_spec({
@@ -116,7 +116,8 @@ class TestSpecParsing:
                        "sweep": {"values": [150, 250]}}],
         })
         assert len(results) == 2
-        series = results.family_by_delay("curl 7.88.1", "cad")
+        series = StreamingResultSet.consume(results).family_by_delay(
+            "curl 7.88.1", "cad")
         assert series[150].label == "IPv6"
         assert series[250].label == "IPv4"
 

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from typing import List
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.conformance.scenarios import (hev3_battery, scenario_battery,
                                          sortlist_battery, svcb_battery)
 from repro.seeding import stable_run_seed
 from repro.simnet.addr import Family
-from repro.testbed import (CampaignStore, ResultSet, RunSpec, SweepSpec,
+from repro.testbed import (CampaignStore, RunRecord, RunSpec, SweepSpec,
                            TestCaseConfig, TestCaseKind, TestRunner,
                            run_campaign_spec, spec_keys)
 from repro.testbed.store import (STORE_FORMAT, canonical, config_digest,
@@ -285,21 +286,21 @@ class TestWarmCampaigns:
         warm = small_runner(store=warm_store).run()
         assert warm_store.stats.hits == len(warm)
         assert warm_store.stats.misses == 0
-        assert warm.records == cold.records
+        assert warm == cold
 
     def test_cached_equals_uncached(self, tmp_path):
         fresh = small_runner().run()
         store = CampaignStore(tmp_path)
         small_runner(store=store).run()
         cached = small_runner(store=CampaignStore(tmp_path)).run()
-        assert cached.records == fresh.records
+        assert cached == fresh
 
     def test_parallel_warm_run_identical_and_poolless(self, tmp_path):
         store = CampaignStore(tmp_path)
         cold = small_runner(store=store).run(workers=2)
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run(workers=2)
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
 
@@ -314,14 +315,14 @@ class TestWarmCampaigns:
 
         cold = runner(CampaignStore(tmp_path)).run()
         warm = runner(CampaignStore(tmp_path)).run(workers=workers)
-        assert len(cold.records) == 12
-        assert warm.records == cold.records
+        assert len(cold) == 12
+        assert warm == cold
 
     def test_serial_cold_parallel_warm_identity(self, tmp_path):
         store = CampaignStore(tmp_path)
         cold = small_runner(store=store).run()
         warm = small_runner(store=CampaignStore(tmp_path)).run(workers=2)
-        assert warm.records == cold.records
+        assert warm == cold
 
     def test_spec_cache_dir_stanza(self, tmp_path):
         spec = {
@@ -332,7 +333,7 @@ class TestWarmCampaigns:
         }
         first = run_campaign_spec(spec)
         second = run_campaign_spec(spec)
-        assert first.records == second.records
+        assert first == second
         assert pack_paths(CampaignStore(tmp_path))  # populated on disk
 
 
@@ -473,7 +474,7 @@ class TestCacheInvalidation:
         # pass, only {100, 200} execute fresh.
         assert fine.store.stats.hits == 12
         assert fine.store.stats.misses == 8
-        assert sorted({r.value_ms for r in fine_results.records}) == \
+        assert sorted({r.value_ms for r in fine_results}) == \
             [0, 100, 150, 200, 310]
 
     def test_profile_field_change_misses(self, tmp_path):
@@ -530,7 +531,7 @@ class TestCacheInvalidation:
 
 
 class TestCorruptEntries:
-    def populate(self, tmp_path) -> ResultSet:
+    def populate(self, tmp_path) -> List[RunRecord]:
         return small_runner(store=CampaignStore(tmp_path)).run()
 
     def test_corrupted_entry_falls_back_to_fresh(self, tmp_path):
@@ -538,7 +539,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.invalid == 1
         assert warm_store.stats.misses == 1
         assert warm_store.stats.hits == len(cold) - 1
@@ -554,7 +555,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run(workers=2)
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.invalid == 1
         repaired = CampaignStore(tmp_path)
         small_runner(store=repaired).run(workers=2)
@@ -567,7 +568,7 @@ class TestCorruptEntries:
                edit_entry(lambda data: data.pop("complete")))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.invalid == 1
 
     def test_format_version_mismatch_is_invalid(self, tmp_path):
@@ -576,7 +577,7 @@ class TestCorruptEntries:
             lambda data: data.update(format=STORE_FORMAT + 1)))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.invalid == 1
 
     def test_undecodable_payload_is_invalid(self, tmp_path):
@@ -585,7 +586,7 @@ class TestCorruptEntries:
             lambda data: data["payload"].update(winning_family="V9")))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.invalid == 1
 
 
@@ -594,7 +595,7 @@ class TestQuarantine:
     the evidence survives for postmortems and the bad record can never
     shadow its repaired replacement."""
 
-    def populate(self, tmp_path) -> ResultSet:
+    def populate(self, tmp_path) -> List[RunRecord]:
         return small_runner(store=CampaignStore(tmp_path)).run()
 
     def corrupt_one(self, tmp_path) -> "tuple[str, bytes]":
@@ -606,7 +607,7 @@ class TestQuarantine:
         key, bad = self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.quarantined == 1
         assert warm_store.stats.invalid == 1
         moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"
@@ -644,7 +645,7 @@ class TestQuarantine:
         assert not (tmp_path / ".quarantine").exists()
         # Readable again: every record is still there.
         warm = CampaignStore(tmp_path).get_many(keys, decode_record)
-        assert sorted(warm.values(), key=repr) == sorted(cold.records,
+        assert sorted(warm.values(), key=repr) == sorted(cold,
                                                          key=repr)
 
     def test_gc_leaves_quarantine_intact(self, tmp_path):
@@ -678,7 +679,7 @@ class TestExecutorEdges:
             seed=4)
         serial = runner.run()
         wide = runner.run(workers=16)
-        assert wide.records == serial.records
+        assert wide == serial
 
     def test_workers_exceed_spec_count_with_store(self, tmp_path):
         runner = TestRunner(
@@ -689,4 +690,4 @@ class TestExecutorEdges:
             seed=4, store=CampaignStore(tmp_path))
         first = runner.run(workers=8)
         second = runner.run(workers=8)
-        assert first.records == second.records
+        assert first == second

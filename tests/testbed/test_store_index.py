@@ -258,7 +258,7 @@ class TestRunnerBatchPath:
         cold = small_runner(store=CampaignStore(tmp_path)).run()
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run()
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
         assert index_files(tmp_path)  # the warm stream built sidecars
@@ -267,6 +267,6 @@ class TestRunnerBatchPath:
         cold = small_runner(store=CampaignStore(tmp_path)).run()
         warm_store = CampaignStore(tmp_path)
         warm = small_runner(store=warm_store).run(workers=2)
-        assert warm.records == cold.records
+        assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0

@@ -35,7 +35,7 @@ class TestPackedRoundTrip:
         for pack in tmp_path.glob("*.pack"):
             for line in pack.read_bytes().splitlines(keepends=True):
                 lines[json.loads(line)["key"]] = line
-        by_key = dict(zip(small_runner().plan().keys(), cold.records))
+        by_key = dict(zip(small_runner().plan().keys(), cold))
         assert set(lines) == set(by_key)
         for key, record in by_key.items():
             assert lines[key] == (json.dumps(
