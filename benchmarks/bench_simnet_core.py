@@ -1,13 +1,13 @@
 """Simulator core throughput: the headline runs/second metric.
 
-The simulator overhaul (timer-wheel scheduler, flyweight packet path,
-wire-template DNS caches) is justified by one number: how many
+The simulator core (one-heap scheduler, flyweight packet path,
+wire-template DNS caches) is judged by one number: how many
 simulated Happy Eyeballs runs per second a cold Figure 2 campaign
 sustains.  This bench records that headline plus four micro-benchmarks
 that isolate the layers it is built from:
 
 * ``simnet_scheduler_ops``   — raw schedule+dispatch throughput;
-* ``simnet_cancel_heavy``    — O(1) physical cancel under churn;
+* ``simnet_cancel_heavy``    — cancellation under churn;
 * ``simnet_packet_hops``     — two-host UDP ping-pong packet path;
 * ``simnet_timeout_churn``   — process/timeout allocation pressure;
 * ``figure2_runs_per_second``— the headline, measured on the same
@@ -34,7 +34,11 @@ TIMEOUT_PROCS = 20_000
 
 
 def test_scheduler_ops():
-    """Pure scheduler throughput: N schedules, N dispatches."""
+    """Pure scheduler throughput: N schedules, N dispatches.
+
+    All N entries are pending at once (a heap 200k deep), far deeper
+    than any registered experiment's queue.
+    """
     sim = Simulator(seed=1)
     fired = [0]
 
@@ -58,10 +62,11 @@ def test_scheduler_ops():
 def test_cancel_heavy():
     """Cancel 90% of pending work; only survivors may fire.
 
-    The old heapq scheduler marked cancelled entries and paid for them
-    again at pop time; the wheel unlinks them physically, so a
-    cancel-heavy workload (every DNS deadline that loses its race is
-    one) stays proportional to the events that actually run.
+    A cancelled entry stays in the heap, emptied, and is discarded when
+    it reaches the head, so this bench pays for every cancelled entry
+    again at pop time.  It keeps 100k entries pending at once; the
+    registered experiments keep at most a few hundred, with cancels a
+    few percent of schedules.
     """
     sim = Simulator(seed=2)
     fired = [0]

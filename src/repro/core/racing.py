@@ -195,10 +195,9 @@ class ConnectionRacer:
 
         # Stagger-gate and deadline timers are superseded every loop
         # iteration (a finished attempt reshapes the wait set).  They are
-        # retained so the superseded ones can be physically cancelled —
-        # O(1) on the timer wheel — instead of lingering until they fire
-        # as no-ops, which on CAD-heavy races leaves thousands of dead
-        # wheel entries.
+        # retained so the superseded ones can be cancelled: a dead
+        # deadline left to fire as a no-op would still advance the clock
+        # to its instant when the simulator drains.
         gate_timer = None
         deadline_timer = None
         try:

@@ -164,8 +164,7 @@ class Timeout(Event):
     __slots__ = ("_delay", "_call")
 
     def __init__(self, sim: "Any", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout: {delay!r}")
+        # ``sim.schedule`` rejects a negative or non-finite delay.
         super().__init__(sim)
         self._delay = delay
         self._call = sim.schedule(delay, self._expire, value)
@@ -181,13 +180,14 @@ class Timeout(Event):
             self._dispatch()
 
     def cancel(self) -> bool:
-        """Physically remove the pending expiry from the timer wheel.
+        """Cancel the pending expiry so it never runs.
 
         Superseded deadlines (a Happy Eyeballs race that resolved before
-        its stagger gate or overall deadline fired) used to sit in the
-        wheel until they expired as no-ops; the wheel's O(1) unlink makes
-        it cheaper to drop them eagerly.  Returns True when a pending
-        expiry was removed; cancelling an expired timeout is a no-op.
+        its stagger gate or overall deadline fired) would otherwise
+        expire as no-ops and advance the clock to a dead instant.  The
+        scheduler entry is emptied in place and discarded when it
+        reaches the head of the queue.  Returns True when a pending
+        expiry was cancelled; cancelling an expired timeout is a no-op.
         """
         call, self._call = self._call, None
         if call is None or self.triggered:

@@ -1,6 +1,6 @@
 """The discrete-event simulator core.
 
-:class:`Simulator` owns the clock and a hashed timer wheel of scheduled
+:class:`Simulator` owns the clock and a binary heap of scheduled
 callbacks.  All higher layers — links, netem qdiscs, TCP state machines,
 DNS servers, Happy Eyeballs engines — interact with time exclusively
 through this object, which is what makes measurement runs perfectly
@@ -9,98 +9,54 @@ timestamping (§4.3); simulation gives exact timestamps.
 
 Execution order is the classic ``(when, seq)`` discipline — strictly
 increasing time, FIFO among callbacks scheduled for the same instant —
-but the storage is a *timer wheel*, not a binary heap of tuples:
-
-* entries hash into per-tick buckets (one tick ≈ 122 µs of simulated
-  time), so a burst of events landing in the same tick costs one heap
-  operation for the whole bucket, not one per event;
-* :meth:`ScheduledCall.cancel` physically unlinks the entry from its
-  bucket in O(1) — cancelled timers (the dominant Happy Eyeballs
-  pattern: every won race abandons its losers' timeouts) never churn
-  through the execution path the way heap tombstones did;
-* the due bucket is sorted once (near-sorted input, so Timsort is
-  ~linear) and drained in-place by ``run``/``run_until``/``step``,
-  which all share the same hot loop.
-
-The property tests pin this implementation against a reference heapq
-scheduler on randomized schedule/cancel/reschedule workloads.
+kept by one ``heapq`` of ``(when, seq, call)`` tuples.  The queue stays
+shallow on every registered experiment (at most ~250 entries pending,
+usually under 15), and cancels are a few percent of schedules, so
+:meth:`ScheduledCall.cancel` simply empties the entry in place and the
+run loop discards it when it reaches the head.
 """
 
 from __future__ import annotations
 
 import gc
 import random
-from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, List, Optional
+from math import inf
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .clock import SimClock
 from .events import AllOf, AnyOf, Event, SimulationError, Timeout
 from .process import Process, ProcessGenerator
 
-#: Wheel resolution: ticks per simulated second.  2**13 ≈ 122 µs per
-#: tick — finer than the default segment propagation delay (100 µs), so
-#: consecutive packet hops usually land in distinct buckets, while a
-#: burst shaped onto one departure instant shares a single bucket.
-_TICK_HZ = 8192.0
-
-#: Sentinel slot for entries extracted into the due-bucket run.
-_READY = object()
-
-#: ``object.__new__`` bound once: the schedule fast path allocates a
-#: bare ScheduledCall and assigns its slots inline, skipping the
-#: ``type.__call__`` → ``__init__`` dispatch.
-_new_call = object.__new__
-
 
 class ScheduledCall:
-    """Handle to a scheduled callback; supports O(1) cancellation.
+    """Handle to a scheduled callback; supports cancellation.
 
-    ``_slot`` tracks where the entry currently lives: its wheel bucket
-    (a dict keyed by sequence number), the :data:`_READY` sentinel once
-    extracted into the due run, or ``None`` after execution or
-    cancellation.
+    Executing or cancelling the call empties it (``fn = None``), so an
+    emptied entry left in the heap is skipped without running.
     """
 
-    __slots__ = ("when", "seq", "fn", "args", "_slot")
+    __slots__ = ("when", "seq", "fn", "args")
 
-    def __init__(self, when: float, seq: int, fn: Callable[..., None],
-                 args: "tuple") -> None:
+    def __init__(self, when: float, seq: int,
+                 fn: Optional[Callable[..., None]], args: "tuple") -> None:
         self.when = when
         self.seq = seq
         self.fn = fn
         self.args = args
-        self._slot: Any = None
 
     @property
     def cancelled(self) -> bool:
         """True once cancelled (or executed); kept for introspection."""
-        return self._slot is None and self.fn is None
+        return self.fn is None
 
     def cancel(self) -> None:
-        """Unlink this entry; a cancelled call never executes.
-
-        Entries still in the wheel are physically removed from their
-        bucket (no tombstone ever reaches the execution loop); entries
-        already extracted into the currently-draining bucket are
-        emptied in place and skipped.
-        """
-        slot = self._slot
-        if slot is None:
-            return
-        self._slot = None
+        """Empty this entry in place; a cancelled call never executes."""
         self.fn = None
         self.args = ()
-        if slot is not _READY:
-            del slot[self.seq]
-
-    def __lt__(self, other: "ScheduledCall") -> bool:
-        if self.when != other.when:
-            return self.when < other.when
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "pending" if self._slot is not None else "done/cancelled"
+        state = "pending" if self.fn is not None else "done/cancelled"
         return f"<ScheduledCall t={self.when:.6f} seq={self.seq} {state}>"
 
 
@@ -118,9 +74,7 @@ class Simulator:
         Starting value of the simulated clock, in seconds.
     """
 
-    __slots__ = ("_clock", "_rng", "_seed", "_unhandled", "_seq",
-                 "_buckets", "_tick_heap", "_ready", "_ready_pos",
-                 "_ready_tick", "_extra")
+    __slots__ = ("_clock", "_rng", "_seed", "_unhandled", "_seq", "_queue")
 
     def __init__(self, seed: int = 0, start: float = 0.0) -> None:
         self._clock = SimClock(start)
@@ -128,17 +82,7 @@ class Simulator:
         self._seed = seed
         self._unhandled: List[BaseException] = []
         self._seq = 0
-        # Wheel storage: tick -> {seq: ScheduledCall}; the tick heap
-        # holds every tick that currently has (or recently had) a
-        # bucket, with stale ticks dropped lazily.
-        self._buckets: "dict[int, dict[int, ScheduledCall]]" = {}
-        self._tick_heap: List[int] = []
-        # Due-bucket run: the sorted entries of the tick currently
-        # being drained, plus late arrivals into the same tick.
-        self._ready: List[ScheduledCall] = []
-        self._ready_pos = 0
-        self._ready_tick: Optional[int] = None
-        self._extra: List[ScheduledCall] = []
+        self._queue: List[Tuple[float, int, ScheduledCall]] = []
 
     # -- time ------------------------------------------------------------
 
@@ -170,64 +114,32 @@ class Simulator:
 
     def schedule(self, delay: float, fn: Callable[..., None],
                  *args: Any) -> ScheduledCall:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past: delay={delay!r}")
-        # Body of :meth:`_insert`, inlined: this is the hottest call
-        # site in the simulator and the extra frame shows up in
-        # profiles.
-        when = self._clock._now + delay
-        seq = self._seq = self._seq + 1
-        call = _new_call(ScheduledCall)
-        call.when = when
-        call.seq = seq
-        call.fn = fn
-        call.args = args
-        tick = int(when * _TICK_HZ)
-        if tick == self._ready_tick:
-            call._slot = _READY
-            insort(self._extra, call)
-        else:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = bucket = {seq: call}
-                heappush(self._tick_heap, tick)
-            else:
-                bucket[seq] = call
-            call._slot = bucket
-        return call
+        """Run ``fn(*args)`` after ``delay`` simulated seconds.
+
+        ``delay`` must be finite and non-negative; one chained compare
+        rejects negative, infinite and NaN delays alike.
+        """
+        if not 0.0 <= delay < inf:
+            raise ValueError(
+                f"delay must be finite and non-negative: delay={delay!r}")
+        return self._insert(self._clock._now + delay, fn, args)
 
     def schedule_at(self, when: float, fn: Callable[..., None],
                     *args: Any) -> ScheduledCall:
         """Run ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self._clock._now:
+        now = self._clock._now
+        if not now <= when < inf:
             raise ValueError(
-                f"cannot schedule in the past: {when!r} < {self._clock._now!r}")
+                f"when must be finite and not in the past: "
+                f"when={when!r}, now={now!r}")
         return self._insert(when, fn, args)
 
     def _insert(self, when: float, fn: Callable[..., None],
                 args: "tuple") -> ScheduledCall:
         # ``args`` is already the vararg tuple — no re-packing copy.
         seq = self._seq = self._seq + 1
-        call = _new_call(ScheduledCall)
-        call.when = when
-        call.seq = seq
-        call.fn = fn
-        call.args = args
-        tick = int(when * _TICK_HZ)
-        if tick == self._ready_tick:
-            # The tick being drained: merge into the run, keeping
-            # (when, seq) order against the not-yet-executed entries.
-            call._slot = _READY
-            insort(self._extra, call)
-        else:
-            bucket = self._buckets.get(tick)
-            if bucket is None:
-                self._buckets[tick] = bucket = {seq: call}
-                heappush(self._tick_heap, tick)
-            else:
-                bucket[seq] = call
-            call._slot = bucket
+        call = ScheduledCall(when, seq, fn, args)
+        heappush(self._queue, (when, seq, call))
         return call
 
     def report_unhandled(self, exc: BaseException) -> None:
@@ -239,128 +151,16 @@ class Simulator:
     @property
     def pending_count(self) -> int:
         """Number of live (non-cancelled, unexecuted) scheduled calls."""
-        count = sum(map(len, self._buckets.values()))
-        ready = self._ready
-        for index in range(self._ready_pos, len(ready)):
-            if ready[index]._slot is not None:
-                count += 1
-        for call in self._extra:
-            if call._slot is not None:
-                count += 1
-        return count
+        return sum(1 for entry in self._queue if entry[2].fn is not None)
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled callback, or None if idle."""
-        head = self._next_call()
-        return head.when if head is not None else None
-
-    def _next_call(self) -> Optional[ScheduledCall]:
-        """The globally earliest live entry, or None.
-
-        Normalizes internal state: skips cancelled entries at the head
-        of the due run, drops drained ticks, loads the next due bucket
-        when the current run is exhausted, and spills the run back into
-        the wheel if an earlier tick has appeared (possible after a
-        bounded :meth:`run` stopped mid-bucket and earlier times were
-        scheduled).
-        """
-        buckets = self._buckets
-        heap = self._tick_heap
-        while True:
-            ready = self._ready
-            extra = self._extra
-            pos = self._ready_pos
-            n = len(ready)
-            while pos < n and ready[pos]._slot is None:
-                pos += 1
-            self._ready_pos = pos
-            while extra and extra[0]._slot is None:
-                del extra[0]
-            head: Optional[ScheduledCall] = None
-            if pos < n:
-                head = ready[pos]
-                if extra and extra[0] < head:
-                    head = extra[0]
-            elif extra:
-                head = extra[0]
-            else:
-                self._ready_tick = None
-            # Earliest live tick in the wheel (lazily dropping drained
-            # ticks and duplicate heap entries).
-            tick = None
-            while heap:
-                tick = heap[0]
-                if buckets.get(tick):
-                    break
-                heappop(heap)
-                buckets.pop(tick, None)
-                tick = None
-            if head is not None:
-                if tick is None or tick > self._ready_tick:
-                    return head
-                # An earlier tick appeared: push the unfinished run
-                # back into the wheel and restart selection.
-                self._spill_run()
-                continue
-            if tick is None:
-                return None
-            heappop(heap)
-            entries = list(buckets.pop(tick).values())
-            entries.sort()
-            self._ready = entries
-            self._ready_pos = 0
-            self._ready_tick = tick
-            self._extra = []
-            return entries[0]
-
-    def _spill_run(self) -> None:
-        """Return the unfinished due run to the wheel."""
-        buckets = self._buckets
-        pending = self._ready[self._ready_pos:] + self._extra
-        self._ready = []
-        self._ready_pos = 0
-        self._ready_tick = None
-        self._extra = []
-        for call in pending:
-            if call._slot is None:
-                continue
-            tick = int(call.when * _TICK_HZ)
-            bucket = buckets.get(tick)
-            if bucket is None:
-                buckets[tick] = bucket = {call.seq: call}
-                heappush(self._tick_heap, tick)
-            else:
-                bucket[call.seq] = call
-            call._slot = bucket
-
-    def _consume(self, call: ScheduledCall) -> None:
-        """Detach ``call`` (the current head) prior to execution."""
-        ready = self._ready
-        pos = self._ready_pos
-        if pos < len(ready) and ready[pos] is call:
-            self._ready_pos = pos + 1
-        else:
-            del self._extra[0]
-        call._slot = None
+        queue = self._queue
+        while queue and queue[0][2].fn is None:
+            heappop(queue)
+        return queue[0][0] if queue else None
 
     # -- execution --------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the next scheduled callback.  Returns False if idle."""
-        call = self._next_call()
-        if call is None:
-            return False
-        self._consume(call)
-        self._clock.advance_to(call.when)
-        fn, args = call.fn, call.args
-        call.fn = None
-        call.args = ()
-        if args:
-            fn(*args)
-        else:
-            fn()
-        self._raise_unhandled()
-        return True
 
     def run(self, until: Optional[float] = None,
             _stop_event: Optional[Event] = None,
@@ -372,11 +172,11 @@ class Simulator:
         ``until`` so successive bounded runs compose predictably.
 
         This is *the* hot loop — every simulated event in every campaign
-        executes here — so the due-bucket drain is fully inlined: the
-        per-event cost is a couple of attribute loads and compares, not a
-        :meth:`_next_call` + :meth:`_consume` method-call pair.  The
-        clock is advanced by direct assignment because the ``(when,
-        seq)`` discipline already guarantees monotonicity.
+        executes here.  The clock is advanced by direct assignment
+        because the ``(when, seq)`` discipline already guarantees
+        monotonicity.  A callback may drive the simulator itself
+        (a nested ``run``): both loops pop the same heap, so the global
+        order is unchanged.
 
         Cyclic garbage collection is paused while the loop runs: the
         loop allocates heavily (events, frames, packets) but creates few
@@ -401,106 +201,37 @@ class Simulator:
              _stop_event: Optional[Event],
              _limit_raises: bool) -> float:
         clock = self._clock
-        # Normalize once on entry: a previous bounded run may have
-        # stopped mid-bucket and later (external) scheduling may have
-        # introduced an earlier tick; _next_call spills in that case.
-        # During the loop itself no earlier tick can appear, because
-        # every insertion satisfies ``when >= now``.
-        self._next_call()
+        queue = self._queue
         unhandled = self._unhandled
-        while True:
-            ready = self._ready
-            extra = self._extra
-            pos = self._ready_pos
-            n = len(ready)
-            while True:
-                # -- select the head of the current due run ------------
-                if pos < n:
-                    call = ready[pos]
-                    if call._slot is None:  # cancelled in place
-                        pos += 1
-                        continue
-                    from_extra = False
-                    if extra:
-                        ex = extra[0]
-                        if ex._slot is None:
-                            del extra[0]
-                            continue
-                        exw = ex.when
-                        cw = call.when
-                        if exw < cw or (exw == cw and ex.seq < call.seq):
-                            call = ex
-                            from_extra = True
-                elif extra:
-                    call = extra[0]
-                    if call._slot is None:
-                        del extra[0]
-                        continue
-                    from_extra = True
-                else:
-                    break  # due run exhausted: fall to the wheel
-                when = call.when
-                if until is not None and when > until:
-                    self._ready_pos = pos
-                    if _limit_raises:
-                        raise SimulationError(
-                            f"{_stop_event!r} still pending at "
-                            f"time limit {until!r}")
-                    clock.advance_to(until)
-                    return clock.now
-                # -- consume and execute -------------------------------
-                if from_extra:
-                    del extra[0]
-                else:
-                    pos += 1
-                self._ready_pos = pos
-                call._slot = None
-                clock._now = when
-                fn = call.fn
-                args = call.args
-                call.fn = None
-                call.args = ()
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-                if unhandled:
-                    self._raise_unhandled()
-                    unhandled = self._unhandled
-                if _stop_event is not None and _stop_event.processed:
-                    return clock.now
-                if self._ready is not ready:
-                    # Reentrant execution (a callback drove the
-                    # simulator itself) reloaded the run: resync.
-                    break
-                pos = self._ready_pos
-            if self._ready is not ready:
+        horizon = inf if until is None else until
+        while queue:
+            entry = heappop(queue)
+            call = entry[2]
+            fn = call.fn
+            if fn is None:  # cancelled: discard without touching the clock
                 continue
-            # -- due run exhausted: load the next tick bucket ----------
-            self._ready_pos = pos
-            heap = self._tick_heap
-            buckets = self._buckets
-            tick = None
-            while heap:
-                tick = heap[0]
-                if buckets.get(tick):
-                    break
-                heappop(heap)
-                buckets.pop(tick, None)
-                tick = None
-            if tick is None:
-                self._ready = []
-                self._ready_pos = 0
-                self._ready_tick = None
-                self._extra = []
-                break  # drained
-            heappop(heap)
-            entries = list(buckets.pop(tick).values())
-            entries.sort()
-            self._ready = entries
-            self._ready_pos = 0
-            self._ready_tick = tick
-            self._extra = []
+            when = entry[0]
+            if when > horizon:
+                heappush(queue, entry)
+                if _limit_raises:
+                    raise SimulationError(
+                        f"{_stop_event!r} still pending at "
+                        f"time limit {until!r}")
+                clock.advance_to(horizon)
+                return clock.now
+            clock._now = when
+            args = call.args
+            call.fn = None
+            call.args = ()
+            if args:
+                fn(*args)
+            else:
+                fn()
+            if unhandled:
+                self._raise_unhandled()
+                unhandled = self._unhandled
+            if _stop_event is not None and _stop_event.processed:
+                return clock.now
         if _stop_event is not None:
             raise SimulationError(
                 f"simulation ran dry before {_stop_event!r} triggered")
@@ -513,9 +244,7 @@ class Simulator:
 
         Raises :class:`SimulationError` if the queue drains (or ``limit``
         passes) without the event triggering — usually a deadlocked test.
-        Drives the same hot loop as :meth:`run` (one head selection per
-        executed callback) instead of the old ``peek()`` + ``step()``
-        pair, which scanned the queue head twice per callback.
+        Drives the same hot loop as :meth:`run`.
         """
         if not event.processed:
             self.run(until=limit, _stop_event=event, _limit_raises=True)

@@ -27,6 +27,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -192,6 +193,11 @@ class CampaignSpec:
         retries = int(data.get("retries", 0))
         if retries < 0:
             raise SpecError(f"retries must be >= 0: {retries}")
+        resolver_timeout = float(data.get("resolver_timeout", 5.0))
+        if not 0.0 < resolver_timeout < math.inf:
+            raise SpecError(
+                f"resolver_timeout must be a finite positive duration "
+                f"in seconds: {resolver_timeout!r}")
         faults = data.get("faults")
         plan = None
         if faults is not None:
@@ -212,7 +218,7 @@ class CampaignSpec:
             clients=[parse_client(c) for c in data["clients"]],
             cases=[parse_case(c) for c in data["cases"]],
             seed=seed,
-            resolver_timeout=float(data.get("resolver_timeout", 5.0)),
+            resolver_timeout=resolver_timeout,
             workers=int(workers) if workers is not None else None,
             cache_dir=str(cache_dir) if cache_dir is not None else None,
             retries=retries,

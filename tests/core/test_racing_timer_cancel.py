@@ -1,10 +1,10 @@
 """The racing engine cancels superseded stagger/deadline timers.
 
-Before cancellation, a resolved race left its deadline ``Timeout``
-sitting in the wheel until it expired as a no-op — harmless for one
-race, real scheduler drag for a campaign of millions.  These tests pin
-the physical behavior: after a race resolves, draining the simulator
-never advances the clock to the dead deadline.
+Without cancellation, a resolved race would leave its deadline
+``Timeout`` pending until it expired as a no-op, and draining the
+simulator would advance the clock to that dead instant.  These tests
+pin the behavior: after a race resolves, no timer stays pending and
+draining the simulator never advances the clock to the dead deadline.
 """
 
 from repro.core import ConnectionRacer, HETrace, rfc8305_params

@@ -59,6 +59,23 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_at",
+                                       "timeout"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_delay_rejected(self, entry, bad):
+        """A NaN or infinite delay is a ValueError naming the value,
+        and nothing is queued."""
+        sim = Simulator()
+        enter = {
+            "schedule": lambda: sim.schedule(bad, lambda: None),
+            "schedule_at": lambda: sim.schedule_at(bad, lambda: None),
+            "timeout": lambda: sim.timeout(bad),
+        }[entry]
+        with pytest.raises(ValueError, match=repr(bad)):
+            enter()
+        assert sim.pending_count == 0
+
     def test_schedule_at_in_past_rejected(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)

@@ -1,12 +1,13 @@
-"""Differential tests for the timer-wheel scheduler.
+"""Differential tests for the simulator's event queue.
 
-The wheel replaced a plain ``heapq`` of ``(when, seq)`` tuples; its
-observable contract is *identical* execution order.  These tests pin
-that contract against a reference implementation under randomized
-schedule/cancel/reschedule workloads, plus regression tests for the
-bookkeeping surfaces (``peek``, ``pending_count``) and the bounded-run
-edge cases the wheel's drain state makes subtle (stopping mid-bucket,
-then receiving an *earlier* schedule before the next run).
+The scheduler's observable contract is strict ``(when, seq)``
+execution order: increasing time, FIFO among equal times.  These tests
+pin that contract against an independent ``heapq`` reference under
+randomized schedule/cancel/reschedule workloads, plus regression tests
+for the bookkeeping surfaces (``peek``, ``pending_count``), bounded
+runs (stopping between two due calls, then receiving an *earlier*
+schedule before the next run) and callbacks that drive the simulator
+themselves.
 """
 
 import heapq
@@ -24,8 +25,9 @@ def _spawns_child(tag) -> bool:
     """Pure function of the tag: does its callback schedule more work?
 
     Nested scheduling (timers arming timers) is the dominant real
-    pattern; deriving the decision from the tag alone lets the wheel
-    and the oracle apply it independently under their own clocks.
+    pattern; deriving the decision from the tag alone lets the
+    simulator and the oracle apply it independently under their own
+    clocks.
     """
     return random.Random(f"spawn:{tag}").random() < 0.4
 
@@ -35,7 +37,7 @@ def _child_delay(tag) -> float:
 
 
 class HeapOracle:
-    """The old scheduler's semantics: a heap of (when, seq) entries."""
+    """The reference semantics: a heap of (when, seq) entries."""
 
     def __init__(self) -> None:
         self._heap = []
@@ -77,7 +79,7 @@ def _run_workload(seed: int, ops: int = 400):
     sim = Simulator(seed=0)
     oracle = HeapOracle()
     trace = []
-    handles = {}  # top-level tag -> wheel handle
+    handles = {}  # top-level tag -> simulator handle
     oracle_seqs = {}  # top-level tag -> oracle sequence number
 
     def fire(tag):
@@ -98,8 +100,8 @@ def _run_workload(seed: int, ops: int = 400):
             handles[victim].cancel()
             oracle.cancel(oracle_seqs[victim])
         else:
-            # Bounded run to a random horizon: exercises mid-bucket
-            # stops and the spill-on-reentry normalization.
+            # Bounded run to a random horizon: stops between due
+            # calls, then resumes after further scheduling.
             horizon = sim.now + rng.choice([0.0, 1e-4, 0.005, 0.5])
             sim.run(until=horizon)
             oracle.run(until=horizon)
@@ -117,9 +119,57 @@ def test_wheel_matches_heap_oracle(seed):
     assert len(wheel_trace) > 0
 
 
+def _reenters(tag) -> bool:
+    """Pure function of the tag: does its callback run the simulator?"""
+    return random.Random(f"reenter:{tag}").random() < 0.2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reentrant_run_matches_heap_oracle(seed):
+    """A callback that calls ``sim.run(until=...)`` executes the calls
+    due by then inside its own frame; the global ``(when, seq)`` order
+    must still match the heapq reference, which never re-enters."""
+    rng = random.Random(seed)
+    sim = Simulator(seed=0)
+    oracle = HeapOracle()
+    trace = []
+    horizons = []  # enclosing nested-run bounds, innermost last
+    nested = []
+
+    def fire(tag):
+        trace.append((round(sim.now, 9), tag))
+        if _spawns_child(tag):
+            sim.schedule(_child_delay(tag), fire, ("child", tag))
+        if _reenters(tag):
+            # Bounded by the enclosing nested run, so no inner run moves
+            # the clock past an outer one's horizon; nothing is scheduled
+            # afterwards, so the nested clock advance shifts no work.
+            limit = sim.now + _child_delay(("reenter", tag))
+            if horizons:
+                limit = min(limit, horizons[-1])
+            horizons.append(limit)
+            nested.append(tag)
+            sim.run(until=limit)
+            horizons.pop()
+
+    pairs = []
+    for tag in range(300):
+        delay = rng.choice(DELAYS)
+        pairs.append((sim.schedule(delay, fire, tag),
+                      oracle.schedule(delay, tag)))
+    for handle, seq in rng.sample(pairs, 30):
+        handle.cancel()
+        oracle.cancel(seq)
+    sim.run()
+    oracle.run()
+    assert nested
+    assert trace == oracle.trace
+    assert sim.pending_count == 0
+
+
 def test_same_timestamp_fifo_across_wheel_boundaries():
-    """Equal-time callbacks run in schedule order even when they land
-    in different wheel structures (bucket vs. current due run)."""
+    """Equal-time callbacks run in schedule order, including one
+    scheduled while that instant's callbacks are already running."""
     sim = Simulator()
     order = []
     sim.schedule(0.5, order.append, "a")
@@ -176,8 +226,8 @@ class TestBookkeepingAfterCancel:
         fired = []
         holder = []
         # Scheduled before its peer (lower sequence number), so at
-        # t=0.5 the canceller runs first and unlinks the peer from the
-        # *current* due run — the hardest cancel case.
+        # t=0.5 the canceller runs first and cancels a peer due at
+        # the very instant being executed.
         sim.schedule(0.5, lambda: holder[0].cancel())
         holder.append(sim.schedule(0.5, fired.append, "peer"))
         sim.schedule(0.4, fired.append, "early")
@@ -187,8 +237,8 @@ class TestBookkeepingAfterCancel:
 
 class TestBoundedRunEdges:
     def test_stop_mid_bucket_then_resume(self):
-        """A bounded run that stops inside a due bucket resumes exactly
-        where it left off."""
+        """A bounded run that stops between two due calls resumes
+        exactly where it left off."""
         sim = Simulator()
         order = []
         sim.schedule(0.10, order.append, "a")
@@ -200,8 +250,9 @@ class TestBoundedRunEdges:
         assert order == ["a", "b"]
 
     def test_earlier_schedule_between_bounded_runs(self):
-        """External scheduling may introduce a tick *earlier* than the
-        wheel's current due run; the next run must spill and reorder."""
+        """External scheduling between bounded runs may add a call
+        *earlier* than every pending one; the next run executes it
+        first."""
         sim = Simulator()
         order = []
         sim.schedule(1.0, order.append, "late")

@@ -1,4 +1,4 @@
-"""Timeout.cancel: physical removal from the timer wheel."""
+"""Timeout.cancel: a cancelled expiry never runs or moves the clock."""
 
 from repro.simnet import Simulator
 

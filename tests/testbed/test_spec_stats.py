@@ -97,6 +97,16 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="'plan' string"):
             CampaignSpec.from_dict({**base, "faults": {"seed": 3}})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_resolver_timeout_rejected(self, bad):
+        """A resolver timeout the simulator cannot schedule is a spec
+        error naming the field, not a run that silently never
+        completes."""
+        base = {"clients": [{"name": "curl", "version": "7.88.1"}],
+                "cases": [{"kind": "cad", "sweep": {"values": [100]}}]}
+        with pytest.raises(SpecError, match="resolver_timeout"):
+            CampaignSpec.from_dict({**base, "resolver_timeout": bad})
+
     def test_chaos_spec_matches_fault_free_execution(self):
         base = {
             "seed": 13,
