@@ -252,6 +252,10 @@ def _cmd_cache_gc(args: argparse.Namespace) -> None:
     print(f"{prefix}{stats.summary()} root={store.root}")
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args: argparse.Namespace) -> None:
     """``repro serve``: run the long-lived campaign service.
 
@@ -265,6 +269,8 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         raise SystemExit("repro serve needs --cache-dir (or "
                          "$REPRO_CACHE_DIR): the tiered store is the "
                          "service's whole point")
+    import signal
+
     from .service import CampaignService
     from .service.http import CampaignServiceServer
 
@@ -276,6 +282,9 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         coalesce=not args.no_coalesce)
     server = CampaignServiceServer(service, args.host, args.port)
     host, port = server.address
+    # Stop on SIGTERM the way Ctrl-C does: the submissions drain and
+    # the campaign pool's workers exit instead of outliving the server.
+    signal.signal(signal.SIGTERM, _interrupt)
     print(f"[serve] campaign service on http://{host}:{port} "
           f"root={args.cache_dir} lru={args.lru_capacity}",
           file=sys.stderr, flush=True)
@@ -324,6 +333,16 @@ def _cmd_submit(args: argparse.Namespace) -> None:
           file=sys.stderr)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count — the default
+    ``--workers``.  More workers than CPUs only oversubscribe them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 def positive_int(value: str) -> int:
     workers = int(value)
     if workers < 1:
@@ -352,10 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "tables and figures from simulation.")
     parser.add_argument("--seed", type=int, default=0,
                         help="campaign seed (default 0)")
-    parser.add_argument("--workers", type=positive_int, default=None,
+    parser.add_argument("--workers", type=positive_int,
+                        default=usable_cpus(),
                         help="fan campaign runs out over N processes "
-                             "(default: serial; results are identical; "
-                             "goes before the subcommand)")
+                             "(default: every CPU this process may run "
+                             "on; 1 runs in-process; results are "
+                             "identical; goes before the subcommand)")
     parser.add_argument("--cache-dir", default=os.environ.get(
                             "REPRO_CACHE_DIR"),
                         help="incremental campaign store directory: "
@@ -377,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-entry watchdog: a campaign run that "
                              "exceeds this is killed (the worker pool "
                              "is respawned) and charged a failed "
-                             "attempt; needs --workers >= 2 to preempt")
+                             "attempt; preempts only with 2+ workers, "
+                             "the default on a multi-CPU machine")
     parser.add_argument("--resume", action="store_true",
                         help="skip campaign entries already recorded in "
                              "the store's crash-safe journal (requires "
@@ -386,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--profile", action="store_true",
                         help="profile the experiment under cProfile and "
                              "print the hottest call sites (cumulative "
-                             "time) to stderr after the artifact")
+                             "time) to stderr after the artifact; this "
+                             "process only, so add --workers 1 to "
+                             "profile the simulation")
     parser.add_argument("--fault-plan", default=None, metavar="SPEC",
                         help="chaos testing: inject deterministic "
                              "faults, e.g. 'crash:0.3,corrupt:0.5' "

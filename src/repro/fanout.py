@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import atexit
 import bisect
+import threading
 import time
 
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
@@ -54,6 +55,11 @@ _CHUNKS_PER_WORKER = 4
 
 _shared_pool = None
 _shared_pool_workers = 0
+#: Guards creating, replacing and discarding the shared pool: service
+#: threads dispatch concurrently, and without it each thread that finds
+#: no pool starts its own and all but the last are orphaned.  Re-entrant
+#: so a dispatcher can hold it across ``shared_pool(...).submit``.
+_pool_lock = threading.RLock()
 #: The atexit teardown is registered at most once per process:
 #: ``atexit.register`` does not deduplicate, so a shutdown + recreate
 #: cycle (tests, pool-respawn recovery) must not stack a second hook.
@@ -72,29 +78,41 @@ def shared_pool(workers: int):
     global _shared_pool, _shared_pool_workers, _atexit_registered
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers}")
-    if _shared_pool is None or _shared_pool_workers < workers:
-        from concurrent.futures import ProcessPoolExecutor
+    with _pool_lock:
+        if _shared_pool is None or _shared_pool_workers < workers:
+            from concurrent.futures import ProcessPoolExecutor
 
-        if _shared_pool is not None:
-            _shared_pool.shutdown(wait=True)
-        if not _atexit_registered:
-            # Tear the pool down cleanly at exit instead of by garbage
-            # collection during interpreter shutdown — once, however
-            # many shutdown/recreate cycles the process goes through.
-            atexit.register(shutdown_shared_pool)
-            _atexit_registered = True
-        _shared_pool = ProcessPoolExecutor(max_workers=workers)
-        _shared_pool_workers = workers
-    return _shared_pool
+            if _shared_pool is not None:
+                _shared_pool.shutdown(wait=True)
+            if not _atexit_registered:
+                # Tear the pool down cleanly at exit instead of by
+                # garbage collection during interpreter shutdown —
+                # once, however many shutdown/recreate cycles the
+                # process goes through.
+                atexit.register(shutdown_shared_pool)
+                _atexit_registered = True
+            _shared_pool = ProcessPoolExecutor(
+                max_workers=workers, initializer=_default_sigterm)
+            _shared_pool_workers = workers
+        return _shared_pool
+
+
+def _default_sigterm() -> None:
+    """Pool worker start-up: die on SIGTERM, as :func:`abandon_shared_pool`
+    expects, even when the parent (``repro serve``) handles it."""
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def shutdown_shared_pool() -> None:
     """Tear down the shared pool (tests; or to reclaim the workers)."""
     global _shared_pool, _shared_pool_workers
-    if _shared_pool is not None:
-        _shared_pool.shutdown(wait=True)
-        _shared_pool = None
-        _shared_pool_workers = 0
+    with _pool_lock:
+        if _shared_pool is not None:
+            _shared_pool.shutdown(wait=True)
+            _shared_pool = None
+            _shared_pool_workers = 0
 
 
 def abandon_shared_pool() -> None:
@@ -107,9 +125,10 @@ def abandon_shared_pool() -> None:
     :func:`shared_pool` call starts fresh.
     """
     global _shared_pool, _shared_pool_workers
-    pool = _shared_pool
-    _shared_pool = None
-    _shared_pool_workers = 0
+    with _pool_lock:
+        pool = _shared_pool
+        _shared_pool = None
+        _shared_pool_workers = 0
     if pool is None:
         return
     processes = list((getattr(pool, "_processes", None) or {}).values())
@@ -305,7 +324,11 @@ def _over_pool(fn, items, workers, res, describe, fallback
             chunk = [(items[index], fault_attempt[index])
                      for index in payload]
             try:
-                future = shared_pool(workers).submit(_run_chunk, fn, chunk)
+                # Under the lock, so another thread cannot shut the
+                # pool down between lookup and submit.
+                with _pool_lock:
+                    future = shared_pool(workers).submit(
+                        _run_chunk, fn, chunk)
             except BrokenProcessPool:
                 on_pool_break([payload] + [p for p, _ in inflight.values()])
                 return

@@ -1,12 +1,20 @@
 """Smoke tests for the command-line interface."""
 
+import os
 import pathlib
+import re
+import shutil
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro import fanout
+from repro.cli import build_parser, main, usable_cpus
 
 GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestGoldenArtifacts:
@@ -456,3 +464,79 @@ class TestCliProfile:
         assert main(["run", "table1"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
+
+
+class TestDefaultWorkers:
+    """Without ``--workers`` a campaign fans out over every usable CPU;
+    ``--workers 1`` stays in-process; the bytes never change."""
+
+    def test_parser_default_is_the_usable_cpu_count(self):
+        if hasattr(os, "sched_getaffinity"):
+            expected = len(os.sched_getaffinity(0))
+        else:
+            expected = os.cpu_count() or 1
+        assert build_parser().parse_args(["table1"]).workers == expected
+
+    def test_one_worker_runs_in_process(self, capsys):
+        fanout.shutdown_shared_pool()
+        assert main(["--workers", "1", "figure2", "--step", "100"]) == 0
+        assert fanout._shared_pool is None
+
+    def test_warm_default_run_starts_no_pool(self, capsys, tmp_path):
+        argv = ["--cache-dir", str(tmp_path), "figure2", "--step", "100"]
+        assert main(["--workers", "1", *argv]) == 0
+        capsys.readouterr()
+        fanout.shutdown_shared_pool()
+        assert main(argv) == 0
+        assert " misses=0 stores=0 " in capsys.readouterr().out
+        assert fanout._shared_pool is None
+
+    def test_cold_default_matches_one_worker(self, capsys, tmp_path):
+        # Both runs start cold in the same directory, so even the
+        # ``root=`` of the [cache] line matches.
+        store = tmp_path / "store"
+        argv = ["--cache-dir", str(store), "figure2", "--step", "100"]
+        fanout.shutdown_shared_pool()
+        assert main(["--workers", "1", *argv]) == 0
+        serial = capsys.readouterr().out
+        shutil.rmtree(store)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == serial
+        assert serial.splitlines()[-1].startswith("[cache] ")
+        assert (fanout._shared_pool is not None) == (usable_cpus() > 1)
+
+
+class TestServeShutdown:
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(),
+                        reason="reads child pids from Linux /proc")
+    def test_sigterm_drains_the_server_and_its_pool_workers(self, tmp_path):
+        """SIGTERM stops ``repro serve`` the way Ctrl-C does: it exits 0
+        and the campaign pool's workers exit with it."""
+        from repro.service.http import submit_request
+
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--workers", "2",
+             "--cache-dir", str(tmp_path), "serve", "--port", "0"],
+            stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            host, port = re.search(r"http://([^:]+):(\d+)",
+                                   proc.stderr.readline()).groups()
+            payload = submit_request("figure2", {"step": 100}, host=host,
+                                     port=int(port), timeout=120)
+            assert payload["executed"] == 85
+            workers = set()
+            for task in pathlib.Path(f"/proc/{proc.pid}/task").iterdir():
+                try:
+                    workers.update((task / "children").read_text().split())
+                except FileNotFoundError:  # a request thread ended
+                    pass
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            assert not any(pathlib.Path(f"/proc/{pid}").exists()
+                           for pid in workers)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()

@@ -7,13 +7,17 @@ pickled once per chunk, per-item fault attribution, and the
 raise-or-degrade error policy seen from ``TestRunner.stream``.
 """
 
+import concurrent.futures
 import dataclasses
 import functools
 import os
+import signal
+import threading
 import time
 
 import pytest
 
+from repro import fanout
 from repro.clients import get_profile
 from repro.faults import FaultPlan
 from repro.fanout import _CHUNKS_PER_WORKER, shared_map
@@ -117,6 +121,71 @@ def test_exception_propagates_without_retry_policy(workers):
 def test_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         run(Context(), [1, 2], 0)
+
+
+def test_concurrent_first_calls_share_one_pool(monkeypatch):
+    """Threads racing to the first ``shared_pool`` call (service
+    threads dispatching cold submissions) get one pool between them;
+    none is started only to be orphaned."""
+    created = []
+
+    class SlowPool:
+        def __init__(self, max_workers, initializer=None):
+            time.sleep(0.05)  # widen the check-then-create window
+            created.append(self)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    fanout.shutdown_shared_pool()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SlowPool)
+    barrier = threading.Barrier(8)
+    pools = []
+
+    def first_call():
+        barrier.wait(timeout=10)
+        pools.append(fanout.shared_pool(2))
+
+    threads = [threading.Thread(target=first_call) for _ in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(created) == 1
+        assert len(pools) == 8
+        assert all(pool is created[0] for pool in pools)
+    finally:
+        fanout.shutdown_shared_pool()
+
+
+def terminated_once(item, attempt):
+    if attempt == 0 and item == 5:
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(5.0)
+    return item * 10
+
+
+def test_workers_die_on_sigterm_whatever_the_parent_handles():
+    """``repro serve`` turns SIGTERM into an interrupt; its pool
+    workers must still die on one (the watchdog terminates them)."""
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    fanout.shutdown_shared_pool()
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        res = Resilience(policy=RetryPolicy(retries=1, **FAST))
+        items = list(range(16))
+        assert list(shared_map(terminated_once, items, 2, res,
+                               describe=str)) == [i * 10 for i in items]
+        assert res.manifest.pool_breaks >= 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        fanout.shutdown_shared_pool()
 
 
 def test_pool_break_in_a_chunk_charges_nobody():
