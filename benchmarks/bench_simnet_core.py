@@ -47,8 +47,8 @@ def test_scheduler_ops():
 
     t0 = time.perf_counter()
     for i in range(SCHEDULER_EVENTS):
-        # 97 distinct delays spread events across wheel ticks the way a
-        # real campaign does, instead of hammering a single bucket.
+        # 97 distinct delays interleave event times the way a real
+        # campaign does, instead of queueing every event at one time.
         sim.schedule((i % 97) * 1e-4, tick)
     sim.run()
     elapsed = time.perf_counter() - t0

@@ -119,9 +119,8 @@ def fingerprint_client(profile: ClientProfile, seed: int = 0,
                        ) -> ClientFingerprint:
     """Probe one client with the battery and assemble its fingerprint
     (taking each stage from the plan ``cursor`` walks, when given)."""
-    probe = ConformanceProbe(profile, seed=seed, store=store,
-                             workers=workers, battery=battery)
-    return assemble_fingerprint(profile, probe.run(cursor))
+    probe = ConformanceProbe(profile, seed=seed, battery=battery)
+    return assemble_fingerprint(profile, probe.run(store, workers, cursor))
 
 
 def outcomes_from_records(battery: "Sequence[Scenario]",

@@ -21,7 +21,7 @@ fingerprints, which the conformance tests and the CI smoke enforce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
 from ..simnet.addr import Family
@@ -29,8 +29,10 @@ from ..testbed.config import SweepSpec, TestCaseConfig
 from ..testbed.parallel import (Plan, PlanCursor, StageDriver,
                                 execute_stages, plan_stages)
 from ..testbed.runner import RunRecord, TestRunner, series_flap_window
-from ..testbed.store import CampaignStore
 from .scenarios import Scenario, scenario_battery
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.store import CampaignStore
 
 
 @dataclass
@@ -100,13 +102,9 @@ class ConformanceProbe:
     """Runs the scenario battery against one client profile."""
 
     def __init__(self, profile: ClientProfile, seed: int = 0,
-                 store: Optional[CampaignStore] = None,
-                 workers: Optional[int] = None,
                  battery: "Optional[Sequence[Scenario]]" = None) -> None:
         self.profile = profile
         self.seed = seed
-        self.store = store
-        self.workers = workers
         self.battery: "Tuple[Scenario, ...]" = tuple(
             battery if battery is not None else scenario_battery())
 
@@ -134,31 +132,29 @@ class ConformanceProbe:
         outcome.records = _merge_records(coarse, fine)
         return outcome
 
-    def plan(self) -> Plan:
+    def plan(self, store: "Optional[CampaignStore]" = None) -> Plan:
         """Every run the battery would reference, executing nothing.
 
         Coarse runs are planned unconditionally — with no store
-        attached (``repro ls`` planning a cold catalogue), they are
-        all there is.  A fine pass is planned only when every coarse
-        record of its scenario is in the store: the stage loop then
-        reproduces the fine window from them.  ``repro cache gc`` uses
-        this to keep a warm conformance battery alive.
+        (``repro ls`` planning a cold catalogue), they are all there
+        is.  A fine pass is planned only when every coarse record of
+        its scenario is in ``store``: the stage loop then reproduces
+        the fine window from them.  ``repro cache gc`` uses this to
+        keep a warm conformance battery alive.
         """
         return plan_stages((self.stages(scenario)
-                            for scenario in self.battery), self.store)
+                            for scenario in self.battery), store)
 
-    def run(self, cursor: Optional[PlanCursor] = None
+    def run(self, store: "Optional[CampaignStore]" = None,
+            workers: Optional[int] = None,
+            cursor: Optional[PlanCursor] = None
             ) -> "List[ScenarioOutcome]":
-        """Every scenario's outcome, taking each stage from the plan
-        ``cursor`` walks where planning reached it."""
-        return [self.run_scenario(scenario, cursor)
+        """Every scenario's outcome against ``store`` over ``workers``,
+        taking each stage from the plan ``cursor`` walks where planning
+        reached it."""
+        return [execute_stages(self.stages(scenario), store, workers,
+                               cursor=cursor)
                 for scenario in self.battery]
-
-    def run_scenario(self, scenario: Scenario,
-                     cursor: Optional[PlanCursor] = None
-                     ) -> ScenarioOutcome:
-        return execute_stages(self.stages(scenario), self.store,
-                              self.workers, cursor=cursor)
 
     def _runner(self, case: TestCaseConfig) -> TestRunner:
         return TestRunner([self.profile], [case], seed=self.seed)

@@ -67,13 +67,6 @@ class HETrace:
                 return event
         return None
 
-    def last_of(self, kind: HEEventKind) -> Optional[HEEvent]:
-        found = None
-        for event in self.events:
-            if event.kind is kind:
-                found = event
-        return found
-
     def attempts(self) -> List[HEEvent]:
         return self.of_kind(HEEventKind.ATTEMPT_STARTED)
 

@@ -96,9 +96,6 @@ class RaceResult:
             return None
         return self.winning_attempt.family
 
-    def attempts_of(self, family: Family) -> List[AttemptRecord]:
-        return [a for a in self.attempts if a.family is family]
-
 
 class AllAttemptsFailed(ConnectError):
     """Every candidate address failed."""

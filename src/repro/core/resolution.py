@@ -42,10 +42,6 @@ class ResolutionOutcome:
     def has_addresses(self) -> bool:
         return bool(self.addresses)
 
-    def usable_answers(self) -> List[StubAnswer]:
-        return [answer for answer in (self.aaaa, self.a)
-                if answer is not None and answer.usable]
-
 
 def _collect(*answers: Optional[StubAnswer]) -> List[IPAddress]:
     """Addresses of all usable answers, AAAA contributions first."""

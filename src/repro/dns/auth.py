@@ -177,10 +177,6 @@ class AuthoritativeServer:
             listener.close()
         self._tcp_listeners = []
 
-    def add_zone(self, zone: Zone) -> "AuthoritativeServer":
-        self.zones.append(zone)
-        return self
-
     # -- serving ------------------------------------------------------------------
 
     def _serve(self, sock: UDPSocket):
@@ -384,9 +380,6 @@ class AuthoritativeServer:
         return self.static_delays.get(qtype, 0.0)
 
     # -- instrumentation ------------------------------------------------------------
-
-    def clear_log(self) -> None:
-        self.query_log.clear()
 
     def queries_for(self, suffix: Union[str, DNSName]) -> List[QueryLogEntry]:
         suffix_name = (suffix if isinstance(suffix, DNSName)

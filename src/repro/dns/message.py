@@ -188,10 +188,6 @@ class DNSMessage:
             raise MessageError("message has no question")
         return self.questions[0]
 
-    def answer_rdatas(self, rtype: Optional[RdataType] = None) -> List[Rdata]:
-        return [rr.rdata for rr in self.answers
-                if rtype is None or rr.rtype == rtype]
-
     def addresses(self) -> List:
         """All A/AAAA addresses in the answer section."""
         out = []

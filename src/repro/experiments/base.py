@@ -111,7 +111,10 @@ class Session:
     Replaces the per-command ``(seed, workers, cache_dir)`` threading:
     experiments read their inputs from here, and the CLI (or any other
     host — tests, notebooks, batch drivers) builds exactly one Session
-    per invocation.
+    per invocation.  The store and the resilience bundle stay here, in
+    the parent: experiments pass them to the executor
+    (:func:`~repro.testbed.parallel.resolve_specs` and the stage
+    loops), never to the runners whose runs ship to pool workers.
     """
 
     seed: int = 0
@@ -120,8 +123,7 @@ class Session:
     knobs: Dict[str, Any] = field(default_factory=dict)
     #: The fault-tolerant runtime bundle (retry policy, fault plan,
     #: campaign journal, resume mode) — None runs every campaign in
-    #: the historical fail-fast mode.  Campaign experiments thread
-    #: this into their :class:`~repro.testbed.runner.TestRunner`.
+    #: the historical fail-fast mode.
     resilience: Optional[Resilience] = None
 
     def knob(self, name: str, default: Any = None) -> Any:

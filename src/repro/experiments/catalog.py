@@ -243,10 +243,12 @@ class Figure4Experiment(Experiment):
         from ..webtool import WebToolDeployment, WebToolSession
 
         deployment = WebToolDeployment(seed=session.seed)
-        return [WebToolSession(deployment,
-                               get_profile(name, version)).run()
-                for name, version in (("Chrome", "130.0"),
-                                      ("Safari", "17.6"))]
+        # Explicit indices (a fresh process's first two) keep the
+        # sessions' seeds independent of earlier sessions in the process.
+        return [WebToolSession(deployment, get_profile(name, version),
+                               session_index=index).run()
+                for index, (name, version) in enumerate(
+                    (("Chrome", "130.0"), ("Safari", "17.6")), start=1)]
 
     def render(self, result: Any) -> Artifact:
         from ..webtool import render_session_ladder
@@ -381,8 +383,8 @@ def _probe_plan(session: Session, profiles: List, battery) -> "Plan":
 
     return Plan(entry for profile in profiles
                 for entry in ConformanceProbe(
-                    profile, seed=session.seed, store=session.store,
-                    battery=battery).plan())
+                    profile, seed=session.seed,
+                    battery=battery).plan(session.store))
 
 
 def _fingerprints(session: Session, plan: "Plan", profiles: List,

@@ -50,7 +50,8 @@ Result = TypeVar("Result")
 
 #: Chunks per worker: small enough to load-balance uneven run costs
 #: (address-selection runs take far longer than CAD runs), large
-#: enough to amortize pickling the shared context in ``fn`` per task.
+#: enough to amortize pickling the context the items share (a
+#: campaign's runner, which pickle's memo sends once per task).
 _CHUNKS_PER_WORKER = 4
 
 _shared_pool = None
@@ -167,10 +168,13 @@ def shared_map(fn: "Callable[[Item, int], Result]",
 
     ``attempt`` is the item's fault-targeting attempt (0 on its first
     dispatch), so seeded fault plans fire deterministically; workers
-    without a fault plan ignore it.  Shared context (a campaign's
-    runner) rides in ``fn`` as a ``functools.partial``: it is pickled
-    once per chunk, not once per item.  ``describe`` labels an item
-    for backoff seeding and the failure manifest.
+    without a fault plan ignore it.  Context every item shares (a
+    campaign's runner) rides in each item, and a task pickles its
+    chunk in one go, so pickle's memo sends it once per chunk, not
+    once per item; ``fn`` carries only what no item holds (the
+    executor's fault plan).  Nothing store-like rides along: results
+    come back to the caller, which writes them.  ``describe`` labels
+    an item for backoff seeding and the failure manifest.
 
     ``resilience`` carries the retry policy, the fault plan and the
     manifest that counts what happened.  With no retry budget, fault

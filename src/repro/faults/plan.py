@@ -107,8 +107,8 @@ class FaultSpec:
 class FaultPlan:
     """A seeded set of fault streams, consulted at the two seams.
 
-    Frozen so it travels by value (pickled into pool workers alongside
-    the runner); the store-occurrence counter is deliberately excluded
+    Frozen so it travels by value (pickled into pool workers with each
+    task's ``fn``); the store-occurrence counter is deliberately excluded
     from equality and only meaningful parent-side, where all store
     traffic happens.
     """

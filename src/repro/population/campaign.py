@@ -22,15 +22,13 @@ indices it executes.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..simnet.addr import Family
 from ..simnet.packet import Protocol
 from ..testbed.config import (ImpairmentSpec, SweepSpec, TestCaseConfig,
                               TestCaseKind)
-from ..testbed.resilience import Resilience
 from ..testbed.runner import TestRunner
-from ..testbed.store import CampaignStore
 from .distributions import PopulationSpec
 from .sampler import PopulationSampler, SampledUser
 
@@ -65,13 +63,11 @@ class _SampleColumn(Sequence):
 
 def _rebuild_runner(spec: PopulationSpec, samples: int, seed: int,
                     degradation: SweepSpec, run_timeout: float,
-                    resolver_timeout: float, store, resilience
-                    ) -> "PopulationRunner":
+                    resolver_timeout: float) -> "PopulationRunner":
     return PopulationRunner(spec, samples, seed=seed,
                             degradation=degradation,
                             run_timeout=run_timeout,
-                            resolver_timeout=resolver_timeout,
-                            store=store, resilience=resilience)
+                            resolver_timeout=resolver_timeout)
 
 
 class PopulationRunner(TestRunner):
@@ -85,9 +81,7 @@ class PopulationRunner(TestRunner):
     def __init__(self, spec: PopulationSpec, samples: int, seed: int = 0,
                  degradation: SweepSpec = DEFAULT_DEGRADATION,
                  run_timeout: float = 30.0,
-                 resolver_timeout: float = 5.0,
-                 store: Optional[CampaignStore] = None,
-                 resilience: Optional[Resilience] = None) -> None:
+                 resolver_timeout: float = 5.0) -> None:
         if samples < 1:
             raise ValueError(f"samples must be >= 1: {samples}")
         self.population_spec = spec
@@ -103,14 +97,12 @@ class PopulationRunner(TestRunner):
         self.seed = seed
         self.resolver_timeout = resolver_timeout
         self.hev3_flag = False
-        self.store = store
-        self.resilience = resilience
 
     def __reduce__(self):
         return (_rebuild_runner,
                 (self.population_spec, self.samples, self.seed,
                  self.degradation, self.run_timeout,
-                 self.resolver_timeout, self.store, self.resilience))
+                 self.resolver_timeout))
 
     def materialize(self, index: int
                     ) -> "Tuple[TestCaseConfig, SampledUser]":

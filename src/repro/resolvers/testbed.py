@@ -261,11 +261,6 @@ class ResolverCampaignResult:
     def max_v6_packets(self) -> int:
         return max((o.v6_packets for o in self.observations), default=0)
 
-    @property
-    def aaaa_sent(self) -> bool:
-        return any(o.aaaa_before_probe is not None
-                   for o in self.observations)
-
     def median_fallback_gap_ms(self) -> Optional[float]:
         from statistics import median
 

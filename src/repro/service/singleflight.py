@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..testbed.store import Decoded, decode_record, encode_record
+from ..testbed.store import Decoded
 
 
 class SingleFlight:
@@ -115,15 +115,14 @@ class SingleFlightStore:
     Sits between a submission's :class:`~repro.experiments.Session` and
     the shared (tiered) store.  Reads resolve normally; a key about to
     be reported as a miss is first claimed — or, when another
-    submission holds it, waited on and re-probed, so the runner above
-    sees a *hit* for work someone else is doing right now.  Writes pass
-    through and release the key's claim, waking waiters.
+    submission holds it, waited on and re-probed, so the executor
+    above sees a *hit* for work someone else is doing right now.
+    Writes pass through and release the key's claim, waking waiters.
 
     Everything not overridden delegates to the inner store, so the
     wrapper is drop-in wherever a :class:`CampaignStore` is expected.
-    Workers never touch the store (cache resolution is parent-side),
-    but campaign runners carrying a store must survive pickling — the
-    wrapped copy reconnects to a private registry it will never use.
+    It lives in the parent only: the executor resolves every key there
+    and ships nothing store-like to pool workers.
     """
 
     def __init__(self, inner: Any, flight: SingleFlight,
@@ -156,36 +155,12 @@ class SingleFlightStore:
             pending = [key for key in pending if key not in out]
         return out
 
-    def get(self, key: str,
-            decode: "Callable[[Any], Decoded]") -> "Optional[Decoded]":
-        while True:
-            value = self.inner.get(key, decode)
-            if value is not None:
-                return value
-            granted, foreign = self.flight.claim_all(self.token, [key])
-            if granted:
-                return None
-            self.flight.wait_any(self.token, foreign)
-            self.waited += 1
-
-    def get_many_records(self, keys: "Iterable[str]") -> "Dict[str, Any]":
-        return self.get_many(keys, decode_record)
-
-    def get_record(self, key: str) -> "Optional[Any]":
-        return self.get(key, decode_record)
-
-    def has(self, key: str) -> bool:
-        return self.inner.has(key)
-
     # -- writes (release claims) -----------------------------------------------
 
     def put(self, key: str, payload: Any) -> None:
         self.inner.put(key, payload)
         self.executed += 1
         self.flight.release(self.token, [key])
-
-    def put_record(self, key: str, record: Any) -> None:
-        self.put(key, encode_record(record))
 
     # -- teardown ----------------------------------------------------------------
 
@@ -198,22 +173,4 @@ class SingleFlightStore:
     # -- plumbing ----------------------------------------------------------------
 
     def __getattr__(self, name: str) -> Any:
-        try:
-            inner = object.__getattribute__(self, "inner")
-        except AttributeError:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
-    def __getstate__(self) -> dict:
-        # The claim registry holds locks; a pickled copy (a campaign
-        # runner shipped to a worker, which never reads the store)
-        # reconnects to a private, unshared registry.
-        return {"inner": self.inner, "token": None,
-                "executed": self.executed, "waited": self.waited}
-
-    def __setstate__(self, state: dict) -> None:
-        self.inner = state["inner"]
-        self.flight = SingleFlight()
-        self.token = object()
-        self.executed = state["executed"]
-        self.waited = state["waited"]
+        return getattr(self.inner, name)

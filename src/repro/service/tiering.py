@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List
 
-from ..testbed.store import (CacheStats, Decoded, decode_record,
-                             encode_record)
+from ..testbed.store import CacheStats, Decoded
 
 _MISSING = object()
 
@@ -138,21 +137,6 @@ class TieredStore:
                     self.stats.hits += 1
             return out
 
-    def get(self, key: str,
-            decode: "Callable[[Any], Decoded]") -> "Optional[Decoded]":
-        result = self.get_many([key], decode)
-        return result.get(key)
-
-    def get_many_records(self, keys: "Iterable[str]") -> "Dict[str, Any]":
-        return self.get_many(keys, decode_record)
-
-    def get_record(self, key: str) -> "Optional[Any]":
-        return self.get(key, decode_record)
-
-    def has(self, key: str) -> bool:
-        with self._lock:
-            return key in self.lru or self.backing.has(key)
-
     # -- writes ----------------------------------------------------------------
 
     def put(self, key: str, payload: Any) -> None:
@@ -163,9 +147,6 @@ class TieredStore:
             except (TypeError, ValueError):
                 pass  # unserializable payloads stay disk-only
             self.stats.stores += 1
-
-    def put_record(self, key: str, record: Any) -> None:
-        self.put(key, encode_record(record))
 
     # -- maintenance -----------------------------------------------------------
 
@@ -182,20 +163,4 @@ class TieredStore:
         return self.backing.root
 
     def __getattr__(self, name: str) -> Any:
-        try:
-            backing = object.__getattribute__(self, "backing")
-        except AttributeError:
-            raise AttributeError(name)
-        return getattr(backing, name)
-
-    def __getstate__(self) -> dict:
-        # Locks do not pickle; a worker-side copy (never read — cache
-        # resolution is parent-side) gets a fresh empty tier.
-        return {"backing": self.backing,
-                "capacity": self.lru.capacity}
-
-    def __setstate__(self, state: dict) -> None:
-        self.backing = state["backing"]
-        self.lru = LRUCache(state["capacity"])
-        self.stats = CacheStats()
-        self._lock = threading.RLock()
+        return getattr(self.backing, name)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from .addr import Family
-from .packet import Packet, Protocol
+from .packet import Packet
 
 
 class Direction(enum.Enum):
@@ -119,15 +119,6 @@ class PacketCapture:
                                  ) -> Optional[CapturedFrame]:
         attempts = self.connection_attempts(family=family)
         return attempts[0] if attempts else None
-
-    def dns_queries(self, family: Optional[Family] = None
-                    ) -> List[CapturedFrame]:
-        """Outgoing UDP packets to port 53."""
-        return self.filter(lambda frame: (
-            frame.direction is Direction.OUT
-            and frame.packet.protocol is Protocol.UDP
-            and frame.packet.dport == 53
-            and (family is None or frame.family is family)))
 
     def count(self, predicate: FrameFilter) -> int:
         return sum(1 for frame in self._frames if predicate(frame))

@@ -59,9 +59,6 @@ class Interface:
     def addresses_of(self, family: Family) -> List[IPAddress]:
         return [a for a in self._addresses if family_of(a) is family]
 
-    def has_address(self, address: IPAddress) -> bool:
-        return address in self._addresses
-
     # -- capturing -----------------------------------------------------------
 
     def attach_capture(self, capture: PacketCapture) -> PacketCapture:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from .addr import Family, IPAddress, parse_address
+from .addr import Family, IPAddress
 from .iface import Interface
 from .packet import Packet
 from .scheduler import Simulator
@@ -66,10 +66,6 @@ class NetworkSegment:
         self._by_address.pop(address, None)
         (self._by_ip_v6 if address.version == 6
          else self._by_ip_v4).pop(int(address), None)
-
-    def interface_for(self, address: Union[str, IPAddress]
-                      ) -> Optional[Interface]:
-        return self._by_address.get(parse_address(address))
 
     @property
     def interfaces(self) -> List[Interface]:

@@ -60,10 +60,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    @property
-    def waiting_on(self) -> Optional[Event]:
-        return self._waiting_on
-
     # -- execution -----------------------------------------------------
 
     def _resume(self, trigger: Optional[Event]) -> None:

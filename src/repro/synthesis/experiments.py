@@ -98,15 +98,13 @@ class _SynthesisExperiment(Experiment):
                     f"{ablate!r} matched {len(matches)}")
             base = matches[0]
         scorer = Scorer(space, profiles, seed=session.seed,
-                        store=session.store,
-                        resilience=session.resilience,
                         ablation_base=base)
         strategy = SearchStrategy(space, session.seed, budget)
         promoter = Promoter(space, limit=limit)
         return SynthesisSearch(space, strategy, scorer, promoter)
 
     def plan(self, session: Session) -> "Plan":
-        return self._search(session).plan()
+        return self._search(session).plan(session.store)
 
     # -- shared rendering pieces ----------------------------------------------
 
@@ -189,8 +187,9 @@ class SynthesizeScenariosExperiment(_SynthesisExperiment):
     def execute(self, session: Session, plan: "Plan") -> SearchResult:
         from ..testbed.parallel import PlanCursor
 
-        return self._search(session).execute(session.workers,
-                                             PlanCursor(plan))
+        return self._search(session).execute(
+            session.store, session.workers, session.resilience,
+            PlanCursor(plan))
 
     def render(self, result: SearchResult) -> Artifact:
         lines = self._header_lines(result)
@@ -211,7 +210,8 @@ class SynthesizeReportExperiment(_SynthesisExperiment):
         from ..testbed.parallel import PlanCursor
 
         cursor = PlanCursor(plan)
-        result = self._search(session).execute(session.workers, cursor)
+        result = self._search(session).execute(
+            session.store, session.workers, session.resilience, cursor)
         battery = [p.scenario for p in result.promotions]
         fingerprints = []
         if battery:

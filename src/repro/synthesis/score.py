@@ -29,9 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
-from ..testbed.resilience import Resilience
 from ..testbed.runner import RunRecord, TestRunner
-from ..testbed.store import CampaignStore
 from .space import Candidate, ScenarioSpace
 
 #: The policy stages an ablation pass perturbs, in report order.
@@ -133,16 +131,12 @@ class Scorer:
 
     def __init__(self, space: ScenarioSpace,
                  profiles: "Sequence[ClientProfile]", seed: int = 0,
-                 store: "Optional[CampaignStore]" = None,
-                 resilience: "Optional[Resilience]" = None,
                  ablation_base: "Optional[ClientProfile]" = None) -> None:
         if not profiles:
             raise ValueError("scorer needs at least one client profile")
         self.space = space
         self.profiles = list(profiles)
         self.seed = seed
-        self.store = store
-        self.resilience = resilience
         self.ablations = (ablation_variants(ablation_base)
                           if ablation_base is not None else ())
         # The campaign client list: registered clients, the ablation

@@ -21,13 +21,17 @@ round, a warm plan is the whole search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from ..testbed.parallel import (Plan, PlanCursor, StageDriver,
                                 execute_stages, plan_stages)
 from .promote import Promoter, Promotion
 from .score import CandidateScore, Scorer, rank
 from .space import Candidate, ScenarioSpace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..testbed.resilience import Resilience
+    from ..testbed.store import CampaignStore
 
 
 @dataclass(frozen=True)
@@ -176,13 +180,17 @@ class SynthesisSearch:
                             rounds=tuple(reports), ranked=ranked,
                             promotions=promotions)
 
-    def execute(self, workers: "Optional[int]" = None,
+    def execute(self, store: "Optional[CampaignStore]" = None,
+                workers: "Optional[int]" = None,
+                resilience: "Optional[Resilience]" = None,
                 cursor: "Optional[PlanCursor]" = None) -> SearchResult:
-        """Run the search, taking each round from the plan ``cursor``
-        walks where planning reached it."""
-        return execute_stages(self.stages(), self.scorer.store, workers,
-                              self.scorer.resilience, cursor)
+        """Run the search against ``store``, taking each round from the
+        plan ``cursor`` walks where planning reached it."""
+        return execute_stages(self.stages(), store, workers, resilience,
+                              cursor)
 
-    def plan(self) -> Plan:
-        """Every run the search will touch, without executing."""
-        return plan_stages([self.stages()], self.scorer.store)
+    def plan(self, store: "Optional[CampaignStore]" = None) -> Plan:
+        """Every run the search will touch, without executing: the
+        refinement rounds only as far as ``store`` holds their
+        predecessors."""
+        return plan_stages([self.stages()], store)

@@ -214,13 +214,6 @@ class CampaignJournal:
             self._handle.close()
             self._handle = None
 
-    # The journal rides on the runner into pool workers (workers never
-    # write it); the open handle stays parent-side.
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_handle"] = None
-        return state
-
 
 # -- the bundle ----------------------------------------------------------------
 

@@ -5,17 +5,19 @@ builds a *fresh* testbed and client — the simulation equivalent of the
 paper's "drop and create a new container" state reset — executes the
 run, and collects black-box observations from the packet capture.
 
-Campaigns can be consumed three ways:
+A runner is a recipe — clients, cases, seed and knobs — and holds no
+store: whoever executes it passes the execution context.  Campaigns
+can be consumed two ways:
 
 * :meth:`TestRunner.run` — every :class:`RunRecord` as a list, in
   deterministic enumeration order;
 * :meth:`TestRunner.stream` — the same records as an iterator, so
   cold million-run campaigns never hold every record in memory (warm
-  cache hits resolve in one batch and drain as the stream advances);
-* either of the above with a :class:`~repro.testbed.store.CampaignStore`
-  attached, in which case runs whose coordinates and configuration are
-  unchanged come back from the content-addressed cache instead of
-  re-executing.
+  cache hits resolve in one batch and drain as the stream advances).
+
+Either takes an optional :class:`~repro.testbed.store.CampaignStore`,
+in which case runs whose coordinates and configuration are unchanged
+come back from the content-addressed cache instead of re-executing.
 
 :class:`StreamingResultSet` is the one aggregation type: it folds
 records as they arrive into the family-by-delay series, crossovers
@@ -35,11 +37,12 @@ from ..simnet.addr import Family
 from ..simnet.packet import Protocol
 from .config import SweepSpec, TestCaseConfig, TestCaseKind
 from .parallel import Plan, RunSpec, resolve_specs, spec_keys
-from .resilience import Resilience
-from .store import CampaignStore, config_digest
+from .store import config_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simnet.capture import PacketCapture
+    from .resilience import Resilience
+    from .store import CampaignStore
 
 
 #: Placeholder sweep substituted into a case before digesting its
@@ -245,16 +248,22 @@ class StreamingResultSet:
 
 
 class TestRunner:
-    """Drives a measurement campaign over client profiles."""
+    """A measurement campaign over client profiles, as a recipe.
+
+    The runner holds what the runs are — clients, cases, seed and
+    knobs — and nothing of where they execute: the store and the
+    resilience bundle are arguments of :meth:`run` / :meth:`stream`
+    (or of :func:`~repro.testbed.parallel.resolve_specs`), so the
+    parent resolves and writes every record and a runner that rides
+    into a pool worker inside its plan entries carries no store.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
     def __init__(self, clients: Sequence[ClientProfile],
                  cases: Sequence[TestCaseConfig], seed: int = 0,
                  resolver_timeout: float = 5.0,
-                 hev3_flag: bool = False,
-                 store: Optional[CampaignStore] = None,
-                 resilience: "Optional[Resilience]" = None) -> None:
+                 hev3_flag: bool = False) -> None:
         if not clients:
             raise ValueError("runner needs at least one client profile")
         if not cases:
@@ -264,27 +273,27 @@ class TestRunner:
         self.seed = seed
         self.resolver_timeout = resolver_timeout
         self.hev3_flag = hev3_flag
-        self.store = store
-        #: Fault-tolerant runtime bundle (retry policy, fault plan,
-        #: campaign journal) — None keeps the historical fail-fast
-        #: behavior on every path.
-        self.resilience = resilience
 
     # -- campaign --------------------------------------------------------------
 
-    def run(self, workers: Optional[int] = None) -> "List[RunRecord]":
+    def run(self, workers: Optional[int] = None,
+            store: "Optional[CampaignStore]" = None,
+            resilience: "Optional[Resilience]" = None
+            ) -> "List[RunRecord]":
         """Execute the campaign; ``workers=N`` fans runs out over N
         processes (default: serial).
 
         Run seeds are stable digests of the run coordinates, so the
         parallel path returns records identical to the serial path, in
-        the same deterministic enumeration order.  With a ``store``
-        attached, unchanged runs come back from the cache —
-        byte-identical to fresh execution.
+        the same deterministic enumeration order.  With a ``store``,
+        unchanged runs come back from the cache — byte-identical to
+        fresh execution.
         """
-        return list(self.stream(workers=workers))
+        return list(self.stream(workers, store, resilience))
 
-    def stream(self, workers: Optional[int] = None
+    def stream(self, workers: Optional[int] = None,
+               store: "Optional[CampaignStore]" = None,
+               resilience: "Optional[Resilience]" = None
                ) -> "Iterator[RunRecord]":
         """The campaign as an iterator, in enumeration order.
 
@@ -292,16 +301,16 @@ class TestRunner:
         list on the *execution* path: consumers aggregate
         incrementally (see :class:`StreamingResultSet`), so cold
         campaigns run in bounded memory regardless of size.  With a
-        store attached, cache *hits* are resolved in one batched
-        lookup up front and popped as the stream drains — warm memory
-        is proportional to the resolved hit count.  The misses run
+        ``store``, cache *hits* are resolved in one batched lookup up
+        front and popped as the stream drains — warm memory is
+        proportional to the resolved hit count.  The misses run
         through :func:`~repro.fanout.shared_map`, in-process or over
-        ``workers`` processes, under the attached resilience policy.
+        ``workers`` processes, under the ``resilience`` policy (None:
+        fail fast).
         """
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
-        return resolve_specs(self.plan(), self.store, workers,
-                             self.resilience)
+        return resolve_specs(self.plan(), store, workers, resilience)
 
     def plan(self) -> Plan:
         """Every run of the campaign as a plan entry — coordinates,

@@ -240,17 +240,9 @@ class CampaignSpec:
             raise SpecError(str(exc)) from exc
         return Resilience(policy=policy, fault_plan=self.faults)
 
-    def build_runner(self, store: Optional[CampaignStore] = None
-                     ) -> TestRunner:
-        if store is None and self.cache_dir:
-            store = CampaignStore(self.cache_dir)
-        resilience = self.build_resilience()
-        if (store is not None and resilience is not None
-                and resilience.fault_plan is not None):
-            store.fault_plan = resilience.fault_plan
+    def build_runner(self) -> TestRunner:
         return TestRunner(self.clients, self.cases, seed=self.seed,
-                          resolver_timeout=self.resolver_timeout,
-                          store=store, resilience=resilience)
+                          resolver_timeout=self.resolver_timeout)
 
     def total_runs(self) -> int:
         return len(self.clients) * sum(
@@ -272,4 +264,10 @@ def run_campaign_spec(data: Mapping[str, Any],
     """
     spec = CampaignSpec.from_dict(data)
     effective = workers if workers is not None else spec.workers
-    return spec.build_runner(store=store).run(workers=effective)
+    if store is None and spec.cache_dir:
+        store = CampaignStore(spec.cache_dir)
+    resilience = spec.build_resilience()
+    if (store is not None and resilience is not None
+            and resilience.fault_plan is not None):
+        store.fault_plan = resilience.fault_plan
+    return spec.build_runner().run(effective, store, resilience)

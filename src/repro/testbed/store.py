@@ -561,13 +561,6 @@ class CampaignStore:
 
     # -- reads -----------------------------------------------------------------
 
-    def has(self, key: str) -> bool:
-        """Whether the shard's offset map holds ``key`` — it does
-        **not** validate the record or touch the counters.  Use for
-        planning only; :meth:`get` remains the authority."""
-        state = self._ensure_shard(key[:2])
-        return state is not None and key in state["offsets"]
-
     def _maybe_read_fault(self, key: str) -> bool:
         """Chaos-only: whether an injected transient read error fires
         for ``key`` (the caller counts it as an invalid miss)."""
@@ -575,12 +568,6 @@ class CampaignStore:
         if plan is None:
             return False
         return plan.store_fault("read", key) is not None
-
-    def get(self, key: str,
-            decode: "Callable[[Any], Decoded]") -> Optional[Decoded]:
-        """Decoded payload for ``key``, or None (counted as a miss);
-        :meth:`get_many` of one key."""
-        return self.get_many((key,), decode).get(key)
 
     def get_many(self, keys: "Iterable[str]",
                  decode: "Callable[[Any], Decoded]"
@@ -717,18 +704,6 @@ class CampaignStore:
             state["dead"] += span[1]
         state["dirty"] = True
 
-    def get_many_records(self, keys: "Iterable[str]"
-                         ) -> "Dict[str, RunRecord]":
-        return self.get_many(keys, decode_record)
-
-    # -- RunRecord convenience -------------------------------------------------
-
-    def get_record(self, key: str) -> "Optional[RunRecord]":
-        return self.get(key, decode_record)
-
-    def put_record(self, key: str, record: "RunRecord") -> None:
-        self.put(key, encode_record(record))
-
     # -- writes ----------------------------------------------------------------
 
     def _open_pack(self, shard: str) -> int:
@@ -845,10 +820,6 @@ class CampaignStore:
             path = Path(self._pack_path(shard))
             for key in sorted(state["offsets"]):
                 yield key, path
-
-    def dead_bytes(self, shard: str) -> int:
-        state = self._ensure_shard(shard)
-        return 0 if state is None else state["dead"]
 
     def _rewrite_pack(self, shard: str, keys: "List[str]",
                       state: dict) -> "Tuple[int, int]":

@@ -189,13 +189,6 @@ class LocalTestbed:
             filter=NetemFilter(family=Family.V6, protocol=Protocol.TCP),
             name="cad-delay-v6"))
 
-    def delay_family_all(self, family: Family, delay_s: float) -> None:
-        """Delay every packet of one family (resolver experiments)."""
-        self.server_iface.egress.add_rule(NetemRule(
-            spec=NetemSpec(delay=delay_s),
-            filter=NetemFilter(family=family),
-            name=f"delay-{family.label}"))
-
     def clear_shaping(self) -> None:
         self.server_iface.egress.clear()
         self.server_iface.ingress.clear()

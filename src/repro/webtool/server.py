@@ -81,12 +81,6 @@ class WebToolDeployment:
     def dns_address(self) -> str:
         return SERVER_DNS_V4
 
-    def step_for_delay(self, delay_ms: int) -> DelayStep:
-        for step in self.ladder:
-            if step.delay_ms == delay_ms:
-                return step
-        raise KeyError(f"no ladder step with delay {delay_ms} ms")
-
     # -- browser attachment --------------------------------------------------
 
     def attach_browser_host(self, label: str) -> Host:

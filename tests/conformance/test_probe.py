@@ -42,9 +42,8 @@ class TestAdaptiveProbe:
         profile = get_profile("curl", "7.88.1")
         scenario = scenario_by_name("v6-delay-sweep")
         store = CampaignStore(tmp_path)
-        probe = ConformanceProbe(profile, seed=2, store=store,
-                                 battery=[scenario])
-        outcome = probe.run()[0]
+        probe = ConformanceProbe(profile, seed=2, battery=[scenario])
+        outcome = probe.run(store)[0]
         assert outcome.refined_window_ms is not None
         lo, hi = outcome.refined_window_ms
         # curl's 200 ms CAD sits inside the refined window.
@@ -58,12 +57,10 @@ class TestAdaptiveProbe:
     def test_warm_probe_executes_nothing(self, tmp_path):
         profile = get_profile("Chrome", "130.0")
         battery = scenario_battery()
-        cold = ConformanceProbe(profile, seed=1,
-                                store=CampaignStore(tmp_path),
-                                battery=battery).run()
+        probe = ConformanceProbe(profile, seed=1, battery=battery)
+        cold = probe.run(CampaignStore(tmp_path))
         warm_store = CampaignStore(tmp_path)
-        warm = ConformanceProbe(profile, seed=1, store=warm_store,
-                                battery=battery).run()
+        warm = probe.run(warm_store)
         assert warm_store.stats.misses == 0
         assert warm_store.stats.stores == 0
         for cold_outcome, warm_outcome in zip(cold, warm):
@@ -75,10 +72,9 @@ class TestAdaptiveProbe:
         profile = get_profile("curl", "7.88.1")
         battery = [scenario_by_name("v6-delay-sweep"),
                    scenario_by_name("asymmetric-loss")]
-        serial = ConformanceProbe(profile, seed=4,
-                                  battery=battery).run()
-        parallel = ConformanceProbe(profile, seed=4, workers=2,
-                                    battery=battery).run()
+        probe = ConformanceProbe(profile, seed=4, battery=battery)
+        serial = probe.run()
+        parallel = probe.run(workers=2)
         for a, b in zip(serial, parallel):
             assert a.records == b.records
 
@@ -92,21 +88,17 @@ class TestKeyPlanning:
         battery = [scenario_by_name("v6-delay-sweep"),
                    scenario_by_name("v6-blackhole")]
         store = CampaignStore(tmp_path)
-        ConformanceProbe(profile, seed=7, store=store,
-                         battery=battery).run()
+        probe = ConformanceProbe(profile, seed=7, battery=battery)
+        probe.run(store)
         on_disk = {key for key, _ in store.entries()}
-        planned = set(ConformanceProbe(
-            profile, seed=7, store=CampaignStore(tmp_path),
-            battery=battery).plan().keys())
+        planned = set(probe.plan(CampaignStore(tmp_path)).keys())
         assert on_disk <= planned
 
     def test_cold_planning_skips_unknowable_fine_keys(self, tmp_path):
         profile = get_profile("curl", "7.88.1")
         scenario = scenario_by_name("v6-delay-sweep")
-        probe = ConformanceProbe(profile, seed=7,
-                                 store=CampaignStore(tmp_path),
-                                 battery=[scenario])
-        planned = probe.plan().keys()
+        probe = ConformanceProbe(profile, seed=7, battery=[scenario])
+        planned = probe.plan(CampaignStore(tmp_path)).keys()
         # Cold store: only the enumerable coarse keys are planned.
         assert len(planned) == len(scenario.case.sweep)
 

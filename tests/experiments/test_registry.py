@@ -8,13 +8,18 @@ replays with zero misses and ``repro cache gc`` can never collect a
 registered experiment's entries.
 """
 
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 
+from repro import fanout
 from repro.experiments import (Artifact, Experiment, Knob, Session,
                                all_experiments, get_experiment, register)
-from repro.testbed import CampaignStore
+from repro.service import SingleFlight, SingleFlightStore, TieredStore
+from repro.testbed import CampaignJournal, CampaignStore, Resilience
+from repro.testbed.store import decode_record
 
 #: Cheap knob overrides so contract tests execute in seconds; shapes
 #: (key structure, case names, store usage) are unchanged by these.
@@ -192,6 +197,86 @@ class TestExecutionContract:
         assert artifact.json_text().startswith("[")
 
 
+class ParentOnlyStore(CampaignStore):
+    """A campaign store that refuses to leave the parent process."""
+
+    def __reduce_ex__(self, protocol):
+        raise pickle.PicklingError("the campaign store stays in the parent")
+
+
+class ParentOnlyJournal(CampaignJournal):
+    """A campaign journal that refuses to leave the parent process."""
+
+    def __reduce_ex__(self, protocol):
+        raise pickle.PicklingError("the journal stays in the parent")
+
+
+def parent_only_session(experiment, root, workers=None):
+    """A fast session with the campaign service's store stack
+    (single-flight over the memory tier over the packed store) and a
+    journal, none of which pickles."""
+    store = SingleFlightStore(TieredStore(ParentOnlyStore(root)),
+                              SingleFlight())
+    journal = ParentOnlyJournal(root / ".journal" / "campaign.log")
+    return dataclasses.replace(
+        session_for(experiment, store=store), workers=workers,
+        resilience=Resilience(journal=journal, explicit=False))
+
+
+class TestParentOnlyStore:
+    """The store and the journal stay in the parent by construction:
+    plan entries carry runners, runners carry no store, and the
+    executor ships only entries and a fault plan to pool workers."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(experiment.name for experiment in all_experiments()))
+    def test_nothing_store_like_ships(self, tmp_path, monkeypatch, name):
+        """Every plan entry, and every ``(fn, items)`` payload
+        ``shared_map`` would send to the pool, pickles under a session
+        whose store and journal refuse to.  The artifact equals a plain
+        run's right after it: a function of the session, not of the
+        store stack or of what ran earlier in the process (the service
+        runs many experiments in one)."""
+        experiment = get_experiment(name)
+        session = parent_only_session(experiment, tmp_path)
+        plan = experiment.plan(session)
+        pickle.dumps(plan)
+        shipped = []
+        shared_map = fanout.shared_map
+
+        def shipping(fn, items, *args, **kwargs):
+            pickle.dumps((fn, list(items)))
+            shipped.append(len(items))
+            return shared_map(fn, items, *args, **kwargs)
+
+        monkeypatch.setattr(fanout, "shared_map", shipping)
+        artifact = experiment.render(experiment.execute(session, plan))
+        session.resilience.close()
+        if plan:  # a cold store: the first resolution executes
+            assert sum(shipped) > 0
+        assert experiment.run(session_for(experiment)).text == artifact.text
+
+    def test_pooled_cold_run_through_a_parent_only_store(self, tmp_path):
+        experiment = get_experiment("figure2")
+        session = parent_only_session(experiment, tmp_path, workers=2)
+        pooled = experiment.run(session)
+        session.resilience.close()
+        assert session.store.executed > 0
+        assert session.resilience.manifest.journaled > 0
+        assert pooled.text == experiment.run(session_for(experiment)).text
+
+    def test_a_runner_carrying_a_store_would_be_caught(self, tmp_path):
+        """The checks above bite: a runner holding the session's store
+        again makes its plan entries unshippable."""
+        experiment = get_experiment("figure2")
+        session = parent_only_session(experiment, tmp_path)
+        plan = experiment.plan(session)
+        pickle.dumps(plan)
+        plan[0].campaign.store = session.store
+        with pytest.raises((pickle.PicklingError, TypeError)):
+            pickle.dumps(plan)
+
+
 class TestSession:
     def test_knob_fallback(self):
         session = Session(knobs={"step": 5, "flagged": False})
@@ -202,7 +287,7 @@ class TestSession:
     def test_cache_line_only_after_activity(self, tmp_path):
         session = Session(store=CampaignStore(tmp_path))
         assert session.cache_line() is None
-        session.store.get_record(CampaignStore.key("x"))
+        session.store.get_many([CampaignStore.key("x")], decode_record)
         line = session.cache_line()
         assert line is not None and line.startswith("[cache] ")
         assert Session().cache_line() is None

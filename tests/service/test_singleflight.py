@@ -87,7 +87,7 @@ class TestSingleFlightStore:
     def test_miss_is_claimed_then_released_on_put(self, tmp_path):
         flight = SingleFlight()
         store = SingleFlightStore(CampaignStore(tmp_path), flight)
-        assert store.get(K1, lambda p: p) is None  # miss → claim
+        assert store.get_many([K1], lambda p: p) == {}  # miss → claim
         assert flight.in_flight() == 1
         store.put(K1, {"v": 1})
         assert flight.in_flight() == 0
@@ -121,11 +121,11 @@ class TestSingleFlightStore:
         flight = SingleFlight()
         crasher = SingleFlightStore(backing, flight)
         heir = SingleFlightStore(backing, flight)
-        assert crasher.get(K1, lambda p: p) is None  # claims, never puts
+        assert crasher.get_many([K1], lambda p: p) == {}  # claims, no put
         resolved = []
 
         def wait_side():
-            resolved.append(heir.get(K1, lambda p: p))
+            resolved.append(heir.get_many([K1], lambda p: p).get(K1))
 
         thread = threading.Thread(target=wait_side)
         thread.start()
@@ -133,13 +133,3 @@ class TestSingleFlightStore:
         thread.join(timeout=10.0)
         assert resolved == [None]  # heir now owns the miss
         assert flight.in_flight() == 1  # heir's claim
-
-    def test_pickle_reconnects_private_registry(self, tmp_path):
-        import pickle
-        flight = SingleFlight()
-        store = SingleFlightStore(CampaignStore(tmp_path), flight)
-        store.get(K1, lambda p: p)  # hold a claim across the pickle
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.flight is not flight
-        assert clone.inner.root == store.inner.root
-        assert flight.in_flight() == 1  # original claim untouched

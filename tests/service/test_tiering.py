@@ -5,6 +5,11 @@ from repro.service.tiering import _MISSING
 from repro.testbed import CampaignStore, PackedCampaignStore
 
 
+def get_one(store, key: str, decode=lambda payload: payload):
+    """``key``'s decoded payload, or None on a miss."""
+    return store.get_many([key], decode).get(key)
+
+
 def keys_in_shard(shard: str, n: int):
     return [shard + format(i, "02x") * 31 for i in range(n)]
 
@@ -51,7 +56,7 @@ class TestTieredReads:
         key = "aa" * 32
         tier.put(key, {"v": 1})
         backing_hits = backing.stats.hits
-        assert tier.get(key, lambda p: p["v"]) == 1
+        assert get_one(tier, key, lambda p: p["v"]) == 1
         assert backing.stats.hits == backing_hits  # served from memory
         assert tier.stats.hits == 1
 
@@ -60,9 +65,9 @@ class TestTieredReads:
         key = "aa" * 32
         backing.put(key, {"v": 1})
         tier = TieredStore(CampaignStore(tmp_path), capacity=8)
-        assert tier.get(key, lambda p: p["v"]) == 1  # disk
+        assert get_one(tier, key, lambda p: p["v"]) == 1  # disk
         assert key in tier.lru
-        assert tier.get(key, lambda p: p["v"]) == 1  # memory
+        assert get_one(tier, key, lambda p: p["v"]) == 1  # memory
         assert tier.lru.hits == 1
 
     def test_hits_decode_fresh_objects(self, tmp_path):
@@ -70,9 +75,9 @@ class TestTieredReads:
         tier = TieredStore(CampaignStore(tmp_path), capacity=8)
         key = "aa" * 32
         tier.put(key, {"v": 1, "nested": {"deep": True}})
-        first = tier.get(key, lambda p: p)
+        first = get_one(tier, key)
         first["nested"]["deep"] = "mutated"
-        second = tier.get(key, lambda p: p)
+        second = get_one(tier, key)
         assert second["nested"]["deep"] is True
 
     def test_eviction_falls_back_to_disk(self, tmp_path):
@@ -92,4 +97,4 @@ class TestMaintenance:
         tier.put(key, {"v": 1})
         tier.gc([])
         assert len(tier.lru) == 0
-        assert tier.get(key, lambda p: p) is None  # not resurrected
+        assert get_one(tier, key) is None  # not resurrected

@@ -31,13 +31,12 @@ def session(store=None, seed=3, workers=None, **overrides):
 
 
 def build_search(profiles=("curl", "wget", "hev3-reference"), seed=3,
-                 store=None, budget=None, limit=4):
+                 budget=None, limit=4):
     space = ScenarioSpace.default()
     resolved = [resolve_profiles(p)[0] for p in profiles]
     base = resolve_profiles("hev3-reference")[0]
     budget = budget or SearchBudget(seeds=4, rounds=1, top=2, neighbors=2)
-    scorer = Scorer(space, resolved, seed=seed, store=store,
-                    ablation_base=base)
+    scorer = Scorer(space, resolved, seed=seed, ablation_base=base)
     return SynthesisSearch(space, SearchStrategy(space, seed, budget),
                            scorer, Promoter(space, limit=limit))
 
@@ -162,16 +161,17 @@ class TestSearchExecution:
         assert a == b
 
     def test_serial_equals_parallel(self, tmp_path):
-        serial = build_search(store=CampaignStore(tmp_path / "s"))
-        parallel = build_search(store=CampaignStore(tmp_path / "p"))
-        assert serial.execute() == parallel.execute(workers=2)
+        serial = build_search().execute(CampaignStore(tmp_path / "s"))
+        parallel = build_search().execute(CampaignStore(tmp_path / "p"),
+                                          workers=2)
+        assert serial == parallel
 
     def test_warm_store_replays_with_zero_misses(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
-        cold = build_search(store=cold_store).execute()
+        cold = build_search().execute(cold_store)
         assert cold_store.stats.stores > 0
         warm_store = CampaignStore(tmp_path)
-        warm = build_search(store=warm_store).execute()
+        warm = build_search().execute(warm_store)
         assert warm == cold
         assert warm_store.stats.misses == 0
         assert warm_store.stats.hits > 0
@@ -181,10 +181,9 @@ class TestSearchExecution:
         budget replays every overlapping probe key from cache."""
         small = SearchBudget(seeds=4, rounds=1, top=2, neighbors=2)
         dense = SearchBudget(seeds=8, rounds=2, top=3, neighbors=3)
-        build_search(store=CampaignStore(tmp_path),
-                     budget=small).execute()
+        build_search(budget=small).execute(CampaignStore(tmp_path))
         dense_store = CampaignStore(tmp_path)
-        build_search(store=dense_store, budget=dense).execute()
+        build_search(budget=dense).execute(dense_store)
         assert dense_store.stats.hits > 0
         assert dense_store.stats.misses > 0  # and genuinely denser
 
@@ -194,10 +193,9 @@ class TestSearchExecution:
         search = build_search(
             profiles=("curl", "wget", "Chrome 130.0", "Firefox 132.0",
                       "hev3-reference"),
-            store=CampaignStore(tmp_path),
             budget=SearchBudget(seeds=6, rounds=1, top=2, neighbors=2),
             limit=6)
-        result = search.execute()
+        result = search.execute(CampaignStore(tmp_path))
         assert len(result.promotions) >= 3
         hand_written = search.promoter.known
         for promotion in result.promotions:
@@ -211,34 +209,33 @@ class TestSearchExecution:
 class TestPlan:
     def test_plan_is_pure_on_a_cold_store(self, tmp_path):
         store = CampaignStore(tmp_path)
-        keys = build_search(store=store).plan().keys()
+        keys = build_search().plan(store).keys()
         assert keys
         assert store.stats.stores == 0
         assert list(store.entries()) == []
 
     def test_cold_plan_is_the_seed_round(self, tmp_path):
-        search = build_search(store=CampaignStore(tmp_path))
+        search = build_search()
         seed_keys = search.scorer.runner_for(
             search.strategy.seed_round()).plan().keys()
-        assert search.plan().keys() == seed_keys
+        assert search.plan(CampaignStore(tmp_path)).keys() == seed_keys
 
     def test_warm_plan_covers_the_whole_execution(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
-        build_search(store=cold_store).execute()
+        build_search().execute(cold_store)
         on_disk = {key for key, _ in cold_store.entries()}
-        warm_plan = set(build_search(
-            store=CampaignStore(tmp_path)).plan().keys())
+        warm_plan = set(build_search().plan(CampaignStore(tmp_path)).keys())
         assert on_disk == warm_plan
 
     def test_gc_against_warm_plan_keeps_everything(self, tmp_path):
         store = CampaignStore(tmp_path)
-        build_search(store=store).execute()
-        live = set(build_search(store=CampaignStore(tmp_path)).plan().keys())
+        build_search().execute(store)
+        live = set(build_search().plan(CampaignStore(tmp_path)).keys())
         stats = CampaignStore(tmp_path).gc(live)
         assert stats.removed == 0
         assert stats.kept == len(live)
         replay_store = CampaignStore(tmp_path)
-        build_search(store=replay_store).execute()
+        build_search().execute(replay_store)
         assert replay_store.stats.misses == 0
 
 

@@ -228,11 +228,11 @@ class FailingRunner(TestRunner):
                                   run_seed)
 
 
-def runner(cls=TestRunner, **kwargs):
+def runner(cls=TestRunner):
     return cls(clients=[get_profile("curl", "7.88.1")],
                cases=[dataclasses.replace(
                    cad_case(), sweep=SweepSpec.fixed(0, 80, 160, 240))],
-               seed=5, **kwargs)
+               seed=5)
 
 
 @MODES
@@ -249,7 +249,7 @@ def test_runner_exception_propagates(tmp_path, workers, journal_only):
                 journal=CampaignJournal(tmp_path / "j.log"),
                 explicit=False))
     with pytest.raises(RuntimeError, match="run_single blew up"):
-        list(runner(FailingRunner, **kwargs).stream(workers=workers))
+        list(runner(FailingRunner).stream(workers=workers, **kwargs))
 
 
 @MODES
@@ -257,7 +257,7 @@ def test_runner_degrades_to_harness_records(workers):
     plan = FaultPlan.parse("crash:1.0:9", seed=5)  # never heals
     res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                      fault_plan=plan)
-    records = list(runner(resilience=res).stream(workers=workers))
+    records = list(runner().stream(workers=workers, resilience=res))
     assert len(records) == 4
     assert all(is_harness_failure(record) for record in records)
     assert len(res.manifest.failures) == 4

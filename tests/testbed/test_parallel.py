@@ -227,19 +227,18 @@ class TestResolveSpecs:
             return run_single(self, *args, **kwargs)
 
         monkeypatch.setattr(TestRunner, "run_single", counting)
-        runner.store = CampaignStore(tmp_path)
-        cold = runner.run()
+        store = CampaignStore(tmp_path)
+        cold = runner.run(store=store)
         assert len(cold) == 4 and cold[:2] == cold[2:]
         assert sorted(executed) == [0, 310]
-        assert (runner.store.stats.misses, runner.store.stats.stores) \
-            == (2, 2)
+        assert (store.stats.misses, store.stats.stores) == (2, 2)
         executed.clear()
-        runner.store = CampaignStore(tmp_path)
-        assert runner.run() == cold
+        store = CampaignStore(tmp_path)
+        assert runner.run(store=store) == cold
         assert executed == []
-        assert (runner.store.stats.hits, runner.store.stats.misses,
-                runner.store.stats.stores) == (2, 0, 0)
-        assert len(list(runner.store.entries())) == 2
+        assert (store.stats.hits, store.stats.misses,
+                store.stats.stores) == (2, 0, 0)
+        assert len(list(store.entries())) == 2
 
     def test_rejects_mixed_entry_kinds(self, tmp_path):
         entry = tiny_runner(150).plan()[0]

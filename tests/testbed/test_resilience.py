@@ -9,7 +9,6 @@ and the shared-pool recovery seams.
 """
 
 import dataclasses
-import pickle
 
 import pytest
 
@@ -17,23 +16,23 @@ from repro.clients import get_profile
 from repro.faults import FaultKind, FaultPlan
 from repro.fanout import shared_pool, shutdown_shared_pool
 from repro.seeding import backoff_jitter
-from repro.testbed import (CampaignJournal, CampaignStore, Resilience,
-                           RetryPolicy, SweepSpec, TestCaseConfig,
-                           TestCaseKind, TestRunner, cad_case,
-                           is_harness_failure)
+from repro.testbed import (CampaignJournal, CampaignStore, CampaignSpec,
+                           Resilience, RetryPolicy, SweepSpec,
+                           TestCaseConfig, TestCaseKind, TestRunner,
+                           cad_case, is_harness_failure, run_campaign_spec)
+from repro.testbed.store import decode_record
 
 #: Backoff tuned for tests: correctness is identical, sleeps are not.
 FAST = dict(backoff_base=0.001, backoff_cap=0.01)
 
 
-def chaos_runner(seed=5, resilience=None, store=None, values=(0, 80, 160,
-                                                             240, 320)):
+def chaos_runner(seed=5, values=(0, 80, 160, 240, 320)):
     return TestRunner(
         clients=[get_profile("Chrome", "130.0"),
                  get_profile("curl", "7.88.1")],
         cases=[dataclasses.replace(cad_case(),
                                    sweep=SweepSpec.fixed(*values))],
-        seed=seed, store=store, resilience=resilience)
+        seed=seed)
 
 
 def campaign_coords(runner):
@@ -96,14 +95,6 @@ class TestCampaignJournal:
     def test_missing_file_loads_empty(self, tmp_path):
         assert CampaignJournal(tmp_path / "absent.log").load() == set()
 
-    def test_picklable_with_open_handle(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "campaign.log")
-        journal.record("ab" * 32)
-        clone = pickle.loads(pickle.dumps(journal))
-        assert clone.path == journal.path
-        assert clone._handle is None
-        journal.close()
-
 
 class TestChaosInvariant:
     """Faulted campaigns with retries heal into byte-identical output."""
@@ -114,11 +105,11 @@ class TestChaosInvariant:
         plan = FaultPlan.parse(plan_text, seed=5)
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
-        runner = chaos_runner(resilience=res)
+        runner = chaos_runner()
         targeted = [c for c in campaign_coords(runner)
                     if plan.entry_fault(c, 0)]
         assert targeted, "plan must actually fire for the test to bite"
-        assert list(runner.stream()) == clean_records
+        assert list(runner.stream(resilience=res)) == clean_records
         assert res.manifest.retries >= len(targeted)
         assert not res.manifest.failures
 
@@ -132,8 +123,8 @@ class TestChaosInvariant:
         plan = FaultPlan.parse(plan_text, seed=5)
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
-        runner = chaos_runner(resilience=res)
-        assert list(runner.stream(workers=2)) == clean_records
+        assert list(chaos_runner().stream(2, resilience=res)) == \
+            clean_records
         if "crash" in plan_text:
             assert res.manifest.pool_breaks > 0
             assert res.manifest.respawns >= res.manifest.pool_breaks
@@ -148,8 +139,8 @@ class TestChaosInvariant:
         plan = FaultPlan.parse("hang:0.4:1:0.25", seed=5)
         res = Resilience(policy=RetryPolicy(retries=2, entry_timeout=0.08,
                                             **FAST), fault_plan=plan)
-        runner = chaos_runner(resilience=res)
-        assert list(runner.stream(workers=2)) == clean_records
+        assert list(chaos_runner().stream(2, resilience=res)) == \
+            clean_records
         assert res.manifest.hang_timeouts > 0
         assert res.manifest.respawns > 0
         assert not res.manifest.failures
@@ -167,7 +158,7 @@ class TestChaosInvariant:
         store.fault_plan = plan
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
-        cold = list(chaos_runner(resilience=res, store=store).stream())
+        cold = list(chaos_runner().stream(store=store, resilience=res))
         assert cold == clean_records
         kinds = [kind for kind, _ in store.fault_plan._occurrences]
         corrupt = kinds.count(FaultKind.CORRUPT_WRITE)
@@ -177,8 +168,8 @@ class TestChaosInvariant:
 
         warm_store = CampaignStore(tmp_path / "cache")  # fault-free handle
         res2 = Resilience(policy=RetryPolicy(retries=2, **FAST))
-        warm = list(chaos_runner(resilience=res2,
-                                 store=warm_store).stream())
+        warm = list(chaos_runner().stream(store=warm_store,
+                                          resilience=res2))
         assert warm == clean_records
         assert warm_store.stats.misses == corrupt + partial
         assert warm_store.stats.quarantined == partial
@@ -189,8 +180,8 @@ class TestChaosInvariant:
 
         # Third run: fully healed, pure hits.
         healed_store = CampaignStore(tmp_path / "cache")
-        assert list(chaos_runner(store=healed_store)
-                    .stream()) == clean_records
+        assert list(chaos_runner()
+                    .stream(store=healed_store)) == clean_records
         assert healed_store.stats.misses == 0
 
     def test_transient_io_errors_degrade_not_abort(self, tmp_path,
@@ -203,9 +194,37 @@ class TestChaosInvariant:
         store.fault_plan = plan
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
-        assert list(chaos_runner(resilience=res,
-                                 store=store).stream()) == clean_records
+        assert list(chaos_runner().stream(
+            store=store, resilience=res)) == clean_records
         assert res.manifest.store_write_errors > 0
+
+    @pytest.mark.parametrize("plan_text, quarantines", [
+        ("corrupt:1.0", False), ("partial:1.0", True)])
+    def test_spec_store_faults_reach_its_cache(self, tmp_path, plan_text,
+                                               quarantines):
+        """A campaign spec's fault plan tears the writes of the store
+        its ``cache_dir`` opens, so a second run of the same spec finds
+        nothing servable and re-executes — quarantining a ``partial``
+        record, while a ``corrupt`` torn tail is never indexed — and
+        both runs still return the fault-free records."""
+        spec = {"seed": 3, "cache_dir": str(tmp_path), "retries": 1,
+                "faults": plan_text,
+                "clients": [{"name": "curl", "version": "7.88.1"},
+                            {"name": "Chrome", "version": "130.0"}],
+                "cases": [{"kind": "cad",
+                           "sweep": {"values": [0, 150, 310]}}]}
+        clean = {key: value for key, value in spec.items()
+                 if key not in ("cache_dir", "retries", "faults")}
+        expected = run_campaign_spec(clean)
+        keys = CampaignSpec.from_dict(spec).build_runner().plan().keys()
+        assert run_campaign_spec(spec) == expected
+        assert not (tmp_path / ".quarantine").exists()
+        assert run_campaign_spec(spec) == expected
+        quarantined = {path.stem for path in
+                       (tmp_path / ".quarantine").rglob("*.json")}
+        assert quarantined == (set(keys) if quarantines else set())
+        # Each run parses a fresh plan, so its writes tear again.
+        assert CampaignStore(tmp_path).get_many(keys, decode_record) == {}
 
 
 class TestGracefulDegradation:
@@ -213,7 +232,7 @@ class TestGracefulDegradation:
         plan = FaultPlan.parse("crash:1.0:9", seed=5)  # never heals
         res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                          fault_plan=plan)
-        records = list(chaos_runner(resilience=res).stream())
+        records = list(chaos_runner().stream(resilience=res))
         assert len(records) == 10
         assert all(is_harness_failure(r) for r in records)
         assert all(not r.completed for r in records)
@@ -227,8 +246,8 @@ class TestGracefulDegradation:
         plan = FaultPlan.parse("crash:1.0:9", seed=5)
         res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                          fault_plan=plan)
-        records = list(chaos_runner(resilience=res,
-                                    values=(0, 80)).stream(workers=2))
+        records = list(chaos_runner(values=(0, 80)).stream(
+            2, resilience=res))
         assert len(records) == 4
         assert all(is_harness_failure(r) for r in records)
         assert len(res.manifest.failures) == 4
@@ -240,7 +259,7 @@ class TestGracefulDegradation:
         journal = CampaignJournal(tmp_path / "cache" / ".journal" / "c.log")
         res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                          fault_plan=plan, journal=journal)
-        list(chaos_runner(resilience=res, store=store).stream())
+        list(chaos_runner().stream(store=store, resilience=res))
         journal.close()
         assert store.stats.stores == 0
         assert list(store.entries()) == []
@@ -258,7 +277,7 @@ class TestJournalResume:
                                                             clean_records):
         store = CampaignStore(tmp_path / "cache")
         res = self._resilience(tmp_path)
-        stream = chaos_runner(resilience=res, store=store).stream()
+        stream = chaos_runner().stream(store=store, resilience=res)
         partial = [next(stream) for _ in range(4)]  # then SIGKILL
         stream.close()
         res.close()
@@ -268,8 +287,8 @@ class TestJournalResume:
 
         store2 = CampaignStore(tmp_path / "cache")
         res2 = self._resilience(tmp_path, resume=True)
-        finished = list(chaos_runner(resilience=res2,
-                                     store=store2).stream())
+        finished = list(chaos_runner().stream(store=store2,
+                                              resilience=res2))
         res2.close()
         assert finished == clean_records
         assert res2.manifest.resumed == 4          # zero re-executions
@@ -281,16 +300,16 @@ class TestJournalResume:
                                                       clean_records):
         store = CampaignStore(tmp_path / "cache")
         res = self._resilience(tmp_path)
-        assert list(chaos_runner(resilience=res,
-                                 store=store).stream()) == clean_records
+        assert list(chaos_runner().stream(
+            store=store, resilience=res)) == clean_records
         res.close()
         keys = [key for key, _ in store.entries()]
         store.gc(keys[1:])  # the store lost a journaled entry
 
         store2 = CampaignStore(tmp_path / "cache")
         res2 = self._resilience(tmp_path, resume=True)
-        assert list(chaos_runner(resilience=res2,
-                                 store=store2).stream()) == clean_records
+        assert list(chaos_runner().stream(
+            store=store2, resilience=res2)) == clean_records
         res2.close()
         assert res2.manifest.journal_stale == 1     # detected, not trusted
         assert res2.manifest.resumed == len(clean_records) - 1
@@ -302,14 +321,14 @@ class TestJournalResume:
         larger earlier sweep) are simply ignored."""
         store = CampaignStore(tmp_path / "cache")
         res = self._resilience(tmp_path)
-        list(chaos_runner(resilience=res, store=store).stream())
+        list(chaos_runner().stream(store=store, resilience=res))
         res.journal.record("ab" * 32)  # foreign journaled key
         res.close()
 
         store2 = CampaignStore(tmp_path / "cache")
         res2 = self._resilience(tmp_path, resume=True)
-        assert list(chaos_runner(resilience=res2,
-                                 store=store2).stream()) == clean_records
+        assert list(chaos_runner().stream(
+            store=store2, resilience=res2)) == clean_records
         res2.close()
         assert res2.manifest.resumed == len(clean_records)
         assert res2.manifest.journal_stale == 0

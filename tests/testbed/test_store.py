@@ -28,15 +28,14 @@ from repro.testbed.store import (STORE_FORMAT, canonical, config_digest,
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
-def small_runner(seed: int = 5, store: CampaignStore = None,
-                 **knobs) -> TestRunner:
+def small_runner(seed: int = 5, **knobs) -> TestRunner:
     return TestRunner(
         clients=[get_profile("Chrome", "130.0"),
                  get_profile("curl", "7.88.1")],
         cases=[TestCaseConfig(
             name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
             sweep=SweepSpec.fixed(0, 150, 310), repetitions=2)],
-        seed=seed, store=store, **knobs)
+        seed=seed, **knobs)
 
 
 def run_key(runner: TestRunner, case: TestCaseConfig, profile,
@@ -277,13 +276,13 @@ class TestRecordRoundTrip:
 class TestWarmCampaigns:
     def test_second_run_all_hits_and_identical(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
-        cold = small_runner(store=cold_store).run()
+        cold = small_runner().run(store=cold_store)
         assert cold_store.stats.hits == 0
         assert cold_store.stats.misses == len(cold)
         assert cold_store.stats.stores == len(cold)
 
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run()
+        warm = small_runner().run(store=warm_store)
         assert warm_store.stats.hits == len(warm)
         assert warm_store.stats.misses == 0
         assert warm == cold
@@ -291,15 +290,15 @@ class TestWarmCampaigns:
     def test_cached_equals_uncached(self, tmp_path):
         fresh = small_runner().run()
         store = CampaignStore(tmp_path)
-        small_runner(store=store).run()
-        cached = small_runner(store=CampaignStore(tmp_path)).run()
+        small_runner().run(store=store)
+        cached = small_runner().run(store=CampaignStore(tmp_path))
         assert cached == fresh
 
     def test_parallel_warm_run_identical_and_poolless(self, tmp_path):
         store = CampaignStore(tmp_path)
-        cold = small_runner(store=store).run(workers=2)
+        cold = small_runner().run(workers=2, store=store)
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run(workers=2)
+        warm = small_runner().run(workers=2, store=warm_store)
         assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
@@ -308,20 +307,18 @@ class TestWarmCampaigns:
     def test_repeated_key_warm_run_identical(self, tmp_path, workers):
         """A client listed twice repeats every key: the warm run pops
         each hit once and executes the repeats, in order."""
-        def runner(store):
-            twice = small_runner(store=store)
-            twice.clients = [twice.clients[1], twice.clients[1]]
-            return twice
+        twice = small_runner()
+        twice.clients = [twice.clients[1], twice.clients[1]]
 
-        cold = runner(CampaignStore(tmp_path)).run()
-        warm = runner(CampaignStore(tmp_path)).run(workers=workers)
+        cold = twice.run(store=CampaignStore(tmp_path))
+        warm = twice.run(workers=workers, store=CampaignStore(tmp_path))
         assert len(cold) == 12
         assert warm == cold
 
     def test_serial_cold_parallel_warm_identity(self, tmp_path):
         store = CampaignStore(tmp_path)
-        cold = small_runner(store=store).run()
-        warm = small_runner(store=CampaignStore(tmp_path)).run(workers=2)
+        cold = small_runner().run(store=store)
+        warm = small_runner().run(workers=2, store=CampaignStore(tmp_path))
         assert warm == cold
 
     def test_spec_cache_dir_stanza(self, tmp_path):
@@ -340,8 +337,8 @@ class TestWarmCampaigns:
 class TestStoreGC:
     def populate(self, tmp_path):
         store = CampaignStore(tmp_path)
-        runner = small_runner(store=store)
-        runner.run()
+        runner = small_runner()
+        runner.run(store=store)
         return store, set(runner.plan().keys())
 
     def test_gc_keeps_live_and_drops_stale(self, tmp_path):
@@ -376,9 +373,9 @@ class TestStoreGC:
     def test_gc_survivors_still_hit(self, tmp_path):
         store, live = self.populate(tmp_path)
         store.gc(live)
-        warm = small_runner(store=CampaignStore(tmp_path))
-        warm.run()
-        assert warm.store.stats.misses == 0
+        warm = CampaignStore(tmp_path)
+        small_runner().run(store=warm)
+        assert warm.stats.misses == 0
 
     def test_gc_on_missing_root_is_a_noop(self, tmp_path):
         store = CampaignStore(tmp_path / "never-created")
@@ -399,7 +396,7 @@ class TestStoreGC:
         assert {key for key, _ in store.entries()} == before
         assert list(store.root.glob(".tmp-*"))
         fresh = CampaignStore(tmp_path)
-        assert all(fresh.has(key) for key in live)
+        assert len(fresh.get_many(live, decode_record)) == len(live)
         # The accounting matches the later real sweep.
         real = store.gc(live)
         assert (dry.kept, dry.kept_bytes) == (real.kept, real.kept_bytes)
@@ -416,7 +413,7 @@ class TestStoreGC:
 class TestCacheInvalidation:
     def cold_keys(self, tmp_path, **overrides):
         """Store keys a campaign with ``overrides`` would use."""
-        runner = small_runner(store=CampaignStore(tmp_path), **overrides)
+        runner = small_runner(**overrides)
         case, profile = runner.cases[0], runner.clients[0]
         return run_key(runner, case, profile, 150, 0)
 
@@ -424,8 +421,7 @@ class TestCacheInvalidation:
         from repro.testbed import ImpairmentSpec
         from repro.simnet.addr import Family
 
-        store = CampaignStore(tmp_path)
-        runner = small_runner(store=store)
+        runner = small_runner()
         base_case, profile = runner.cases[0], runner.clients[0]
         base_key = run_key(runner, base_case, profile, 150, 0)
         for changed in (
@@ -445,8 +441,7 @@ class TestCacheInvalidation:
         other sweep values or how many repetitions share the campaign
         — that reuse is what makes coarse→fine refinement nearly free
         on a warm cache."""
-        store = CampaignStore(tmp_path)
-        runner = small_runner(store=store)
+        runner = small_runner()
         base_case, profile = runner.cases[0], runner.clients[0]
         base_key = run_key(runner, base_case, profile, 150, 0)
         for same in (
@@ -462,24 +457,24 @@ class TestCacheInvalidation:
     def test_coarse_results_reused_by_fine_sweep(self, tmp_path):
         """The fine pass executes only the values the coarse pass did
         not already cache (store counters prove the overlap hits)."""
-        coarse = small_runner(store=CampaignStore(tmp_path))
+        coarse = small_runner()
         coarse.cases = [dataclasses.replace(
             coarse.cases[0], sweep=SweepSpec.fixed(0, 150, 310))]
-        coarse.run()
-        fine = small_runner(store=CampaignStore(tmp_path))
+        coarse.run(store=CampaignStore(tmp_path))
+        fine = small_runner()
         fine.cases = [dataclasses.replace(
             fine.cases[0], sweep=SweepSpec.fixed(0, 100, 150, 200, 310))]
-        fine_results = fine.run()
+        fine_store = CampaignStore(tmp_path)
+        fine_results = fine.run(store=fine_store)
         # 2 clients × 2 reps: {0, 150, 310} replay from the coarse
         # pass, only {100, 200} execute fresh.
-        assert fine.store.stats.hits == 12
-        assert fine.store.stats.misses == 8
+        assert fine_store.stats.hits == 12
+        assert fine_store.stats.misses == 8
         assert sorted({r.value_ms for r in fine_results}) == \
             [0, 100, 150, 200, 310]
 
     def test_profile_field_change_misses(self, tmp_path):
-        store = CampaignStore(tmp_path)
-        runner = small_runner(store=store)
+        runner = small_runner()
         case, base_profile = runner.cases[0], runner.clients[0]
         base_key = run_key(runner, case, base_profile, 150, 0)
         changed_profiles = [
@@ -502,7 +497,7 @@ class TestCacheInvalidation:
         assert self.cold_keys(tmp_path, seed=6) != base
 
     def test_coordinates_distinguish_entries(self, tmp_path):
-        runner = small_runner(store=CampaignStore(tmp_path))
+        runner = small_runner()
         case, profile = runner.cases[0], runner.clients[0]
         keys = {run_key(runner, case, profile, value, repetition)
                 for value in (0, 150, 310) for repetition in (0, 1)}
@@ -514,38 +509,38 @@ class TestCacheInvalidation:
         import repro.testbed.store as store_module
 
         warmed = CampaignStore(tmp_path)
-        small_runner(store=warmed).run()
+        small_runner().run(store=warmed)
         monkeypatch.setattr(store_module, "BEHAVIOR_VERSION", "999.0.0")
         upgraded = CampaignStore(tmp_path)
-        small_runner(store=upgraded).run()
+        small_runner().run(store=upgraded)
         assert upgraded.stats.hits == 0
         assert upgraded.stats.misses > 0
 
     def test_changed_config_re_executes(self, tmp_path):
         """End to end: a warm cache is useless for a changed campaign."""
-        small_runner(store=CampaignStore(tmp_path)).run()
+        small_runner().run(store=CampaignStore(tmp_path))
         changed_store = CampaignStore(tmp_path)
-        small_runner(store=changed_store, resolver_timeout=2.0).run()
+        small_runner(resolver_timeout=2.0).run(store=changed_store)
         assert changed_store.stats.hits == 0
         assert changed_store.stats.misses > 0
 
 
 class TestCorruptEntries:
     def populate(self, tmp_path) -> List[RunRecord]:
-        return small_runner(store=CampaignStore(tmp_path)).run()
+        return small_runner().run(store=CampaignStore(tmp_path))
 
     def test_corrupted_entry_falls_back_to_fresh(self, tmp_path):
         cold = self.populate(tmp_path)
         tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run()
+        warm = small_runner().run(store=warm_store)
         assert warm == cold
         assert warm_store.stats.invalid == 1
         assert warm_store.stats.misses == 1
         assert warm_store.stats.hits == len(cold) - 1
         # The corrupted entry was rewritten by the fresh execution.
         repaired = CampaignStore(tmp_path)
-        small_runner(store=repaired).run()
+        small_runner().run(store=repaired)
         assert repaired.stats.hits == len(cold)
 
     def test_corrupted_entry_parallel_inline_repair(self, tmp_path):
@@ -554,11 +549,11 @@ class TestCorruptEntries:
         cold = self.populate(tmp_path)
         tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run(workers=2)
+        warm = small_runner().run(workers=2, store=warm_store)
         assert warm == cold
         assert warm_store.stats.invalid == 1
         repaired = CampaignStore(tmp_path)
-        small_runner(store=repaired).run(workers=2)
+        small_runner().run(workers=2, store=repaired)
         assert repaired.stats.hits == len(cold)
 
     def test_partial_entry_falls_back_to_fresh(self, tmp_path):
@@ -567,7 +562,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path),
                edit_entry(lambda data: data.pop("complete")))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run()
+        warm = small_runner().run(store=warm_store)
         assert warm == cold
         assert warm_store.stats.invalid == 1
 
@@ -576,7 +571,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path), edit_entry(
             lambda data: data.update(format=STORE_FORMAT + 1)))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run()
+        warm = small_runner().run(store=warm_store)
         assert warm == cold
         assert warm_store.stats.invalid == 1
 
@@ -585,7 +580,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path), edit_entry(
             lambda data: data["payload"].update(winning_family="V9")))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run()
+        warm = small_runner().run(store=warm_store)
         assert warm == cold
         assert warm_store.stats.invalid == 1
 
@@ -596,7 +591,7 @@ class TestQuarantine:
     shadow its repaired replacement."""
 
     def populate(self, tmp_path) -> List[RunRecord]:
-        return small_runner(store=CampaignStore(tmp_path)).run()
+        return small_runner().run(store=CampaignStore(tmp_path))
 
     def corrupt_one(self, tmp_path) -> "tuple[str, bytes]":
         key = first_key(tmp_path)
@@ -606,7 +601,7 @@ class TestQuarantine:
         cold = self.populate(tmp_path)
         key, bad = self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run()
+        warm = small_runner().run(store=warm_store)
         assert warm == cold
         assert warm_store.stats.quarantined == 1
         assert warm_store.stats.invalid == 1
@@ -615,7 +610,7 @@ class TestQuarantine:
         assert moved.read_bytes() == bad + b"\n"
         # The re-execution appended a fresh record: pure hits next.
         repaired = CampaignStore(tmp_path)
-        small_runner(store=repaired).run()
+        small_runner().run(store=repaired)
         assert repaired.stats.hits == len(cold)
         assert repaired.stats.quarantined == 0
 
@@ -626,7 +621,8 @@ class TestQuarantine:
         cold = self.populate(tmp_path)
         keys = [key for key, _ in CampaignStore(tmp_path).entries()]
         store = CampaignStore(tmp_path)
-        assert store.has(keys[0])  # offsets indexed while readable
+        # Index the offsets while the packs are readable.
+        assert keys[0] in {key for key, _ in store.entries()}
         victim = store._pack_path(keys[0][:2])
         original = builtins.open
 
@@ -652,7 +648,7 @@ class TestQuarantine:
         self.populate(tmp_path)
         key, _ = self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
-        small_runner(store=warm_store).run()
+        small_runner().run(store=warm_store)
         moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"
         assert moved.is_file()
         gc_store = CampaignStore(tmp_path)
@@ -665,7 +661,7 @@ class TestQuarantine:
         cold = self.populate(tmp_path)
         self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
-        small_runner(store=warm_store).run()
+        small_runner().run(store=warm_store)
         assert len(list(warm_store.entries())) == len(cold)
 
 
@@ -687,7 +683,8 @@ class TestExecutorEdges:
             cases=[TestCaseConfig(
                 name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                 sweep=SweepSpec.fixed(0))],
-            seed=4, store=CampaignStore(tmp_path))
-        first = runner.run(workers=8)
-        second = runner.run(workers=8)
+            seed=4)
+        store = CampaignStore(tmp_path)
+        first = runner.run(workers=8, store=store)
+        second = runner.run(workers=8, store=store)
         assert first == second

@@ -8,19 +8,24 @@ from repro.testbed.config import SweepSpec, TestCaseConfig, TestCaseKind
 from repro.testbed.store import decode_record
 
 
-def small_runner(store=None, seed=5):
+def small_runner(seed=5):
     case = TestCaseConfig(name="cad",
                           kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
                           sweep=SweepSpec.fixed(0, 150, 400),
                           repetitions=2)
     return TestRunner([get_profile("curl", "7.88.1")], [case],
-                      seed=seed, store=store)
+                      seed=seed)
+
+
+def get_one(store, key, decode=decode_record):
+    """``key``'s decoded payload, or None on a miss."""
+    return store.get_many([key], decode).get(key)
 
 
 def populate(tmp_path):
     """Cold-run a small campaign; returns its keys in order."""
-    runner = small_runner(store=CampaignStore(tmp_path))
-    runner.run()
+    runner = small_runner()
+    runner.run(store=CampaignStore(tmp_path))
     return list(runner.plan().keys())
 
 
@@ -40,7 +45,7 @@ class TestGetMany:
         batch = CampaignStore(tmp_path)
         perkey = CampaignStore(tmp_path)
         got_batch = batch.get_many(keys, decode_record)
-        got_perkey = {key: perkey.get(key, decode_record) for key in keys}
+        got_perkey = {key: get_one(perkey, key) for key in keys}
         assert got_batch == got_perkey
         assert set(got_batch) == set(keys)
         assert batch.stats.hits == len(keys)
@@ -111,7 +116,7 @@ class TestSidecarIndex:
         extra = []
         for nibble in "0123456789abcdef":
             newcomer = shard + nibble * 62
-            store.put(newcomer, store.get(keys[0], lambda p: p))
+            store.put(newcomer, get_one(store, keys[0], lambda p: p))
             extra.append(newcomer)
             got = store.get_many(keys + extra, decode_record)
             assert set(got) == set(keys + extra)
@@ -129,8 +134,8 @@ class TestSidecarIndex:
     def test_out_of_band_deletion_invalidates_the_index(self, tmp_path):
         """A record cut out of its pack behind the store's back (manual
         pruning, partial sync) never bumps the generation — the
-        stamped pack size must catch it, keeping get_many and get
-        agreeing."""
+        stamped pack size must catch it, keeping a batch and a one-key
+        lookup agreeing."""
         keys = populate(tmp_path)
         store = CampaignStore(tmp_path)
         store.get_many(keys, decode_record)  # builds sidecars
@@ -143,7 +148,7 @@ class TestSidecarIndex:
         got = fresh.get_many(keys, decode_record)
         assert keys[0] not in got
         assert fresh.stats.misses == 1
-        assert fresh.get(keys[0], decode_record) is None
+        assert get_one(fresh, keys[0]) is None
 
     def test_out_of_band_addition_is_served(self, tmp_path):
         """A record appended without put() (another writer) still
@@ -155,7 +160,8 @@ class TestSidecarIndex:
         newcomer = keys[0][:2] + "e" * 62
         with (tmp_path / f"{keys[0][:2]}.pack").open("ab") as handle:
             handle.write(record_line(newcomer,
-                                     store.get(keys[0], lambda p: p)))
+                                     get_one(store, keys[0],
+                                             lambda p: p)))
         fresh = CampaignStore(tmp_path)
         got = fresh.get_many(keys + [newcomer], decode_record)
         assert got[newcomer] == truth[keys[0]]
@@ -255,18 +261,18 @@ class TestSidecarIndex:
 
 class TestRunnerBatchPath:
     def test_serial_warm_stream_uses_batch_hits(self, tmp_path):
-        cold = small_runner(store=CampaignStore(tmp_path)).run()
+        cold = small_runner().run(store=CampaignStore(tmp_path))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run()
+        warm = small_runner().run(store=warm_store)
         assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
         assert index_files(tmp_path)  # the warm stream built sidecars
 
     def test_parallel_warm_stream_identical(self, tmp_path):
-        cold = small_runner(store=CampaignStore(tmp_path)).run()
+        cold = small_runner().run(store=CampaignStore(tmp_path))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner(store=warm_store).run(workers=2)
+        warm = small_runner().run(workers=2, store=warm_store)
         assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0

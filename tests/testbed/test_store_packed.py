@@ -15,14 +15,30 @@ from repro.testbed import (CampaignStore, PackedCampaignStore, SweepSpec,
 from repro.testbed.store import STORE_FORMAT, decode_record, encode_record
 
 
-def small_runner(seed: int = 5, store=None, **knobs) -> TestRunner:
+def small_runner(seed: int = 5, **knobs) -> TestRunner:
     return TestRunner(
         clients=[get_profile("Chrome", "130.0"),
                  get_profile("curl", "7.88.1")],
         cases=[TestCaseConfig(
             name="cad", kind=TestCaseKind.CONNECTION_ATTEMPT_DELAY,
             sweep=SweepSpec.fixed(0, 150, 310), repetitions=2)],
-        seed=seed, store=store, **knobs)
+        seed=seed, **knobs)
+
+
+def get_one(store, key: str, decode=lambda payload: payload):
+    """``key``'s decoded payload, or None on a miss."""
+    return store.get_many([key], decode).get(key)
+
+
+def indexed(store) -> set:
+    """Every key the handle's offset maps hold (no record is read)."""
+    return {key for key, _ in store.entries()}
+
+
+def reclaimable(store) -> int:
+    """Dead bytes a compaction would drop while keeping every indexed
+    entry: superseded, quarantined and healed-torn lines."""
+    return store.gc(indexed(store), dry_run=True).reclaimed_bytes
 
 
 class TestPackedRoundTrip:
@@ -30,7 +46,7 @@ class TestPackedRoundTrip:
         """The persistence format: one ``json.dumps(sort_keys=True)``
         line per record, and it decodes to the executed record."""
         store = CampaignStore(tmp_path)
-        cold = small_runner(store=store).run()
+        cold = small_runner().run(store=store)
         lines = {}
         for pack in tmp_path.glob("*.pack"):
             for line in pack.read_bytes().splitlines(keepends=True):
@@ -42,11 +58,12 @@ class TestPackedRoundTrip:
                 {"complete": True, "format": STORE_FORMAT, "key": key,
                  "payload": encode_record(record)}, sort_keys=True)
                 + "\n").encode("ascii")
-            assert CampaignStore(tmp_path).get_record(key) == record
+            assert get_one(CampaignStore(tmp_path), key,
+                           decode_record) == record
 
     def test_many_entries_per_shard_few_files(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner(store=store).run()
+        small_runner().run(store=store)
         entries = sum(1 for _ in store.entries())
         packs = list(tmp_path.glob("*.pack"))
         assert entries > 0
@@ -56,10 +73,10 @@ class TestPackedRoundTrip:
 
     def test_fresh_handle_warm_reads(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner(store=store).run()
+        small_runner().run(store=store)
         keys = [key for key, _ in store.entries()]
         warm = PackedCampaignStore(tmp_path)
-        found = warm.get_many_records(keys)
+        found = warm.get_many(keys, decode_record)
         assert set(found) == set(keys)
         assert warm.stats.hits == len(keys)
 
@@ -68,11 +85,11 @@ class TestPackedRoundTrip:
         key = "ab" * 32
         store.put(key, {"v": 1})
         store.put(key, {"v": 2})
-        assert store.get(key, lambda p: p["v"]) == 2
+        assert get_one(store, key, lambda p: p["v"]) == 2
         # A fresh handle scanning the pack agrees (last occurrence wins).
-        assert PackedCampaignStore(tmp_path).get(
-            key, lambda p: p["v"]) == 2
-        assert store.dead_bytes("ab") > 0
+        assert get_one(PackedCampaignStore(tmp_path), key,
+                       lambda p: p["v"]) == 2
+        assert reclaimable(store) > 0
 
     def test_open_store_has_one_layout(self, tmp_path):
         assert PackedCampaignStore is CampaignStore
@@ -80,7 +97,7 @@ class TestPackedRoundTrip:
         for layout in ("auto", "packed"):
             opened = open_store(tmp_path, layout=layout)
             assert type(opened) is CampaignStore
-            assert opened.get("cd" * 32, lambda p: p["v"]) == 1
+            assert get_one(opened, "cd" * 32, lambda p: p["v"]) == 1
         for layout in ("file", "bogus"):
             with pytest.raises(ValueError):
                 open_store(tmp_path, layout=layout)
@@ -98,13 +115,13 @@ class TestTornTail:
         with pack.open("ab") as fh:
             fh.write(torn.encode("ascii"))
         fresh = PackedCampaignStore(tmp_path)
-        assert fresh.get(k1, lambda p: p["v"]) == 1
-        assert fresh.get(k2, lambda p: p) is None  # torn line never indexed
+        assert get_one(fresh, k1, lambda p: p["v"]) == 1
+        assert get_one(fresh, k2) is None  # torn line never indexed
         # The next append heals the tail: both old and new survive a rescan.
         fresh.put(k3, {"v": 3})
         rescan = PackedCampaignStore(tmp_path)
-        assert rescan.get(k1, lambda p: p["v"]) == 1
-        assert rescan.get(k3, lambda p: p["v"]) == 3
+        assert get_one(rescan, k1, lambda p: p["v"]) == 1
+        assert get_one(rescan, k3, lambda p: p["v"]) == 3
 
     def test_unterminated_final_line_not_indexed(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
@@ -112,7 +129,7 @@ class TestTornTail:
         line = json.dumps({"complete": True, "format": 2, "key": key,
                            "payload": {}}, sort_keys=True)
         (tmp_path / "ff.pack").write_bytes(line.encode("ascii"))
-        assert store.get(key, lambda p: p) is None
+        assert get_one(store, key) is None
 
 
 class TestQuarantine:
@@ -123,31 +140,27 @@ class TestQuarantine:
         line = json.dumps({"complete": False, "format": 2, "key": key,
                            "payload": {"v": 1}}, sort_keys=True) + "\n"
         (tmp_path / "aa.pack").write_bytes(line.encode("ascii"))
-        assert store.get(key, lambda p: p) is None
+        assert get_one(store, key) is None
         assert store.stats.invalid == 1
         assert store.stats.quarantined == 1
         quarantined = list((tmp_path / ".quarantine").rglob("*.json"))
         assert len(quarantined) == 1
         assert json.loads(quarantined[0].read_text())["key"] == key
         # Quarantined bytes are dead; the slot is gone from the index.
-        assert store.dead_bytes("aa") == len(line.encode("ascii"))
-        assert not store.has(key)
+        assert reclaimable(store) == len(line.encode("ascii"))
+        assert key not in indexed(store)
 
 
 class TestPackedGC:
     def test_gc_keeps_live_drops_dead(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner(store=store).run()
+        small_runner().run(store=store)
         keys = sorted(key for key, _ in store.entries())
         live, dead = keys[: len(keys) // 2], keys[len(keys) // 2:]
         stats = store.gc(live)
         assert stats.removed == len(dead)
         assert stats.kept == len(live)
-        fresh = PackedCampaignStore(tmp_path)
-        for key in live:
-            assert fresh.has(key)
-        for key in dead:
-            assert not fresh.has(key)
+        assert indexed(PackedCampaignStore(tmp_path)) == set(live)
 
     def test_gc_drops_empty_packs(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
@@ -157,7 +170,7 @@ class TestPackedGC:
 
     def test_gc_dry_run_reports_without_rewriting(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner(store=store).run()
+        small_runner().run(store=store)
         keys = sorted(key for key, _ in store.entries())
         live, dead = keys[: len(keys) // 2], keys[len(keys) // 2:]
         pack_bytes = {p.name: p.read_bytes()
@@ -168,7 +181,7 @@ class TestPackedGC:
         assert {p.name: p.read_bytes()
                 for p in tmp_path.glob("*.pack")} == pack_bytes
         fresh = PackedCampaignStore(tmp_path)
-        assert all(fresh.has(key) for key in keys)
+        assert len(fresh.get_many(keys, decode_record)) == len(keys)
         # Accounting matches the later real sweep: a rewrite emits
         # exactly the live slices, so the dry-run estimate covers the
         # pack bytes exactly; sidecars of packs the real sweep
@@ -177,22 +190,20 @@ class TestPackedGC:
         assert (dry.kept, dry.kept_bytes) == (real.kept, real.kept_bytes)
         assert dry.removed == real.removed == len(dead)
         assert 0 < dry.reclaimed_bytes <= real.reclaimed_bytes
-        after = PackedCampaignStore(tmp_path)
-        assert all(after.has(key) for key in live)
-        assert not any(after.has(key) for key in dead)
+        assert indexed(PackedCampaignStore(tmp_path)) == set(live)
 
 
 class TestPackedSidecars:
     def test_sidecar_skips_rescan(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner(store=store).run()
+        small_runner().run(store=store)
         keys = [key for key, _ in store.entries()]
         # Like the per-file store, dirty sidecars flush on the next
         # batch read, not once per put.
-        store.get_many_records(keys)
+        store.get_many(keys, decode_record)
         assert list(tmp_path.glob(".index/*.json"))
         warm = PackedCampaignStore(tmp_path)
-        warm.get_many_records(keys)
+        warm.get_many(keys, decode_record)
         assert warm.index_rebuilds == 0
 
     def test_foreign_write_forces_rescan(self, tmp_path):
@@ -205,7 +216,7 @@ class TestPackedSidecars:
         with (tmp_path / "ab.pack").open("ab") as fh:
             fh.write(line.encode("ascii"))
         fresh = PackedCampaignStore(tmp_path)
-        assert fresh.get(key2, lambda p: p["v"]) == 2
+        assert get_one(fresh, key2, lambda p: p["v"]) == 2
 
     def test_flushed_sidecar_is_canonical_json(self, tmp_path):
         """The sidecar goes out through the one-shot C encoder: its
@@ -287,12 +298,12 @@ class TestConcurrentWriters:
         lines = (tmp_path / "aa.pack").read_bytes().splitlines()
         assert lines[1] == b'{"complete": tru'  # one dead, healed line
         for handle in (store, CampaignStore(tmp_path)):
-            assert handle.get(first, lambda p: p["v"]) == 1
-            assert handle.get(second, lambda p: p["v"]) == 2
+            assert get_one(handle, first, lambda p: p["v"]) == 1
+            assert get_one(handle, second, lambda p: p["v"]) == 2
             assert handle.stats.invalid == 0
         fresh = CampaignStore(tmp_path)
         assert {key for key, _ in fresh.entries()} == {first, second}
-        assert fresh.dead_bytes("aa") == len(b'{"complete": tru\n')
+        assert reclaimable(fresh) == len(b'{"complete": tru\n')
 
     def test_record_offset_is_read_back_not_assumed(self, tmp_path,
                                                     monkeypatch):
