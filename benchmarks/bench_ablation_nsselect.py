@@ -17,6 +17,7 @@ import statistics
 import pytest
 
 from repro.dns.nsselect import GluePlan, ResolverBehavior
+from repro.experiments import Session
 from repro.resolvers.testbed import run_resolver_campaign
 
 from _util import emit
@@ -43,7 +44,7 @@ def build_ablation():
         for delay_ms in DELAYS_MS:
             campaign = run_resolver_campaign(
                 behavior, delays_ms=[delay_ms], repetitions=6,
-                seed=hash(label) & 0xFFFF)
+                session=Session(seed=hash(label) & 0xFFFF))
             durations = [o.duration_s - 30.0 + 30.0 for o in
                          campaign.observations]
             latency = statistics.mean(

@@ -18,6 +18,7 @@ records the re-render win alongside the serial/parallel timings.
 import time
 
 from repro.analysis import figure2_sweep, render_figure2
+from repro.experiments import Session
 from repro.testbed import CampaignStore
 
 from _util import emit, record_timing
@@ -29,8 +30,8 @@ RUNS = 17 * len(range(0, 401, STEP_MS))
 
 def sweep(store):
     start = time.perf_counter()
-    series = figure2_sweep(step_ms=STEP_MS, stop_ms=400, seed=SEED,
-                           store=store)
+    series = figure2_sweep(step_ms=STEP_MS, stop_ms=400,
+                           session=Session(seed=SEED, store=store))
     return series, time.perf_counter() - start
 
 
@@ -57,7 +58,8 @@ def test_warm_cache_rerender(benchmark, tmp_path):
     cold_text = render_figure2(cold)
     assert render_figure2(warm) == cold_text
     assert render_figure2(
-        figure2_sweep(step_ms=STEP_MS, stop_ms=400, seed=SEED)) == cold_text
+        figure2_sweep(step_ms=STEP_MS, stop_ms=400,
+                      session=Session(seed=SEED))) == cold_text
 
     record_timing("figure2_store_cold", cold_s,
                   {"runs": RUNS, "step_ms": STEP_MS})

@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import figure2_sweep, render_figure2
 from repro.clients import figure2_clients
+from repro.experiments import Session
 
 from _util import emit, timed
 
@@ -23,7 +24,8 @@ STEP_MS = 10
 
 def build_figure2():
     with timed("figure2_cad_sweep", {"step_ms": STEP_MS, "workers": None}):
-        return figure2_sweep(step_ms=STEP_MS, stop_ms=400, seed=2)
+        return figure2_sweep(step_ms=STEP_MS, stop_ms=400,
+                             session=Session(seed=2))
 
 
 def test_figure2_cad_sweep(benchmark):

@@ -8,6 +8,7 @@ its burst interleave (v6 ×2, v4 ×1, v6 ×8, v4 ×9 — App. D).
 
 from repro.analysis import figure5_attempts, render_figure5
 from repro.clients import get_profile
+from repro.experiments import Session
 from repro.simnet import Family
 
 from _util import emit
@@ -21,7 +22,8 @@ CLIENTS = [
 
 def build_figure5():
     profiles = [get_profile(name, version) for name, version in CLIENTS]
-    return figure5_attempts(profiles, addresses_per_family=10, seed=4)
+    return figure5_attempts(profiles, addresses_per_family=10,
+                            session=Session(seed=4))
 
 
 def test_figure5_address_selection(benchmark):

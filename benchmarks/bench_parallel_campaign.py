@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.clients import figure2_clients
+from repro.experiments import Session
 from repro.testbed import (SweepSpec, TestCaseConfig, TestCaseKind,
                            TestRunner)
 
@@ -38,7 +39,7 @@ def test_parallel_records_identical():
                           sweep=SweepSpec.range(0, 400, 50), repetitions=2)
     runner = TestRunner(figure2_clients()[:4], [case], seed=9)
     serial = runner.run()
-    parallel = runner.run(workers=2)
+    parallel = runner.run(Session(workers=2))
     assert serial == parallel
 
 
@@ -53,7 +54,7 @@ def test_parallel_figure2_speedup(benchmark):
         parallel_s = float("inf")
         for _ in range(2):
             t0 = time.perf_counter()
-            parallel = runner.run(workers=WORKERS)
+            parallel = runner.run(Session(workers=WORKERS))
             parallel_s = min(parallel_s, time.perf_counter() - t0)
         return serial, serial_s, parallel, parallel_s
 

@@ -13,6 +13,7 @@ campaign, then checks the paper's headline findings:
 import pytest
 
 from repro.analysis import render_table2, table2_features
+from repro.experiments import Session
 from repro.webtool import UAEntry, WebCampaign
 from repro.webtool.report import ConsistencyMark
 
@@ -31,7 +32,7 @@ def build_table2():
     with timed("table2_features", {"web_repetitions": 10}):
         campaign = WebCampaign(seed=7, repetitions=10)
         web = campaign.run(entries=WEB_ENTRIES)
-        return table2_features(seed=1, web_campaign=web)
+        return table2_features(web_campaign=web, session=Session(seed=1))
 
 
 def test_table2_features(benchmark):

@@ -13,6 +13,7 @@ evaluated open resolver services, then checks the paper's findings:
 import pytest
 
 from repro.analysis import render_table3, table3_resolvers
+from repro.experiments import Session
 
 from _util import emit, timed
 
@@ -22,8 +23,9 @@ def build_table3():
     # probabilistic retry cannot masquerade as reliable IPv6 usage.
     with timed("table3_resolvers", {"share_repetitions": 160,
                                     "delay_repetitions": 8}):
-        return table3_resolvers(seed=3, share_repetitions=160,
-                                delay_repetitions=8)
+        return table3_resolvers(share_repetitions=160,
+                                delay_repetitions=8,
+                                session=Session(seed=3))
 
 
 def test_table3_resolvers(benchmark):

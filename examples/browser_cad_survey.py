@@ -13,6 +13,7 @@ import argparse
 
 from repro.analysis import figure2_sweep, render_figure2
 from repro.clients import figure2_clients, get_profile
+from repro.experiments import Session
 from repro.testbed import (StreamingResultSet, SweepSpec, TestCaseConfig,
                            TestCaseKind, TestRunner)
 
@@ -26,7 +27,10 @@ def main() -> None:
 
     print(f"Sweeping IPv6 delay 0..400 ms in {step} ms steps over "
           f"{len(figure2_clients())} client versions...\n")
-    series = figure2_sweep(step_ms=step, stop_ms=400, seed=11)
+    # The Session is the execution context: seed here, plus workers=N,
+    # a campaign store or a resilience bundle when you want them.
+    series = figure2_sweep(step_ms=step, stop_ms=400,
+                           session=Session(seed=11))
     print(render_figure2(series))
 
     # CAD values measured from captures, like the paper's Section 5.1.
@@ -38,7 +42,7 @@ def main() -> None:
                get_profile("Firefox", "132.0"),
                get_profile("curl", "7.88.1")]
     results = StreamingResultSet.consume(
-        TestRunner(clients, [case], seed=12).stream())
+        TestRunner(clients, [case], seed=12).stream(Session()))
     for profile in clients:
         cad = results.median_cad(profile.full_name)
         print(f"  {profile.full_name:<16} "

@@ -10,13 +10,15 @@ fallback timeout.
 Run:  python examples/resolver_preference_study.py
 """
 
+from repro.experiments import Session
 from repro.resolvers import (BIND9, KNOT, UNBOUND, OPEN_RESOLVER_BY_NAME,
                              ResolverTestbed, run_resolver_campaign)
 
 
 def study(behavior, delays=(0, 200, 400, 800, 1200), reps=6):
     campaign = run_resolver_campaign(behavior, delays_ms=list(delays),
-                                     repetitions=reps, seed=21)
+                                     repetitions=reps,
+                                     session=Session(seed=21))
     share = campaign.ipv6_share
     max_delay = campaign.reliable_max_ipv6_delay_ms()
     gap = campaign.median_fallback_gap_ms()

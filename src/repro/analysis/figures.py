@@ -13,14 +13,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import figure2_clients
+from ..experiments.base import Session
 from ..simnet.addr import Family
 from ..testbed.config import (SweepSpec, TestCaseConfig, TestCaseKind,
                               address_selection_case)
 from ..testbed.parallel import Plan, resolve_specs
-from ..testbed.resilience import Resilience
 from ..testbed.runner import (StreamingResultSet, TestRunner,
                               series_flap_window)
-from ..testbed.store import CampaignStore
 from .render import render_family_strip
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,18 +71,17 @@ def figure2_plan(profiles: Sequence[ClientProfile], step_ms: int = 5,
     return TestRunner(list(profiles), [case], seed=seed).plan()
 
 
-def figure2_series(plan: Plan, store: Optional[CampaignStore] = None,
-                   workers: Optional[int] = None,
-                   resilience: Optional[Resilience] = None
+def figure2_series(plan: Plan, session: Optional[Session] = None
                    ) -> List[Figure2Series]:
-    """Figure 2 from its plan (see :func:`figure2_plan`).
+    """Figure 2 from its plan (see :func:`figure2_plan`), executed
+    under ``session``.
 
     Records stream through :class:`StreamingResultSet` — the campaign
     aggregates incrementally and never materializes the full record
     list, so run count only costs time, not memory.
     """
     aggregate = StreamingResultSet.consume(
-        resolve_specs(plan, store, workers, resilience))
+        resolve_specs(plan, session))
     runner = plan[0].campaign
     return [Figure2Series(client=profile.full_name, label=profile.label,
                           outcomes=aggregate.outcomes(profile.full_name,
@@ -93,23 +91,22 @@ def figure2_series(plan: Plan, store: Optional[CampaignStore] = None,
 
 def figure2_sweep(clients: Optional[Sequence[ClientProfile]] = None,
                   step_ms: int = 5, stop_ms: int = 400,
-                  seed: int = 0,
-                  workers: Optional[int] = None,
-                  store: Optional[CampaignStore] = None,
-                  resilience: Optional[Resilience] = None
+                  session: Optional[Session] = None
                   ) -> List[Figure2Series]:
-    """Run the Figure 2 campaign: delay sweep per client version.
+    """Run the Figure 2 campaign: delay sweep per client version,
+    seeded by ``session.seed`` (None: ``Session()``).
 
     The paper sweeps 0–400 ms in 5 ms steps; coarser steps give the
     same crossovers faster (pass ``step_ms=25`` for a quick run).
-    ``workers=N`` fans the runs out over N processes with identical
-    results — the fine-grained paper sweep is ~1400 isolated runs.
-    ``store`` attaches the incremental campaign store: a re-render
-    with unchanged configuration replays from cache byte-identically.
+    ``Session(workers=N)`` fans the runs out over N processes with
+    identical results — the fine-grained paper sweep is ~1400 isolated
+    runs.  A session store makes a re-render with unchanged
+    configuration replay from cache byte-identically.
     """
     profiles = list(clients) if clients is not None else figure2_clients()
-    return figure2_series(figure2_plan(profiles, step_ms, stop_ms, seed),
-                          store, workers, resilience)
+    session = session or Session()
+    return figure2_series(
+        figure2_plan(profiles, step_ms, stop_ms, session.seed), session)
 
 
 def render_figure2(series: List[Figure2Series]) -> str:
@@ -165,17 +162,16 @@ def figure5_plan(clients: Sequence[ClientProfile],
     return TestRunner(list(clients), [case], seed=seed).plan()
 
 
-def figure5_series(plan: Plan, store: Optional[CampaignStore] = None,
-                   workers: Optional[int] = None,
-                   resilience: Optional[Resilience] = None
+def figure5_series(plan: Plan, session: Optional[Session] = None
                    ) -> List[Figure5Series]:
-    """Figure 5 from its plan (see :func:`figure5_plan`).
+    """Figure 5 from its plan (see :func:`figure5_plan`), executed
+    under ``session``.
 
     Streams the campaign: only each client's attempt-family list is
     retained, never the records themselves.
     """
     families_by_client: Dict[str, List[Family]] = {}
-    for record in resolve_specs(plan, store, workers, resilience):
+    for record in resolve_specs(plan, session):
         if record.client not in families_by_client:
             families_by_client[record.client] = [
                 family for _, family in record.attempts]
@@ -186,14 +182,13 @@ def figure5_series(plan: Plan, store: Optional[CampaignStore] = None,
 
 def figure5_attempts(clients: Sequence[ClientProfile],
                      addresses_per_family: int = 10,
-                     seed: int = 0,
-                     workers: Optional[int] = None,
-                     store: Optional[CampaignStore] = None,
-                     resilience: Optional[Resilience] = None
+                     session: Optional[Session] = None
                      ) -> List[Figure5Series]:
-    """Run the address-selection case and extract attempt sequences."""
-    return figure5_series(figure5_plan(clients, addresses_per_family, seed),
-                          store, workers, resilience)
+    """Run the address-selection case under ``session`` (seeded by
+    ``session.seed``) and extract attempt sequences."""
+    session = session or Session()
+    return figure5_series(
+        figure5_plan(clients, addresses_per_family, session.seed), session)
 
 
 def render_figure5(series: List[Figure5Series],

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..testbed.runner import RunRecord
 

@@ -15,16 +15,15 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
 from ..clients.profile import ClientProfile
 from ..clients.registry import table2_clients
 from ..core.params import (HEParams, RFC_PARAMETER_SETS)
+from ..experiments.base import Session
 from ..simnet.addr import Family
 from ..testbed.config import (SweepSpec, TestCaseConfig, TestCaseKind,
                               address_selection_case)
 from ..testbed.parallel import Plan, resolve_specs
-from ..testbed.store import CampaignStore
 from ..webtool.report import ConsistencyMark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resolvers.testbed import ResolverCampaignResult
-    from ..testbed.resilience import Resilience
     from ..testbed.runner import RunRecord
     from ..webtool.campaign import CampaignResult
 
@@ -183,40 +182,41 @@ def _fold_features(row: Table2Row, records: "Sequence[RunRecord]") -> None:
                              or selection_run.attempts_v4 > 1)
 
 
-def evaluate_client_features(profile: ClientProfile, seed: int = 0,
-                             store: Optional[CampaignStore] = None
+def evaluate_client_features(profile: ClientProfile,
+                             session: Optional[Session] = None
                              ) -> Table2Row:
-    """Run the local test cases of §4.1 against one client (``store``
-    replays unchanged runs from the campaign cache)."""
+    """Run the local test cases of §4.1 against one client under
+    ``session`` (seeded by ``session.seed``; its store replays
+    unchanged runs from the campaign cache)."""
     row = Table2Row(client=profile.full_name)
     if profile.supports_local_tests:
+        session = session or Session()
         _fold_features(row, list(resolve_specs(
-            table2_plan(seed, [profile]), store)))
+            table2_plan(session.seed, [profile]), session)))
     return row
 
 
-def table2_features(seed: int = 0,
-                    web_campaign: "Optional[CampaignResult]" = None,
+def table2_features(web_campaign: "Optional[CampaignResult]" = None,
                     clients: Optional[Sequence[ClientProfile]] = None,
-                    workers: Optional[int] = None,
-                    store: Optional[CampaignStore] = None,
                     plan: Optional[Plan] = None,
-                    resilience: "Optional[Resilience]" = None
+                    session: Optional[Session] = None
                     ) -> List[Table2Row]:
     """The full Table 2: local features + web consistency validation.
 
-    ``plan`` is :func:`table2_plan` for the same seed and clients
-    (built here when omitted); its runs resolve through the one
-    executor, so ``workers=N`` fans them out over N processes with rows
-    identical to the serial path, in profile order.
+    ``plan`` is :func:`table2_plan` for ``session.seed`` and the
+    clients (built here when omitted); its runs resolve through the
+    one executor under ``session``, so ``Session(workers=N)`` fans
+    them out over N processes with rows identical to the serial path,
+    in profile order.
     """
     from ..webtool.report import classify_consistency
 
     profiles = list(clients) if clients is not None else table2_clients()
+    session = session or Session()
     if plan is None:
-        plan = table2_plan(seed, profiles)
+        plan = table2_plan(session.seed, profiles)
     local: "Dict[str, List[RunRecord]]" = {}
-    for record in resolve_specs(plan, store, workers, resilience):
+    for record in resolve_specs(plan, session):
         local.setdefault(record.client, []).append(record)
     aggregates = (web_campaign.by_browser() if web_campaign is not None
                   else {})
@@ -358,13 +358,11 @@ def table3_plan(seed: int = 0, share_repetitions: int = 32,
     return Plan(entries)
 
 
-def table3_resolvers(seed: int = 0, share_repetitions: int = 32,
+def table3_resolvers(share_repetitions: int = 32,
                      delay_repetitions: int = 3,
                      delays_ms: Optional[List[int]] = None,
-                     workers: Optional[int] = None,
-                     store: Optional[CampaignStore] = None,
                      plan: Optional[Plan] = None,
-                     resilience: "Optional[Resilience]" = None
+                     session: Optional[Session] = None
                      ) -> List[Table3Row]:
     """Measure every local daemon and evaluated open service.
 
@@ -377,17 +375,19 @@ def table3_resolvers(seed: int = 0, share_repetitions: int = 32,
       point and the packet counts — run only for subjects whose share
       campaign used IPv6.
 
-    ``plan`` is :func:`table3_plan` for the same arguments (built here
-    when omitted).  Each stage — every subject's share runs, then the
-    delay runs it calls for — resolves in one executor call, so
-    ``workers=N`` fans runs out over N processes with rows identical
-    to the serial path, and ``store`` replays unchanged runs.
+    ``plan`` is :func:`table3_plan` for ``session.seed`` and the same
+    arguments (built here when omitted).  Each stage — every subject's
+    share runs, then the delay runs it calls for — resolves in one
+    executor call under ``session``, so ``Session(workers=N)`` fans
+    runs out over N processes with rows identical to the serial path,
+    and a session store replays unchanged runs.
     """
     from ..resolvers.testbed import ResolverCampaignResult
 
+    session = session or Session()
     if plan is None:
-        plan = table3_plan(seed, share_repetitions, delay_repetitions,
-                           delays_ms)
+        plan = table3_plan(session.seed, share_repetitions,
+                           delay_repetitions, delays_ms)
     subjects = _table3_subjects()
     delay_runs = len(_table3_grid(delays_ms)) * delay_repetitions
     stride = share_repetitions + delay_runs
@@ -397,8 +397,7 @@ def table3_resolvers(seed: int = 0, share_repetitions: int = 32,
                   length: int) -> "List[ResolverCampaignResult]":
         stage = [entry for start in stage_starts
                  for entry in plan[start + offset:start + offset + length]]
-        observations = iter(resolve_specs(stage, store, workers,
-                                          resilience))
+        observations = iter(resolve_specs(stage, session))
         return [ResolverCampaignResult(
             plan[start + offset].behavior.name if length else "",
             [next(observations) for _ in range(length)])

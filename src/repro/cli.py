@@ -95,8 +95,6 @@ def _resilience_from(args: argparse.Namespace, store,
     if store is not None:
         journal = CampaignJournal(
             store.root / ".journal" / f"{experiment_name}.log")
-        if plan is not None:
-            store.fault_plan = plan
     return Resilience(policy=policy, fault_plan=plan, journal=journal,
                       resume=resume, explicit=explicit)
 

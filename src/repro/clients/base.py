@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Union
 
 from ..core.engine import HappyEyeballsEngine, HappyEyeballsError, HEResult
 from ..core.events import HETrace
-from ..core.racing import ConnectionRacer
 from ..core.sortlist import HistoryStore
 from ..dns.stub import StubResolver
 from ..simnet.addr import Family, IPAddress, family_of, parse_address

@@ -16,9 +16,9 @@ RD and address selection features" behind iCPR (§6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Sequence, Union
 
-from ..core.engine import HappyEyeballsEngine, HappyEyeballsError, HEResult
+from ..core.engine import HappyEyeballsEngine
 from ..core.events import HETrace
 from ..core.params import HEParams, InterlaceStrategy, ResolutionPolicy
 from ..dns.stub import StubResolver

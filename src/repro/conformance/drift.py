@@ -13,7 +13,7 @@ store, or a results file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..analysis.render import format_ms, render_mark, render_table
 from .fingerprint import ClientFingerprint, Deviation, ParameterVerdict

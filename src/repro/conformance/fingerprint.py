@@ -18,9 +18,9 @@ from statistics import median
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..clients.profile import ClientProfile
+from ..experiments.base import Session
 from ..simnet.addr import Family
 from ..testbed.runner import RunRecord
-from ..testbed.store import CampaignStore
 from .probe import ConformanceProbe, ScenarioOutcome
 from .scenarios import RFC8305Parameter, SYNTH_PREFIX, Scenario
 
@@ -111,16 +111,17 @@ class ClientFingerprint:
 # --------------------------------------------------------------------------
 
 
-def fingerprint_client(profile: ClientProfile, seed: int = 0,
-                       store: Optional[CampaignStore] = None,
-                       workers: Optional[int] = None,
+def fingerprint_client(profile: ClientProfile,
+                       session: Optional[Session] = None,
                        battery: "Optional[Sequence[Scenario]]" = None,
                        cursor: "Optional[PlanCursor]" = None
                        ) -> ClientFingerprint:
-    """Probe one client with the battery and assemble its fingerprint
-    (taking each stage from the plan ``cursor`` walks, when given)."""
-    probe = ConformanceProbe(profile, seed=seed, battery=battery)
-    return assemble_fingerprint(profile, probe.run(store, workers, cursor))
+    """Probe one client with the battery under ``session`` (seeded by
+    ``session.seed``) and assemble its fingerprint, taking each stage
+    from the plan ``cursor`` walks, when given."""
+    session = session or Session()
+    probe = ConformanceProbe(profile, seed=session.seed, battery=battery)
+    return assemble_fingerprint(profile, probe.run(session, cursor))
 
 
 def outcomes_from_records(battery: "Sequence[Scenario]",

@@ -32,6 +32,7 @@ from ..testbed.runner import RunRecord, TestRunner, series_flap_window
 from .scenarios import Scenario, scenario_battery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.base import Session
     from ..testbed.store import CampaignStore
 
 
@@ -145,15 +146,13 @@ class ConformanceProbe:
         return plan_stages((self.stages(scenario)
                             for scenario in self.battery), store)
 
-    def run(self, store: "Optional[CampaignStore]" = None,
-            workers: Optional[int] = None,
+    def run(self, session: "Optional[Session]" = None,
             cursor: Optional[PlanCursor] = None
             ) -> "List[ScenarioOutcome]":
-        """Every scenario's outcome against ``store`` over ``workers``,
-        taking each stage from the plan ``cursor`` walks where planning
-        reached it."""
-        return [execute_stages(self.stages(scenario), store, workers,
-                               cursor=cursor)
+        """Every scenario's outcome under ``session`` (its store,
+        workers and resilience bundle), taking each stage from the plan
+        ``cursor`` walks where planning reached it."""
+        return [execute_stages(self.stages(scenario), session, cursor)
                 for scenario in self.battery]
 
     def _runner(self, case: TestCaseConfig) -> TestRunner:

@@ -10,7 +10,7 @@ nothing environment-dependent may leak into either form.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..analysis.render import format_ms, render_mark, render_table
 from .fingerprint import ClientFingerprint, ParameterVerdict

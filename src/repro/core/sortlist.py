@@ -40,7 +40,7 @@ transition technologies when native works").
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..memo import BoundedMemo

@@ -14,13 +14,12 @@ for the racing engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from ..simnet.addr import Family, IPAddress, family_of, parse_address
 from ..simnet.packet import Protocol
 from ..dns.rdata import SVCB
 from .interlace import apply_interlace
-from .params import HEParams
 
 #: ALPN tokens that imply a QUIC-based protocol.
 QUIC_ALPNS = frozenset({"h3", "h3-29", "doq"})

@@ -19,7 +19,7 @@ on the authoritative side (§4.2, Table 3).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from ..memo import BoundedMemo

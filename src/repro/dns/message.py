@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..memo import BoundedMemo
 from .errors import MessageError
 from .name import DNSName
-from .rdata import (CompressionTable, OPT, Rdata, RdataClass, RdataType,
-                    decode_rdata)
+from .rdata import CompressionTable, Rdata, RdataClass, RdataType, decode_rdata
 
 HEADER_LENGTH = 12
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..simnet.addr import Family, IPAddress, family_of

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from ..simnet.addr import IPAddress, parse_address

@@ -15,15 +15,15 @@ clients inherit because they set none of their own (§5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..simnet.addr import Family, IPAddress, family_of, parse_address
 from ..simnet.host import Host
 from ..simnet.process import Process
 from ..transport.errors import SocketClosed
 from .cache import DNSCache
-from .errors import (NoAnswerError, NxDomainError, QueryTimeout,
-                     ResolutionError, ServFailError)
+from .errors import (NoAnswerError, NxDomainError, ResolutionError,
+                     ServFailError)
 from .message import (DNSMessage, Rcode, ResourceRecord,
                       encode_query_wire)
 from .name import DNSName

@@ -10,7 +10,8 @@ conformance reports, diagnostics — is a first-class, enumerable
   ``repro ls`` key counts, service admission, and a ``repro cache gc``
   that can never silently collect a registered experiment's entries;
 * :meth:`Experiment.execute` consumes that plan through one shared
-  :class:`Session` (seed, workers, campaign store);
+  :class:`Session` (seed, workers, campaign store, resilience bundle) —
+  the one execution context every campaign runs under;
 * :meth:`Experiment.render` turns the result into an
   :class:`Artifact` (text + optional machine-readable JSON).
 

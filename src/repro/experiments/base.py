@@ -23,11 +23,13 @@ Keys and seeds are derived once, in ``plan()``; :meth:`Experiment.run`
 plans once and hands the plan to ``execute``.
 
 A single :class:`Session` carries everything an invocation shares —
-seed, worker count, campaign store, and the experiment's knob values —
-replacing the per-command ``(seed, workers, cache_dir)`` threading the
-CLI used to hand-wire.  The session also owns cache-summary reporting,
-so store counters are printed exactly once per invocation instead of
-being copy-pasted into every command.
+seed, worker count, campaign store, resilience bundle and the
+experiment's knob values — and every function that executes runs
+takes it whole, so the execution context is one object, never a
+hand-threaded ``(store, workers, resilience)`` tuple.  The session
+also owns cache-summary reporting, so store counters are printed
+exactly once per invocation instead of being copy-pasted into every
+command.
 """
 
 from __future__ import annotations
@@ -108,13 +110,17 @@ class Artifact:
 class Session:
     """Everything one experiment invocation shares.
 
-    Replaces the per-command ``(seed, workers, cache_dir)`` threading:
-    experiments read their inputs from here, and the CLI (or any other
-    host — tests, notebooks, batch drivers) builds exactly one Session
-    per invocation.  The store and the resilience bundle stay here, in
-    the parent: experiments pass them to the executor
-    (:func:`~repro.testbed.parallel.resolve_specs` and the stage
-    loops), never to the runners whose runs ship to pool workers.
+    The one execution context: experiments read their inputs from
+    here, the CLI (or any other host — tests, notebooks, batch
+    drivers) builds exactly one Session per invocation, and every
+    function that executes runs — the executor
+    (:func:`~repro.testbed.parallel.resolve_specs`), the stage loop
+    and every campaign built on them — takes the whole Session, so no
+    campaign can drop the store, the worker count or the resilience
+    bundle.  Planning takes only the coordinates it needs (a seed, a
+    store).  The Session stays in the parent: runners whose runs ship
+    to pool workers never hold it.  ``Session()`` is serial, storeless
+    and fail-fast.
     """
 
     seed: int = 0
@@ -125,6 +131,15 @@ class Session:
     #: campaign journal, resume mode) — None runs every campaign in
     #: the historical fail-fast mode.
     resilience: Optional[Resilience] = None
+
+    def __post_init__(self) -> None:
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1: {self.workers}")
+        # Store faults fire parent-side, where the executor reads and
+        # writes, so the store takes the session's fault plan.
+        if (self.store is not None and self.resilience is not None
+                and self.resilience.fault_plan is not None):
+            self.store.fault_plan = self.resilience.fault_plan
 
     def knob(self, name: str, default: Any = None) -> Any:
         """The invocation's value for ``name``, else ``default``.

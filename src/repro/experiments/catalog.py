@@ -100,12 +100,9 @@ class Table2Experiment(Experiment):
         local = [entry for entry in plan if type(entry) is TestbedRun]
         web = None
         if not session.knob("no_web", False):
-            web = run_web_plan(plan[len(local):], session.store,
-                               session.workers, session.resilience)
-        return table2_features(seed=session.seed, web_campaign=web,
-                               workers=session.workers,
-                               store=session.store, plan=local,
-                               resilience=session.resilience)
+            web = run_web_plan(plan[len(local):], session)
+        return table2_features(web_campaign=web, plan=local,
+                               session=session)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_table2
@@ -135,12 +132,9 @@ class Table3Experiment(Experiment):
         from ..analysis import table3_resolvers
 
         share, delay = self._repetitions(session)
-        return table3_resolvers(seed=session.seed,
-                                share_repetitions=share,
-                                delay_repetitions=delay,
-                                workers=session.workers,
-                                store=session.store, plan=plan,
-                                resilience=session.resilience)
+        return table3_resolvers(share_repetitions=share,
+                                delay_repetitions=delay, plan=plan,
+                                session=session)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_table3
@@ -181,8 +175,7 @@ class Table5Experiment(Experiment):
     def execute(self, session: Session, plan: "Plan") -> Any:
         from ..webtool import run_web_plan
 
-        return run_web_plan(plan, session.store, session.workers,
-                            session.resilience)
+        return run_web_plan(plan, session)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_table, table5_matrix
@@ -224,8 +217,7 @@ class Figure2Experiment(Experiment):
     def execute(self, session: Session, plan: "Plan") -> Any:
         from ..analysis import figure2_series
 
-        return figure2_series(plan, session.store, session.workers,
-                              session.resilience)
+        return figure2_series(plan, session)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_figure2
@@ -273,8 +265,7 @@ class Figure5Experiment(Experiment):
     def execute(self, session: Session, plan: "Plan") -> Any:
         from ..analysis import figure5_series
 
-        return figure5_series(plan, session.store, session.workers,
-                              session.resilience)
+        return figure5_series(plan, session)
 
     def render(self, result: Any) -> Artifact:
         from ..analysis import render_figure5
@@ -395,10 +386,7 @@ def _fingerprints(session: Session, plan: "Plan", profiles: List,
     from ..testbed.parallel import PlanCursor
 
     cursor = PlanCursor(plan)
-    return [fingerprint_client(profile, seed=session.seed,
-                               store=session.store,
-                               workers=session.workers, battery=battery,
-                               cursor=cursor)
+    return [fingerprint_client(profile, session, battery, cursor)
             for profile in profiles]
 
 

@@ -85,8 +85,7 @@ class PopulationExperiment(Experiment):
         runner = plan[0].campaign
         levels = {value_ms: self._level_aggregate()
                   for value_ms in runner.degradation}
-        for record in resolve_specs(plan, session.store, session.workers,
-                                    session.resilience):
+        for record in resolve_specs(plan, session):
             self._aggregate(levels[record.value_ms], record)
         return {
             "experiment": self.name,

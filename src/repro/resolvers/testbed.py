@@ -15,14 +15,15 @@ observables collected from the *authoritative* query log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, NamedTuple, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional
 
-from ..dns.auth import AuthoritativeServer, QueryLogEntry
+from ..dns.auth import AuthoritativeServer
 from ..dns.name import DNSName
 from ..dns.nsselect import ResolverBehavior
 from ..dns.rdata import RdataType, TXT
 from ..dns.recursive import RecursiveResolver
 from ..dns.zone import Zone
+from ..experiments.base import Session
 from ..seeding import render_part, stable_run_seed
 from ..simnet.addr import Family
 from ..simnet.netem import NetemFilter, NetemRule, NetemSpec
@@ -372,15 +373,17 @@ def resolver_campaign_plan(behavior: ResolverBehavior,
 def run_resolver_campaign(behavior: ResolverBehavior,
                           delays_ms: "list[int]",
                           repetitions: int = 4,
-                          seed: int = 0,
-                          store: "Optional[CampaignStore]" = None
+                          session: Optional[Session] = None
                           ) -> ResolverCampaignResult:
-    """Sweep delays × repetitions for one resolver behaviour; with
-    ``store``, unchanged runs replay from the content-addressed cache
-    exactly like testbed runs."""
-    plan = resolver_campaign_plan(behavior, delays_ms, repetitions, seed)
+    """Sweep delays × repetitions for one resolver behaviour under
+    ``session`` (seeded by ``session.seed``); with a session store,
+    unchanged runs replay from the content-addressed cache exactly
+    like testbed runs."""
+    session = session or Session()
+    plan = resolver_campaign_plan(behavior, delays_ms, repetitions,
+                                  session.seed)
     return ResolverCampaignResult(behavior.name,
-                                  list(resolve_specs(plan, store)))
+                                  list(resolve_specs(plan, session)))
 
 
 def probe_ipv6_only_capability(behavior: Optional[ResolverBehavior],

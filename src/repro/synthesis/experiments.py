@@ -187,9 +187,7 @@ class SynthesizeScenariosExperiment(_SynthesisExperiment):
     def execute(self, session: Session, plan: "Plan") -> SearchResult:
         from ..testbed.parallel import PlanCursor
 
-        return self._search(session).execute(
-            session.store, session.workers, session.resilience,
-            PlanCursor(plan))
+        return self._search(session).execute(session, PlanCursor(plan))
 
     def render(self, result: SearchResult) -> Artifact:
         lines = self._header_lines(result)
@@ -210,16 +208,12 @@ class SynthesizeReportExperiment(_SynthesisExperiment):
         from ..testbed.parallel import PlanCursor
 
         cursor = PlanCursor(plan)
-        result = self._search(session).execute(
-            session.store, session.workers, session.resilience, cursor)
+        result = self._search(session).execute(session, cursor)
         battery = [p.scenario for p in result.promotions]
         fingerprints = []
         if battery:
             fingerprints = [
-                fingerprint_client(profile, seed=session.seed,
-                                   store=session.store,
-                                   workers=session.workers,
-                                   battery=battery, cursor=cursor)
+                fingerprint_client(profile, session, battery, cursor)
                 for profile in _resolve_clients(
                     session.knob("clients", "all"))]
         return {"result": result, "battery": battery,

@@ -30,7 +30,7 @@ from .score import CandidateScore, Scorer, rank
 from .space import Candidate, ScenarioSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..testbed.resilience import Resilience
+    from ..experiments.base import Session
     from ..testbed.store import CampaignStore
 
 
@@ -180,14 +180,11 @@ class SynthesisSearch:
                             rounds=tuple(reports), ranked=ranked,
                             promotions=promotions)
 
-    def execute(self, store: "Optional[CampaignStore]" = None,
-                workers: "Optional[int]" = None,
-                resilience: "Optional[Resilience]" = None,
+    def execute(self, session: "Optional[Session]" = None,
                 cursor: "Optional[PlanCursor]" = None) -> SearchResult:
-        """Run the search against ``store``, taking each round from the
+        """Run the search under ``session``, taking each round from the
         plan ``cursor`` walks where planning reached it."""
-        return execute_stages(self.stages(), store, workers, resilience,
-                              cursor)
+        return execute_stages(self.stages(), session, cursor)
 
     def plan(self, store: "Optional[CampaignStore]" = None) -> Plan:
         """Every run the search will touch, without executing: the

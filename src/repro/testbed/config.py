@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
 
 from ..dns.rdata import RdataType
 from ..simnet.addr import Family

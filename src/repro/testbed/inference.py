@@ -18,7 +18,7 @@ should build one observation and read them all from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..simnet.addr import Family
 from ..simnet.capture import Direction, PacketCapture

@@ -10,14 +10,12 @@ the modules a test-case kind requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..dns.rdata import RdataType
 from ..simnet.capture import PacketCapture
 from ..simnet.netem import NetemFilter, NetemRule, NetemSpec
-from .config import (ImpairmentSpec, ServiceSpec, TestCaseConfig,
-                     TestCaseKind)
+from .config import TestCaseConfig, TestCaseKind
 from .topology import LocalTestbed
 
 

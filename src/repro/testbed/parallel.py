@@ -10,7 +10,10 @@ resolver testbed's entry kinds — each carrying its coordinates, its
 run seed and its store key, derived once.
 
 :func:`resolve_specs` is the one executor every entry kind goes
-through: one batched store lookup, the misses dispatched through
+through, under the invocation's
+:class:`~repro.experiments.base.Session` — its store, worker count and
+resilience bundle travel as one object, so no campaign can drop one of
+them: one batched store lookup, the misses dispatched through
 :func:`repro.fanout.shared_map` (in-process serially, or in contiguous
 chunks over the shared pool, where each worker builds its own
 testbeds), and the parent as the single store writer and journal.
@@ -22,8 +25,9 @@ Adaptive campaigns — a coarse→fine sweep, a search whose next round
 depends on the last one's scores — are written once, as a *stage
 driver*, and :func:`run_stages` is the one loop that drives them:
 against the store while planning (stopping at the first stage with a
-miss, so planning never executes) and through the executor when
-running.
+miss, so planning never executes) and through the executor, under the
+Session, when running.  Execution takes the Session; planning takes
+only its coordinates.
 """
 
 from __future__ import annotations
@@ -34,12 +38,13 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable,
 
 from dataclasses import dataclass
 
+from ..experiments.base import Session
 from ..seeding import render_part, run_seeder
 from .store import CampaignStore, decode_record, encode_record
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultPlan
-    from .resilience import FailureEntry, Resilience
+    from .resilience import FailureEntry
     from .runner import RunRecord, TestRunner
 
 
@@ -166,11 +171,12 @@ def _failed(entry: Any, failure: "FailureEntry") -> Any:
     return entry.failed(failure)
 
 
-def resolve_specs(plan: "Sequence[Any]", store: Any = None,
-                  workers: Optional[int] = None,
-                  resilience: "Optional[Resilience]" = None
+def resolve_specs(plan: "Sequence[Any]",
+                  session: Optional[Session] = None
                   ) -> "Iterator[Any]":
-    """The records of ``plan``'s entries (all of one kind), in order.
+    """The records of ``plan``'s entries (all of one kind), in order,
+    under ``session``'s store, worker count and resilience bundle
+    (None: serial, no store, fail fast).
 
     Each distinct key is resolved once: a key the plan repeats (a
     client listed twice) is looked up and executed once, and its record
@@ -187,6 +193,8 @@ def resolve_specs(plan: "Sequence[Any]", store: Any = None,
 
     if not plan:
         return
+    session = session or Session()
+    store, resilience = session.store, session.resilience
     kind = type(plan[0])
     if any(type(entry) is not kind for entry in plan):
         raise ValueError("one executor call resolves one entry kind")
@@ -205,7 +213,7 @@ def resolve_specs(plan: "Sequence[Any]", store: Any = None,
     fresh = shared_map(partial(_execute, fault_plan),
                        [entry for key, entry in distinct.items()
                         if key not in found],
-                       workers, resilience, _label, _failed)
+                       session.workers, resilience, _label, _failed)
     for at, entry in enumerate(plan):
         key = entry.key
         record = found.pop(key, None) if last[key] == at else found.get(key)
@@ -305,12 +313,11 @@ def plan_stages(drivers: "Iterable[StageDriver]", store: Any) -> Plan:
     return Plan(entries)
 
 
-def execute_stages(driver: StageDriver, store: Any,
-                   workers: Optional[int] = None,
-                   resilience: "Optional[Resilience]" = None,
+def execute_stages(driver: StageDriver, session: Optional[Session],
                    cursor: "Optional[PlanCursor]" = None) -> Any:
-    """Run a staged campaign through the executor, taking each stage
-    from the plan ``cursor`` walks where planning reached it."""
+    """Run a staged campaign through the executor under ``session``,
+    taking each stage from the plan ``cursor`` walks where planning
+    reached it."""
     cursor = cursor if cursor is not None else PlanCursor(())
     return run_stages(driver, cursor.take, lambda entries, last: list(
-        resolve_specs(entries, store, workers, resilience)))
+        resolve_specs(entries, session)))

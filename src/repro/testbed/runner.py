@@ -6,8 +6,9 @@ paper's "drop and create a new container" state reset — executes the
 run, and collects black-box observations from the packet capture.
 
 A runner is a recipe — clients, cases, seed and knobs — and holds no
-store: whoever executes it passes the execution context.  Campaigns
-can be consumed two ways:
+store: whoever executes it passes the execution context, the
+invocation's :class:`~repro.experiments.base.Session`.  Campaigns can
+be consumed two ways:
 
 * :meth:`TestRunner.run` — every :class:`RunRecord` as a list, in
   deterministic enumeration order;
@@ -15,9 +16,9 @@ can be consumed two ways:
   cold million-run campaigns never hold every record in memory (warm
   cache hits resolve in one batch and drain as the stream advances).
 
-Either takes an optional :class:`~repro.testbed.store.CampaignStore`,
-in which case runs whose coordinates and configuration are unchanged
-come back from the content-addressed cache instead of re-executing.
+Either takes an optional Session; with a campaign store in it, runs
+whose coordinates and configuration are unchanged come back from the
+content-addressed cache instead of re-executing.
 
 :class:`StreamingResultSet` is the one aggregation type: it folds
 records as they arrive into the family-by-delay series, crossovers
@@ -40,9 +41,8 @@ from .parallel import Plan, RunSpec, resolve_specs, spec_keys
 from .store import config_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.base import Session
     from ..simnet.capture import PacketCapture
-    from .resilience import Resilience
-    from .store import CampaignStore
 
 
 #: Placeholder sweep substituted into a case before digesting its
@@ -251,11 +251,13 @@ class TestRunner:
     """A measurement campaign over client profiles, as a recipe.
 
     The runner holds what the runs are — clients, cases, seed and
-    knobs — and nothing of where they execute: the store and the
-    resilience bundle are arguments of :meth:`run` / :meth:`stream`
-    (or of :func:`~repro.testbed.parallel.resolve_specs`), so the
-    parent resolves and writes every record and a runner that rides
-    into a pool worker inside its plan entries carries no store.
+    knobs — and nothing of where they execute: the
+    :class:`~repro.experiments.base.Session` (store, worker count,
+    resilience bundle) is the argument of :meth:`run` /
+    :meth:`stream` (or of :func:`~repro.testbed.parallel
+    .resolve_specs`), so the parent resolves and writes every record
+    and a runner that rides into a pool worker inside its plan entries
+    carries no store.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -276,24 +278,21 @@ class TestRunner:
 
     # -- campaign --------------------------------------------------------------
 
-    def run(self, workers: Optional[int] = None,
-            store: "Optional[CampaignStore]" = None,
-            resilience: "Optional[Resilience]" = None
+    def run(self, session: "Optional[Session]" = None
             ) -> "List[RunRecord]":
-        """Execute the campaign; ``workers=N`` fans runs out over N
-        processes (default: serial).
+        """Execute the campaign under ``session`` (None: serial, no
+        store, fail fast); ``Session(workers=N)`` fans runs out over N
+        processes.
 
         Run seeds are stable digests of the run coordinates, so the
         parallel path returns records identical to the serial path, in
-        the same deterministic enumeration order.  With a ``store``,
+        the same deterministic enumeration order.  With a store,
         unchanged runs come back from the cache — byte-identical to
         fresh execution.
         """
-        return list(self.stream(workers, store, resilience))
+        return list(self.stream(session))
 
-    def stream(self, workers: Optional[int] = None,
-               store: "Optional[CampaignStore]" = None,
-               resilience: "Optional[Resilience]" = None
+    def stream(self, session: "Optional[Session]" = None
                ) -> "Iterator[RunRecord]":
         """The campaign as an iterator, in enumeration order.
 
@@ -301,16 +300,14 @@ class TestRunner:
         list on the *execution* path: consumers aggregate
         incrementally (see :class:`StreamingResultSet`), so cold
         campaigns run in bounded memory regardless of size.  With a
-        ``store``, cache *hits* are resolved in one batched lookup up
-        front and popped as the stream drains — warm memory is
+        session store, cache *hits* are resolved in one batched lookup
+        up front and popped as the stream drains — warm memory is
         proportional to the resolved hit count.  The misses run
         through :func:`~repro.fanout.shared_map`, in-process or over
-        ``workers`` processes, under the ``resilience`` policy (None:
+        the session's workers, under its resilience policy (None:
         fail fast).
         """
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
-        return resolve_specs(self.plan(), store, workers, resilience)
+        return resolve_specs(self.plan(), session)
 
     def plan(self) -> Plan:
         """Every run of the campaign as a plan entry — coordinates,

@@ -28,12 +28,13 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import get_profile
 from ..dns.rdata import RdataType
+from ..experiments.base import Session
 from ..faults import FaultPlan, FaultPlanError
 from ..simnet.addr import Family
 from ..simnet.packet import Protocol
@@ -263,11 +264,9 @@ def run_campaign_spec(data: Mapping[str, Any],
     back from cache byte-identically instead of re-executing.
     """
     spec = CampaignSpec.from_dict(data)
-    effective = workers if workers is not None else spec.workers
     if store is None and spec.cache_dir:
         store = CampaignStore(spec.cache_dir)
-    resilience = spec.build_resilience()
-    if (store is not None and resilience is not None
-            and resilience.fault_plan is not None):
-        store.fault_plan = resilience.fault_plan
-    return spec.build_runner().run(effective, store, resilience)
+    return spec.build_runner().run(Session(
+        seed=spec.seed,
+        workers=workers if workers is not None else spec.workers,
+        store=store, resilience=spec.build_resilience()))

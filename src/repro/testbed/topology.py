@@ -9,8 +9,8 @@ exactly where the paper's ``tc-netem`` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 from ..dns.auth import AuthoritativeServer
 from ..dns.recursive import ForwardingResolver

@@ -10,7 +10,8 @@ validation and consistency columns of Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import get_profile
@@ -21,6 +22,9 @@ from ..testbed.store import CampaignStore
 from .server import WebToolDeployment
 from .session import (NetworkConditions, SessionResult, StepOutcome,
                       WebToolSession)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..experiments.base import Session
 
 
 @dataclass(frozen=True)
@@ -256,30 +260,29 @@ class WebCampaign:
 
     def run(self, entries: "Tuple[UAEntry, ...]" = TABLE5_MATRIX,
             repetitions: Optional[int] = None,
-            workers: Optional[int] = None,
-            store: Optional[CampaignStore] = None) -> CampaignResult:
-        """Visit the tool for every entry × repetition (see
-        :func:`run_web_plan`)."""
-        return run_web_plan(self.plan(entries, repetitions), store,
-                            workers)
+            session: "Optional[Session]" = None) -> CampaignResult:
+        """Visit the tool for every entry × repetition under
+        ``session`` (see :func:`run_web_plan`)."""
+        return run_web_plan(self.plan(entries, repetitions), session)
 
 
-def run_web_plan(plan: "Plan", store: Any = None,
-                 workers: Optional[int] = None,
-                 resilience: Any = None) -> CampaignResult:
-    """Every session of a web campaign's plan, in entry order.
+def run_web_plan(plan: "Plan", session: "Optional[Session]" = None
+                 ) -> CampaignResult:
+    """Every session of a web campaign's plan, in entry order,
+    executed under the invocation's ``session``.
 
     Every entry runs on its own deployment seeded from the campaign
     seed and the entry label, with explicit session indices — the
     result is a pure function of ``(seed, entries, repetitions,
-    conditions)``, independent of process history.  ``workers=N`` fans
-    entries out over N processes and returns *identical* results.
-    That purity makes entries cacheable exactly like testbed runs: with
-    ``store``, a re-run with unchanged configuration replays from cache
-    and only changed entries execute.
+    conditions)``, independent of process history.
+    ``Session(workers=N)`` fans entries out over N processes and
+    returns *identical* results.  That purity makes entries cacheable
+    exactly like testbed runs: with a session store, a re-run with
+    unchanged configuration replays from cache and only changed
+    entries execute.
     """
     result = CampaignResult()
-    for sessions in resolve_specs(plan, store, workers, resilience):
-        for session in sessions:
-            result.add(session)
+    for sessions in resolve_specs(plan, session):
+        for visit in sessions:
+            result.add(visit)
     return result

@@ -24,7 +24,7 @@ from ..dns.auth import TestParams
 from ..simnet.addr import Family
 from .ladder import WEBTOOL_DOMAIN
 from .server import WebToolDeployment
-from .session import NetworkConditions, WebToolSession
+from .session import NetworkConditions
 
 #: AAAA delays probed by the RD page (ms).
 RD_DELAY_STEPS_MS: Tuple[int, ...] = (0, 25, 50, 100, 250, 500, 1000,

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from ..dns.auth import AuthoritativeServer
 from ..dns.zone import Zone
-from ..simnet.addr import AddressAllocator, Family
+from ..simnet.addr import AddressAllocator
 from ..simnet.host import Host
 from ..simnet.netem import NetemFilter, NetemRule, NetemSpec
 from ..simnet.network import Network, NetworkSegment

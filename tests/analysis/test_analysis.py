@@ -8,6 +8,7 @@ from repro.analysis import (evaluate_client_features, figure2_sweep,
                             render_figure5, render_mark, render_table,
                             table1_parameters, table4_inventory)
 from repro.clients import get_profile
+from repro.experiments import Session
 from repro.simnet import Family
 
 
@@ -58,7 +59,7 @@ class TestTable1:
 class TestClientEvaluation:
     def test_chrome_feature_row(self):
         row = evaluate_client_features(get_profile("Chrome", "130.0"),
-                                       seed=61)
+                                       Session(seed=61))
         assert row.prefers_ipv6
         assert row.cad_implemented
         assert row.cad_value_ms == pytest.approx(300.0, abs=5.0)
@@ -66,14 +67,14 @@ class TestClientEvaluation:
 
     def test_safari_feature_row(self):
         row = evaluate_client_features(get_profile("Safari", "17.6"),
-                                       seed=62)
+                                       Session(seed=62))
         assert row.rd_implemented
         assert row.rd_value_ms == pytest.approx(50.0, abs=5.0)
         assert row.address_selection
 
     def test_mobile_profile_gets_empty_local_row(self):
         row = evaluate_client_features(
-            get_profile("Mobile Safari", "17.6"), seed=63)
+            get_profile("Mobile Safari", "17.6"), Session(seed=63))
         assert row.prefers_ipv6 is None
         assert row.ipv6_addresses_used is None
 
@@ -83,11 +84,13 @@ class TestClientEvaluation:
 
         clients = [get_profile("curl", "7.88.1")]
         cold_store = CampaignStore(tmp_path)
-        cold = table2_features(seed=66, clients=clients, store=cold_store)
+        cold = table2_features(clients=clients,
+                               session=Session(seed=66, store=cold_store))
         assert cold_store.stats.stores > 0
 
         warm_store = CampaignStore(tmp_path)
-        warm = table2_features(seed=66, clients=clients, store=warm_store)
+        warm = table2_features(clients=clients,
+                               session=Session(seed=66, store=warm_store))
         assert warm == cold
         assert warm_store.stats.hits == cold_store.stats.stores
         assert warm_store.stats.misses == 0
@@ -95,8 +98,9 @@ class TestClientEvaluation:
         # Parallel path merges worker-side counters into the campaign
         # total, so warm parallel re-runs report truthfully too.
         parallel_store = CampaignStore(tmp_path)
-        parallel = table2_features(seed=66, clients=clients, workers=2,
-                                   store=parallel_store)
+        parallel = table2_features(
+            clients=clients,
+            session=Session(seed=66, workers=2, store=parallel_store))
         assert parallel == cold
         assert parallel_store.stats.hits == cold_store.stats.stores
 
@@ -106,7 +110,7 @@ class TestFigureBuilders:
         series = figure2_sweep(
             clients=[get_profile("curl", "7.88.1"),
                      get_profile("Chrome", "130.0")],
-            step_ms=50, stop_ms=400, seed=64)
+            step_ms=50, stop_ms=400, session=Session(seed=64))
         by_client = {s.client: s for s in series}
         assert by_client["curl 7.88.1"].crossover_ms == 200
         assert by_client["Chrome 130.0"].crossover_ms == 300
@@ -116,7 +120,7 @@ class TestFigureBuilders:
     def test_figure5_patterns(self):
         series = figure5_attempts(
             [get_profile("Chrome", "130.0"),
-             get_profile("Safari", "17.6")], seed=65)
+             get_profile("Safari", "17.6")], session=Session(seed=65))
         by_client = {s.client: s for s in series}
         assert by_client["Chrome 130.0"].pattern == "64"
         assert by_client["Safari 17.6"].pattern.startswith("664")

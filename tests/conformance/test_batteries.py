@@ -13,6 +13,7 @@ from repro.conformance import (fingerprint_client, hev3_battery,
                                render_battery_summary, sortlist_battery,
                                svcb_battery)
 from repro.conformance.scenarios import RFC8305Parameter
+from repro.experiments import Session
 from repro.simnet.packet import Protocol
 from repro.testbed import CampaignStore
 from repro.testbed.config import ServiceSpec
@@ -88,12 +89,12 @@ class TestWarmReplay:
         battery = BATTERIES[battery_name]()
         profile = get_profile("hev3-reference")
         cold_store = CampaignStore(tmp_path)
-        cold = fingerprint_client(profile, store=cold_store,
-                                  battery=battery)
+        cold = fingerprint_client(profile, Session(store=cold_store),
+                                  battery)
         assert cold_store.stats.stores > 0
         warm_store = CampaignStore(tmp_path)
-        warm = fingerprint_client(profile, store=warm_store,
-                                  battery=battery)
+        warm = fingerprint_client(profile, Session(store=warm_store),
+                                  battery)
         assert warm_store.stats.misses == 0
         assert warm_store.stats.hits == cold_store.stats.stores
         assert render_battery_summary("t", [warm], battery) == \

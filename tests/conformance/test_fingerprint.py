@@ -17,6 +17,7 @@ from repro.conformance import (RFC8305Parameter, Requirement,
                                render_conformance_summary,
                                scenario_battery)
 from repro.conformance.probe import ConformanceProbe
+from repro.experiments import Session
 from repro.testbed import CampaignStore
 
 #: Simulated timings are sharp; this absorbs capture granularity.
@@ -34,7 +35,7 @@ def fingerprints(store):
     return {
         profile.full_name: (
             profile,
-            fingerprint_client(profile, seed=0, store=store, workers=2))
+            fingerprint_client(profile, Session(workers=2, store=store)))
         for profile in local_testbed_clients()}
 
 
@@ -146,14 +147,15 @@ class TestDeterminism:
     def test_serial_parallel_warm_reports_byte_identical(self, tmp_path):
         profile = get_profile("Chrome", "130.0")
         battery = scenario_battery()
-        serial = fingerprint_client(profile, seed=11, battery=battery)
-        parallel = fingerprint_client(profile, seed=11, workers=2,
-                                      battery=battery)
+        serial = fingerprint_client(profile, Session(seed=11), battery)
+        parallel = fingerprint_client(profile, Session(seed=11, workers=2),
+                                      battery)
         store = CampaignStore(tmp_path)
-        fingerprint_client(profile, seed=11, store=store, battery=battery)
+        fingerprint_client(profile, Session(seed=11, store=store), battery)
         warm_store = CampaignStore(tmp_path)
-        warm = fingerprint_client(profile, seed=11, store=warm_store,
-                                  battery=battery)
+        warm = fingerprint_client(profile,
+                                  Session(seed=11, store=warm_store),
+                                  battery)
         assert warm_store.stats.misses == 0
         reference = fingerprints_to_json([serial])
         assert fingerprints_to_json([parallel]) == reference

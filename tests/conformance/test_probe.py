@@ -5,6 +5,7 @@ import pytest
 from repro.clients import get_profile
 from repro.conformance import (ConformanceProbe, refinement_window,
                                scenario_battery, scenario_by_name)
+from repro.experiments import Session
 from repro.simnet.addr import Family
 from repro.testbed import CampaignStore
 
@@ -43,7 +44,7 @@ class TestAdaptiveProbe:
         scenario = scenario_by_name("v6-delay-sweep")
         store = CampaignStore(tmp_path)
         probe = ConformanceProbe(profile, seed=2, battery=[scenario])
-        outcome = probe.run(store)[0]
+        outcome = probe.run(Session(store=store))[0]
         assert outcome.refined_window_ms is not None
         lo, hi = outcome.refined_window_ms
         # curl's 200 ms CAD sits inside the refined window.
@@ -58,9 +59,9 @@ class TestAdaptiveProbe:
         profile = get_profile("Chrome", "130.0")
         battery = scenario_battery()
         probe = ConformanceProbe(profile, seed=1, battery=battery)
-        cold = probe.run(CampaignStore(tmp_path))
+        cold = probe.run(Session(store=CampaignStore(tmp_path)))
         warm_store = CampaignStore(tmp_path)
-        warm = probe.run(warm_store)
+        warm = probe.run(Session(store=warm_store))
         assert warm_store.stats.misses == 0
         assert warm_store.stats.stores == 0
         for cold_outcome, warm_outcome in zip(cold, warm):
@@ -74,7 +75,7 @@ class TestAdaptiveProbe:
                    scenario_by_name("asymmetric-loss")]
         probe = ConformanceProbe(profile, seed=4, battery=battery)
         serial = probe.run()
-        parallel = probe.run(workers=2)
+        parallel = probe.run(Session(workers=2))
         for a, b in zip(serial, parallel):
             assert a.records == b.records
 
@@ -89,7 +90,7 @@ class TestKeyPlanning:
                    scenario_by_name("v6-blackhole")]
         store = CampaignStore(tmp_path)
         probe = ConformanceProbe(profile, seed=7, battery=battery)
-        probe.run(store)
+        probe.run(Session(store=store))
         on_disk = {key for key, _ in store.entries()}
         planned = set(probe.plan(CampaignStore(tmp_path)).keys())
         assert on_disk <= planned

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.experiments import Session
 from repro.resolvers.models import BIND9, UNBOUND
 from repro.resolvers.testbed import (decode_observation,
                                      encode_observation,
@@ -19,7 +20,8 @@ REPS = 2
 class TestObservationRoundTrip:
     def test_encode_decode_identity(self):
         campaign = run_resolver_campaign(BIND9, delays_ms=[0, 900],
-                                         repetitions=1, seed=1)
+                                         repetitions=1,
+                                         session=Session(seed=1))
         for observation in campaign.observations:
             assert decode_observation(
                 encode_observation(observation)) == observation
@@ -29,34 +31,37 @@ class TestCampaignCaching:
     def test_cold_then_warm_identical(self, tmp_path):
         store = CampaignStore(tmp_path)
         cold = run_resolver_campaign(BIND9, delays_ms=DELAYS,
-                                     repetitions=REPS, seed=3,
-                                     store=store)
+                                     repetitions=REPS,
+                                     session=Session(seed=3, store=store))
         assert store.stats.misses == len(DELAYS) * REPS
         assert store.stats.stores == len(DELAYS) * REPS
         warm_store = CampaignStore(tmp_path)
-        warm = run_resolver_campaign(BIND9, delays_ms=DELAYS,
-                                     repetitions=REPS, seed=3,
-                                     store=warm_store)
+        warm = run_resolver_campaign(
+            BIND9, delays_ms=DELAYS, repetitions=REPS,
+            session=Session(seed=3, store=warm_store))
         assert warm_store.stats.hits == len(DELAYS) * REPS
         assert warm_store.stats.misses == 0
         assert warm.observations == cold.observations
 
     def test_cached_equals_uncached(self, tmp_path):
         plain = run_resolver_campaign(UNBOUND, delays_ms=DELAYS,
-                                      repetitions=REPS, seed=5)
-        cached = run_resolver_campaign(UNBOUND, delays_ms=DELAYS,
-                                       repetitions=REPS, seed=5,
-                                       store=CampaignStore(tmp_path))
+                                      repetitions=REPS,
+                                      session=Session(seed=5))
+        cached = run_resolver_campaign(
+            UNBOUND, delays_ms=DELAYS, repetitions=REPS,
+            session=Session(seed=5, store=CampaignStore(tmp_path)))
         assert cached.observations == plain.observations
 
     def test_grid_extension_reuses_overlap(self, tmp_path):
         """Runs are keyed by their own (delay, repetition), not the
         campaign grid — a denser grid replays the overlap."""
-        run_resolver_campaign(BIND9, delays_ms=DELAYS, repetitions=REPS,
-                              seed=3, store=CampaignStore(tmp_path))
+        run_resolver_campaign(
+            BIND9, delays_ms=DELAYS, repetitions=REPS,
+            session=Session(seed=3, store=CampaignStore(tmp_path)))
         store = CampaignStore(tmp_path)
         run_resolver_campaign(BIND9, delays_ms=[0, 50, 100],
-                              repetitions=REPS, seed=3, store=store)
+                              repetitions=REPS,
+                              session=Session(seed=3, store=store))
         assert store.stats.hits == len(DELAYS) * REPS
         assert store.stats.misses == 1 * REPS  # only the 50 ms runs
 
@@ -76,7 +81,7 @@ class TestCampaignCaching:
     def test_campaign_keys_enumerate_every_run(self, tmp_path):
         store = CampaignStore(tmp_path)
         run_resolver_campaign(BIND9, delays_ms=DELAYS, repetitions=REPS,
-                              seed=3, store=store)
+                              session=Session(seed=3, store=store))
         keys = resolver_campaign_plan(BIND9, DELAYS, REPS, 3).keys()
         assert {key for key, _ in store.entries()} == set(keys)
 
@@ -102,13 +107,15 @@ class TestTable3Store:
     def test_warm_rerender_all_hits_and_identical_rows(self, tmp_path):
         from repro.analysis import table3_resolvers
 
-        kwargs = dict(seed=2, share_repetitions=4, delay_repetitions=1,
+        kwargs = dict(share_repetitions=4, delay_repetitions=1,
                       delays_ms=[100])
         cold_store = CampaignStore(tmp_path)
-        cold = table3_resolvers(store=cold_store, **kwargs)
+        cold = table3_resolvers(session=Session(seed=2, store=cold_store),
+                                **kwargs)
         assert cold_store.stats.stores > 0
         warm_store = CampaignStore(tmp_path)
-        warm = table3_resolvers(store=warm_store, **kwargs)
+        warm = table3_resolvers(session=Session(seed=2, store=warm_store),
+                                **kwargs)
         assert warm_store.stats.misses == 0
         assert warm_store.stats.hits == cold_store.stats.misses
         for cold_row, warm_row in zip(cold, warm):
@@ -121,10 +128,10 @@ class TestTable3Store:
     def test_plan_covers_the_warm_table(self, tmp_path):
         from repro.analysis import table3_plan, table3_resolvers
 
-        kwargs = dict(seed=2, share_repetitions=4, delay_repetitions=1,
-                      delays_ms=[100])
         store = CampaignStore(tmp_path)
-        table3_resolvers(store=store, **kwargs)
+        table3_resolvers(share_repetitions=4, delay_repetitions=1,
+                         delays_ms=[100],
+                         session=Session(seed=2, store=store))
         planned = set(table3_plan(seed=2, share_repetitions=4,
                                   delay_repetitions=1,
                                   delays_ms=[100]).keys())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dns.nsselect import GluePlan, ResolverBehavior
+from repro.experiments import Session
 from repro.resolvers import (BIND9, KNOT, UNBOUND, ResolverTestbed,
                              evaluated_services, excluded_services,
                              probe_ipv6_only_capability,
@@ -87,14 +88,15 @@ class TestIterativeResolution:
 class TestCampaigns:
     def test_campaign_share_tracks_preference(self):
         result = run_resolver_campaign(UNBOUND, delays_ms=[0],
-                                       repetitions=40, seed=8)
+                                       repetitions=40,
+                                       session=Session(seed=8))
         assert result.runs == 40
         assert 25.0 < result.ipv6_share < 75.0
 
     def test_campaign_max_delay_equals_timeout(self):
         result = run_resolver_campaign(
             BIND9, delays_ms=[400, 700, 800, 900, 1200], repetitions=1,
-            seed=9)
+            session=Session(seed=9))
         # One-way shaping: usable until the delay exceeds the 800 ms
         # attempt timeout.
         assert result.max_ipv6_delay_ms == 800
@@ -104,7 +106,8 @@ class TestCampaigns:
 
         opendns = OPEN_RESOLVER_BY_NAME["OpenDNS"].behavior
         result = run_resolver_campaign(opendns, delays_ms=[200],
-                                       repetitions=3, seed=10)
+                                       repetitions=3,
+                                       session=Session(seed=10))
         assert result.ipv6_share == 100.0
         gap = result.median_fallback_gap_ms()
         assert gap == pytest.approx(50.0, abs=5.0)

@@ -161,17 +161,18 @@ class TestSearchExecution:
         assert a == b
 
     def test_serial_equals_parallel(self, tmp_path):
-        serial = build_search().execute(CampaignStore(tmp_path / "s"))
-        parallel = build_search().execute(CampaignStore(tmp_path / "p"),
-                                          workers=2)
+        serial = build_search().execute(
+            Session(store=CampaignStore(tmp_path / "s")))
+        parallel = build_search().execute(
+            Session(workers=2, store=CampaignStore(tmp_path / "p")))
         assert serial == parallel
 
     def test_warm_store_replays_with_zero_misses(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
-        cold = build_search().execute(cold_store)
+        cold = build_search().execute(Session(store=cold_store))
         assert cold_store.stats.stores > 0
         warm_store = CampaignStore(tmp_path)
-        warm = build_search().execute(warm_store)
+        warm = build_search().execute(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.misses == 0
         assert warm_store.stats.hits > 0
@@ -181,9 +182,10 @@ class TestSearchExecution:
         budget replays every overlapping probe key from cache."""
         small = SearchBudget(seeds=4, rounds=1, top=2, neighbors=2)
         dense = SearchBudget(seeds=8, rounds=2, top=3, neighbors=3)
-        build_search(budget=small).execute(CampaignStore(tmp_path))
+        build_search(budget=small).execute(
+            Session(store=CampaignStore(tmp_path)))
         dense_store = CampaignStore(tmp_path)
-        build_search(budget=dense).execute(dense_store)
+        build_search(budget=dense).execute(Session(store=dense_store))
         assert dense_store.stats.hits > 0
         assert dense_store.stats.misses > 0  # and genuinely denser
 
@@ -195,7 +197,7 @@ class TestSearchExecution:
                       "hev3-reference"),
             budget=SearchBudget(seeds=6, rounds=1, top=2, neighbors=2),
             limit=6)
-        result = search.execute(CampaignStore(tmp_path))
+        result = search.execute(Session(store=CampaignStore(tmp_path)))
         assert len(result.promotions) >= 3
         hand_written = search.promoter.known
         for promotion in result.promotions:
@@ -222,20 +224,20 @@ class TestPlan:
 
     def test_warm_plan_covers_the_whole_execution(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
-        build_search().execute(cold_store)
+        build_search().execute(Session(store=cold_store))
         on_disk = {key for key, _ in cold_store.entries()}
         warm_plan = set(build_search().plan(CampaignStore(tmp_path)).keys())
         assert on_disk == warm_plan
 
     def test_gc_against_warm_plan_keeps_everything(self, tmp_path):
         store = CampaignStore(tmp_path)
-        build_search().execute(store)
+        build_search().execute(Session(store=store))
         live = set(build_search().plan(CampaignStore(tmp_path)).keys())
         stats = CampaignStore(tmp_path).gc(live)
         assert stats.removed == 0
         assert stats.kept == len(live)
         replay_store = CampaignStore(tmp_path)
-        build_search().execute(replay_store)
+        build_search().execute(Session(store=replay_store))
         assert replay_store.stats.misses == 0
 
 

@@ -126,6 +126,20 @@ class TestCliRegistry:
         assert "[cache]" not in capsys.readouterr().out
 
 
+#: One campaign per execution path: a plain sweep, a staged
+#: conformance battery, and a synthesis search with its fingerprint
+#: pass (small knobs).
+CHAOS_CAMPAIGNS = {
+    "figure2": ["figure2", "--step", "400"],
+    "conformance-hev3": ["run", "conformance-hev3"],
+    "synthesize-report": [
+        "run", "synthesize-report", "--synthesis-seeds", "3",
+        "--synthesis-rounds", "1", "--synthesis-top", "1",
+        "--synthesis-neighbors", "1", "--promote", "2",
+        "--clients", "curl,Chrome", "--ablate", "none"],
+}
+
+
 class TestCliResilience:
     def strip_runtime_lines(self, text: str) -> str:
         return "\n".join(line for line in text.splitlines()
@@ -144,24 +158,29 @@ class TestCliResilience:
         with pytest.raises(SystemExit, match="retries"):
             main(["--retries", "-1", "figure2", "--step", "400"])
 
-    def test_chaos_run_is_byte_identical(self, capsys, tmp_path):
-        """The headline invariant, end to end through the CLI: a
-        figure rendered under an injected crash+corruption plan with
-        retries matches the fault-free rendering byte for byte."""
-        assert main(["figure2", "--step", "400"]) == 0
+    @pytest.mark.parametrize("argv", list(CHAOS_CAMPAIGNS.values()),
+                             ids=list(CHAOS_CAMPAIGNS))
+    def test_chaos_run_is_byte_identical(self, capsys, tmp_path, argv):
+        """The headline invariant, end to end through the CLI: an
+        artifact rendered under an injected crash+corruption plan with
+        retries matches the fault-free serial rendering byte for byte,
+        and every record the chaos run stored was journaled."""
+        assert main(["--workers", "1", *argv]) == 0
         clean = capsys.readouterr().out
         assert main(["--cache-dir", str(tmp_path), "--workers", "2",
                      "--retries", "2", "--fault-plan",
-                     "crash:0.3,corrupt:0.5", "figure2",
-                     "--step", "400"]) == 0
+                     "crash:0.3,corrupt:0.5", *argv]) == 0
         chaos = capsys.readouterr().out
         assert (self.strip_runtime_lines(chaos)
                 == self.strip_runtime_lines(clean))
-        assert any(line.startswith("[faults]")
-                   for line in chaos.splitlines())
+        stores = re.search(r"^\[cache\] .* stores=(\d+) ", chaos, re.M)
+        faults = re.search(r"^\[faults\] failures=0 .* journaled=(\d+) ",
+                           chaos, re.M)
+        assert stores and faults
+        assert faults.group(1) == stores.group(1)
         # Warm rerun quarantines the torn entries and still matches.
         assert main(["--cache-dir", str(tmp_path), "--retries", "2",
-                     "figure2", "--step", "400"]) == 0
+                     *argv]) == 0
         warm = capsys.readouterr().out
         assert (self.strip_runtime_lines(warm)
                 == self.strip_runtime_lines(clean))
@@ -183,14 +202,39 @@ class TestCliResilience:
         assert "resumed=" in resumed
         assert "misses=0" in resumed
 
+    @pytest.mark.parametrize("argv", [
+        ["figure2", "--step", "200"],
+        ["fingerprint", "curl 7.88.1", "--stop", "100"]],
+        ids=["figure2", "fingerprint"])
+    def test_exhausted_retries_degrade_and_store_nothing(self, capsys,
+                                                         tmp_path, argv):
+        """A fault plan that never heals fails every executed run as
+        planned: the artifact still renders from the harness-failure
+        records, the ``[faults]`` line counts one failure per executed
+        run, and nothing is stored."""
+        assert main(["--workers", "1", "--cache-dir", str(tmp_path),
+                     "--retries", "1", "--fault-plan", "crash:1.0:9",
+                     *argv]) == 0
+        out = capsys.readouterr().out
+        cache = re.search(r"^\[cache\] hits=0 misses=(\d+) stores=0 ",
+                          out, re.M)
+        assert cache
+        assert re.search(rf"^\[faults\] failures={cache.group(1)} ", out,
+                         re.M)
+
+    @pytest.mark.parametrize("argv", [
+        ["figure2", "--step", "400"],
+        ["fingerprint", "curl 7.88.1", "--stop", "100"]],
+        ids=["figure2", "fingerprint"])
     def test_plain_cached_run_prints_no_faults_line(self, capsys,
-                                                    tmp_path):
+                                                    tmp_path, argv):
         """Resilience flags opt into the ``[faults]`` line; a plain
         cached invocation stays byte-identical to its pre-resilience
-        output (the store-only journal is silent)."""
-        argv = ["--cache-dir", str(tmp_path), "figure2", "--step", "400"]
+        output (the store-only journal is silent, but it journals)."""
+        argv = ["--cache-dir", str(tmp_path), *argv]
         assert main(argv) == 0
         assert "[faults]" not in capsys.readouterr().out
+        assert (tmp_path / ".journal" / f"{argv[2]}.log").is_file()
         assert main(argv) == 0
         assert "[faults]" not in capsys.readouterr().out
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro import fanout
 from repro.clients import get_profile
+from repro.experiments import Session
 from repro.faults import FaultPlan
 from repro.fanout import _CHUNKS_PER_WORKER, shared_map
 from repro.testbed import (CampaignJournal, CampaignStore, Resilience,
@@ -241,15 +242,15 @@ def test_runner_exception_propagates(tmp_path, workers, journal_only):
     """No retry budget, fault plan or watchdog: a raising run fails
     the campaign — including under the journal-only bundle a plain
     cached invocation gets."""
-    kwargs = {}
+    session = Session(workers=workers)
     if journal_only:
-        kwargs = dict(
-            store=CampaignStore(tmp_path / "cache"),
+        session = Session(
+            workers=workers, store=CampaignStore(tmp_path / "cache"),
             resilience=Resilience(
                 journal=CampaignJournal(tmp_path / "j.log"),
                 explicit=False))
     with pytest.raises(RuntimeError, match="run_single blew up"):
-        list(runner(FailingRunner).stream(workers=workers, **kwargs))
+        list(runner(FailingRunner).stream(session))
 
 
 @MODES
@@ -257,7 +258,8 @@ def test_runner_degrades_to_harness_records(workers):
     plan = FaultPlan.parse("crash:1.0:9", seed=5)  # never heals
     res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                      fault_plan=plan)
-    records = list(runner().stream(workers=workers, resilience=res))
+    records = list(runner().stream(Session(workers=workers,
+                                           resilience=res)))
     assert len(records) == 4
     assert all(is_harness_failure(record) for record in records)
     assert len(res.manifest.failures) == 4

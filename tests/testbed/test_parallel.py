@@ -9,6 +9,7 @@ from typing import NamedTuple
 import pytest
 
 from repro.clients import get_profile
+from repro.experiments import Session
 from repro.seeding import stable_run_seed
 from repro.testbed import (CampaignStore, StreamingResultSet, SweepSpec,
                            TestCaseConfig, TestCaseKind, TestRunner,
@@ -97,9 +98,9 @@ class TestSpecEnumeration:
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            small_runner().run(workers=0)
+            small_runner().run(Session(workers=0))
         with pytest.raises(ValueError):
-            small_runner().run(workers=-3)
+            small_runner().run(Session(workers=-3))
 
 
 class TestParallelCampaign:
@@ -107,18 +108,18 @@ class TestParallelCampaign:
         """The acceptance property: same records, same order, same values."""
         runner = small_runner()
         serial = runner.run()
-        parallel = runner.run(workers=2)
+        parallel = runner.run(Session(workers=2))
         assert len(serial) == len(parallel)
         assert serial == parallel
 
     def test_workers_one_is_serial(self):
         runner = small_runner(seed=6)
-        assert runner.run() == runner.run(workers=1)
+        assert runner.run() == runner.run(Session(workers=1))
 
     def test_aggregations_agree(self):
         runner = small_runner(seed=7)
         serial = StreamingResultSet.consume(runner.run())
-        parallel = StreamingResultSet.consume(runner.run(workers=2))
+        parallel = StreamingResultSet.consume(runner.run(Session(workers=2)))
         assert serial.median_cad("Chrome 130.0") == \
             parallel.median_cad("Chrome 130.0")
         assert serial.family_by_delay("curl 7.88.1", "cad") == \
@@ -174,11 +175,11 @@ class TestResolveSpecs:
     def test_cold_then_warm(self, tmp_path):
         plan = tiny_runner(0, 150, 310).plan()
         cold_store = CampaignStore(tmp_path)
-        cold = list(resolve_specs(plan, cold_store))
+        cold = list(resolve_specs(plan, Session(store=cold_store)))
         assert cold_store.stats.stores == len(plan)
         assert {key for key, _ in cold_store.entries()} == set(plan.keys())
         warm_store = CampaignStore(tmp_path)
-        assert list(resolve_specs(plan, warm_store)) == cold
+        assert list(resolve_specs(plan, Session(store=warm_store))) == cold
         assert warm_store.stats.hits == len(plan)
         assert warm_store.stats.stores == 0
 
@@ -188,9 +189,9 @@ class TestResolveSpecs:
         plan = small_runner().plan()
         store = CampaignStore(tmp_path)
         warm_part = Plan(plan[::3])
-        list(resolve_specs(warm_part, store))
+        list(resolve_specs(warm_part, Session(store=store)))
         store = CampaignStore(tmp_path)
-        records = list(resolve_specs(plan, store, workers=2))
+        records = list(resolve_specs(plan, Session(workers=2, store=store)))
         assert records == list(resolve_specs(plan))
         assert store.stats.hits == len(warm_part)
         assert store.stats.stores == len(plan) - len(warm_part)
@@ -200,9 +201,10 @@ class TestResolveSpecs:
         every occurrence; nothing executes or is written back."""
         entry = tiny_runner(150).plan()[0]
         store = CampaignStore(tmp_path)
-        list(resolve_specs(Plan([entry]), store))
+        list(resolve_specs(Plan([entry]), Session(store=store)))
         store = CampaignStore(tmp_path)
-        records = list(resolve_specs(Plan([entry, entry]), store))
+        records = list(resolve_specs(Plan([entry, entry]),
+                                     Session(store=store)))
         assert records[0] == records[1]
         assert store.stats.hits == 1
         assert store.stats.stores == 0
@@ -228,13 +230,13 @@ class TestResolveSpecs:
 
         monkeypatch.setattr(TestRunner, "run_single", counting)
         store = CampaignStore(tmp_path)
-        cold = runner.run(store=store)
+        cold = runner.run(Session(store=store))
         assert len(cold) == 4 and cold[:2] == cold[2:]
         assert sorted(executed) == [0, 310]
         assert (store.stats.misses, store.stats.stores) == (2, 2)
         executed.clear()
         store = CampaignStore(tmp_path)
-        assert runner.run(store=store) == cold
+        assert runner.run(Session(store=store)) == cold
         assert executed == []
         assert (store.stats.hits, store.stats.misses,
                 store.stats.stores) == (2, 0, 0)
@@ -244,7 +246,8 @@ class TestResolveSpecs:
         entry = tiny_runner(150).plan()[0]
         mixed = Plan([entry, OtherRun("ab" * 32)])
         with pytest.raises(ValueError):
-            list(resolve_specs(mixed, CampaignStore(tmp_path)))
+            list(resolve_specs(mixed,
+                               Session(store=CampaignStore(tmp_path))))
 
 
 def two_stages(first: TestRunner, second: TestRunner):
@@ -262,7 +265,7 @@ class TestStages:
         plan = plan_stages([two_stages(first, second)], store)
         assert plan.keys() == first.plan().keys()
         assert store.stats.stores == 0
-        execute_stages(two_stages(first, second), store)
+        execute_stages(two_stages(first, second), Session(store=store))
         warm = plan_stages([two_stages(first, second)],
                            CampaignStore(tmp_path))
         assert warm.keys() == first.plan().keys() + second.plan().keys()
@@ -271,8 +274,8 @@ class TestStages:
         first, second = tiny_runner(0, 150), tiny_runner(50, 100, seed=6)
         store = CampaignStore(tmp_path)
         cursor = PlanCursor(plan_stages([two_stages(first, second)], store))
-        records = execute_stages(two_stages(first, second), store,
-                                 cursor=cursor)
+        records = execute_stages(two_stages(first, second),
+                                 Session(store=store), cursor)
         assert cursor.at == len(first.plan())
         assert records == (list(resolve_specs(first.plan()))
                            + list(resolve_specs(second.plan())))

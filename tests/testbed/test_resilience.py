@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.clients import get_profile
+from repro.experiments import Session
 from repro.faults import FaultKind, FaultPlan
 from repro.fanout import shared_pool, shutdown_shared_pool
 from repro.seeding import backoff_jitter
@@ -109,7 +110,7 @@ class TestChaosInvariant:
         targeted = [c for c in campaign_coords(runner)
                     if plan.entry_fault(c, 0)]
         assert targeted, "plan must actually fire for the test to bite"
-        assert list(runner.stream(resilience=res)) == clean_records
+        assert list(runner.stream(Session(resilience=res))) == clean_records
         assert res.manifest.retries >= len(targeted)
         assert not res.manifest.failures
 
@@ -123,7 +124,8 @@ class TestChaosInvariant:
         plan = FaultPlan.parse(plan_text, seed=5)
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
-        assert list(chaos_runner().stream(2, resilience=res)) == \
+        assert list(chaos_runner().stream(
+            Session(workers=2, resilience=res))) == \
             clean_records
         if "crash" in plan_text:
             assert res.manifest.pool_breaks > 0
@@ -139,7 +141,8 @@ class TestChaosInvariant:
         plan = FaultPlan.parse("hang:0.4:1:0.25", seed=5)
         res = Resilience(policy=RetryPolicy(retries=2, entry_timeout=0.08,
                                             **FAST), fault_plan=plan)
-        assert list(chaos_runner().stream(2, resilience=res)) == \
+        assert list(chaos_runner().stream(
+            Session(workers=2, resilience=res))) == \
             clean_records
         assert res.manifest.hang_timeouts > 0
         assert res.manifest.respawns > 0
@@ -155,10 +158,10 @@ class TestChaosInvariant:
         is indexed and quarantined on first read."""
         plan = FaultPlan.parse("partial:0.3,corrupt:0.5", seed=5)
         store = CampaignStore(tmp_path / "cache")
-        store.fault_plan = plan
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
-        cold = list(chaos_runner().stream(store=store, resilience=res))
+        cold = list(chaos_runner().stream(Session(store=store,
+                                                  resilience=res)))
         assert cold == clean_records
         kinds = [kind for kind, _ in store.fault_plan._occurrences]
         corrupt = kinds.count(FaultKind.CORRUPT_WRITE)
@@ -168,8 +171,8 @@ class TestChaosInvariant:
 
         warm_store = CampaignStore(tmp_path / "cache")  # fault-free handle
         res2 = Resilience(policy=RetryPolicy(retries=2, **FAST))
-        warm = list(chaos_runner().stream(store=warm_store,
-                                          resilience=res2))
+        warm = list(chaos_runner().stream(Session(store=warm_store,
+                                                  resilience=res2)))
         assert warm == clean_records
         assert warm_store.stats.misses == corrupt + partial
         assert warm_store.stats.quarantined == partial
@@ -181,7 +184,7 @@ class TestChaosInvariant:
         # Third run: fully healed, pure hits.
         healed_store = CampaignStore(tmp_path / "cache")
         assert list(chaos_runner()
-                    .stream(store=healed_store)) == clean_records
+                    .stream(Session(store=healed_store))) == clean_records
         assert healed_store.stats.misses == 0
 
     def test_transient_io_errors_degrade_not_abort(self, tmp_path,
@@ -191,11 +194,10 @@ class TestChaosInvariant:
         writes are counted."""
         plan = FaultPlan.parse("io-error:0.4:3", seed=5)
         store = CampaignStore(tmp_path / "cache")
-        store.fault_plan = plan
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
         assert list(chaos_runner().stream(
-            store=store, resilience=res)) == clean_records
+            Session(store=store, resilience=res))) == clean_records
         assert res.manifest.store_write_errors > 0
 
     @pytest.mark.parametrize("plan_text, quarantines", [
@@ -232,7 +234,7 @@ class TestGracefulDegradation:
         plan = FaultPlan.parse("crash:1.0:9", seed=5)  # never heals
         res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                          fault_plan=plan)
-        records = list(chaos_runner().stream(resilience=res))
+        records = list(chaos_runner().stream(Session(resilience=res)))
         assert len(records) == 10
         assert all(is_harness_failure(r) for r in records)
         assert all(not r.completed for r in records)
@@ -247,7 +249,7 @@ class TestGracefulDegradation:
         res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                          fault_plan=plan)
         records = list(chaos_runner(values=(0, 80)).stream(
-            2, resilience=res))
+            Session(workers=2, resilience=res)))
         assert len(records) == 4
         assert all(is_harness_failure(r) for r in records)
         assert len(res.manifest.failures) == 4
@@ -259,7 +261,7 @@ class TestGracefulDegradation:
         journal = CampaignJournal(tmp_path / "cache" / ".journal" / "c.log")
         res = Resilience(policy=RetryPolicy(retries=1, **FAST),
                          fault_plan=plan, journal=journal)
-        list(chaos_runner().stream(store=store, resilience=res))
+        list(chaos_runner().stream(Session(store=store, resilience=res)))
         journal.close()
         assert store.stats.stores == 0
         assert list(store.entries()) == []
@@ -277,7 +279,7 @@ class TestJournalResume:
                                                             clean_records):
         store = CampaignStore(tmp_path / "cache")
         res = self._resilience(tmp_path)
-        stream = chaos_runner().stream(store=store, resilience=res)
+        stream = chaos_runner().stream(Session(store=store, resilience=res))
         partial = [next(stream) for _ in range(4)]  # then SIGKILL
         stream.close()
         res.close()
@@ -287,8 +289,8 @@ class TestJournalResume:
 
         store2 = CampaignStore(tmp_path / "cache")
         res2 = self._resilience(tmp_path, resume=True)
-        finished = list(chaos_runner().stream(store=store2,
-                                              resilience=res2))
+        finished = list(chaos_runner().stream(Session(store=store2,
+                                                      resilience=res2)))
         res2.close()
         assert finished == clean_records
         assert res2.manifest.resumed == 4          # zero re-executions
@@ -301,7 +303,7 @@ class TestJournalResume:
         store = CampaignStore(tmp_path / "cache")
         res = self._resilience(tmp_path)
         assert list(chaos_runner().stream(
-            store=store, resilience=res)) == clean_records
+            Session(store=store, resilience=res))) == clean_records
         res.close()
         keys = [key for key, _ in store.entries()]
         store.gc(keys[1:])  # the store lost a journaled entry
@@ -309,7 +311,7 @@ class TestJournalResume:
         store2 = CampaignStore(tmp_path / "cache")
         res2 = self._resilience(tmp_path, resume=True)
         assert list(chaos_runner().stream(
-            store=store2, resilience=res2)) == clean_records
+            Session(store=store2, resilience=res2))) == clean_records
         res2.close()
         assert res2.manifest.journal_stale == 1     # detected, not trusted
         assert res2.manifest.resumed == len(clean_records) - 1
@@ -321,14 +323,14 @@ class TestJournalResume:
         larger earlier sweep) are simply ignored."""
         store = CampaignStore(tmp_path / "cache")
         res = self._resilience(tmp_path)
-        list(chaos_runner().stream(store=store, resilience=res))
+        list(chaos_runner().stream(Session(store=store, resilience=res)))
         res.journal.record("ab" * 32)  # foreign journaled key
         res.close()
 
         store2 = CampaignStore(tmp_path / "cache")
         res2 = self._resilience(tmp_path, resume=True)
         assert list(chaos_runner().stream(
-            store=store2, resilience=res2)) == clean_records
+            Session(store=store2, resilience=res2))) == clean_records
         res2.close()
         assert res2.manifest.resumed == len(clean_records)
         assert res2.manifest.journal_stale == 0

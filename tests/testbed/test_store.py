@@ -15,6 +15,7 @@ import pytest
 
 from repro.clients import get_profile
 from repro.clients.registry import all_profiles
+from repro.experiments import Session
 from repro.conformance.scenarios import (hev3_battery, scenario_battery,
                                          sortlist_battery, svcb_battery)
 from repro.seeding import stable_run_seed
@@ -276,13 +277,13 @@ class TestRecordRoundTrip:
 class TestWarmCampaigns:
     def test_second_run_all_hits_and_identical(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
-        cold = small_runner().run(store=cold_store)
+        cold = small_runner().run(Session(store=cold_store))
         assert cold_store.stats.hits == 0
         assert cold_store.stats.misses == len(cold)
         assert cold_store.stats.stores == len(cold)
 
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(store=warm_store)
+        warm = small_runner().run(Session(store=warm_store))
         assert warm_store.stats.hits == len(warm)
         assert warm_store.stats.misses == 0
         assert warm == cold
@@ -290,15 +291,15 @@ class TestWarmCampaigns:
     def test_cached_equals_uncached(self, tmp_path):
         fresh = small_runner().run()
         store = CampaignStore(tmp_path)
-        small_runner().run(store=store)
-        cached = small_runner().run(store=CampaignStore(tmp_path))
+        small_runner().run(Session(store=store))
+        cached = small_runner().run(Session(store=CampaignStore(tmp_path)))
         assert cached == fresh
 
     def test_parallel_warm_run_identical_and_poolless(self, tmp_path):
         store = CampaignStore(tmp_path)
-        cold = small_runner().run(workers=2, store=store)
+        cold = small_runner().run(Session(workers=2, store=store))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(workers=2, store=warm_store)
+        warm = small_runner().run(Session(workers=2, store=warm_store))
         assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
@@ -310,15 +311,17 @@ class TestWarmCampaigns:
         twice = small_runner()
         twice.clients = [twice.clients[1], twice.clients[1]]
 
-        cold = twice.run(store=CampaignStore(tmp_path))
-        warm = twice.run(workers=workers, store=CampaignStore(tmp_path))
+        cold = twice.run(Session(store=CampaignStore(tmp_path)))
+        warm = twice.run(Session(workers=workers,
+                                 store=CampaignStore(tmp_path)))
         assert len(cold) == 12
         assert warm == cold
 
     def test_serial_cold_parallel_warm_identity(self, tmp_path):
         store = CampaignStore(tmp_path)
-        cold = small_runner().run(store=store)
-        warm = small_runner().run(workers=2, store=CampaignStore(tmp_path))
+        cold = small_runner().run(Session(store=store))
+        warm = small_runner().run(Session(workers=2,
+                                          store=CampaignStore(tmp_path)))
         assert warm == cold
 
     def test_spec_cache_dir_stanza(self, tmp_path):
@@ -338,7 +341,7 @@ class TestStoreGC:
     def populate(self, tmp_path):
         store = CampaignStore(tmp_path)
         runner = small_runner()
-        runner.run(store=store)
+        runner.run(Session(store=store))
         return store, set(runner.plan().keys())
 
     def test_gc_keeps_live_and_drops_stale(self, tmp_path):
@@ -374,7 +377,7 @@ class TestStoreGC:
         store, live = self.populate(tmp_path)
         store.gc(live)
         warm = CampaignStore(tmp_path)
-        small_runner().run(store=warm)
+        small_runner().run(Session(store=warm))
         assert warm.stats.misses == 0
 
     def test_gc_on_missing_root_is_a_noop(self, tmp_path):
@@ -460,12 +463,12 @@ class TestCacheInvalidation:
         coarse = small_runner()
         coarse.cases = [dataclasses.replace(
             coarse.cases[0], sweep=SweepSpec.fixed(0, 150, 310))]
-        coarse.run(store=CampaignStore(tmp_path))
+        coarse.run(Session(store=CampaignStore(tmp_path)))
         fine = small_runner()
         fine.cases = [dataclasses.replace(
             fine.cases[0], sweep=SweepSpec.fixed(0, 100, 150, 200, 310))]
         fine_store = CampaignStore(tmp_path)
-        fine_results = fine.run(store=fine_store)
+        fine_results = fine.run(Session(store=fine_store))
         # 2 clients × 2 reps: {0, 150, 310} replay from the coarse
         # pass, only {100, 200} execute fresh.
         assert fine_store.stats.hits == 12
@@ -509,38 +512,38 @@ class TestCacheInvalidation:
         import repro.testbed.store as store_module
 
         warmed = CampaignStore(tmp_path)
-        small_runner().run(store=warmed)
+        small_runner().run(Session(store=warmed))
         monkeypatch.setattr(store_module, "BEHAVIOR_VERSION", "999.0.0")
         upgraded = CampaignStore(tmp_path)
-        small_runner().run(store=upgraded)
+        small_runner().run(Session(store=upgraded))
         assert upgraded.stats.hits == 0
         assert upgraded.stats.misses > 0
 
     def test_changed_config_re_executes(self, tmp_path):
         """End to end: a warm cache is useless for a changed campaign."""
-        small_runner().run(store=CampaignStore(tmp_path))
+        small_runner().run(Session(store=CampaignStore(tmp_path)))
         changed_store = CampaignStore(tmp_path)
-        small_runner(resolver_timeout=2.0).run(store=changed_store)
+        small_runner(resolver_timeout=2.0).run(Session(store=changed_store))
         assert changed_store.stats.hits == 0
         assert changed_store.stats.misses > 0
 
 
 class TestCorruptEntries:
     def populate(self, tmp_path) -> List[RunRecord]:
-        return small_runner().run(store=CampaignStore(tmp_path))
+        return small_runner().run(Session(store=CampaignStore(tmp_path)))
 
     def test_corrupted_entry_falls_back_to_fresh(self, tmp_path):
         cold = self.populate(tmp_path)
         tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(store=warm_store)
+        warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.invalid == 1
         assert warm_store.stats.misses == 1
         assert warm_store.stats.hits == len(cold) - 1
         # The corrupted entry was rewritten by the fresh execution.
         repaired = CampaignStore(tmp_path)
-        small_runner().run(store=repaired)
+        small_runner().run(Session(store=repaired))
         assert repaired.stats.hits == len(cold)
 
     def test_corrupted_entry_parallel_inline_repair(self, tmp_path):
@@ -549,11 +552,11 @@ class TestCorruptEntries:
         cold = self.populate(tmp_path)
         tamper(tmp_path, first_key(tmp_path), truncate)
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(workers=2, store=warm_store)
+        warm = small_runner().run(Session(workers=2, store=warm_store))
         assert warm == cold
         assert warm_store.stats.invalid == 1
         repaired = CampaignStore(tmp_path)
-        small_runner().run(workers=2, store=repaired)
+        small_runner().run(Session(workers=2, store=repaired))
         assert repaired.stats.hits == len(cold)
 
     def test_partial_entry_falls_back_to_fresh(self, tmp_path):
@@ -562,7 +565,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path),
                edit_entry(lambda data: data.pop("complete")))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(store=warm_store)
+        warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.invalid == 1
 
@@ -571,7 +574,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path), edit_entry(
             lambda data: data.update(format=STORE_FORMAT + 1)))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(store=warm_store)
+        warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.invalid == 1
 
@@ -580,7 +583,7 @@ class TestCorruptEntries:
         tamper(tmp_path, first_key(tmp_path), edit_entry(
             lambda data: data["payload"].update(winning_family="V9")))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(store=warm_store)
+        warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.invalid == 1
 
@@ -591,7 +594,7 @@ class TestQuarantine:
     shadow its repaired replacement."""
 
     def populate(self, tmp_path) -> List[RunRecord]:
-        return small_runner().run(store=CampaignStore(tmp_path))
+        return small_runner().run(Session(store=CampaignStore(tmp_path)))
 
     def corrupt_one(self, tmp_path) -> "tuple[str, bytes]":
         key = first_key(tmp_path)
@@ -601,7 +604,7 @@ class TestQuarantine:
         cold = self.populate(tmp_path)
         key, bad = self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(store=warm_store)
+        warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.quarantined == 1
         assert warm_store.stats.invalid == 1
@@ -610,7 +613,7 @@ class TestQuarantine:
         assert moved.read_bytes() == bad + b"\n"
         # The re-execution appended a fresh record: pure hits next.
         repaired = CampaignStore(tmp_path)
-        small_runner().run(store=repaired)
+        small_runner().run(Session(store=repaired))
         assert repaired.stats.hits == len(cold)
         assert repaired.stats.quarantined == 0
 
@@ -648,7 +651,7 @@ class TestQuarantine:
         self.populate(tmp_path)
         key, _ = self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
-        small_runner().run(store=warm_store)
+        small_runner().run(Session(store=warm_store))
         moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"
         assert moved.is_file()
         gc_store = CampaignStore(tmp_path)
@@ -661,7 +664,7 @@ class TestQuarantine:
         cold = self.populate(tmp_path)
         self.corrupt_one(tmp_path)
         warm_store = CampaignStore(tmp_path)
-        small_runner().run(store=warm_store)
+        small_runner().run(Session(store=warm_store))
         assert len(list(warm_store.entries())) == len(cold)
 
 
@@ -674,7 +677,7 @@ class TestExecutorEdges:
                 sweep=SweepSpec.fixed(0, 310))],
             seed=4)
         serial = runner.run()
-        wide = runner.run(workers=16)
+        wide = runner.run(Session(workers=16))
         assert wide == serial
 
     def test_workers_exceed_spec_count_with_store(self, tmp_path):
@@ -685,6 +688,6 @@ class TestExecutorEdges:
                 sweep=SweepSpec.fixed(0))],
             seed=4)
         store = CampaignStore(tmp_path)
-        first = runner.run(workers=8, store=store)
-        second = runner.run(workers=8, store=store)
+        first = runner.run(Session(workers=8, store=store))
+        second = runner.run(Session(workers=8, store=store))
         assert first == second

@@ -3,6 +3,7 @@
 import json
 
 from repro.clients import get_profile
+from repro.experiments import Session
 from repro.testbed import CampaignStore, TestRunner
 from repro.testbed.config import SweepSpec, TestCaseConfig, TestCaseKind
 from repro.testbed.store import decode_record
@@ -25,7 +26,7 @@ def get_one(store, key, decode=decode_record):
 def populate(tmp_path):
     """Cold-run a small campaign; returns its keys in order."""
     runner = small_runner()
-    runner.run(store=CampaignStore(tmp_path))
+    runner.run(Session(store=CampaignStore(tmp_path)))
     return list(runner.plan().keys())
 
 
@@ -261,18 +262,18 @@ class TestSidecarIndex:
 
 class TestRunnerBatchPath:
     def test_serial_warm_stream_uses_batch_hits(self, tmp_path):
-        cold = small_runner().run(store=CampaignStore(tmp_path))
+        cold = small_runner().run(Session(store=CampaignStore(tmp_path)))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(store=warm_store)
+        warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0
         assert index_files(tmp_path)  # the warm stream built sidecars
 
     def test_parallel_warm_stream_identical(self, tmp_path):
-        cold = small_runner().run(store=CampaignStore(tmp_path))
+        cold = small_runner().run(Session(store=CampaignStore(tmp_path)))
         warm_store = CampaignStore(tmp_path)
-        warm = small_runner().run(workers=2, store=warm_store)
+        warm = small_runner().run(Session(workers=2, store=warm_store))
         assert warm == cold
         assert warm_store.stats.hits == len(cold)
         assert warm_store.stats.misses == 0

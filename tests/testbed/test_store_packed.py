@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.clients import get_profile
+from repro.experiments import Session
 from repro.testbed import (CampaignStore, PackedCampaignStore, SweepSpec,
                           TestCaseConfig, TestCaseKind, TestRunner,
                           open_store)
@@ -46,7 +47,7 @@ class TestPackedRoundTrip:
         """The persistence format: one ``json.dumps(sort_keys=True)``
         line per record, and it decodes to the executed record."""
         store = CampaignStore(tmp_path)
-        cold = small_runner().run(store=store)
+        cold = small_runner().run(Session(store=store))
         lines = {}
         for pack in tmp_path.glob("*.pack"):
             for line in pack.read_bytes().splitlines(keepends=True):
@@ -63,7 +64,7 @@ class TestPackedRoundTrip:
 
     def test_many_entries_per_shard_few_files(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner().run(store=store)
+        small_runner().run(Session(store=store))
         entries = sum(1 for _ in store.entries())
         packs = list(tmp_path.glob("*.pack"))
         assert entries > 0
@@ -73,7 +74,7 @@ class TestPackedRoundTrip:
 
     def test_fresh_handle_warm_reads(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner().run(store=store)
+        small_runner().run(Session(store=store))
         keys = [key for key, _ in store.entries()]
         warm = PackedCampaignStore(tmp_path)
         found = warm.get_many(keys, decode_record)
@@ -154,7 +155,7 @@ class TestQuarantine:
 class TestPackedGC:
     def test_gc_keeps_live_drops_dead(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner().run(store=store)
+        small_runner().run(Session(store=store))
         keys = sorted(key for key, _ in store.entries())
         live, dead = keys[: len(keys) // 2], keys[len(keys) // 2:]
         stats = store.gc(live)
@@ -170,7 +171,7 @@ class TestPackedGC:
 
     def test_gc_dry_run_reports_without_rewriting(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner().run(store=store)
+        small_runner().run(Session(store=store))
         keys = sorted(key for key, _ in store.entries())
         live, dead = keys[: len(keys) // 2], keys[len(keys) // 2:]
         pack_bytes = {p.name: p.read_bytes()
@@ -196,7 +197,7 @@ class TestPackedGC:
 class TestPackedSidecars:
     def test_sidecar_skips_rescan(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
-        small_runner().run(store=store)
+        small_runner().run(Session(store=store))
         keys = [key for key, _ in store.entries()]
         # Like the per-file store, dirty sidecars flush on the next
         # batch read, not once per put.

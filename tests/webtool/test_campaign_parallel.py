@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import Session
 from repro.webtool import UAEntry, WebCampaign
 
 ENTRIES = (UAEntry("Linux", "", "Chrome", "130.0.0"),
@@ -13,7 +14,7 @@ class TestParallelWebCampaign:
     def test_serial_and_parallel_sessions_identical(self):
         campaign = WebCampaign(seed=7, repetitions=3)
         serial = campaign.run(entries=ENTRIES)
-        parallel = campaign.run(entries=ENTRIES, workers=2)
+        parallel = campaign.run(entries=ENTRIES, session=Session(workers=2))
         assert serial.sessions == parallel.sessions
 
     def test_independent_of_process_history(self):
@@ -26,7 +27,7 @@ class TestParallelWebCampaign:
     def test_rejects_bad_worker_count(self):
         campaign = WebCampaign(seed=9, repetitions=1)
         with pytest.raises(ValueError):
-            campaign.run(entries=ENTRIES, workers=0)
+            campaign.run(entries=ENTRIES, session=Session(workers=0))
 
 
 class TestWebCampaignStore:
@@ -35,12 +36,14 @@ class TestWebCampaignStore:
 
         campaign = WebCampaign(seed=11, repetitions=2)
         cold_store = CampaignStore(tmp_path)
-        cold = campaign.run(entries=ENTRIES, store=cold_store)
+        cold = campaign.run(entries=ENTRIES,
+                            session=Session(store=cold_store))
         assert cold_store.stats.hits == 0
         assert cold_store.stats.stores == len(ENTRIES)
 
         warm_store = CampaignStore(tmp_path)
-        warm = campaign.run(entries=ENTRIES, store=warm_store)
+        warm = campaign.run(entries=ENTRIES,
+                            session=Session(store=warm_store))
         assert warm_store.stats.hits == len(ENTRIES)
         assert warm_store.stats.misses == 0
         assert warm.sessions == cold.sessions
@@ -50,23 +53,24 @@ class TestWebCampaignStore:
 
         campaign = WebCampaign(seed=12, repetitions=2)
         fresh = campaign.run(entries=ENTRIES)
-        campaign.run(entries=ENTRIES, store=CampaignStore(tmp_path))
-        cached = campaign.run(entries=ENTRIES,
-                              store=CampaignStore(tmp_path))
+        campaign.run(entries=ENTRIES,
+                     session=Session(store=CampaignStore(tmp_path)))
+        cached = campaign.run(
+            entries=ENTRIES, session=Session(store=CampaignStore(tmp_path)))
         assert cached.sessions == fresh.sessions
 
     def test_seed_or_repetition_change_misses(self, tmp_path):
         from repro.testbed import CampaignStore
 
         WebCampaign(seed=13, repetitions=2).run(
-            entries=ENTRIES, store=CampaignStore(tmp_path))
+            entries=ENTRIES, session=Session(store=CampaignStore(tmp_path)))
         reseeded_store = CampaignStore(tmp_path)
         WebCampaign(seed=14, repetitions=2).run(
-            entries=ENTRIES, store=reseeded_store)
+            entries=ENTRIES, session=Session(store=reseeded_store))
         assert reseeded_store.stats.hits == 0
         more_reps_store = CampaignStore(tmp_path)
         WebCampaign(seed=13, repetitions=3).run(
-            entries=ENTRIES, store=more_reps_store)
+            entries=ENTRIES, session=Session(store=more_reps_store))
         assert more_reps_store.stats.hits == 0
 
 
@@ -75,10 +79,10 @@ class TestWorkersValidation:
         from repro.analysis import table2_features
 
         with pytest.raises(ValueError):
-            table2_features(workers=0)
+            table2_features(session=Session(workers=0))
 
     def test_table3_rejects_zero_workers(self):
         from repro.analysis import table3_resolvers
 
         with pytest.raises(ValueError):
-            table3_resolvers(workers=-1)
+            table3_resolvers(session=Session(workers=-1))
