@@ -1,11 +1,6 @@
-"""Shared helpers for the benchmark harness.
-
-Every bench renders its reproduced table/figure to
-``results/<name>.txt`` (next to this directory) and prints it, so the
-artifacts survive without ``pytest -s``.  Timed benches additionally
-record machine-readable timings into ``results/bench_timings.json`` via
-:func:`record_timing`, so the perf trajectory across PRs is populated
-going forward.
+"""The perf benches' timing log: :func:`record_timing` appends
+machine-readable samples to ``results/bench_timings.json``, the perf
+trajectory that ``check_perf_regression.py`` gates on.
 """
 
 from __future__ import annotations
@@ -14,19 +9,10 @@ import json
 import pathlib
 import platform
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 TIMINGS_PATH = RESULTS_DIR / "bench_timings.json"
-
-
-def emit(name: str, text: str) -> None:
-    """Write a rendered artifact and echo it to stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
-    path.write_text(text + "\n", encoding="utf-8")
-    print(f"\n{text}\n[artifact: {path}]")
 
 
 def record_timing(name: str, seconds: float,
@@ -53,16 +39,3 @@ def record_timing(name: str, seconds: float,
     TIMINGS_PATH.write_text(json.dumps(timings, indent=2, sort_keys=True)
                             + "\n", encoding="utf-8")
     print(f"[timing: {name} = {seconds:.3f}s -> {TIMINGS_PATH}]")
-
-
-@contextmanager
-def timed(name: str, meta: Optional[Dict[str, Any]] = None
-          ) -> Iterator[None]:
-    """Context manager: time the body and :func:`record_timing` it.
-
-    Only successful completions are recorded — a raising body would
-    otherwise pollute the tracked perf trajectory with partial runs.
-    """
-    start = time.perf_counter()
-    yield
-    record_timing(name, time.perf_counter() - start, meta)

@@ -21,7 +21,7 @@ from repro.analysis import figure2_sweep, render_figure2
 from repro.experiments import Session
 from repro.testbed import CampaignStore
 
-from _util import emit, record_timing
+from _util import record_timing
 
 STEP_MS = 25
 SEED = 2
@@ -65,9 +65,6 @@ def test_warm_cache_rerender(benchmark, tmp_path):
                   {"runs": RUNS, "step_ms": STEP_MS})
     record_timing("figure2_store_warm", warm_s,
                   {"runs": RUNS, "step_ms": STEP_MS})
-    emit("campaign_store_rerender",
-         cold_text + f"\n\ncold {cold_s:.3f}s -> warm {warm_s:.3f}s "
-         f"({cold_s / warm_s:.0f}x) over {RUNS} cached runs")
     assert cold_s / warm_s >= 5.0, (
         f"warm re-render should be >=5x faster: cold {cold_s:.3f}s "
         f"vs warm {warm_s:.3f}s")

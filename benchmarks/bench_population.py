@@ -21,7 +21,7 @@ import time
 from repro.experiments import Session, get_experiment, knob_mapping
 from repro.testbed import CampaignStore
 
-from _util import emit, record_timing
+from _util import record_timing
 
 #: The default experiment grid: 250 users x 3 degradation levels.
 POP_SAMPLES = 250
@@ -68,4 +68,3 @@ def test_population_campaign_throughput(tmp_path):
     record_timing("population_warm_replay", warm_s, {
         "samples": POP_SAMPLES, "runs": runs,
         "speedup_vs_cold": round(cold_s / warm_s, 1)})
-    emit("population_latency", cold.text)

@@ -14,7 +14,7 @@ from repro.experiments.base import Session, knob_mapping
 from repro.experiments.registry import get_experiment
 from repro.service import CampaignService
 
-from _util import emit, record_timing
+from _util import record_timing
 
 #: Warm submissions timed for the throughput number.
 WARM_SUBMISSIONS = 20
@@ -50,7 +50,3 @@ def test_service_submit_throughput(benchmark, tmp_path):
                   {"submissions": WARM_SUBMISSIONS,
                    "per_second": round(per_second, 2),
                    "planned_keys": cold.planned})
-    emit("service_submit_throughput",
-         f"campaign service, figure2 step=100 ({cold.planned} planned "
-         f"keys): {WARM_SUBMISSIONS} warm submissions in "
-         f"{seconds:.3f}s = {per_second:.1f}/s")

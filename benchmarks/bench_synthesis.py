@@ -21,7 +21,7 @@ import time
 from repro.experiments import Session, get_experiment, knob_mapping
 from repro.testbed import CampaignStore
 
-from _util import emit, record_timing
+from _util import record_timing
 
 #: A budget dense enough to exercise refinement but cheap enough for
 #: a CI gate: 12 grid seeds + one neighbourhood round, five clients.
@@ -74,4 +74,3 @@ def test_synthesis_throughput(tmp_path):
     record_timing("synthesis_warm_replay", warm_s, {
         "evaluated": evaluated,
         "speedup_vs_cold": round(cold_s / warm_s, 1)})
-    emit("synthesis_scenarios", cold.text)

@@ -4,9 +4,9 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "figures": ("Figure2Series", "Figure5Series", "figure2_plan",
-                "figure2_series", "figure2_sweep", "figure4_sessions",
-                "figure5_attempts", "figure5_plan", "figure5_series",
-                "render_figure2", "render_figure5"),
+                "figure2_series", "figure2_sweep", "figure5_attempts",
+                "figure5_plan", "figure5_series", "render_figure2",
+                "render_figure5"),
     "render": ("format_ms", "format_percent", "render_family_strip",
                "render_mark", "render_table"),
     "stats": ("StreamingCDF", "Summary", "cad_summary", "outlier_fraction",

@@ -2,14 +2,13 @@
 
 * Figure 2 — address family of the established connection per
   configured IPv6 delay, one strip per client version;
-* Figure 4 — the web tool's CAD/RD ladder views (per session);
 * Figure 5 — address family at the n-th connection attempt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import figure2_clients
@@ -21,9 +20,6 @@ from ..testbed.parallel import Plan, resolve_specs
 from ..testbed.runner import (StreamingResultSet, TestRunner,
                               series_flap_window)
 from .render import render_family_strip
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..webtool.session import SessionResult
 
 # --------------------------------------------------------------------------
 # Figure 2 — established family vs configured IPv6 delay
@@ -209,16 +205,3 @@ def render_figure5(series: List[Figure5Series],
         lines.append(f"{entry.client:{width}}  {' '.join(cells)}")
     lines.append("legend: v6/v4 = attempt via that family, . = no attempt")
     return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
-# Figure 4 — web tool ladders (rendering lives with the web tool)
-# --------------------------------------------------------------------------
-
-
-def figure4_sessions(sessions: Sequence[SessionResult]) -> str:
-    """Concatenated ladder views for a set of sessions."""
-    from ..webtool.report import render_session_ladder
-
-    return "\n\n".join(render_session_ladder(session)
-                       for session in sessions)
