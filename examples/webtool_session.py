@@ -20,15 +20,17 @@ def main() -> None:
     print(f"web tool up: {len(deployment.ladder)} delay steps, "
           f"{len(deployment.server.addresses)} server addresses\n")
 
+    # Figure 4's session indices: Chrome is 1, Safari 2 + repetition.
     chrome = WebToolSession(
         deployment, get_profile("Chrome", "130.0"),
-        conditions=NetworkConditions.residential()).run()
+        conditions=NetworkConditions.residential(), session_index=1).run()
     print(render_session_ladder(chrome))
     print()
 
     for repetition in range(3):
         safari = WebToolSession(deployment, get_profile("Safari", "17.6"),
-                                repetition=repetition).run()
+                                repetition=repetition,
+                                session_index=2 + repetition).run()
         print(render_session_ladder(safari))
         print()
 

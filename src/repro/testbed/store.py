@@ -58,13 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (winning_protocol, queried_https, attempts_quic, first_attempt_port).
 STORE_FORMAT = 2
 
-#: Bump when the sidecar offset index layout changes; old sidecars then
-#: read as unusable and the pack is rescanned (the packs remain the
-#: source of truth either way).  Sidecars are only trusted when their
-#: stamped generation matches the shard's counter, which every pack
-#: rewrite (compaction, gc) bumps.
-INDEX_FORMAT = 2
-
 #: Folded into every cache key alongside the configuration digest:
 #: caching is only sound while the *code* producing a run is unchanged,
 #: so a package upgrade (which may change simulator or client-model
@@ -224,12 +217,6 @@ class CacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def entries_invalid(self) -> int:
-        """Corrupt/partial entries rejected on read (alias of
-        ``invalid`` under the name the ``[cache]`` line reports)."""
-        return self.invalid
-
     def summary(self) -> str:
         return (f"hits={self.hits} misses={self.misses} "
                 f"stores={self.stores} entries_invalid={self.invalid} "
@@ -245,7 +232,6 @@ class GCStats:
     removed: int = 0
     reclaimed_bytes: int = 0
     removed_tmp: int = 0
-    removed_index: int = 0
 
     def summary(self) -> str:
         return (f"kept={self.kept} ({self.kept_bytes} B) "
@@ -323,10 +309,13 @@ class CampaignStore:
     digest and run coordinates; its shard is the key's first two hex
     digits.  Each shard is one append-only ``root/<shard>.pack`` of
     newline-delimited entry records, so a million entries are 256
-    files, not a million.  A handle keeps an in-memory ``key ->
-    (offset, length)`` map per shard, and a sidecar offset index
-    (``root/.index/<shard>.json``) lets a fresh handle warm up with one
-    index read instead of a full scan.
+    files, not a million.  The pack is the shard's only index: a handle
+    builds an in-memory ``key -> (offset, length)`` map by scanning a
+    pack the first time it touches the shard, then extends it — its own
+    appends advance the map, foreign appends are scanned from the old
+    frontier.  A per-shard generation counter
+    (``root/.index/<shard>.gen``), bumped by every pack rewrite, tells a
+    handle its map is stale.  Reads write nothing but quarantine copies.
 
     Durability model: records are appended with the completeness marker
     in the same single ``write``; a writer that dies mid-append leaves a
@@ -351,14 +340,12 @@ class CampaignStore:
         #: set, targeted reads raise-as-miss and targeted writes tear,
         #: exactly as crashing hardware would.  None in production.
         self.fault_plan = None
-        #: Full pack scans for want of a usable sidecar index.
-        self.index_rebuilds = 0
         #: Per-shard scan state: ``offsets`` (key -> (offset, length)),
         #: ``scanned`` (bytes covered by complete lines), ``size`` (the
         #: known end of the pack; ``[scanned, size)`` never holds a
         #: newline, so it is empty or a torn tail), ``dead``
         #: (superseded/quarantined bytes), ``generation`` (counter at
-        #: scan time), ``dirty`` (offsets ahead of the sidecar index).
+        #: scan time).
         self._packs: "Dict[str, dict]" = {}
         self._prefix = os.path.join(os.fspath(self.root), "")
 
@@ -391,11 +378,6 @@ class CampaignStore:
     def _pack_path(self, shard: str) -> str:
         return f"{self._prefix}{shard}.pack"
 
-    def _index_path(self, shard: str) -> Path:
-        """Sidecar offset index of one shard, next to the shard's
-        generation counter (``root/.index/<shard>.gen``)."""
-        return self.root / ".index" / f"{shard}.json"
-
     def _generation_path(self, shard: str) -> Path:
         return self.root / ".index" / f"{shard}.gen"
 
@@ -418,8 +400,7 @@ class CampaignStore:
 
     def _bump_generation(self, shard: str) -> int:
         """Advance the shard's generation counter (pack rewrites), so
-        every sidecar and every other handle's scan state reads as
-        stale.  Persisted atomically: never a torn read.
+        every other handle's scan state reads as stale.  Persisted atomically: never a torn read.
         """
         generation = self._generation(shard) + 1
         try:
@@ -434,7 +415,7 @@ class CampaignStore:
     @staticmethod
     def _fresh_state(generation: int) -> dict:
         return {"offsets": {}, "scanned": 0, "size": 0, "dead": 0,
-                "generation": generation, "dirty": False}
+                "generation": generation}
 
     def _scan_pack(self, shard: str, state: dict, start: int) -> None:
         """Index every complete line from byte ``start`` to EOF.
@@ -476,34 +457,12 @@ class CampaignStore:
         state["scanned"] = start + pos
         state["size"] = start + len(data)
 
-    def _load_pack_index(self, shard: str, generation: int,
-                         size: int) -> Optional[dict]:
-        """The sidecar offset index, when it is provably usable.
-
-        ``generation`` must match the shard's counter (compaction and
-        gc bump it) and the stamped ``pack_size`` must not exceed the
-        actual file (appends since the stamp are fine — the scanner
-        resumes from ``pack_size``; a *shorter* file means a rewrite
-        the counter somehow missed, so the index is ignored)."""
-        try:
-            data = json.loads(self._index_path(shard)
-                              .read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if (not isinstance(data, dict)
-                or data.get("index_format") != INDEX_FORMAT
-                or data.get("store_format") != STORE_FORMAT
-                or data.get("layout") != "packed"
-                or data.get("generation") != generation
-                or not isinstance(data.get("pack_size"), int)
-                or data["pack_size"] > size
-                or not isinstance(data.get("offsets"), dict)):
-            return None
-        return data
-
     def _ensure_shard(self, shard: str) -> Optional[dict]:
         """Reconcile the in-memory state with the pack file; None when
-        the shard has no pack."""
+        the shard has no pack.  A first touch, a generation mismatch or
+        a pack shorter than the scanned frontier (rewritten out of band)
+        rescans from byte 0; otherwise only appended bytes are
+        scanned."""
         try:
             size = os.stat(self._pack_path(shard)).st_size
         except OSError:
@@ -511,53 +470,14 @@ class CampaignStore:
             return None
         generation = self._generation(shard)
         state = self._packs.get(shard)
-        if state is not None and state["generation"] == generation:
-            if size < state["scanned"]:
-                state = None  # rewritten out-of-band: full rescan
-            elif size > state["scanned"]:
-                scanned = state["scanned"]
-                self._scan_pack(shard, state, scanned)
-                if state["scanned"] != scanned:
-                    state["dirty"] = True
-                return state
-            else:
-                state["size"] = size
-                return state
-        state = self._fresh_state(generation)
-        sidecar = self._load_pack_index(shard, generation, size)
-        if sidecar is not None:
-            state["offsets"] = {
-                key: (int(span[0]), int(span[1]))
-                for key, span in sidecar["offsets"].items()}
-            state["scanned"] = state["size"] = sidecar["pack_size"]
-            state["dead"] = int(sidecar.get("dead", 0))
-        if state["scanned"] < size:
-            if state["scanned"] == 0:
-                self.index_rebuilds += 1  # a full scan is the rebuild
+        if (state is None or state["generation"] != generation
+                or size < state["scanned"]):
+            state = self._packs[shard] = self._fresh_state(generation)
+        if size > state["scanned"]:
             self._scan_pack(shard, state, state["scanned"])
-            state["dirty"] = True
-        self._packs[shard] = state
+        else:
+            state["size"] = size
         return state
-
-    def _flush_pack_index(self, shard: str, state: dict) -> None:
-        """Persist a dirty shard's offsets (once per batch read, not
-        once per write) so later handles skip the scan."""
-        if not state["dirty"]:
-            return
-        index = {"index_format": INDEX_FORMAT,
-                 "store_format": STORE_FORMAT,
-                 "layout": "packed",
-                 "generation": state["generation"],
-                 "pack_size": state["scanned"],
-                 "dead": state["dead"],
-                 "offsets": state["offsets"]}
-        try:
-            # One-shot dumps runs the C encoder; json.dump would not.
-            _atomic_write(self._index_path(shard),
-                          json.dumps(index, sort_keys=True).encode("ascii"))
-        except OSError:
-            return  # an unwritable index is a perf loss, not an error
-        state["dirty"] = False
 
     # -- reads -----------------------------------------------------------------
 
@@ -575,8 +495,8 @@ class CampaignStore:
         """Batch lookup: decoded payloads for every key that hits.
 
         Keys are grouped by shard; each touched shard reconciles its
-        offset map once (sidecar index, then a scan of any bytes
-        appended since) and resolves its keys from the pack.  Keys
+        offset map once (a full scan on first touch, else a scan of any
+        bytes appended since) and resolves its keys from the pack.  Keys
         absent from the result are misses.  Unreadable packs count as
         ``invalid`` misses; records whose *content* is bad (torn JSON,
         wrong format or key, no completeness marker, undecodable
@@ -590,11 +510,7 @@ class CampaignStore:
         for key in keys:
             by_shard.setdefault(key[:2], []).append(key)
         for shard, shard_keys in by_shard.items():
-            state = self._ensure_shard(shard)
-            if state is None:
-                state = self._fresh_state(0)
-            else:
-                self._flush_pack_index(shard, state)
+            state = self._ensure_shard(shard) or self._fresh_state(0)
             self._resolve_shard(shard, state, shard_keys, decode, out)
         return out
 
@@ -702,7 +618,6 @@ class CampaignStore:
         span = state["offsets"].pop(key, None)
         if span is not None:
             state["dead"] += span[1]
-        state["dirty"] = True
 
     # -- writes ----------------------------------------------------------------
 
@@ -775,7 +690,6 @@ class CampaignStore:
             # Foreign bytes precede the record: the next read's
             # reconcile scans them (and re-finds this record).
             state["size"] = state["scanned"]
-        state["dirty"] = True
         self.stats.stores += 1
 
     def _faulted_write(self, key: str, spec, payload: Any) -> None:
@@ -827,7 +741,7 @@ class CampaignStore:
         so surviving records stay byte-identical); returns
         ``(old_size, new_size)``.  An empty keep-set unlinks the pack.
         The rewrite is atomic (temp + replace) and bumps the shard
-        generation so every sidecar and foreign handle rescans."""
+        generation so every foreign handle rescans."""
         path = self._pack_path(shard)
         old_size = state["size"]
         if not keys:
@@ -851,9 +765,7 @@ class CampaignStore:
         _atomic_write(Path(path), b"".join(slices))
         new_state["generation"] = self._bump_generation(shard)
         new_state["scanned"] = new_state["size"] = offset
-        new_state["dirty"] = True
         self._packs[shard] = new_state
-        self._flush_pack_index(shard, new_state)
         return old_size, offset
 
     def gc(self, live_keys: "Iterable[str]",
@@ -867,11 +779,12 @@ class CampaignStore:
         and each
         pack is *rewritten* keeping only live records (byte-identical
         slices); a shard whose records are all live and dead-byte-free
-        is left untouched.  Stale ``.tmp-*`` droppings go, and so do
-        sidecars that can no longer be served (their pack is gone, or
-        they are stale, corrupt, or in another layout's shape).  What
-        the retired one-file-per-entry layout left behind is reclaimed
-        too: ``<xx>/<key>.json`` entries (counted as removed) and their
+        is left untouched.  Stale ``.tmp-*`` droppings go, and so does
+        everything in ``.index/`` but the generation counter of an
+        existing pack: offset sidecars older versions wrote, crashed
+        writers' temp files, counters whose pack is gone.  What the
+        retired one-file-per-entry layout left behind is reclaimed too:
+        ``<xx>/<key>.json`` entries (counted as removed) and their
         ``.tmp-*`` files.  ``.quarantine`` and ``.journal`` survive:
         quarantined evidence and resume state are not cache entries.
         Run it offline: a writer racing the sweep would only lose cache
@@ -881,8 +794,8 @@ class CampaignStore:
         anything: a rewrite emits exactly the live slices, so the
         reclaimable bytes of an unclean shard are computable as
         ``current pack size - live slice bytes`` up front.  The only
-        divergence from a real sweep is sidecars of packs the sweep
-        *would have* emptied — counted by the real pass only.
+        divergence from a real sweep is the generation counters of packs
+        the sweep *would have* emptied — counted by the real pass only.
         """
         live = set(live_keys)
         stats = GCStats()
@@ -917,24 +830,19 @@ class CampaignStore:
         if index_dir.is_dir():
             for index_file in sorted(index_dir.iterdir()):
                 shard, _, suffix = index_file.name.partition(".")
-                if not shard:  # a crashed index writer's temp file
-                    self._sweep_file(index_file, stats, dry_run)
+                if not index_file.is_file() or (
+                        suffix == "gen"
+                        and os.path.isfile(self._pack_path(shard))):
+                    continue
+                self._sweep_file(index_file, stats, dry_run)
+                if not shard:  # a crashed writer's temp file
                     stats.removed_tmp += 1
-                elif not os.path.isfile(self._pack_path(shard)) or (
-                        suffix == "json" and not self._sidecar_usable(shard)):
-                    self._sweep_file(index_file, stats, dry_run)
-                    stats.removed_index += 1
             if not dry_run:
                 try:
                     index_dir.rmdir()  # only succeeds when emptied
                 except OSError:
                     pass
         return stats
-
-    def _sidecar_usable(self, shard: str) -> bool:
-        state = self._ensure_shard(shard)
-        return state is not None and self._load_pack_index(
-            shard, state["generation"], state["size"]) is not None
 
     @staticmethod
     def _sweep_file(path: Path, stats: GCStats, dry_run: bool) -> None:

@@ -10,7 +10,6 @@ web results deviate from lab results exactly as the paper observes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -21,8 +20,6 @@ from ..simnet.addr import Family
 from ..simnet.netem import NetemRule, NetemSpec
 from .ladder import cad_interval_from_outcomes
 from .server import WebToolDeployment
-
-_session_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -91,30 +88,31 @@ class SessionResult:
 
 
 class WebToolSession:
-    """Drives one browser through the ladder."""
+    """Drives one browser through the ladder.
+
+    ``session_index`` names the session within its deployment: it
+    feeds the session's RNG and host name, so results are a pure
+    function of the caller's configuration, never of how many sessions
+    the process built before.
+    """
 
     def __init__(self, deployment: WebToolDeployment,
                  profile: ClientProfile,
                  os_name: Optional[str] = None,
                  repetition: int = 0,
                  conditions: Optional[NetworkConditions] = None,
-                 session_index: Optional[int] = None) -> None:
+                 *, session_index: int) -> None:
         self.deployment = deployment
         self.profile = profile
         self.os_name = os_name or profile.os_hint
         self.repetition = repetition
         self.conditions = conditions or NetworkConditions.residential()
-        # An explicit index makes the session independent of global
-        # construction order — campaigns pass one so results are a
-        # pure function of their configuration, not process history.
-        index = (session_index if session_index is not None
-                 else next(_session_counter))
         self.host = deployment.attach_browser_host(
-            f"{index}-{profile.name.lower().replace(' ', '')}")
+            f"{session_index}-{profile.name.lower().replace(' ', '')}")
         self._apply_conditions()
         self._rng = deployment.sim.derive_rng(
             f"web-session:{profile.full_name}:{self.os_name}:"
-            f"{repetition}:{index}")
+            f"{repetition}:{session_index}")
         self.history = HistoryStore()
         self.client = Client(self.host, profile,
                              [deployment.dns_address],

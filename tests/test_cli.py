@@ -449,10 +449,8 @@ class TestCliCacheGC:
         packs = {f"{shard}.pack" for shard in CampaignStore(legacy).shards()}
         assert {path.name for path in legacy.iterdir()} - packs <= {
             ".journal", ".quarantine", ".index"}
-        # What planning left in .index are the packs' own offset indexes.
-        for sidecar in (legacy / ".index").glob("*"):
-            assert f"{sidecar.stem}.pack" in packs
-            assert json.loads(sidecar.read_text())["layout"] == "packed"
+        # The legacy offset sidecars are gone; packs have none.
+        assert not list(legacy.glob(".index/*.json"))
         assert evidence.read_text() == "{ not json"
         assert main(["--cache-dir", str(legacy), *argv]) == 0
         assert "[cache] hits=34 misses=0 " in capsys.readouterr().out

@@ -1,5 +1,5 @@
-"""The packed per-shard store: round-trip, torn tails, gc, sidecars,
-concurrent writers."""
+"""The packed per-shard store: round-trip, torn tails, gc, foreign
+appends, concurrent writers."""
 
 import json
 import multiprocessing
@@ -185,8 +185,8 @@ class TestPackedGC:
         assert len(fresh.get_many(keys, decode_record)) == len(keys)
         # Accounting matches the later real sweep: a rewrite emits
         # exactly the live slices, so the dry-run estimate covers the
-        # pack bytes exactly; sidecars of packs the real sweep
-        # *empties* are a few extra real-only bytes.
+        # pack bytes exactly; generation counters of packs the real
+        # sweep *empties* are a few extra real-only bytes.
         real = store.gc(live)
         assert (dry.kept, dry.kept_bytes) == (real.kept, real.kept_bytes)
         assert dry.removed == real.removed == len(dead)
@@ -194,45 +194,18 @@ class TestPackedGC:
         assert indexed(PackedCampaignStore(tmp_path)) == set(live)
 
 
-class TestPackedSidecars:
-    def test_sidecar_skips_rescan(self, tmp_path):
-        store = PackedCampaignStore(tmp_path)
-        small_runner().run(Session(store=store))
-        keys = [key for key, _ in store.entries()]
-        # Like the per-file store, dirty sidecars flush on the next
-        # batch read, not once per put.
-        store.get_many(keys, decode_record)
-        assert list(tmp_path.glob(".index/*.json"))
-        warm = PackedCampaignStore(tmp_path)
-        warm.get_many(keys, decode_record)
-        assert warm.index_rebuilds == 0
-
+class TestPackedScan:
     def test_foreign_write_forces_rescan(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
         key1, key2 = "ab" * 32, "ab" + "11" * 31
         store.put(key1, {"v": 1})
-        # A writer that never updates the sidecar (foreign process).
+        # Another process appends behind this handle's back.
         line = json.dumps({"complete": True, "format": 2, "key": key2,
                            "payload": {"v": 2}}, sort_keys=True) + "\n"
         with (tmp_path / "ab.pack").open("ab") as fh:
             fh.write(line.encode("ascii"))
         fresh = PackedCampaignStore(tmp_path)
         assert get_one(fresh, key2, lambda p: p["v"]) == 2
-
-    def test_flushed_sidecar_is_canonical_json(self, tmp_path):
-        """The sidecar goes out through the one-shot C encoder: its
-        bytes equal ``json.dumps(index, sort_keys=True)``."""
-        store = CampaignStore(tmp_path)
-        keys = ["ab" + format(i, "02x") * 31 for i in range(5)]
-        for i, key in enumerate(keys):
-            store.put(key, {"v": i, "text": "caf\u00e9"})
-        store.put(keys[0], {"v": 10})  # dead bytes in the stamp too
-        assert len(store.get_many(keys, lambda p: p)) == len(keys)
-        text = (tmp_path / ".index" / "ab.json").read_text(encoding="ascii")
-        index = json.loads(text)
-        assert text == json.dumps(index, sort_keys=True)
-        assert index["layout"] == "packed" and index["dead"] > 0
-        assert set(index["offsets"]) == set(keys)
 
 
 def _payload(writer: str, key: str, version: int) -> dict:

@@ -1,5 +1,8 @@
 """Tests for the web-based testing tool."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.clients import get_profile
@@ -51,7 +54,8 @@ class TestSessions:
         deployment = WebToolDeployment(seed=31)
         session = WebToolSession(deployment,
                                  get_profile("Chrome", "130.0"),
-                                 conditions=NetworkConditions.lab_like())
+                                 conditions=NetworkConditions.lab_like(),
+                                 session_index=1)
         result = session.run()
         low, high = result.cad_interval()
         # CAD 300 ms: last IPv6 at 250/300, first IPv4 at 300/350.
@@ -63,7 +67,8 @@ class TestSessions:
         deployment = WebToolDeployment(seed=32)
         session = WebToolSession(deployment,
                                  get_profile("curl", "7.88.1"),
-                                 conditions=NetworkConditions.lab_like())
+                                 conditions=NetworkConditions.lab_like(),
+                                 session_index=2)
         result = session.run()
         zero_step = [o for o in result.outcomes if o.delay_ms == 0][0]
         assert zero_step.used_family is Family.V6
@@ -76,7 +81,8 @@ class TestSessions:
         for repetition in range(6):
             session = WebToolSession(deployment,
                                      get_profile("Safari", "17.6"),
-                                     repetition=repetition)
+                                     repetition=repetition,
+                                     session_index=3 + repetition)
             intervals.add(session.run().cad_interval())
         # Dynamic CAD: the interval moves between sessions.
         assert len(intervals) >= 3
@@ -85,10 +91,23 @@ class TestSessions:
         deployment = WebToolDeployment(seed=34)
         session = WebToolSession(deployment,
                                  get_profile("Chrome", "130.0"),
-                                 conditions=NetworkConditions.lab_like())
+                                 conditions=NetworkConditions.lab_like(),
+                                 session_index=9)
         text = render_session_ladder(session.run())
         assert "IPv6" in text and "IPv4" in text
         assert "CAD in" in text
+
+
+    def test_example_output_is_stable_within_a_process(self, capsys):
+        """A session's ladder depends on its configuration only, not on
+        how many sessions the process built before."""
+        example = (Path(__file__).resolve().parents[2] / "examples"
+                   / "webtool_session.py")
+        main = runpy.run_path(str(example))["main"]
+        main()
+        first = capsys.readouterr().out
+        main()
+        assert capsys.readouterr().out == first
 
 
 class TestCampaign:
