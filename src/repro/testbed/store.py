@@ -161,40 +161,56 @@ def encode_record(record: "RunRecord") -> dict:
     }
 
 
+#: Enum members by their encoded form, built once: a dict lookup is
+#: cheaper than an enum call, and an unknown value still raises
+#: (``KeyError``), so the entry reads as invalid.
+_KINDS = {kind.value: kind for kind in TestCaseKind}
+_FAMILIES = dict(Family.__members__)
+_OPT_FAMILIES: "Dict[Optional[str], Optional[Family]]" = {
+    **_FAMILIES, None: None}
+_OPT_PROTOCOLS: "Dict[Optional[str], Optional[Protocol]]" = {
+    None: None, **{protocol.value: protocol for protocol in Protocol}}
+
+#: :class:`~repro.testbed.runner.RunRecord`, resolved on the first
+#: decode: the runner imports this module, so it cannot be imported
+#: at load time.
+_RunRecord: "Optional[type]" = None
+
+
 def decode_record(data: dict) -> "RunRecord":
     """Rebuild a :class:`RunRecord`; raises on any malformed entry."""
-    from .runner import RunRecord
-
-    def opt_float(value: Any) -> Optional[float]:
-        return None if value is None else float(value)
-
-    return RunRecord(
-        case=data["case"],
-        kind=TestCaseKind(data["kind"]),
-        client=data["client"],
-        value_ms=int(data["value_ms"]),
-        repetition=int(data["repetition"]),
-        completed=bool(data["completed"]),
-        error=data["error"],
-        winning_family=(Family[data["winning_family"]]
-                        if data["winning_family"] is not None else None),
-        winning_protocol=(Protocol(data["winning_protocol"])
-                          if data.get("winning_protocol") is not None
-                          else None),
-        cad_s=opt_float(data["cad_s"]),
-        rd_s=opt_float(data["rd_s"]),
-        time_to_first_attempt_s=opt_float(data["time_to_first_attempt_s"]),
-        aaaa_first=data["aaaa_first"],
-        queried_https=bool(data.get("queried_https", False)),
-        attempts=[(float(timestamp), Family[family])
-                  for timestamp, family in data["attempts"]],
-        attempts_v4=int(data["attempts_v4"]),
-        attempts_v6=int(data["attempts_v6"]),
-        attempts_quic=int(data.get("attempts_quic", 0)),
-        first_attempt_port=(int(data["first_attempt_port"])
-                            if data.get("first_attempt_port") is not None
-                            else None),
-        duration_s=opt_float(data["duration_s"]),
+    global _RunRecord
+    if _RunRecord is None:
+        from .runner import RunRecord as _RunRecord
+    get = data.get
+    cad_s = data["cad_s"]
+    rd_s = data["rd_s"]
+    first_s = data["time_to_first_attempt_s"]
+    duration_s = data["duration_s"]
+    port = get("first_attempt_port")
+    # Positional, in RunRecord's field order.
+    return _RunRecord(
+        data["case"],
+        _KINDS[data["kind"]],
+        data["client"],
+        int(data["value_ms"]),
+        int(data["repetition"]),
+        bool(data["completed"]),
+        data["error"],
+        _OPT_FAMILIES[data["winning_family"]],
+        _OPT_PROTOCOLS[get("winning_protocol")],
+        None if cad_s is None else float(cad_s),
+        None if rd_s is None else float(rd_s),
+        None if first_s is None else float(first_s),
+        data["aaaa_first"],
+        bool(get("queried_https", False)),
+        [(float(timestamp), _FAMILIES[family])
+         for timestamp, family in data["attempts"]],
+        int(data["attempts_v4"]),
+        int(data["attempts_v6"]),
+        int(get("attempts_quic", 0)),
+        None if port is None else int(port),
+        None if duration_s is None else float(duration_s),
     )
 
 
@@ -244,6 +260,9 @@ class GCStats:
 #: a bounded prefix keeps the scan O(entries), not O(bytes).
 _PACK_KEY_RE = re.compile(rb'"key": "([0-9a-f]{64})"')
 _PACK_KEY_WINDOW = 160
+
+#: A shard's generation counter in ``.index/``: ``<xx>.gen``.
+_GENERATION_NAME_RE = re.compile(r"[0-9a-f]{2}\.gen")
 
 _INVALID = object()  # "bytes present but not a valid entry"
 
@@ -780,22 +799,23 @@ class CampaignStore:
         pack is *rewritten* keeping only live records (byte-identical
         slices); a shard whose records are all live and dead-byte-free
         is left untouched.  Stale ``.tmp-*`` droppings go, and so does
-        everything in ``.index/`` but the generation counter of an
-        existing pack: offset sidecars older versions wrote, crashed
-        writers' temp files, counters whose pack is gone.  What the
-        retired one-file-per-entry layout left behind is reclaimed too:
-        ``<xx>/<key>.json`` entries (counted as removed) and their
-        ``.tmp-*`` files.  ``.quarantine`` and ``.journal`` survive:
-        quarantined evidence and resume state are not cache entries.
+        everything in ``.index/`` but the generation counters: offset
+        sidecars older versions wrote, crashed writers' temp files.
+        Every shard's counter stays, its pack gone or not (at most 256
+        small files): a counter that restarted at 0 would let a handle
+        holding the shard's old map trust its stale frontier once a new
+        pack appears.  What the retired one-file-per-entry layout left
+        behind is reclaimed too: ``<xx>/<key>.json`` entries (counted as
+        removed) and their ``.tmp-*`` files.  ``.quarantine`` and
+        ``.journal`` survive: quarantined evidence and resume state are
+        not cache entries.
         Run it offline: a writer racing the sweep would only lose cache
         entries (and re-execute), never correctness.
 
         ``dry_run=True`` returns the same accounting without touching
         anything: a rewrite emits exactly the live slices, so the
         reclaimable bytes of an unclean shard are computable as
-        ``current pack size - live slice bytes`` up front.  The only
-        divergence from a real sweep is the generation counters of packs
-        the sweep *would have* emptied — counted by the real pass only.
+        ``current pack size - live slice bytes`` up front.
         """
         live = set(live_keys)
         stats = GCStats()
@@ -829,13 +849,11 @@ class CampaignStore:
         index_dir = self.root / ".index"
         if index_dir.is_dir():
             for index_file in sorted(index_dir.iterdir()):
-                shard, _, suffix = index_file.name.partition(".")
-                if not index_file.is_file() or (
-                        suffix == "gen"
-                        and os.path.isfile(self._pack_path(shard))):
+                if (not index_file.is_file()
+                        or _GENERATION_NAME_RE.fullmatch(index_file.name)):
                     continue
                 self._sweep_file(index_file, stats, dry_run)
-                if not shard:  # a crashed writer's temp file
+                if index_file.name.startswith("."):  # a writer's temp file
                     stats.removed_tmp += 1
             if not dry_run:
                 try:

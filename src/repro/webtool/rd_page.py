@@ -14,7 +14,6 @@ for the full injected delay.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -29,8 +28,6 @@ from .session import NetworkConditions
 #: AAAA delays probed by the RD page (ms).
 RD_DELAY_STEPS_MS: Tuple[int, ...] = (0, 25, 50, 100, 250, 500, 1000,
                                       2000)
-
-_rd_counter = itertools.count(1)
 
 
 @dataclass
@@ -74,17 +71,23 @@ class RDSessionResult:
 
 
 class RDWebSession:
-    """Runs the RD test page once for one browser."""
+    """Runs the RD test page once for one browser.
+
+    ``session_index`` names the session within its deployment: it
+    feeds the session's RNG and host name, so results are a pure
+    function of the caller's configuration, never of how many sessions
+    the process built before.
+    """
 
     def __init__(self, deployment: WebToolDeployment,
                  profile: ClientProfile,
                  conditions: Optional[NetworkConditions] = None,
-                 delays_ms: Tuple[int, ...] = RD_DELAY_STEPS_MS) -> None:
+                 delays_ms: Tuple[int, ...] = RD_DELAY_STEPS_MS,
+                 *, session_index: int) -> None:
         self.deployment = deployment
         self.profile = profile
         self.delays_ms = delays_ms
-        index = next(_rd_counter)
-        self.host = deployment.attach_browser_host(f"rd{index}")
+        self.host = deployment.attach_browser_host(f"rd{session_index}")
         conditions = conditions or NetworkConditions.lab_like()
         iface = next(iter(self.host.interfaces.values()))
         from ..simnet.netem import NetemRule, NetemSpec
@@ -95,7 +98,7 @@ class RDWebSession:
                            loss=conditions.loss),
             name="access-network"))
         self._rng = deployment.sim.derive_rng(
-            f"rd-session:{profile.full_name}:{index}")
+            f"rd-session:{profile.full_name}:{session_index}")
         self.client = Client(self.host, profile,
                              [deployment.dns_address])
 

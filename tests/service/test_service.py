@@ -1,6 +1,8 @@
 """CampaignService: stampedes, coalescing, byte-identity, HTTP."""
 
+import http.client
 import json
+import socket
 import threading
 from typing import NamedTuple
 
@@ -9,7 +11,8 @@ import pytest
 from repro.experiments.base import Artifact, Experiment, Knob, Session, \
     knob_mapping
 from repro.service import AdmissionError, CampaignService
-from repro.service.http import CampaignServiceServer, submit_request
+from repro.service.http import CampaignServiceServer, \
+    ServiceRequestHandler, submit_request
 from repro.testbed.parallel import Plan
 from repro.testbed.store import config_digest
 
@@ -285,6 +288,89 @@ class TestHTTP:
         finally:
             server.shutdown()
             service.close()
+
+
+# -- the reply path ------------------------------------------------------------
+#
+# A reply written as head then body leaves the body behind Nagle's
+# algorithm until the client's delayed ACK of the head, about 40 ms on
+# every request.  The handler below counts the writes each reply takes
+# and reads the accepted socket's TCP_NODELAY, over one keep-alive
+# connection, for every route and error status the service sends.
+
+
+class _CountingWriter:
+    """Forwards writes to the handler's ``wfile`` and records each."""
+
+    def __init__(self, inner, writes):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def recorded(tmp_path):
+    """A served throwaway experiment whose handler records every
+    socket write and each accepted socket's ``TCP_NODELAY``."""
+    writes, nodelay = [], []
+
+    class RecordingHandler(ServiceRequestHandler):
+        def setup(self):
+            super().setup()
+            nodelay.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            self.wfile = _CountingWriter(self.wfile, writes)
+
+    service, _ = make_service(tmp_path)
+    server = CampaignServiceServer(service, port=0)
+    server.RequestHandlerClass = RecordingHandler
+    host, port = server.address
+    server.serve_background()
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        yield connection, writes, nodelay
+    finally:
+        connection.close()
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+REQUESTS = (
+    ("POST", "/submit", {"experiment": "grid", "knobs": {"width": 3}}, 200),
+    ("GET", "/health", None, 200),
+    ("GET", "/stats", None, 200),
+    ("GET", "/nonesuch", None, 404),
+    ("POST", "/submit", ["not", "an", "object"], 400),
+)
+
+
+def test_every_reply_is_one_write_on_a_nodelay_socket(recorded):
+    connection, writes, nodelay = recorded
+    for method, path, body, status in REQUESTS:
+        before = len(writes)
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        connection.request(method, path, body=data,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        payload = response.read()
+        assert response.status == status, (path, payload)
+        assert json.loads(payload)["ok"] is (status == 200)
+        # Exactly one write, and it is the whole reply: status line,
+        # headers, blank line and body.
+        assert len(writes) == before + 1, (path, writes[before:])
+        head, _, sent_body = writes[-1].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert sent_body == payload
+    # One keep-alive connection, accepted with TCP_NODELAY, served
+    # all five replies.
+    assert len(nodelay) == 1 and nodelay[0], nodelay
 
 
 class CountingGrid(GridExperiment):

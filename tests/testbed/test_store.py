@@ -363,8 +363,10 @@ class TestStoreGC:
         assert stats.removed == len(live)
         assert stats.kept == 0
         assert list(store.entries()) == []
-        # Emptied packs (and their generation counters) are pruned.
-        assert not list(store.root.iterdir())
+        # Emptied packs are pruned; only their generation counters stay.
+        assert [path.name for path in store.root.iterdir()] == [".index"]
+        assert all(path.suffix == ".gen"
+                   for path in (store.root / ".index").iterdir())
 
     def test_gc_sweeps_stale_tmp_files(self, tmp_path):
         store, live = self.populate(tmp_path)
@@ -578,6 +580,23 @@ class TestCorruptEntries:
         assert warm == cold
         assert warm_store.stats.invalid == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "no-such-kind"), ("winning_protocol", "sctp"),
+        ("attempts", [[0.0, "V9"]])])
+    def test_unknown_enum_value_is_quarantined(self, tmp_path, field,
+                                               value):
+        cold = self.populate(tmp_path)
+        key = first_key(tmp_path)
+        bad = tamper(tmp_path, key, edit_entry(
+            lambda data: data["payload"].update({field: value})))
+        warm_store = CampaignStore(tmp_path)
+        warm = small_runner().run(Session(store=warm_store))
+        assert warm == cold
+        assert warm_store.stats.invalid == 1
+        assert warm_store.stats.quarantined == 1
+        moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"
+        assert moved.read_bytes() == bad + b"\n"
+
     def test_undecodable_payload_is_invalid(self, tmp_path):
         cold = self.populate(tmp_path)
         tamper(tmp_path, first_key(tmp_path), edit_entry(
@@ -586,6 +605,7 @@ class TestCorruptEntries:
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
         assert warm_store.stats.invalid == 1
+        assert warm_store.stats.quarantined == 1
 
 
 class TestQuarantine:

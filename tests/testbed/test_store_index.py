@@ -326,9 +326,9 @@ class TestOffsetMap:
         assert stats.removed_tmp == 1
         assert not orphan.exists()
 
-    def test_gc_keeps_only_counters_of_live_packs(self, tmp_path):
-        """A rewritten pack keeps its bumped counter; the counter of a
-        pack the sweep emptied goes, with the pack."""
+    def test_gc_keeps_every_shard_counter(self, tmp_path):
+        """A rewritten pack keeps its bumped counter, and so does a pack
+        the sweep emptied: the pack goes, its generation stays."""
         keys = populate(tmp_path)
         swept_shard = keys[0][:2]
         evicted = [key for key in keys if key[:2] == swept_shard]
@@ -341,12 +341,32 @@ class TestOffsetMap:
         assert not (tmp_path / f"{swept_shard}.pack").exists()
         assert sorted(path.name for path in
                       (tmp_path / ".index").iterdir()) \
-            == [f"{rewritten[:2]}.gen"]
+            == sorted([f"{rewritten[:2]}.gen", f"{swept_shard}.gen"])
+        assert (tmp_path / ".index" / f"{swept_shard}.gen").read_text() \
+            == "1"
         # Surviving keys still resolve; the evicted ones are misses.
         warm = CampaignStore(tmp_path)
         got = warm.get_many(keys, decode_record)
         assert set(got) == set(keys) - set(evicted)
         assert warm.stats.misses == len(evicted)
+
+    def test_holder_rescans_a_pack_recreated_after_gc(self, tmp_path):
+        """A handle holds a shard's map; gc empties the shard and
+        another handle appends a longer record to the recreated pack.
+        The kept counter tells the holder its map is stale: it hits the
+        new record and quarantines nothing."""
+        old_key, new_key = "ab0" + "0" * 61, "ab1" + "1" * 61
+        new_payload = {"value": 2, "padding": "x" * 64}
+        CampaignStore(tmp_path).put(old_key, {"value": 1})
+        holder = CampaignStore(tmp_path)
+        assert get_one(holder, old_key, lambda p: p) == {"value": 1}
+        CampaignStore(tmp_path).gc([])
+        assert not (tmp_path / "ab.pack").exists()
+        CampaignStore(tmp_path).put(new_key, new_payload)
+        got = holder.get_many([old_key, new_key], lambda p: p)
+        assert got == {new_key: new_payload}
+        assert (holder.stats.invalid, holder.stats.quarantined) == (0, 0)
+        assert not (tmp_path / ".quarantine").exists()
 
 
 class TestRunnerBatchPath:

@@ -4,18 +4,38 @@ import pytest
 
 from repro.clients import get_profile
 from repro.simnet import Family
-from repro.webtool import (RDWebSession, WebToolDeployment,
-                           render_rd_session)
+from repro.webtool import (NetworkConditions, RDWebSession,
+                           WebToolDeployment, render_rd_session)
 
 
 @pytest.fixture(scope="module")
 def sessions():
     deployment = WebToolDeployment(seed=45)
     safari = RDWebSession(deployment, get_profile("Safari", "17.6"),
-                          delays_ms=(0, 25, 100, 500, 1000)).run()
+                          delays_ms=(0, 25, 100, 500, 1000),
+                          session_index=1).run()
     chrome = RDWebSession(deployment, get_profile("Chrome", "130.0"),
-                          delays_ms=(0, 25, 100, 500, 1000)).run()
+                          delays_ms=(0, 25, 100, 500, 1000),
+                          session_index=2).run()
     return safari, chrome
+
+
+def residential_chrome_sessions():
+    """Three Chrome RD sessions on one residential deployment."""
+    deployment = WebToolDeployment(seed=41)
+    return [RDWebSession(deployment, get_profile("Chrome", "130.0"),
+                         NetworkConditions.residential(),
+                         session_index=index).run().outcomes
+            for index in range(3)]
+
+
+def test_sessions_are_identical_within_a_process():
+    """A session's outcomes depend on its index, not on how many
+    sessions the process built before."""
+    first = residential_chrome_sessions()
+    assert all(outcome.fetch_time_s is not None
+               for outcomes in first for outcome in outcomes)
+    assert residential_chrome_sessions() == first
 
 
 class TestRDPage:
