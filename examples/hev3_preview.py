@@ -10,7 +10,7 @@ QUIC is blackholed (e.g. UDP-hostile middleboxes).
 Run:  python examples/hev3_preview.py
 """
 
-from repro.core import hev3_draft_params
+from repro.core import hev3_draft_stack
 from repro.core.engine import HappyEyeballsEngine
 from repro.dns import DNSName, HTTPS
 from repro.dns.stub import StubResolver
@@ -33,7 +33,7 @@ def connect_once(quic_healthy: bool):
     stub = StubResolver(testbed.client, testbed.resolver_addresses[:1],
                         timeout=3600.0, retries=0)
     engine = HappyEyeballsEngine(testbed.client, stub,
-                                 hev3_draft_params())
+                                 hev3_draft_stack())
     result = testbed.sim.run_until(
         engine.connect(f"www.{testbed.test_domain}"))
     return result

@@ -9,10 +9,10 @@ client-side packet capture (what the testbed's inference reads).
 Run:  python examples/quickstart.py
 """
 
-from repro.core import rfc8305_params
+from repro.core import rfc8305_stack
 from repro.core.engine import HappyEyeballsEngine
 from repro.dns.stub import StubResolver
-from repro.testbed import infer_cad
+from repro.testbed import CaptureObservation
 from repro.testbed.topology import LocalTestbed
 
 
@@ -26,7 +26,7 @@ def main() -> None:
     # -- an RFC 8305 client on the client node ------------------------------
     stub = StubResolver(testbed.client, testbed.resolver_addresses[:1],
                         timeout=3600.0, retries=0)
-    engine = HappyEyeballsEngine(testbed.client, stub, rfc8305_params())
+    engine = HappyEyeballsEngine(testbed.client, stub, rfc8305_stack())
 
     capture = testbed.start_client_capture()
     process = engine.connect("www.he-test.example", port=80)
@@ -46,7 +46,7 @@ def main() -> None:
     print()
     print("=" * 72)
     winner = result.winning_family
-    cad = infer_cad(capture)
+    cad = CaptureObservation(capture, decode_dns=False).cad
     print(f"winner            : {winner.label} "
           f"({result.race.winning_attempt.candidate.address})")
     print(f"time to connect   : {result.time_to_connect * 1000:.1f} ms")

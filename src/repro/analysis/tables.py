@@ -14,7 +14,7 @@ from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import table2_clients
-from ..core.params import (HEParams, RFC_PARAMETER_SETS)
+from ..core.policy import RFC_PARAMETER_SETS, PolicyStack
 from ..experiments.base import Session
 from ..simnet.addr import Family
 from ..testbed.config import (SweepSpec, TestCaseConfig, TestCaseKind,
@@ -38,45 +38,47 @@ def table1_parameters() -> "Tuple[List[str], List[List[str]]]":
     headers = ["Parameter", "HEv1 (2012)", "HEv2 (2017)",
                "HEv3 (2025-ongoing)"]
 
-    def rd(params: HEParams) -> str:
-        if (params.resolution_delay is None
-                or params.resolution_policy.name != "HE_V2"):
+    def rd(stack: PolicyStack) -> str:
+        resolution = stack.resolution
+        if (resolution.resolution_delay is None
+                or resolution.mode.name != "HE_V2"):
             return "-"
-        return f"{params.resolution_delay * 1000:.0f} ms"
+        return f"{resolution.resolution_delay * 1000:.0f} ms"
 
-    def protocols(params: HEParams) -> str:
+    def protocols(stack: PolicyStack) -> str:
         base = "IPv4, IPv6"
-        if params.version.name != "V1":
+        if stack.version.name != "V1":
             base += ", DNS"
-        if params.race_quic:
+        if stack.racing.race_quic:
             base += ", QUIC"
         return base
 
-    def records(params: HEParams) -> str:
-        if params.version.name == "V1":
+    def records(stack: PolicyStack) -> str:
+        if stack.version.name == "V1":
             return "-"
-        if params.use_svcb:
+        if stack.resolution.use_svcb:
             return "SVCB, HTTPS, AAAA, A"
         return "AAAA, A"
 
-    def selection(params: HEParams) -> str:
-        if params.interlace.name == "SEQUENTIAL":
+    def selection(stack: PolicyStack) -> str:
+        if stack.sorting.interlace.name == "SEQUENTIAL":
             return "IPv6 once, then IPv4"
-        if params.race_quic:
+        if stack.racing.race_quic:
             return "alternating IP family and L4 protocol"
         return "alternating IP family"
 
-    def fixed_cad(params: HEParams) -> str:
-        if params.version.name == "V1":
+    def fixed_cad(stack: PolicyStack) -> str:
+        if stack.version.name == "V1":
             return "150-250 ms"
-        return f"{params.connection_attempt_delay * 1000:.0f} ms"
+        return f"{stack.racing.connection_attempt_delay * 1000:.0f} ms"
 
-    def dynamic_bounds(params: HEParams) -> str:
-        if params.version.name == "V1":
+    def dynamic_bounds(stack: PolicyStack) -> str:
+        if stack.version.name == "V1":
             return "-"
-        return (f"{params.minimum_cad * 1000:.0f} ms / "
-                f"{params.recommended_cad * 1000:.0f} ms / "
-                f"{params.maximum_cad:.0f} s")
+        racing = stack.racing
+        return (f"{racing.minimum_cad * 1000:.0f} ms / "
+                f"{racing.recommended_cad * 1000:.0f} ms / "
+                f"{racing.maximum_cad:.0f} s")
 
     rows = []
     for label, fn in [("Considered protocols", protocols),
@@ -237,7 +239,7 @@ def table2_features(web_campaign: "Optional[CampaignResult]" = None,
         if (aggregate is not None and profile.supports_web_tests
                 and profile.supports_local_tests):
             local_cad = (row.cad_value_ms if row.cad_value_ms is not None
-                         else (2000.0 if profile.params.dynamic_cad
+                         else (2000.0 if profile.stack.racing.dynamic_cad
                                else None))
             row.consistency = classify_consistency(aggregate, local_cad)
         rows.append(row)

@@ -14,10 +14,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "icpr": ("AKAMAI_EGRESS", "CLOUDFLARE_EGRESS", "EGRESS_OPERATORS",
              "EgressOperatorProfile", "ICPREgressNode", "ICPRRelayClient",
              "ICPRRelayService"),
-    "profile": ("ClientProfile", "SERIAL_CAD", "chromium_params",
-                "chromium_stack", "curl_params", "curl_stack",
-                "gecko_params", "gecko_stack", "hev3_reference_stack",
-                "webkit_params", "webkit_stack", "wget_params", "wget_stack"),
+    "profile": ("ClientProfile", "SERIAL_CAD", "chromium_stack",
+                "curl_stack", "gecko_stack", "hev3_reference_stack",
+                "webkit_stack", "wget_stack"),
     "registry": ("all_profiles", "figure2_clients", "get_profile",
                  "local_testbed_clients", "resolve_profiles",
                  "table2_clients"),

@@ -20,7 +20,9 @@ from typing import Sequence, Union
 
 from ..core.engine import HappyEyeballsEngine
 from ..core.events import HETrace
-from ..core.params import HEParams, InterlaceStrategy, ResolutionPolicy
+from ..core.params import InterlaceStrategy, ResolutionPolicy
+from ..core.policy import (PolicyStack, RacingStage, ResolutionStage,
+                           SortingStage)
 from ..dns.stub import StubResolver
 from ..seeding import stable_run_seed
 from ..simnet.addr import IPAddress
@@ -36,13 +38,14 @@ class EgressOperatorProfile:
     connection_attempt_delay: float
     dns_timeout: float  # applies to both the A and the AAAA query
 
-    def params(self) -> HEParams:
-        return HEParams(
-            connection_attempt_delay=self.connection_attempt_delay,
-            resolution_delay=None,
-            resolution_policy=ResolutionPolicy.WAIT_BOTH,
-            interlace=InterlaceStrategy.SEQUENTIAL,
-            max_attempts_per_family=1,
+    def stack(self) -> PolicyStack:
+        return PolicyStack(
+            resolution=ResolutionStage(mode=ResolutionPolicy.WAIT_BOTH,
+                                       resolution_delay=None),
+            sorting=SortingStage(interlace=InterlaceStrategy.SEQUENTIAL),
+            racing=RacingStage(
+                connection_attempt_delay=self.connection_attempt_delay,
+                max_attempts_per_family=1),
         )
 
 
@@ -73,7 +76,7 @@ class ICPREgressNode:
                                  timeout=operator.dns_timeout, retries=0)
         self.trace = HETrace()
         self.engine = HappyEyeballsEngine(host, self.stub,
-                                          operator.params())
+                                          operator.stack())
         self.connections_proxied = 0
 
     def proxied_fetch(self, hostname: str, port: int = 80) -> Process:
@@ -222,7 +225,7 @@ def measure_egress_dns_timeout(operator: EgressOperatorProfile,
     50 ms resolution delay, which iCPR users therefore lose.
     """
     from ..testbed.topology import LocalTestbed
-    from ..testbed.inference import time_to_first_attempt
+    from ..testbed.inference import CaptureObservation
 
     testbed = LocalTestbed(seed=seed)
     testbed.set_dns_delay(delayed_rtype, injected_delay_s)
@@ -231,6 +234,6 @@ def measure_egress_dns_timeout(operator: EgressOperatorProfile,
                             testbed.resolver_addresses[:1])
     process = egress.proxied_fetch(f"icpr-rd.{testbed.test_domain}")
     testbed.sim.run_until(process)
-    stall = time_to_first_attempt(capture)
+    stall = CaptureObservation(capture).time_to_first_attempt
     assert stall is not None
     return stall

@@ -1,20 +1,20 @@
 """Client behaviour profiles as policy-stack compositions.
 
 A :class:`ClientProfile` is the externally observable fingerprint of
-one client implementation + version.  Since the staged redesign its
-behaviour is declared as a :class:`~repro.core.policy.PolicyStack` —
-resolution, sorting, and racing stages composed per client — while the
-historical flat :class:`~repro.core.params.HEParams` bag survives as a
-derived, byte-identical view (``profile.params``), so everything
-written against the bag (goldens, digests, analysis) is unchanged.
-The registry in :mod:`repro.clients.registry` instantiates one profile
-per client/version measured in the paper; the testbed and web tool
-treat them as black boxes.
+one client implementation + version.  Its behaviour is declared as a
+:class:`~repro.core.policy.PolicyStack` — resolution, sorting, and
+racing stages composed per client — and the stack is its only Happy
+Eyeballs input.  The flat :class:`~repro.core.params.HEParams` record
+(``profile.params``) is derived from the stack and kept only because
+every run's store key renders it.  The registry in
+:mod:`repro.clients.registry` instantiates one profile per
+client/version measured in the paper; the testbed and web tool treat
+them as black boxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..core.params import (HEParams, HEVersion, InterlaceStrategy,
@@ -37,9 +37,10 @@ ENGINE_FAMILIES = ("chromium", "gecko", "webkit", "curl", "wget",
 class ClientProfile:
     """One client implementation/version as a measurable black box.
 
-    Either ``params`` (legacy) or ``stack`` (staged) may be given; the
-    missing form is derived, and when both are given they must agree —
-    the stack is the source of truth, the bag its compatibility view.
+    ``stack`` declares the behaviour.  ``params`` is not an argument:
+    it is set from the stack, and stays a field (in this position)
+    because :func:`~repro.testbed.store.canonical` renders every field
+    into the run keys.
     """
 
     name: str
@@ -47,7 +48,7 @@ class ClientProfile:
     released: str  # "YYYY-MM" as shown on the Figure 2 axis
     engine_family: str  # chromium | gecko | webkit | curl | wget | reference
     kind: str  # browser | mobile-browser | cli
-    params: Optional[HEParams] = None
+    params: HEParams = field(init=False)
     query_first: RdataType = RdataType.AAAA
     implements_happy_eyeballs: bool = True
     outlier_probability: float = 0.0  # Firefox: rare late IPv4 fallback
@@ -57,26 +58,14 @@ class ClientProfile:
     supports_web_tests: bool = True
     os_hint: str = "Linux"
     notes: str = ""
-    stack: Optional[PolicyStack] = None
+    stack: PolicyStack = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.engine_family not in ENGINE_FAMILIES:
             raise ValueError(f"unknown engine family {self.engine_family!r}")
         if not 0.0 <= self.outlier_probability <= 1.0:
             raise ValueError("outlier_probability must be a probability")
-        if self.params is None and self.stack is None:
-            raise ValueError(
-                f"{self.name} {self.version}: a profile needs a policy "
-                "stack (or a legacy HEParams bag)")
-        if self.stack is None:
-            object.__setattr__(self, "stack",
-                               PolicyStack.from_heparams(self.params))
-        elif self.params is None:
-            object.__setattr__(self, "params", self.stack.params())
-        elif self.stack.params() != self.params:
-            raise ValueError(
-                f"{self.name} {self.version}: params and stack disagree "
-                "— drop one (the stack is the source of truth)")
+        object.__setattr__(self, "params", self.stack.params())
 
     @property
     def full_name(self) -> str:
@@ -119,9 +108,8 @@ class ClientProfile:
         return self.stack.resolution.resolution_delay
 
     def with_stack(self, stack: PolicyStack) -> "ClientProfile":
-        """This profile with a replacement policy stack (the derived
-        ``params`` view is recomputed to keep both forms consistent)."""
-        return replace(self, stack=stack, params=stack.params())
+        """This profile with a replacement policy stack."""
+        return replace(self, stack=stack)
 
     def with_hev3_flag(self) -> "ClientProfile":
         """The profile with Chromium's HEv3 feature flag enabled.
@@ -238,27 +226,3 @@ def hev3_reference_stack() -> PolicyStack:
         version=HEVersion.V3,
     )
 
-
-# --------------------------------------------------------------------------
-# legacy HEParams views (compatibility shims over the stacks)
-# --------------------------------------------------------------------------
-
-
-def chromium_params(cad: float = 0.300) -> HEParams:
-    return chromium_stack(cad).params()
-
-
-def gecko_params(cad: float = 0.250) -> HEParams:
-    return gecko_stack(cad).params()
-
-
-def webkit_params(maximum_cad: float = 2.0) -> HEParams:
-    return webkit_stack(maximum_cad).params()
-
-
-def curl_params() -> HEParams:
-    return curl_stack().params()
-
-
-def wget_params() -> HEParams:
-    return wget_stack().params()

@@ -16,10 +16,10 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "interlace": ("apply_interlace", "interlace_first_family_burst",
                   "interlace_rfc8305", "interlace_sequential"),
     "params": ("HEParams", "HEVersion", "InterlaceStrategy",
-               "RFC_PARAMETER_SETS", "ResolutionPolicy", "hev3_draft_params",
-               "rfc6555_params", "rfc8305_params"),
-    "policy": ("PolicyStack", "RacingStage", "ResolutionStage",
-               "SortingStage", "coerce_stack"),
+               "ResolutionPolicy"),
+    "policy": ("PolicyStack", "RFC_PARAMETER_SETS", "RacingStage",
+               "ResolutionStage", "SortingStage", "hev3_draft_stack",
+               "rfc6555_stack", "rfc8305_stack"),
     "racing": ("AllAttemptsFailed", "AttemptOutcome", "AttemptRecord",
                "ConnectionRacer", "NEVER_CAD", "RaceDeadlineExceeded",
                "RaceResult"),

@@ -11,18 +11,16 @@ only carries the host plumbing — caches, tracing, late-answer feeds —
 while every behavioural decision lives in the
 :class:`~repro.core.policy.PolicyStack` stages.
 
-Engines accept either a stack or a legacy
-:class:`~repro.core.params.HEParams` bag (coerced via
-:func:`~repro.core.policy.coerce_stack`); every observable the paper
-measures — query order, RD behaviour, attempt schedule, winner — comes
-out in the :class:`~repro.core.events.HETrace` and the
+The stack is the engine's only configuration; every observable the
+paper measures — query order, RD behaviour, attempt schedule, winner —
+comes out in the :class:`~repro.core.events.HETrace` and the
 :class:`HEResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..simnet.addr import Family, address_str
 from ..simnet.host import Host
@@ -31,8 +29,7 @@ from ..dns.rdata import RdataType
 from ..dns.stub import StubResolver
 from .cache import OutcomeCache
 from .events import HEEventKind, HETrace
-from .params import HEParams
-from .policy import PolicyStack, coerce_stack
+from .policy import PolicyStack
 from .racing import AttemptRecord, ConnectionRacer, RaceResult
 from .resolution import ResolutionOutcome
 from .sortlist import HistoryStore
@@ -86,7 +83,7 @@ class HappyEyeballsEngine:
     """A configurable Happy Eyeballs implementation on one host."""
 
     def __init__(self, host: Host, stub: StubResolver,
-                 params: Union[HEParams, PolicyStack],
+                 stack: PolicyStack,
                  cache: Optional[OutcomeCache] = None,
                  history: Optional[HistoryStore] = None,
                  query_first: RdataType = RdataType.AAAA,
@@ -94,22 +91,13 @@ class HappyEyeballsEngine:
                  overall_deadline: Optional[float] = None) -> None:
         self.host = host
         self.stub = stub
-        self.stack = coerce_stack(params)
+        self.stack = stack
         self.cache = cache if cache is not None else OutcomeCache(
             ttl=self.stack.racing.outcome_cache_ttl)
         self.history = history
         self.query_first = query_first
         self.attempt_timeout = attempt_timeout
         self.overall_deadline = overall_deadline
-
-    @property
-    def params(self) -> HEParams:
-        """The legacy flat-parameter view of the engine's stack."""
-        return self.stack.params()
-
-    @params.setter
-    def params(self, value: Union[HEParams, PolicyStack]) -> None:
-        self.stack = coerce_stack(value)
 
     # -- public API ---------------------------------------------------------
 

@@ -1,8 +1,10 @@
-"""Happy Eyeballs configurable values (Table 1).
+"""Happy Eyeballs vocabulary: versions, resolution policies, interlacing.
 
-Every knob the three HE versions define is a field of
-:class:`HEParams`; the module-level presets are the RFC-recommended
-parameter sets the paper compares implementations against:
+The enums name what a :class:`~repro.core.policy.PolicyStack` declares
+stage by stage; :class:`HEParams` is the flat record a stack renders
+into store keys (:meth:`~repro.core.policy.PolicyStack.params`), not
+an input.  The Table 1 presets
+(:data:`~repro.core.policy.RFC_PARAMETER_SETS`) are stacks:
 
 =====================  ============  ============  ===================
 Parameter              HEv1 (2012)   HEv2 (2017)   HEv3 (draft, 2025)
@@ -19,8 +21,8 @@ Dynamic CAD min/rec/max  —           10/100/2000 ms same
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from ..simnet.addr import Family
 
@@ -72,95 +74,28 @@ class InterlaceStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class HEParams:
-    """All configurable values of a Happy Eyeballs implementation.
+    """The flat record of one client's Happy Eyeballs configuration.
 
-    Times are in seconds.  ``resolution_delay=None`` means the client
-    implements no RD at all (most clients in Table 2).
+    Not an input: :meth:`repro.core.policy.PolicyStack.params` builds
+    it, and :attr:`repro.clients.profile.ClientProfile.params` carries
+    it so that every run's store key renders this exact text (the
+    class name, the field names and order, and the enum names are part
+    of the key).  Times are in seconds; ``resolution_delay=None`` means
+    no RD at all.
     """
 
-    version: HEVersion = HEVersion.V2
-    connection_attempt_delay: float = 0.250
-    dynamic_cad: bool = False
-    minimum_cad: float = 0.010
-    recommended_cad: float = 0.100
-    maximum_cad: float = 2.0
-    resolution_delay: Optional[float] = 0.050
-    first_address_family_count: int = 1
-    preferred_family: Family = Family.V6
-    interlace: InterlaceStrategy = InterlaceStrategy.RFC8305
-    resolution_policy: ResolutionPolicy = ResolutionPolicy.HE_V2
-    outcome_cache_ttl: float = 600.0  # "on the order of 10 minutes"
-    race_quic: bool = False  # HEv3: race QUIC alongside TCP
-    use_svcb: bool = False   # HEv3: consume SVCB/HTTPS records
-    max_attempts_per_family: Optional[int] = None  # None = all addresses
-
-    def __post_init__(self) -> None:
-        if self.connection_attempt_delay <= 0:
-            raise ValueError(
-                f"CAD must be positive: {self.connection_attempt_delay}")
-        if not (0 < self.minimum_cad <= self.recommended_cad
-                <= self.maximum_cad):
-            raise ValueError(
-                "dynamic CAD bounds must satisfy 0 < min <= rec <= max")
-        if self.resolution_delay is not None and self.resolution_delay < 0:
-            raise ValueError(
-                f"negative resolution delay: {self.resolution_delay}")
-        if self.first_address_family_count < 1:
-            raise ValueError("first_address_family_count must be >= 1")
-        if (self.max_attempts_per_family is not None
-                and self.max_attempts_per_family < 1):
-            raise ValueError("max_attempts_per_family must be >= 1")
-
-    def clamp_dynamic_cad(self, proposed: float) -> float:
-        """Clamp a history-derived CAD into the RFC's min/max bounds."""
-        return max(self.minimum_cad, min(self.maximum_cad, proposed))
-
-    def with_overrides(self, **changes) -> "HEParams":
-        return replace(self, **changes)
-
-
-def rfc6555_params() -> HEParams:
-    """HEv1 as recommended: 150–250 ms fixed CAD, no DNS handling.
-
-    The RFC gives a range; 250 ms (its upper recommendation, kept by
-    HEv2) is used as the fixed value.
-    """
-    return HEParams(
-        version=HEVersion.V1,
-        connection_attempt_delay=0.250,
-        resolution_delay=None,
-        interlace=InterlaceStrategy.SEQUENTIAL,
-        resolution_policy=ResolutionPolicy.WAIT_BOTH,
-        max_attempts_per_family=1,
-    )
-
-
-def rfc8305_params() -> HEParams:
-    """HEv2 as recommended: 250 ms CAD, 50 ms RD, interlacing, FAFC 1."""
-    return HEParams(
-        version=HEVersion.V2,
-        connection_attempt_delay=0.250,
-        resolution_delay=0.050,
-        first_address_family_count=1,
-        interlace=InterlaceStrategy.RFC8305,
-        resolution_policy=ResolutionPolicy.HE_V2,
-    )
-
-
-def hev3_draft_params() -> HEParams:
-    """HEv3 draft: HEv2 values plus SVCB processing and QUIC racing."""
-    return HEParams(
-        version=HEVersion.V3,
-        connection_attempt_delay=0.250,
-        resolution_delay=0.050,
-        first_address_family_count=1,
-        interlace=InterlaceStrategy.RFC8305,
-        resolution_policy=ResolutionPolicy.HE_V2,
-        race_quic=True,
-        use_svcb=True,
-    )
-
-
-#: The three parameter sets of Table 1, keyed by version.
-RFC_PARAMETER_SETS: Tuple[HEParams, ...] = (
-    rfc6555_params(), rfc8305_params(), hev3_draft_params())
+    version: HEVersion
+    connection_attempt_delay: float
+    dynamic_cad: bool
+    minimum_cad: float
+    recommended_cad: float
+    maximum_cad: float
+    resolution_delay: Optional[float]
+    first_address_family_count: int
+    preferred_family: Family
+    interlace: InterlaceStrategy
+    resolution_policy: ResolutionPolicy
+    outcome_cache_ttl: float
+    race_quic: bool
+    use_svcb: bool
+    max_attempts_per_family: Optional[int]

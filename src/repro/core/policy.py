@@ -2,9 +2,8 @@
 
 RFC 8305 is a pipeline — resolve names, sort destinations, race
 connections — and the paper fingerprints clients by the *stage* they
-deviate in.  This module decomposes the historical flat
-:class:`~repro.core.params.HEParams` bag into three explicit,
-composable policy stages mirroring those phases:
+deviate in.  A client's Happy Eyeballs behaviour is declared as three
+explicit, composable policy stages mirroring those phases:
 
 * :class:`ResolutionStage` — how DNS answers become "start connecting
   now": the §3 Resolution Delay state machine (or the wait-both /
@@ -18,24 +17,25 @@ composable policy stages mirroring those phases:
   dynamic, or serial), per-family attempt caps, the outcome cache TTL,
   and HEv3's QUIC-vs-TCP protocol racing.
 
-A :class:`PolicyStack` composes one of each.  Every stage is a frozen,
-declarative dataclass, so the testbed's configuration digests
+A :class:`PolicyStack` composes one of each, and it is the only Happy
+Eyeballs configuration the engine, the racer, the resolution phase and
+the client profiles accept.  Every stage is a frozen, declarative
+dataclass, so the testbed's configuration digests
 (:func:`repro.testbed.store.canonical`) cover a client's policies
 field-by-field with no extra plumbing, and ``repro ls --clients`` can
 print a registry row straight from the declarations.
 
-The legacy ``HEParams`` bag survives as a *derived view*
-(:meth:`PolicyStack.params`): ``PolicyStack.from_heparams(p).params()
-== p`` for every representable parameter set, which is what keeps all
-pre-stack goldens byte-identical.  Stack-only features (per-OS
-sortlists) have no ``HEParams`` home and simply do not appear in the
-view.
+:meth:`PolicyStack.params` renders a stack into the flat
+:class:`~repro.core.params.HEParams` record that client profiles carry
+for their store keys; per-OS sortlists have no field there.  The
+Table 1 presets (:func:`rfc6555_stack`, :func:`rfc8305_stack`,
+:func:`hev3_draft_stack`) are stacks too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..simnet.addr import Family, IPAddress
 from .interlace import apply_interlace
@@ -64,13 +64,6 @@ class ResolutionStage:
         if self.resolution_delay is not None and self.resolution_delay < 0:
             raise ValueError(
                 f"negative resolution delay: {self.resolution_delay}")
-
-    # ``resolve_addresses`` (and anything else written against the
-    # HEParams field names) reads these two attributes; aliasing them
-    # here lets a stage drive the state machines directly.
-    @property
-    def resolution_policy(self) -> ResolutionPolicy:
-        return self.mode
 
     def query_https(self, stub, hostname: str):
         """Issue the HEv3 HTTPS query, or None when SVCB is off."""
@@ -189,12 +182,8 @@ class SortingStage:
 
 @dataclass(frozen=True)
 class RacingStage:
-    """The staggered connection race (RFC 8305 §5, HEv3 §4).
-
-    Field names deliberately match :class:`HEParams` so the stage can
-    drive :class:`~repro.core.racing.ConnectionRacer` directly as its
-    parameter object.
-    """
+    """The staggered connection race (RFC 8305 §5, HEv3 §4); the
+    parameter object of :class:`~repro.core.racing.ConnectionRacer`."""
 
     connection_attempt_delay: float = 0.250
     dynamic_cad: bool = False
@@ -305,16 +294,11 @@ class PolicyStack:
     def with_racing(self, **changes) -> "PolicyStack":
         return replace(self, racing=replace(self.racing, **changes))
 
-    # -- the legacy view -----------------------------------------------------
+    # -- the store-key record ------------------------------------------------
 
     def params(self) -> HEParams:
-        """The flat ``HEParams`` view of this stack.
-
-        Byte-identical round trip with :meth:`from_heparams` — the
-        compatibility contract every pre-stack artifact relies on.
-        Stack-only features (per-OS sortlists) are not representable
-        and do not appear.
-        """
+        """The flat :class:`HEParams` record of this stack — the only
+        place one is built.  Per-OS sortlists have no field there."""
         return HEParams(
             version=self.version,
             connection_attempt_delay=self.racing.connection_attempt_delay,
@@ -334,31 +318,6 @@ class PolicyStack:
             max_attempts_per_family=self.racing.max_attempts_per_family,
         )
 
-    @classmethod
-    def from_heparams(cls, params: HEParams) -> "PolicyStack":
-        """Decompose a legacy parameter bag into its stages."""
-        return cls(
-            resolution=ResolutionStage(
-                mode=params.resolution_policy,
-                resolution_delay=params.resolution_delay,
-                use_svcb=params.use_svcb),
-            sorting=SortingStage(
-                preferred_family=params.preferred_family,
-                interlace=params.interlace,
-                first_address_family_count=(
-                    params.first_address_family_count)),
-            racing=RacingStage(
-                connection_attempt_delay=params.connection_attempt_delay,
-                dynamic_cad=params.dynamic_cad,
-                minimum_cad=params.minimum_cad,
-                recommended_cad=params.recommended_cad,
-                maximum_cad=params.maximum_cad,
-                max_attempts_per_family=params.max_attempts_per_family,
-                race_quic=params.race_quic,
-                outcome_cache_ttl=params.outcome_cache_ttl),
-            version=params.version,
-        )
-
     # -- introspection -------------------------------------------------------
 
     def stage_summaries(self) -> "Tuple[Tuple[str, str], ...]":
@@ -373,8 +332,45 @@ class PolicyStack:
                           for name, summary in self.stage_summaries())
 
 
-def coerce_stack(policy: Union[HEParams, PolicyStack]) -> PolicyStack:
-    """A PolicyStack from either form (the engine's input contract)."""
-    if isinstance(policy, PolicyStack):
-        return policy
-    return PolicyStack.from_heparams(policy)
+# --------------------------------------------------------------------------
+# the RFC-recommended parameter sets of Table 1
+# --------------------------------------------------------------------------
+
+
+def rfc6555_stack() -> PolicyStack:
+    """HEv1 as recommended: 150–250 ms fixed CAD, no DNS handling.
+
+    The RFC gives a range; 250 ms (its upper recommendation, kept by
+    HEv2) is used as the fixed value.
+    """
+    return PolicyStack(
+        resolution=ResolutionStage(mode=ResolutionPolicy.WAIT_BOTH,
+                                   resolution_delay=None),
+        sorting=SortingStage(interlace=InterlaceStrategy.SEQUENTIAL),
+        racing=RacingStage(connection_attempt_delay=0.250,
+                           max_attempts_per_family=1),
+        version=HEVersion.V1,
+    )
+
+
+def rfc8305_stack() -> PolicyStack:
+    """HEv2 as recommended: 250 ms CAD, 50 ms RD, interlacing, FAFC 1."""
+    return PolicyStack(
+        resolution=ResolutionStage(mode=ResolutionPolicy.HE_V2,
+                                   resolution_delay=0.050),
+        sorting=SortingStage(interlace=InterlaceStrategy.RFC8305,
+                             first_address_family_count=1),
+        racing=RacingStage(connection_attempt_delay=0.250),
+        version=HEVersion.V2,
+    )
+
+
+def hev3_draft_stack() -> PolicyStack:
+    """HEv3 draft: HEv2 values plus SVCB processing and QUIC racing."""
+    return replace(rfc8305_stack().with_resolution(use_svcb=True)
+                   .with_racing(race_quic=True), version=HEVersion.V3)
+
+
+#: The three parameter sets of Table 1, in version order.
+RFC_PARAMETER_SETS: Tuple[PolicyStack, ...] = (
+    rfc6555_stack(), rfc8305_stack(), hev3_draft_stack())

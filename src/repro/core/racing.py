@@ -22,7 +22,6 @@ from ..simnet.host import Host, NoRouteError
 from ..simnet.packet import Protocol
 from ..transport.errors import ConnectError, ConnectionAborted
 from .events import HEEventKind, HETrace
-from .params import HEParams
 from .sortlist import HistoryStore
 from .svcb import ServiceCandidate
 
@@ -111,18 +110,17 @@ CadProvider = Callable[[int, ServiceCandidate], float]
 class ConnectionRacer:
     """Runs one staggered race on a host.
 
-    ``params`` is anything exposing the CAD schedule fields — a legacy
-    :class:`HEParams` bag or the :class:`~repro.core.policy.RacingStage`
-    of a policy stack (the stage is the canonical driver now).
+    ``stage`` is the :class:`~repro.core.policy.RacingStage` of the
+    client's policy stack: its CAD schedule drives the stagger.
     """
 
-    def __init__(self, host: Host, params: "HEParams | RacingStage",
+    def __init__(self, host: Host, stage: "RacingStage",
                  trace: Optional[HETrace] = None,
                  history: Optional[HistoryStore] = None,
                  cad_provider: Optional[CadProvider] = None,
                  attempt_timeout: Optional[float] = None) -> None:
         self.host = host
-        self.params = params
+        self.stage = stage
         self.trace = trace
         self.history = history
         self.attempt_timeout = attempt_timeout
@@ -141,15 +139,15 @@ class ConnectionRacer:
         conservative choice is the maximum CAD — which is exactly why
         Safari shows a 2 s CAD in the paper's pristine local testbed.
         """
-        params = self.params
-        if not params.dynamic_cad:
-            return params.connection_attempt_delay
+        stage = self.stage
+        if not stage.dynamic_cad:
+            return stage.connection_attempt_delay
         srtt = None
         if self.history is not None:
             srtt = self.history.srtt(candidate.address, self.host.sim.now)
         if srtt is None:
-            return params.maximum_cad
-        return params.clamp_dynamic_cad(2.0 * srtt)
+            return stage.maximum_cad
+        return stage.clamp_dynamic_cad(2.0 * srtt)
 
     # -- dynamic candidate addition ------------------------------------------
 

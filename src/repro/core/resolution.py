@@ -17,14 +17,17 @@ The phase is a generator meant to be driven inside an engine process.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..simnet.addr import IPAddress
 from ..simnet.scheduler import Simulator
 from ..dns.rdata import RdataType
 from ..dns.stub import DualLookup, StubAnswer
 from .events import HEEventKind, HETrace
-from .params import HEParams, ResolutionPolicy
+from .params import ResolutionPolicy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .policy import ResolutionStage
 
 
 @dataclass
@@ -52,18 +55,19 @@ def _collect(*answers: Optional[StubAnswer]) -> List[IPAddress]:
     return out
 
 
-def resolve_addresses(sim: Simulator, dual: DualLookup, params: HEParams,
+def resolve_addresses(sim: Simulator, dual: DualLookup,
+                      stage: "ResolutionStage",
                       trace: Optional[HETrace] = None):
     """Generator driving the resolution phase; returns ResolutionOutcome.
 
     Must be iterated inside a simulator process (``yield from``).
     """
-    policy = params.resolution_policy
-    if policy is ResolutionPolicy.WAIT_BOTH:
+    mode = stage.mode
+    if mode is ResolutionPolicy.WAIT_BOTH:
         return (yield from _wait_both(sim, dual, trace))
-    if policy is ResolutionPolicy.FIRST_USABLE:
+    if mode is ResolutionPolicy.FIRST_USABLE:
         return (yield from _first_usable(sim, dual, trace))
-    return (yield from _hev2_machine(sim, dual, params, trace))
+    return (yield from _hev2_machine(sim, dual, stage, trace))
 
 
 def _record(trace: Optional[HETrace], sim: Simulator, kind: HEEventKind,
@@ -129,10 +133,10 @@ def _first_usable(sim: Simulator, dual: DualLookup,
                              aaaa=aaaa, a=a, dual=dual)
 
 
-def _hev2_machine(sim: Simulator, dual: DualLookup, params: HEParams,
-                  trace: Optional[HETrace]):
+def _hev2_machine(sim: Simulator, dual: DualLookup,
+                  stage: "ResolutionStage", trace: Optional[HETrace]):
     """RFC 8305 §3 Resolution Delay state machine."""
-    rd = params.resolution_delay if params.resolution_delay is not None \
+    rd = stage.resolution_delay if stage.resolution_delay is not None \
         else 0.050
 
     first = yield sim.any_of([dual.aaaa, dual.a])

@@ -14,12 +14,15 @@ for the racing engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, List, Sequence, Union
 
 from ..simnet.addr import Family, IPAddress, family_of, parse_address
 from ..simnet.packet import Protocol
 from ..dns.rdata import SVCB
 from .interlace import apply_interlace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .policy import SortingStage
 
 #: ALPN tokens that imply a QUIC-based protocol.
 QUIC_ALPNS = frozenset({"h3", "h3-29", "doq"})
@@ -100,14 +103,13 @@ def candidates_from_svcb(records: Sequence[SVCB],
 
 
 def order_candidates(candidates: Sequence[ServiceCandidate],
-                     params) -> List[ServiceCandidate]:
+                     sorting: "SortingStage") -> List[ServiceCandidate]:
     """HEv3 ordering: protocol preference, then family interlacing.
 
     Candidates are bucketed by ``(ech, protocol)`` preference; within a
-    bucket the address families are interlaced per the parameters
-    (``params`` is an :class:`HEParams` bag or the ``SortingStage`` of
-    a policy stack — both expose the interlace fields), so the result
-    still guarantees fast cross-family fallback.
+    bucket the address families are interlaced per the policy stack's
+    :class:`~repro.core.policy.SortingStage`, so the result still
+    guarantees fast cross-family fallback.
     """
     buckets: dict = {}
     for candidate in candidates:
@@ -120,9 +122,9 @@ def order_candidates(candidates: Sequence[ServiceCandidate],
         for candidate in bucket:
             by_address.setdefault(candidate.address, []).append(candidate)
         interlaced = apply_interlace(
-            list(by_address), params.interlace,
-            preferred=params.preferred_family,
-            first_count=params.first_address_family_count)
+            list(by_address), sorting.interlace,
+            preferred=sorting.preferred_family,
+            first_count=sorting.first_address_family_count)
         for address in interlaced:
             ordered.extend(by_address[address])
     return ordered

@@ -321,7 +321,7 @@ class TraceExperiment(Experiment):
                   help="configured IPv6 TCP delay in ms"),)
 
     def execute(self, session: Session, plan: "Plan") -> Any:
-        from ..core import rfc8305_params
+        from ..core import rfc8305_stack
         from ..core.engine import HappyEyeballsEngine
         from ..dns.stub import StubResolver
         from ..testbed.topology import LocalTestbed
@@ -332,7 +332,7 @@ class TraceExperiment(Experiment):
                             testbed.resolver_addresses[:1],
                             timeout=3600.0, retries=0)
         engine = HappyEyeballsEngine(testbed.client, stub,
-                                     rfc8305_params())
+                                     rfc8305_stack())
         return testbed.sim.run_until(
             engine.connect("www.he-test.example"))
 

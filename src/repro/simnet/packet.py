@@ -12,13 +12,10 @@ byte-count statistics behave plausibly.
 from __future__ import annotations
 
 import enum
-import itertools
 from ipaddress import IPv4Address as _IPv4, IPv6Address as _IPv6
 from typing import Optional, Union
 
 from .addr import Family, IPAddress, parse_address
-
-_packet_ids = itertools.count(1)
 
 IPV4_HEADER = 20
 IPV6_HEADER = 40
@@ -77,8 +74,7 @@ class Packet:
     """
 
     __slots__ = ("src", "dst", "protocol", "sport", "dport", "payload",
-                 "flags", "seq", "ack", "quic_type", "packet_id",
-                 "family", "_meta")
+                 "flags", "seq", "ack", "quic_type", "family", "_meta")
 
     def __init__(self, src: Union[str, IPAddress],
                  dst: Union[str, IPAddress],
@@ -86,7 +82,6 @@ class Packet:
                  payload: bytes = b"", flags: TCPFlags = TCPFlags.NONE,
                  seq: int = 0, ack: int = 0,
                  quic_type: Optional[QUICPacketType] = None,
-                 packet_id: Optional[int] = None,
                  meta: Optional[dict] = None) -> None:
         # Transports hand in already-parsed address objects; the
         # isinstance ladder classifies and validates in one pass without
@@ -118,7 +113,6 @@ class Packet:
         self.seq = seq
         self.ack = ack
         self.quic_type = quic_type
-        self.packet_id = next(_packet_ids) if packet_id is None else packet_id
         self.family = src_family
         self._meta = meta
 
@@ -189,4 +183,4 @@ class Packet:
                 f"{self.dst}.{self.dport} {self.protocol}: {detail}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Packet #{self.packet_id} {self.describe()}>"
+        return f"<Packet {self.describe()}>"

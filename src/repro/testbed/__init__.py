@@ -12,11 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "config": ("ImpairmentSpec", "SweepSpec", "TestCaseConfig",
                "TestCaseKind", "address_selection_case", "cad_case",
                "delayed_a_case", "rd_case"),
-    "inference": ("CaptureObservation", "aaaa_before_a", "attempt_sequence",
-                  "attempts_per_family", "dns_observations",
-                  "established_family", "infer_cad",
-                  "infer_resolution_delay", "query_order",
-                  "time_to_first_attempt"),
+    "inference": ("CaptureObservation",),
     "modules": ("AddressSelectionModule", "CaptureModule", "DnsDelayModule",
                 "ImpairmentModule", "NetemModule", "SetupModule",
                 "modules_for"),

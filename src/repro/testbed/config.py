@@ -243,6 +243,8 @@ class TestCaseConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.addresses_per_family < 1:
+            raise ValueError("addresses_per_family must be >= 1")
         if not (math.isfinite(self.run_timeout)
                 and self.run_timeout > 0):
             raise ValueError(

@@ -2,17 +2,14 @@
 
 "We determine the CAD by measuring the time between the first IPv6
 packet and the first IPv4 packet observed in the client's packet
-capture."  These helpers operate purely on :class:`PacketCapture`
+capture."  This module operates purely on :class:`PacketCapture`
 contents, treating the client as the black box the methodology demands
 — nothing here looks at engine internals.
 
 :class:`CaptureObservation` is the hot path: it walks a capture exactly
 once, decodes each DNS payload at most once, and derives every field
-the runner records.  The historical per-question functions
-(:func:`infer_cad`, :func:`established_family`, …) remain as thin
-wrappers over it, so call sites that only need one answer keep working
-unchanged — but anything observing several fields of the same capture
-should build one observation and read them all from it.
+the runner records; callers read the fields they need from one
+observation.
 """
 
 from __future__ import annotations
@@ -45,11 +42,13 @@ class DnsObservation:
 class CaptureObservation:
     """Everything the testbed infers from one capture, in a single pass.
 
-    The legacy helpers each re-walked the full frame list and the DNS
-    ones re-decoded every UDP payload, so observing one run cost ~7
-    scans and ~4 decodes per DNS packet.  This class performs one walk
-    at construction time, decoding each DNS payload at most once, and
-    exposes all derived values as attributes.
+    One walk at construction time, decoding each DNS payload at most
+    once, fills every attribute.  ``attempt_sequence`` lists the
+    ``(timestamp, family)`` of each distinct connection attempt
+    (retransmissions to the same address and port collapse, matching
+    Figure 5's "n-th connection attempt" axis), and
+    ``attempts_per_family`` counts distinct attempted addresses per
+    family (Table 2).
 
     Payloads decode through the one DNS intern table
     (:data:`repro.dns.message.INTERN_TABLE`) the simulated endpoints
@@ -226,83 +225,3 @@ class CaptureObservation:
         first_query = min(obs.query_at for obs in self.dns_observations)
         return self.first_attempt_at - first_query
 
-
-# --------------------------------------------------------------------------
-# Legacy per-question helpers — thin wrappers over CaptureObservation.
-# Each builds a fresh observation; prefer one CaptureObservation when
-# reading several fields of the same capture.
-# --------------------------------------------------------------------------
-
-
-def infer_cad(capture: PacketCapture) -> Optional[float]:
-    """CAD = t(first IPv4 attempt) − t(first IPv6 attempt).
-
-    One capture walk, no DNS decoding.
-    """
-    return CaptureObservation(capture, decode_dns=False).cad
-
-
-def established_family(capture: PacketCapture) -> Optional[Family]:
-    """Family of the first completed handshake seen in the capture.
-
-    One capture walk, no DNS decoding.
-    """
-    return CaptureObservation(capture, decode_dns=False).established_family
-
-
-def attempt_sequence(capture: PacketCapture) -> List[Tuple[float, Family]]:
-    """(timestamp, family) of each distinct connection attempt.
-
-    Retransmissions to the same (address, port) pair are collapsed so
-    the sequence matches Figure 5's "n-th connection attempt" axis.
-    One capture walk, no DNS decoding.
-    """
-    return CaptureObservation(capture, decode_dns=False).attempt_sequence
-
-
-def attempts_per_family(capture: PacketCapture) -> "dict[Family, int]":
-    """How many distinct addresses were attempted per family (Table 2).
-
-    One capture walk, no DNS decoding.
-    """
-    return CaptureObservation(capture, decode_dns=False).attempts_per_family
-
-
-def dns_observations(capture: PacketCapture) -> List[DnsObservation]:
-    """Decode DNS traffic in a capture into query/response timings.
-
-    One capture walk, one decode per DNS payload.
-    """
-    return CaptureObservation(capture).dns_observations
-
-
-def query_order(capture: PacketCapture) -> List[RdataType]:
-    """Record types in the order their first queries were sent.
-
-    One capture walk, one decode per DNS payload.
-    """
-    return CaptureObservation(capture).query_order
-
-
-def aaaa_before_a(capture: PacketCapture) -> Optional[bool]:
-    """Did the AAAA query precede the A query?  None if either absent.
-
-    One capture walk, one decode per DNS payload.
-    """
-    return CaptureObservation(capture).aaaa_first
-
-
-def infer_resolution_delay(capture: PacketCapture) -> Optional[float]:
-    """Time from the A response to the first IPv4 connection attempt.
-
-    One capture walk, one decode per DNS payload.
-    """
-    return CaptureObservation(capture).resolution_delay
-
-
-def time_to_first_attempt(capture: PacketCapture) -> Optional[float]:
-    """Time from the first DNS query to the first connection attempt.
-
-    One capture walk, one decode per DNS payload.
-    """
-    return CaptureObservation(capture).time_to_first_attempt

@@ -6,6 +6,8 @@ The clients are defined separately from the test cases" (§4.3(i),
 App. Figure 3).  This module is that seam: a campaign is a plain dict
 (JSON/TOML-shaped — no parser dependency) naming clients by
 registry key and test cases by kind with their sweep parameters.
+Every malformed stanza raises :class:`SpecError`, including a key no
+stanza knows (a typo never passes as a default).
 
 Example::
 
@@ -59,11 +61,63 @@ class SpecError(ValueError):
     """A campaign specification is malformed."""
 
 
+def _check_stanza(data: Any, what: str, known: "frozenset[str]") -> None:
+    """``data`` must be a mapping whose keys are all in ``known``: a
+    misspelt key is an error, never a silently ignored setting."""
+    if not isinstance(data, Mapping):
+        raise SpecError(f"{what} stanza must be a mapping, got {data!r}")
+    unknown = set(data) - known
+    if unknown:
+        raise SpecError(f"unknown {what} fields: "
+                        f"{sorted(map(str, unknown))}")
+
+
+def _stanzas(data: Mapping[str, Any], key: str) -> List[Any]:
+    """The non-empty list under ``key``."""
+    items = data.get(key)
+    if not isinstance(items, (list, tuple)) or not items:
+        raise SpecError(f"campaign needs a non-empty list of {key}, "
+                        f"got {items!r}")
+    return list(items)
+
+
+def _number(data: Mapping[str, Any], key: str, default: Any,
+            kind: type = int) -> Any:
+    """``data[key]`` (or ``default``) converted by ``kind``; an integer
+    field takes no bool and no fractional float (``int`` would
+    truncate them silently)."""
+    raw = data.get(key, default)
+    noun = "an integer" if kind is int else "a number"
+    if kind is int and (isinstance(raw, bool) or (
+            isinstance(raw, float) and not raw.is_integer())):
+        raise SpecError(f"{key} must be {noun}, got {raw!r}")
+    try:
+        return kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{key} must be {noun}, got {raw!r}") from exc
+
+
+_CAMPAIGN_FIELDS = frozenset({
+    "clients", "cases", "seed", "resolver_timeout", "workers", "cache_dir",
+    "retries", "entry_timeout", "faults"})
+_CASE_FIELDS = frozenset({
+    "kind", "name", "sweep", "repetitions", "addresses_per_family",
+    "run_timeout", "impairments"})
+_CLIENT_FIELDS = frozenset({"name", "version", "hev3_flag"})
+_SWEEP_FIELDS = frozenset({"values", "start", "stop", "step"})
+_FAULTS_FIELDS = frozenset({"plan", "seed"})
+_IMPAIRMENT_FIELDS = frozenset({
+    "family", "protocol", "value_scaled", "delay_s", "jitter_s",
+    "jitter_correlation", "loss", "reorder_probability", "reorder_gap_s",
+    "rate_bps", "dns_rtype", "name"})
+
+
 def parse_sweep(data: Optional[Mapping[str, Any]],
                 kind: TestCaseKind) -> SweepSpec:
     """Parse a sweep stanza: explicit values, a range, or the default."""
     if data is None:
         return _DEFAULT_SWEEPS[kind]
+    _check_stanza(data, "sweep", _SWEEP_FIELDS)
     if "values" in data and ("start" in data or "stop" in data):
         raise SpecError("sweep takes either 'values' or a range, not both")
     if "values" in data:
@@ -71,25 +125,25 @@ def parse_sweep(data: Optional[Mapping[str, Any]],
         if not isinstance(values, (list, tuple)) or not values:
             raise SpecError(f"sweep values must be a non-empty list, "
                             f"got {values!r}")
-        return SweepSpec.fixed(*values)
-    if "start" in data or "stop" in data:
         try:
-            return SweepSpec.range(int(data.get("start", 0)),
-                                   int(data["stop"]),
-                                   int(data.get("step", 25)))
-        except KeyError as exc:
-            raise SpecError("sweep range needs 'stop'") from exc
-    raise SpecError(f"unintelligible sweep stanza: {dict(data)!r}")
+            return SweepSpec.fixed(*values)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"bad sweep values {values!r}: {exc}") from exc
+    if "stop" not in data:
+        raise SpecError(f"sweep needs 'values' or a range with 'stop': "
+                        f"{dict(data)!r}")
+    start, stop, step = (_number(data, "start", 0),
+                         _number(data, "stop", None),
+                         _number(data, "step", 25))
+    try:
+        return SweepSpec.range(start, stop, step)
+    except ValueError as exc:
+        raise SpecError(f"bad sweep range: {exc}") from exc
 
 
 def parse_impairment(data: Mapping[str, Any]) -> ImpairmentSpec:
     """Parse one impairment stanza (the declarative ``tc`` line)."""
-    known = {"family", "protocol", "value_scaled", "delay_s", "jitter_s",
-             "jitter_correlation", "loss", "reorder_probability",
-             "reorder_gap_s", "rate_bps", "dns_rtype", "name"}
-    unknown = set(data) - known
-    if unknown:
-        raise SpecError(f"unknown impairment fields: {sorted(unknown)}")
+    _check_stanza(data, "impairment", _IMPAIRMENT_FIELDS)
     family = data.get("family")
     if family is not None:
         try:
@@ -132,6 +186,7 @@ def parse_impairment(data: Mapping[str, Any]) -> ImpairmentSpec:
 
 def parse_case(data: Mapping[str, Any]) -> TestCaseConfig:
     """Parse one test-case stanza."""
+    _check_stanza(data, "test case", _CASE_FIELDS)
     try:
         kind = TestCaseKind(data["kind"])
     except KeyError as exc:
@@ -140,21 +195,27 @@ def parse_case(data: Mapping[str, Any]) -> TestCaseConfig:
         valid = ", ".join(k.value for k in TestCaseKind)
         raise SpecError(
             f"unknown case kind {data['kind']!r} (valid: {valid})") from exc
-    sweep = parse_sweep(data.get("sweep"), kind)
-    return TestCaseConfig(
+    impairments = data.get("impairments", ())
+    if not isinstance(impairments, (list, tuple)):
+        raise SpecError(f"impairments must be a list, got {impairments!r}")
+    fields = dict(
         name=data.get("name", kind.value),
         kind=kind,
-        sweep=sweep,
-        repetitions=int(data.get("repetitions", 1)),
-        addresses_per_family=int(data.get("addresses_per_family", 10)),
-        run_timeout=float(data.get("run_timeout", 30.0)),
-        impairments=tuple(parse_impairment(i)
-                          for i in data.get("impairments", ())),
+        sweep=parse_sweep(data.get("sweep"), kind),
+        repetitions=_number(data, "repetitions", 1),
+        addresses_per_family=_number(data, "addresses_per_family", 10),
+        run_timeout=_number(data, "run_timeout", 30.0, float),
+        impairments=tuple(parse_impairment(i) for i in impairments),
     )
+    try:
+        return TestCaseConfig(**fields)
+    except ValueError as exc:
+        raise SpecError(f"bad test case {fields['name']!r}: {exc}") from exc
 
 
 def parse_client(data: Mapping[str, Any]) -> ClientProfile:
     """Parse one client stanza (registry lookup + optional HEv3 flag)."""
+    _check_stanza(data, "client", _CLIENT_FIELDS)
     try:
         profile = get_profile(data["name"], data.get("version"))
     except KeyError as exc:
@@ -183,18 +244,23 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        if "clients" not in data or not data["clients"]:
-            raise SpecError("campaign needs at least one client")
-        if "cases" not in data or not data["cases"]:
-            raise SpecError("campaign needs at least one test case")
+        _check_stanza(data, "campaign", _CAMPAIGN_FIELDS)
+        clients = _stanzas(data, "clients")
+        cases = _stanzas(data, "cases")
         workers = data.get("workers")
+        if workers is not None:
+            workers = _number(data, "workers", None)
+            if workers < 1:
+                raise SpecError(f"workers must be >= 1: {workers}")
         cache_dir = data.get("cache_dir")
-        seed = int(data.get("seed", 0))
+        seed = _number(data, "seed", 0)
         entry_timeout = data.get("entry_timeout")
-        retries = int(data.get("retries", 0))
+        if entry_timeout is not None:
+            entry_timeout = _number(data, "entry_timeout", None, float)
+        retries = _number(data, "retries", 0)
         if retries < 0:
             raise SpecError(f"retries must be >= 0: {retries}")
-        resolver_timeout = float(data.get("resolver_timeout", 5.0))
+        resolver_timeout = _number(data, "resolver_timeout", 5.0, float)
         if not 0.0 < resolver_timeout < math.inf:
             raise SpecError(
                 f"resolver_timeout must be a finite positive duration "
@@ -210,21 +276,21 @@ class CampaignSpec:
             if not isinstance(faults, Mapping) or "plan" not in faults:
                 raise SpecError(
                     f"faults stanza needs a 'plan' string: {faults!r}")
+            _check_stanza(faults, "faults", _FAULTS_FIELDS)
             try:
                 plan = FaultPlan.parse(str(faults["plan"]),
-                                       seed=int(faults.get("seed", seed)))
+                                       seed=_number(faults, "seed", seed))
             except FaultPlanError as exc:
                 raise SpecError(f"bad fault plan: {exc}") from exc
         return cls(
-            clients=[parse_client(c) for c in data["clients"]],
-            cases=[parse_case(c) for c in data["cases"]],
+            clients=[parse_client(c) for c in clients],
+            cases=[parse_case(c) for c in cases],
             seed=seed,
             resolver_timeout=resolver_timeout,
-            workers=int(workers) if workers is not None else None,
+            workers=workers,
             cache_dir=str(cache_dir) if cache_dir is not None else None,
             retries=retries,
-            entry_timeout=(float(entry_timeout)
-                           if entry_timeout is not None else None),
+            entry_timeout=entry_timeout,
             faults=plan,
         )
 

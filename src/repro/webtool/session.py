@@ -137,7 +137,7 @@ class WebToolSession:
         A fraction of destinations has no history at all, yielding the
         maximum CAD.
         """
-        if not self.profile.params.dynamic_cad:
+        if not self.profile.stack.racing.dynamic_cad:
             return
         if self._rng.random() < 0.25:
             return  # no prior traffic toward this destination

@@ -36,7 +36,7 @@ class TestRegistry:
             get_profile("Chrome", "999")
 
     def test_chromium_family_shares_behaviour(self):
-        cads = {get_profile(n, v).params.connection_attempt_delay
+        cads = {get_profile(n, v).stack.racing.connection_attempt_delay
                 for n, v in (("Chrome", "88.0"), ("Chrome", "130.0"),
                              ("Edge", "90.0"), ("Chromium", "130.0"))}
         assert cads == {0.300}
@@ -52,24 +52,25 @@ class TestRegistry:
         assert "Safari 17.6" in locals_
 
     def test_profile_validation(self):
-        from repro.core.params import HEParams
+        from repro.core.policy import PolicyStack
 
         with pytest.raises(ValueError):
             ClientProfile(name="X", version="1", released="01-2020",
                           engine_family="netscape", kind="browser",
-                          params=HEParams())
+                          stack=PolicyStack())
 
     def test_safari_profile_is_full_hev2(self):
         safari = get_profile("Safari", "17.6")
-        assert safari.params.dynamic_cad
-        assert safari.params.resolution_delay == pytest.approx(0.050)
-        assert safari.params.first_address_family_count == 2
+        assert safari.stack.racing.dynamic_cad
+        assert safari.stack.resolution.resolution_delay == \
+            pytest.approx(0.050)
+        assert safari.stack.sorting.first_address_family_count == 2
         assert safari.implements_resolution_delay
         assert safari.nominal_cad is None  # dynamic
 
     def test_mobile_safari_caps_cad_at_1s(self):
-        assert get_profile("Mobile Safari", "17.6").params.maximum_cad \
-            == pytest.approx(1.0)
+        assert get_profile("Mobile Safari", "17.6").stack.racing \
+            .maximum_cad == pytest.approx(1.0)
 
     def test_wget_has_no_he(self):
         wget = get_profile("wget", "1.21.3")
@@ -78,10 +79,11 @@ class TestRegistry:
 
     def test_hev3_flag_changes_policy(self):
         chrome = get_profile("Chrome", "130.0")
-        assert chrome.params.resolution_policy is ResolutionPolicy.WAIT_BOTH
+        assert chrome.stack.resolution.mode is ResolutionPolicy.WAIT_BOTH
         flagged = chrome.with_hev3_flag()
-        assert flagged.params.resolution_policy is ResolutionPolicy.HE_V2
-        assert flagged.params.resolution_delay == pytest.approx(0.050)
+        assert flagged.stack.resolution.mode is ResolutionPolicy.HE_V2
+        assert flagged.stack.resolution.resolution_delay == \
+            pytest.approx(0.050)
 
     def test_all_profiles_have_unique_keys(self):
         keys = [p.full_name for p in all_profiles()]
@@ -125,9 +127,9 @@ class TestClientFetch:
             client = Client(testbed.client, profile,
                             testbed.resolver_addresses[:1])
             testbed.sim.run_until(client.fetch("www.he-test.example"))
-            from repro.testbed.inference import infer_cad
+            from repro.testbed.inference import CaptureObservation
 
-            cad = infer_cad(capture)
+            cad = CaptureObservation(capture, decode_dns=False).cad
             if cad > 0.260:
                 outliers += 1
                 assert cad <= 0.460  # bounded by outlier_extra_cad
@@ -156,9 +158,9 @@ class TestICPR:
 
     def test_egress_hides_safari_features(self):
         """No RD, no address selection: HEv1-style via the relay."""
-        assert AKAMAI_EGRESS.params().resolution_policy is \
+        assert AKAMAI_EGRESS.stack().resolution.mode is \
             ResolutionPolicy.WAIT_BOTH
-        assert AKAMAI_EGRESS.params().max_attempts_per_family == 1
+        assert AKAMAI_EGRESS.stack().racing.max_attempts_per_family == 1
 
     def test_proxied_fetch_returns_payload(self):
         testbed = LocalTestbed(seed=53)

@@ -3,27 +3,26 @@
 import pytest
 
 from repro.clients import Client, get_profile
-from repro.core import (HEEventKind, HEParams, HappyEyeballsError,
-                        HistoryStore, InterlaceStrategy, ResolutionPolicy,
-                        rfc8305_params)
+from repro.core import (HEEventKind, HappyEyeballsError, HistoryStore,
+                        ResolutionPolicy, rfc8305_stack)
 from repro.core.engine import HappyEyeballsEngine
 from repro.dns import RdataType
 from repro.dns.stub import StubResolver
 from repro.simnet import Family
 from repro.testbed.topology import LocalTestbed
-from repro.testbed import inference
+from repro.testbed.inference import CaptureObservation
 
 
-def make_engine(testbed, params, **kwargs):
+def make_engine(testbed, stack, **kwargs):
     stub = StubResolver(testbed.client, testbed.resolver_addresses[:1],
                         timeout=3600.0, retries=0)
-    return HappyEyeballsEngine(testbed.client, stub, params, **kwargs)
+    return HappyEyeballsEngine(testbed.client, stub, stack, **kwargs)
 
 
 class TestEngineBasics:
     def test_connects_over_ipv6_when_healthy(self):
         testbed = LocalTestbed(seed=1)
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         process = engine.connect("www.he-test.example")
         result = testbed.sim.run_until(process)
         assert result.success
@@ -32,7 +31,7 @@ class TestEngineBasics:
     def test_falls_back_to_ipv4_beyond_cad(self):
         testbed = LocalTestbed(seed=1)
         testbed.delay_ipv6_tcp(0.400)  # > 250 ms CAD
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         process = engine.connect("www.he-test.example")
         result = testbed.sim.run_until(process)
         assert result.winning_family is Family.V4
@@ -40,7 +39,7 @@ class TestEngineBasics:
     def test_stays_on_ipv6_below_cad(self):
         testbed = LocalTestbed(seed=1)
         testbed.delay_ipv6_tcp(0.100)  # < 250 ms CAD
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         assert result.winning_family is Family.V6
@@ -49,21 +48,21 @@ class TestEngineBasics:
         testbed = LocalTestbed(seed=1)
         testbed.delay_ipv6_tcp(0.500)
         capture = testbed.start_client_capture()
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         testbed.sim.run_until(engine.connect("www.he-test.example"))
-        cad = inference.infer_cad(capture)
+        cad = CaptureObservation(capture).cad
         assert cad == pytest.approx(0.250, abs=0.002)
 
     def test_no_addresses_raises(self):
         testbed = LocalTestbed(seed=1)
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         process = engine.connect("bare.nxdomain-zone.example")
         with pytest.raises(HappyEyeballsError):
             testbed.sim.run_until(process)
 
     def test_outcome_cached_after_win(self):
         testbed = LocalTestbed(seed=1)
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         testbed.sim.run_until(engine.connect("www.he-test.example"))
         cached = engine.cache.lookup("www.he-test.example",
                                      testbed.sim.now)
@@ -72,7 +71,7 @@ class TestEngineBasics:
 
     def test_trace_records_the_figure1_sequence(self):
         testbed = LocalTestbed(seed=1)
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         kinds = [event.kind for event in result.trace]
@@ -89,21 +88,21 @@ class TestResolutionBehaviors:
         testbed = LocalTestbed(seed=2)
         testbed.set_dns_delay(RdataType.AAAA, 1.0)
         capture = testbed.start_client_capture()
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         assert result.winning_family is Family.V4
         assert result.time_to_connect < 0.100  # RD + handshake, not 1 s
-        rd = inference.infer_resolution_delay(capture)
+        rd = CaptureObservation(capture).resolution_delay
         assert rd == pytest.approx(0.050, abs=0.005)
 
     def test_wait_both_stalls_on_delayed_aaaa(self):
         """The §5.2 behaviour: no own timeout, waits the full AAAA delay."""
         testbed = LocalTestbed(seed=2)
         testbed.set_dns_delay(RdataType.AAAA, 1.0)
-        params = rfc8305_params().with_overrides(
-            resolution_policy=ResolutionPolicy.WAIT_BOTH)
-        engine = make_engine(testbed, params)
+        stack = rfc8305_stack().with_resolution(
+            mode=ResolutionPolicy.WAIT_BOTH)
+        engine = make_engine(testbed, stack)
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         assert result.time_to_connect > 1.0
@@ -112,9 +111,9 @@ class TestResolutionBehaviors:
         """Delayed *A* stalls even the IPv6 connection (the pathology)."""
         testbed = LocalTestbed(seed=2)
         testbed.set_dns_delay(RdataType.A, 0.800)
-        params = rfc8305_params().with_overrides(
-            resolution_policy=ResolutionPolicy.WAIT_BOTH)
-        engine = make_engine(testbed, params)
+        stack = rfc8305_stack().with_resolution(
+            mode=ResolutionPolicy.WAIT_BOTH)
+        engine = make_engine(testbed, stack)
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         assert result.winning_family is Family.V6
@@ -124,7 +123,7 @@ class TestResolutionBehaviors:
         """RFC 8305 client starts IPv6 immediately when AAAA is first."""
         testbed = LocalTestbed(seed=2)
         testbed.set_dns_delay(RdataType.A, 0.800)
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         assert result.winning_family is Family.V6
@@ -140,7 +139,7 @@ class TestResolutionBehaviors:
         testbed.server_iface.egress.add_rule(NetemRule(
             spec=NetemSpec(delay=0.500),
             filter=NetemFilter(family=Family.V4, protocol=Protocol.TCP)))
-        engine = make_engine(testbed, rfc8305_params())
+        engine = make_engine(testbed, rfc8305_stack())
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         assert result.winning_family is Family.V6
@@ -153,15 +152,15 @@ class TestDynamicCad:
         """Safari's local-testbed behaviour: fresh state -> 2 s CAD."""
         testbed = LocalTestbed(seed=3)
         testbed.delay_ipv6_tcp(0.500)
-        params = rfc8305_params().with_overrides(
+        stack = rfc8305_stack().with_racing(
             dynamic_cad=True, maximum_cad=2.0)
         capture = testbed.start_client_capture()
-        engine = make_engine(testbed, params, history=HistoryStore())
+        engine = make_engine(testbed, stack, history=HistoryStore())
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         # 500 ms < 2 s CAD: IPv6 still wins, no IPv4 attempt at all.
         assert result.winning_family is Family.V6
-        assert inference.infer_cad(capture) is None
+        assert CaptureObservation(capture).cad is None
 
     def test_history_shrinks_cad(self):
         testbed = LocalTestbed(seed=3)
@@ -170,16 +169,16 @@ class TestDynamicCad:
         from repro.simnet import parse_address
         history.record_success(parse_address("2001:db8:1::10"),
                                rtt=0.020, now=0.0)
-        params = rfc8305_params().with_overrides(
+        stack = rfc8305_stack().with_racing(
             dynamic_cad=True, minimum_cad=0.010, maximum_cad=2.0)
         capture = testbed.start_client_capture()
-        engine = make_engine(testbed, params, history=history)
+        engine = make_engine(testbed, stack, history=history)
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         # CAD = 2 * 20 ms = 40 ms << 500 ms delay: IPv4 wins.
         assert result.winning_family is Family.V4
-        assert inference.infer_cad(capture) == pytest.approx(0.040,
-                                                             abs=0.005)
+        assert CaptureObservation(capture).cad == pytest.approx(0.040,
+                                                                abs=0.005)
 
 
 class TestClientModels:
@@ -198,7 +197,7 @@ class TestClientModels:
         result = testbed.sim.run_until(
             client.fetch("www.he-test.example"))
         assert result.used_family is Family.V4
-        assert inference.infer_cad(capture) == pytest.approx(
+        assert CaptureObservation(capture).cad == pytest.approx(
             expected_cad, abs=0.010)
 
     def test_wget_never_falls_back(self):
@@ -223,7 +222,7 @@ class TestClientModels:
         result = testbed.sim.run_until(
             client.fetch("www.he-test.example"))
         assert result.used_family is Family.V4
-        rd = inference.infer_resolution_delay(capture)
+        rd = CaptureObservation(capture).resolution_delay
         assert rd == pytest.approx(0.050, abs=0.005)
 
     def test_fetch_reports_echoed_source_address(self):

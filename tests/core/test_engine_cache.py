@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OutcomeCache, rfc8305_params
+from repro.core import OutcomeCache, rfc8305_stack
 from repro.core.engine import HappyEyeballsEngine
 from repro.dns.stub import StubResolver
 from repro.simnet import Family
@@ -12,7 +12,7 @@ from repro.testbed.topology import LocalTestbed
 def make_engine(testbed, cache=None):
     stub = StubResolver(testbed.client, testbed.resolver_addresses[:1],
                         timeout=3600.0, retries=0)
-    return HappyEyeballsEngine(testbed.client, stub, rfc8305_params(),
+    return HappyEyeballsEngine(testbed.client, stub, rfc8305_stack(),
                                cache=cache)
 
 

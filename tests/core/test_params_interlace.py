@@ -1,15 +1,17 @@
-"""Tests for HE parameters, interlacing, sortlist, and the outcome cache."""
+"""Tests for the Table 1 presets, stage checks, interlacing, sortlist,
+and the outcome cache."""
 
 import ipaddress
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import (HEParams, HEVersion, HistoryStore, InterlaceStrategy,
-                        OutcomeCache, apply_interlace,
+from repro.core import (HEVersion, HistoryStore, InterlaceStrategy,
+                        OutcomeCache, RacingStage, SortingStage,
+                        apply_interlace, hev3_draft_stack,
                         interlace_first_family_burst, interlace_rfc8305,
                         interlace_sequential, order_addresses,
-                        rfc6555_params, rfc8305_params, hev3_draft_params)
+                        rfc6555_stack, rfc8305_stack)
 from repro.simnet import Family, family_of
 
 
@@ -23,40 +25,35 @@ def v4(i):
 
 class TestParams:
     def test_rfc_presets_match_table1(self):
-        v1, v2, v3 = rfc6555_params(), rfc8305_params(), hev3_draft_params()
+        v1, v2, v3 = rfc6555_stack(), rfc8305_stack(), hev3_draft_stack()
         assert v1.version is HEVersion.V1
-        assert v1.resolution_delay is None
-        assert v1.connection_attempt_delay == pytest.approx(0.250)
-        assert v2.resolution_delay == pytest.approx(0.050)
-        assert v2.connection_attempt_delay == pytest.approx(0.250)
-        assert (v2.minimum_cad, v2.recommended_cad, v2.maximum_cad) == (
+        assert v1.resolution.resolution_delay is None
+        assert v1.racing.connection_attempt_delay == pytest.approx(0.250)
+        assert v2.resolution.resolution_delay == pytest.approx(0.050)
+        assert v2.racing.connection_attempt_delay == pytest.approx(0.250)
+        assert (v2.racing.minimum_cad, v2.racing.recommended_cad,
+                v2.racing.maximum_cad) == (
             pytest.approx(0.010), pytest.approx(0.100), pytest.approx(2.0))
-        assert v3.race_quic and v3.use_svcb
-        assert v3.resolution_delay == pytest.approx(0.050)
+        assert v3.racing.race_quic and v3.resolution.use_svcb
+        assert v3.resolution.resolution_delay == pytest.approx(0.050)
 
     def test_invalid_cad_rejected(self):
         with pytest.raises(ValueError):
-            HEParams(connection_attempt_delay=0.0)
+            RacingStage(connection_attempt_delay=0.0)
 
     def test_invalid_dynamic_bounds_rejected(self):
         with pytest.raises(ValueError):
-            HEParams(minimum_cad=0.5, recommended_cad=0.1)
+            RacingStage(minimum_cad=0.5, recommended_cad=0.1)
 
     def test_invalid_fafc_rejected(self):
         with pytest.raises(ValueError):
-            HEParams(first_address_family_count=0)
+            SortingStage(first_address_family_count=0)
 
     def test_clamp_dynamic_cad(self):
-        params = HEParams()
-        assert params.clamp_dynamic_cad(0.001) == pytest.approx(0.010)
-        assert params.clamp_dynamic_cad(5.0) == pytest.approx(2.0)
-        assert params.clamp_dynamic_cad(0.3) == pytest.approx(0.3)
-
-    def test_with_overrides(self):
-        params = rfc8305_params().with_overrides(
-            connection_attempt_delay=0.3)
-        assert params.connection_attempt_delay == pytest.approx(0.3)
-        assert params.resolution_delay == pytest.approx(0.050)
+        racing = RacingStage()
+        assert racing.clamp_dynamic_cad(0.001) == pytest.approx(0.010)
+        assert racing.clamp_dynamic_cad(5.0) == pytest.approx(2.0)
+        assert racing.clamp_dynamic_cad(0.3) == pytest.approx(0.3)
 
 
 class TestInterlace:

@@ -1,79 +1,49 @@
-"""The staged PolicyStack API and its HEParams compatibility contract."""
-
-import dataclasses
+"""The staged PolicyStack API and the HEParams record it renders."""
 
 import pytest
 
-from repro.clients import (ClientProfile, all_profiles, chromium_params,
-                           chromium_stack, get_profile, wget_stack)
-from repro.core import (HEParams, HEVersion, HappyEyeballsEngine,
-                        InterlaceStrategy, PolicyStack, RFC_PARAMETER_SETS,
-                        RacingStage, ResolutionPolicy, ResolutionStage,
-                        SortingStage, coerce_stack, hev3_draft_params,
-                        rfc6555_params, rfc8305_params)
+from repro.clients import (ClientProfile, all_profiles, chromium_stack,
+                           get_profile, wget_stack)
+from repro.core import (HEVersion, HappyEyeballsEngine, RacingStage,
+                        ResolutionPolicy, ResolutionStage, SortingStage,
+                        hev3_draft_stack, rfc6555_stack)
 from repro.dns.stub import StubResolver
-from repro.simnet.addr import Family
 from repro.testbed.topology import LocalTestbed
 
 
-class TestRoundTrip:
-    """from_heparams(p).params() == p — what keeps goldens valid."""
+class TestRecord:
+    """``PolicyStack.params()`` renders the record store keys carry."""
 
-    @pytest.mark.parametrize("params", [
-        *RFC_PARAMETER_SETS,
-        HEParams(connection_attempt_delay=0.123, dynamic_cad=True,
-                 minimum_cad=0.02, recommended_cad=0.2, maximum_cad=1.5,
-                 resolution_delay=None,
-                 preferred_family=Family.V4,
-                 interlace=InterlaceStrategy.FIRST_FAMILY_BURST,
-                 resolution_policy=ResolutionPolicy.FIRST_USABLE,
-                 outcome_cache_ttl=42.0, race_quic=True, use_svcb=True,
-                 first_address_family_count=3,
-                 max_attempts_per_family=2),
-    ])
-    def test_arbitrary_params_round_trip(self, params):
-        assert PolicyStack.from_heparams(params).params() == params
-
-    def test_every_registry_profile_view_is_consistent(self):
+    def test_every_registry_profile_record_is_its_stack_record(self):
         for profile in all_profiles():
-            assert profile.stack.params() == profile.params
+            assert profile.params == profile.stack.params()
 
-    def test_legacy_param_helpers_are_stack_views(self):
-        assert chromium_params() == chromium_stack().params()
-        # The sortlist is stack-only: it never leaks into the view.
+    def test_sortlist_is_not_in_the_record(self):
         assert chromium_stack(sortlist="windows").params() == \
             chromium_stack(sortlist=None).params()
 
     def test_version_survives(self):
-        assert PolicyStack.from_heparams(
-            hev3_draft_params()).version is HEVersion.V3
-        assert PolicyStack.from_heparams(
-            rfc6555_params()).version is HEVersion.V1
+        assert hev3_draft_stack().params().version is HEVersion.V3
+        assert rfc6555_stack().params().version is HEVersion.V1
 
 
 class TestProfileConsistency:
-    def test_profile_from_params_derives_the_stack(self):
-        profile = ClientProfile(
-            name="x", version="1", released="01-2025",
-            engine_family="curl", kind="cli", params=rfc8305_params())
-        assert profile.stack == PolicyStack.from_heparams(rfc8305_params())
-
     def test_profile_from_stack_derives_the_params(self):
         profile = ClientProfile(
             name="x", version="1", released="01-2025",
             engine_family="curl", kind="cli", stack=wget_stack())
         assert profile.params == wget_stack().params()
 
-    def test_profile_needs_one_form(self):
-        with pytest.raises(ValueError, match="policy stack"):
+    def test_profile_needs_a_stack(self):
+        with pytest.raises(TypeError, match="stack"):
             ClientProfile(name="x", version="1", released="01-2025",
                           engine_family="curl", kind="cli")
 
-    def test_disagreeing_forms_rejected(self):
-        with pytest.raises(ValueError, match="disagree"):
+    def test_params_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="params"):
             ClientProfile(name="x", version="1", released="01-2025",
                           engine_family="curl", kind="cli",
-                          params=rfc8305_params(), stack=wget_stack())
+                          params=wget_stack().params(), stack=wget_stack())
 
     def test_hev3_flag_keeps_the_sortlist(self):
         chrome = get_profile("Chrome", "130.0")
@@ -124,32 +94,17 @@ class TestStageDeclarations:
 
 
 class TestEngineDriver:
-    def connect(self, policy):
+    def connect(self, stack):
         testbed = LocalTestbed(seed=7)
         stub = StubResolver(testbed.client, testbed.resolver_addresses[:1],
                             timeout=3600.0, retries=0)
-        engine = HappyEyeballsEngine(testbed.client, stub, policy)
+        engine = HappyEyeballsEngine(testbed.client, stub, stack)
         result = testbed.sim.run_until(
             engine.connect("www.he-test.example"))
         return engine, result
 
-    def test_engine_accepts_either_form(self):
-        params = rfc8305_params()
-        _, from_params = self.connect(params)
-        _, from_stack = self.connect(PolicyStack.from_heparams(params))
-        assert from_params.winning_family is from_stack.winning_family
-        assert from_params.time_to_connect == from_stack.time_to_connect
-        assert len(from_params.attempts) == len(from_stack.attempts)
-
-    def test_params_property_is_the_stack_view(self):
-        engine, _ = self.connect(rfc8305_params())
-        assert engine.params == rfc8305_params()
-        assert engine.stack == coerce_stack(rfc8305_params())
-        engine.params = rfc6555_params()
-        assert engine.stack.version is HEVersion.V1
-
     def test_trace_version_comes_from_the_stack(self):
-        _, result = self.connect(hev3_draft_params())
+        _, result = self.connect(hev3_draft_stack())
         first = result.trace.events[0]
         assert first.detail["version"] == "HEv3"
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (AllAttemptsFailed, AttemptOutcome, ConnectionRacer,
-                        HETrace, RaceDeadlineExceeded, rfc8305_params)
+                        HETrace, RaceDeadlineExceeded, rfc8305_stack)
 from repro.core.svcb import ServiceCandidate, candidates_from_addresses
 from repro.simnet import Family, Network, Protocol
 
@@ -19,8 +19,8 @@ def make_lab(seed=0, server_addresses=("192.0.2.10", "2001:db8::10")):
     return net, client, server
 
 
-def run_race(client, candidates, params=None, deadline=None):
-    racer = ConnectionRacer(client, params or rfc8305_params(),
+def run_race(client, candidates, deadline=None):
+    racer = ConnectionRacer(client, rfc8305_stack().racing,
                             trace=HETrace())
     process = client.sim.process(racer.run(candidates, deadline=deadline))
     return racer, process
@@ -84,8 +84,8 @@ class TestStaggering:
     def test_all_fail_raises_with_partial_result(self):
         net, client, _ = make_lab()
         candidates = candidates_from_addresses([DEAD_V6, DEAD_V4], 80)
-        params = rfc8305_params()
-        racer = ConnectionRacer(client, params, attempt_timeout=1.0)
+        racing = rfc8305_stack().racing
+        racer = ConnectionRacer(client, racing, attempt_timeout=1.0)
         process = client.sim.process(racer.run(candidates))
         process.defused = True
         net.sim.run()
@@ -123,8 +123,8 @@ class TestLateCandidates:
 
     def test_late_candidate_after_queue_drained(self):
         net, client, _ = make_lab()
-        params = rfc8305_params()
-        racer = ConnectionRacer(client, params, attempt_timeout=5.0)
+        racing = rfc8305_stack().racing
+        racer = ConnectionRacer(client, racing, attempt_timeout=5.0)
         process = client.sim.process(
             racer.run(candidates_from_addresses([DEAD_V6], 80)))
         # Queue empty, one active blackholed attempt; add a live one.
@@ -137,9 +137,9 @@ class TestLateCandidates:
 class TestDynamicCadProvider:
     def test_custom_provider_controls_stagger(self):
         net, client, _ = make_lab()
-        params = rfc8305_params()
+        racing = rfc8305_stack().racing
         racer = ConnectionRacer(
-            client, params, cad_provider=lambda index, candidate: 0.050)
+            client, racing, cad_provider=lambda index, candidate: 0.050)
         process = client.sim.process(
             racer.run(candidates_from_addresses([DEAD_V6, LIVE_V4], 80)))
         result = net.sim.run_until(process)
@@ -150,9 +150,9 @@ class TestDynamicCadProvider:
         net, client, _ = make_lab()
         from repro.core import HistoryStore
 
-        params = rfc8305_params().with_overrides(dynamic_cad=True,
-                                                 maximum_cad=1.5)
-        racer = ConnectionRacer(client, params, history=HistoryStore())
+        racing = rfc8305_stack().with_racing(dynamic_cad=True,
+                                             maximum_cad=1.5).racing
+        racer = ConnectionRacer(client, racing, history=HistoryStore())
         process = client.sim.process(
             racer.run(candidates_from_addresses([DEAD_V6, LIVE_V4], 80)))
         result = net.sim.run_until(process)
@@ -176,10 +176,10 @@ class TestQuicCandidates:
         from repro.core import HistoryStore
 
         history = HistoryStore()
-        params = rfc8305_params()
+        racing = rfc8305_stack().racing
         # Attempt timeout below the CAD: the dead IPv6 attempt fails
         # (and is recorded) before the IPv4 attempt wins.
-        racer = ConnectionRacer(client, params, history=history,
+        racer = ConnectionRacer(client, racing, history=history,
                                 attempt_timeout=0.2)
         process = client.sim.process(
             racer.run(candidates_from_addresses([DEAD_V6, LIVE_V4], 80)))

@@ -8,7 +8,7 @@ parameters — the "shape" guarantees behind Figure 2.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import rfc8305_params
+from repro.core import rfc8305_stack
 from repro.core.engine import HappyEyeballsEngine
 from repro.core.racing import AttemptOutcome, ConnectionRacer
 from repro.core.svcb import candidates_from_addresses
@@ -24,11 +24,11 @@ SCENARIOS = settings(max_examples=25, deadline=None)
 def run_connect(v6_delay_ms: int, cad_ms: int, seed: int):
     testbed = LocalTestbed(seed=seed)
     testbed.delay_ipv6_tcp(v6_delay_ms / 1000.0)
-    params = rfc8305_params().with_overrides(
+    stack = rfc8305_stack().with_racing(
         connection_attempt_delay=cad_ms / 1000.0)
     stub = StubResolver(testbed.client, testbed.resolver_addresses[:1],
                         timeout=3600.0, retries=0)
-    engine = HappyEyeballsEngine(testbed.client, stub, params)
+    engine = HappyEyeballsEngine(testbed.client, stub, stack)
     capture = testbed.start_client_capture()
     result = testbed.sim.run_until(
         engine.connect("www.he-test.example"))
@@ -102,7 +102,7 @@ class TestRaceInvariants:
         net.connect(client, segment, ["192.0.2.1", "2001:db8::1"])
         net.connect(server, segment, ["192.0.2.10", "2001:db8::10"])
         server.tcp.listen(80)
-        racer = ConnectionRacer(client, rfc8305_params())
+        racer = ConnectionRacer(client, rfc8305_stack().racing)
         candidates = candidates_from_addresses(
             ["2001:db8::10", "192.0.2.10"], 80)
         process = client.sim.process(racer.run(candidates))

@@ -7,7 +7,7 @@ pin the behavior: after a race resolves, no timer stays pending and
 draining the simulator never advances the clock to the dead deadline.
 """
 
-from repro.core import ConnectionRacer, HETrace, rfc8305_params
+from repro.core import ConnectionRacer, HETrace, rfc8305_stack
 from repro.core.svcb import candidates_from_addresses
 from repro.simnet import Network
 
@@ -30,7 +30,8 @@ def make_lab(seed=0):
 
 
 def race(client, addresses, deadline=FAR_DEADLINE):
-    racer = ConnectionRacer(client, rfc8305_params(), trace=HETrace())
+    racer = ConnectionRacer(client, rfc8305_stack().racing,
+                            trace=HETrace())
     process = client.sim.process(
         racer.run(candidates_from_addresses(addresses, 80),
                   deadline=deadline))

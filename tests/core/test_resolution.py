@@ -9,7 +9,8 @@ import ipaddress
 import pytest
 
 from repro.core.events import HEEventKind, HETrace
-from repro.core.params import ResolutionPolicy, rfc8305_params
+from repro.core.params import ResolutionPolicy
+from repro.core.policy import rfc8305_stack
 from repro.core.resolution import resolve_addresses
 from repro.dns.name import DNSName
 from repro.dns.rdata import RdataType
@@ -51,18 +52,18 @@ V6 = "2001:db8::1"
 V4 = "192.0.2.1"
 
 
-def run_machine(policy, script, params_overrides=None):
+def run_machine(policy, script, overrides=None):
     """Run the machine against a scripted answer schedule."""
     sim = Simulator()
     dual = FakeDual(sim)
     for rtype, at, addresses, error in script:
         dual.deliver(rtype, at, addresses, error)
-    params = rfc8305_params().with_overrides(
-        resolution_policy=policy, **(params_overrides or {}))
+    stage = rfc8305_stack().with_resolution(
+        mode=policy, **(overrides or {})).resolution
     trace = HETrace()
 
     def body():
-        outcome = yield from resolve_addresses(sim, dual, params, trace)
+        outcome = yield from resolve_addresses(sim, dual, stage, trace)
         return outcome
 
     process = sim.process(body())
@@ -118,7 +119,7 @@ class TestHev2Machine:
             ResolutionPolicy.HE_V2,
             [(RdataType.A, 0.010, [V4], None),
              (RdataType.AAAA, 0.900, [V6], None)],
-            params_overrides={"resolution_delay": 0.200})
+            overrides={"resolution_delay": 0.200})
         assert now == pytest.approx(0.210)
 
     def test_aaaa_empty_waits_for_a(self):

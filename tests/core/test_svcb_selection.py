@@ -4,7 +4,7 @@ import ipaddress
 
 import pytest
 
-from repro.core.params import hev3_draft_params, rfc8305_params
+from repro.core.policy import hev3_draft_stack
 from repro.core.svcb import (ServiceCandidate, candidates_from_addresses,
                              candidates_from_svcb, order_candidates)
 from repro.dns import DNSName, HTTPS, SVCB
@@ -87,13 +87,13 @@ class TestOrdering:
         plain_quic = self.make(V6A, Protocol.QUIC)
         ech_tcp = self.make(V6B, Protocol.TCP, ech=True)
         out = order_candidates([plain_quic, ech_tcp],
-                               hev3_draft_params())
+                               hev3_draft_stack().sorting)
         assert out[0] is ech_tcp
 
     def test_quic_beats_tcp_within_same_ech_class(self):
         tcp = self.make(V6A, Protocol.TCP)
         quic = self.make(V6B, Protocol.QUIC)
-        out = order_candidates([tcp, quic], hev3_draft_params())
+        out = order_candidates([tcp, quic], hev3_draft_stack().sorting)
         assert out[0] is quic
 
     def test_families_interlaced_within_bucket(self):
@@ -101,7 +101,7 @@ class TestOrdering:
                       self.make(V6B, Protocol.TCP),
                       self.make(V4A, Protocol.TCP),
                       self.make(V4B, Protocol.TCP)]
-        out = order_candidates(candidates, hev3_draft_params())
+        out = order_candidates(candidates, hev3_draft_stack().sorting)
         families = [c.family for c in out]
         assert families[:2] == [Family.V6, Family.V4]
 

@@ -90,9 +90,9 @@ class TestDualLookup:
         dual = stub.lookup_dual("www.example.com",
                                 first=RdataType.AAAA)
         net.sim.run_until(net.sim.all_of([dual.aaaa, dual.a]))
-        from repro.testbed.inference import query_order
+        from repro.testbed.inference import CaptureObservation
 
-        order = query_order(capture)
+        order = CaptureObservation(capture).query_order
         assert order == [RdataType.AAAA, RdataType.A]
 
     def test_a_first_order(self):
@@ -102,9 +102,10 @@ class TestDualLookup:
         stub = StubResolver(client, ["192.0.2.53"])
         dual = stub.lookup_dual("www.example.com", first=RdataType.A)
         net.sim.run_until(net.sim.all_of([dual.aaaa, dual.a]))
-        from repro.testbed.inference import query_order
+        from repro.testbed.inference import CaptureObservation
 
-        assert query_order(capture) == [RdataType.A, RdataType.AAAA]
+        assert CaptureObservation(capture).query_order == \
+            [RdataType.A, RdataType.AAAA]
 
     def test_gap_delays_second_query(self):
         net, client, server = make_lab()

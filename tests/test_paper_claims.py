@@ -27,7 +27,7 @@ from repro.clients import AKAMAI_EGRESS, CLOUDFLARE_EGRESS, get_profile
 from repro.clients.icpr import (measure_egress_cad,
                                 measure_egress_dns_timeout)
 from repro.core import (HappyEyeballsEngine, HistoryStore, ResolutionPolicy,
-                        hev3_draft_params, rfc8305_params)
+                        hev3_draft_stack, rfc8305_stack)
 from repro.dns import HTTPS, DNSName, RdataType
 from repro.dns.nsselect import GluePlan, ResolverBehavior
 from repro.dns.stub import StubResolver
@@ -610,14 +610,14 @@ def cad_destination(policy: str, label: str, delay_ms, seed: int):
         effective_rtt = max(0.002, delay_ms / 1000.0)
     history = HistoryStore()
     if policy == "dynamic":
-        params = rfc8305_params().with_overrides(dynamic_cad=True)
+        stack = rfc8305_stack().with_racing(dynamic_cad=True)
         for address in (SERVER_V6, DEAD_V6, SERVER_V4):
             history.record_success(parse_address(address),
                                    rtt=effective_rtt, now=0.0)
     else:
-        params = rfc8305_params().with_overrides(
+        stack = rfc8305_stack().with_racing(
             connection_attempt_delay=float(policy) / 1000.0)
-    engine = stub_engine(testbed, params, history)
+    engine = stub_engine(testbed, stack, history)
     result = testbed.sim.run_until(engine.connect(hostname))
     return result.time_to_connect, result.winning_family
 
@@ -682,7 +682,7 @@ def fafc_ablation():
         testbed = LocalTestbed(seed=90 + fafc)
         hostname = testbed.add_domain(
             f"fafc{fafc}", ["2001:db8:dead::1", SERVER_V6, SERVER_V4])
-        engine = stub_engine(testbed, rfc8305_params().with_overrides(
+        engine = stub_engine(testbed, rfc8305_stack().with_sorting(
             first_address_family_count=fafc))
         results[fafc] = testbed.sim.run_until(engine.connect(hostname))
     return results
@@ -771,8 +771,8 @@ def rd_time_to_connect(policy: ResolutionPolicy, delayed: RdataType,
                        delay_ms: int) -> float:
     testbed = LocalTestbed(seed=81)
     testbed.set_dns_delay(delayed, delay_ms / 1000.0)
-    engine = stub_engine(testbed, rfc8305_params().with_overrides(
-        resolution_policy=policy))
+    engine = stub_engine(testbed, rfc8305_stack().with_resolution(
+        mode=policy))
     result = testbed.sim.run_until(
         engine.connect(f"rd-ablation-{delay_ms}.{testbed.test_domain}"))
     return result.time_to_connect
@@ -835,7 +835,7 @@ def hev3_race(seed: int, quic_enabled: bool, advertise: bool = True):
         testbed.server_iface.ingress.add_rule(NetemRule(
             spec=NetemSpec(loss=1.0),
             filter=NetemFilter(protocol=Protocol.QUIC), name="drop-quic"))
-    engine = stub_engine(testbed, hev3_draft_params())
+    engine = stub_engine(testbed, hev3_draft_stack())
     capture = testbed.start_client_capture()
     result = testbed.sim.run_until(
         engine.connect(f"www.{testbed.test_domain}"))

@@ -344,14 +344,3 @@ class TestSingleDecode:
         with pytest.raises(MessageError):
             DNSMessage.decode_interned(garbage)
         assert garbage not in INTERN_TABLE
-
-    def test_legacy_wrappers_still_work(self, harvested):
-        from repro.testbed import (aaaa_before_a, attempt_sequence,
-                                   established_family, infer_cad)
-
-        observation = CaptureObservation(harvested)
-        assert infer_cad(harvested) == observation.cad
-        assert established_family(harvested) == \
-            observation.established_family
-        assert aaaa_before_a(harvested) == observation.aaaa_first
-        assert attempt_sequence(harvested) == observation.attempt_sequence

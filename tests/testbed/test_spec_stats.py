@@ -107,6 +107,37 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="resolver_timeout"):
             CampaignSpec.from_dict({**base, "resolver_timeout": bad})
 
+    @pytest.mark.parametrize("patch", [
+        {"clients": "Chrome"},
+        {"clients": ["Chrome"]},
+        {"repetitons": 3},
+        {"cases": [{"kind": "cad", "repetition": 3}]},
+        {"clients": [{"name": "Chrome", "hev3flag": True}]},
+        {"seed": "seven"},
+        {"seed": 7.9},
+        {"workers": "two"},
+        {"workers": True},
+        {"workers": 0},
+        {"cases": [{"kind": "address-selection",
+                    "addresses_per_family": "ten"}]},
+        {"cases": [{"kind": "cad", "sweep": "x"}]},
+        {"cases": [{"kind": "address-selection",
+                    "addresses_per_family": 0}]},
+        {"cases": [{"kind": "address-selection",
+                    "addresses_per_family": -2}]},
+    ], ids=["clients-string", "clients-names", "campaign-typo", "case-typo",
+            "client-typo", "seed-text", "seed-fraction", "workers-text",
+            "workers-bool", "workers-zero",
+            "addresses-text", "sweep-text", "addresses-zero",
+            "addresses-negative"])
+    def test_malformed_spec_is_a_spec_error(self, patch):
+        """A malformed stanza, including a misspelt key that would
+        otherwise be ignored, raises ``SpecError`` at parse time."""
+        base = {"clients": [{"name": "curl", "version": "7.88.1"}],
+                "cases": [{"kind": "cad", "sweep": {"values": [100]}}]}
+        with pytest.raises(SpecError):
+            CampaignSpec.from_dict({**base, **patch})
+
     def test_chaos_spec_matches_fault_free_execution(self):
         base = {
             "seed": 13,

@@ -128,7 +128,7 @@ class TestCampaign:
         profile = profile_for_entry(UAEntry("iOS", "18.1",
                                             "Mobile Safari", "18.1"))
         assert profile.engine_family == "webkit"
-        assert profile.params.maximum_cad == pytest.approx(1.0)
+        assert profile.stack.racing.maximum_cad == pytest.approx(1.0)
 
     def test_small_campaign_aggregates(self):
         campaign = WebCampaign(seed=35, repetitions=3)
