@@ -47,12 +47,12 @@ def test_warm_cache_rerender(benchmark, tmp_path):
         benchmark.pedantic(run_cold_and_warm, rounds=1, iterations=1)
 
     # Cold run: every lookup missed, every record was stored.
-    assert cold_store.stats.misses == RUNS
-    assert cold_store.stats.stores == RUNS
+    assert cold_store.metrics.misses == RUNS
+    assert cold_store.metrics.stores == RUNS
     # Warm run: every lookup hit, nothing executed or written.
-    assert warm_store.stats.hits == RUNS
-    assert warm_store.stats.misses == 0
-    assert warm_store.stats.stores == 0
+    assert warm_store.metrics.hits == RUNS
+    assert warm_store.metrics.misses == 0
+    assert warm_store.metrics.stores == 0
 
     # Byte-identical re-render, and identical to a store-less run.
     cold_text = render_figure2(cold)

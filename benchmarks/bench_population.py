@@ -48,7 +48,7 @@ def measure_population(root: pathlib.Path, samples: int = POP_SAMPLES):
     warm = experiment.run(Session(seed=0, store=warm_store,
                                   knobs=knobs))
     warm_s = time.perf_counter() - t0
-    return cold_s, warm_s, cold, warm, warm_store.stats.misses
+    return cold_s, warm_s, cold, warm, warm_store.metrics.misses
 
 
 def test_population_campaign_throughput(tmp_path):

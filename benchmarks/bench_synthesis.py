@@ -54,7 +54,7 @@ def measure_synthesis(root: pathlib.Path):
                                   knobs=knobs))
     warm_s = time.perf_counter() - t0
     evaluated = cold.data["evaluated"]
-    return cold_s, warm_s, cold, warm, warm_store.stats.misses, evaluated
+    return cold_s, warm_s, cold, warm, warm_store.metrics.misses, evaluated
 
 
 def test_synthesis_throughput(tmp_path):

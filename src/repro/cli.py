@@ -31,10 +31,6 @@ from typing import List, Optional
 from .experiments import (Session, all_experiments, get_experiment,
                           knob_mapping)
 
-#: Experiments re-exported here for backwards compatibility with the
-#: pre-registry CLI module layout.
-from .experiments import FIGURE5_CLIENTS, TABLE2_WEB_ENTRIES  # noqa: F401
-
 
 def _store_from(args: argparse.Namespace):
     """The campaign store selected by ``--cache-dir`` / ``--no-cache``
@@ -112,8 +108,7 @@ def _session_from(args: argparse.Namespace, experiment) -> Session:
 
 def _run_experiment(experiment, args: argparse.Namespace) -> None:
     """The one generic dispatch path: execute, render, print the
-    artifact, then print the session's cache summary exactly once
-    (and the fault summary, when resilience was requested)."""
+    artifact, then print the session's summary lines exactly once."""
     session = _session_from(args, experiment)
     profiler = None
     if getattr(args, "profile", False):
@@ -131,14 +126,8 @@ def _run_experiment(experiment, args: argparse.Namespace) -> None:
         print(artifact.json_text())
     else:
         print(artifact.text)
-    cache_line = session.cache_line()
-    if cache_line is not None:
-        print(cache_line)
-    for line in session.fault_detail_lines():
+    for line in session.summary_lines():
         print(line)
-    fault_line = session.fault_line()
-    if fault_line is not None:
-        print(fault_line)
     if profiler is not None:
         import pstats
         stats = pstats.Stats(profiler, stream=sys.stderr)
@@ -217,6 +206,25 @@ def _cmd_ls(args: argparse.Namespace) -> None:
     print(f"\n{len(rows)} experiments registered")
 
 
+_POPULATION = ("population-latency", "population-family-share")
+_SYNTHESIS = ("synthesize-scenarios", "synthesize-report")
+#: ``repro cache gc``'s knob flags: ``(flag, experiments, knob)``.  A
+#: flag sets that knob of those experiments' plans; unset (None), the
+#: knob's own declaration supplies the default.
+_GC_KNOBS = (
+    ("step", ("figure2",), "step"),
+    ("stop", ("figure2",), "stop"),
+    ("table3_repetitions", ("table3",), "repetitions"),
+    ("population_samples", _POPULATION, "samples"),
+    ("population_spec", _POPULATION, "spec"),
+    ("synthesis_seeds", _SYNTHESIS, "synthesis_seeds"),
+    ("synthesis_rounds", _SYNTHESIS, "synthesis_rounds"),
+    ("synthesis_top", _SYNTHESIS, "synthesis_top"),
+    ("synthesis_neighbors", _SYNTHESIS, "synthesis_neighbors"),
+    ("synthesis_clients", _SYNTHESIS, "clients"),
+)
+
+
 def _cmd_cache_gc(args: argparse.Namespace) -> None:
     """Mark-and-sweep the campaign store against the union of every
     registered experiment's planned keys — an experiment in the
@@ -224,30 +232,17 @@ def _cmd_cache_gc(args: argparse.Namespace) -> None:
     store = _store_from(args)
     if store is None:
         raise SystemExit("cache gc needs --cache-dir (or $REPRO_CACHE_DIR)")
-    population = {"samples": args.population_samples,
-                  "spec": args.population_spec}
-    synthesis = {"synthesis_seeds": args.synthesis_seeds,
-                 "synthesis_rounds": args.synthesis_rounds,
-                 "synthesis_top": args.synthesis_top,
-                 "synthesis_neighbors": args.synthesis_neighbors,
-                 "clients": args.synthesis_clients}
-    overrides = {
-        "figure2": {"step": args.step, "stop": args.stop},
-        "table3": {"repetitions": args.table3_repetitions},
-        "population-latency": population,
-        "population-family-share": population,
-        "synthesize-scenarios": synthesis,
-        "synthesize-report": synthesis,
-    }
+    overrides: "dict[str, dict]" = {}
+    for flag, names, knob in _GC_KNOBS:
+        for name in names:
+            overrides.setdefault(name, {})[knob] = getattr(args, flag)
     live: "set[str]" = set()
     for experiment in all_experiments():
-        knobs = experiment.default_knobs()
-        knobs.update(overrides.get(experiment.name, {}))
+        knobs = knob_mapping(experiment, overrides.get(experiment.name, {}))
         session = Session(seed=args.seed, store=store, knobs=knobs)
         live.update(entry.key for entry in experiment.plan(session))
-    stats = store.gc(live, dry_run=args.dry_run)
-    prefix = "[cache gc] (dry run) " if args.dry_run else "[cache gc] "
-    print(f"{prefix}{stats.summary()} root={store.root}")
+    sweep = store.gc(live, dry_run=args.dry_run)
+    print(sweep.gc_line(store.root, dry_run=args.dry_run))
 
 
 def _interrupt(signum, frame) -> None:
@@ -544,38 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
         "gc",
         help="drop store entries unreferenced by any registered "
              "experiment's plan and print the reclaimed bytes")
-    pgc.add_argument("--step", type=int, default=25,
-                     help="figure2 step whose keys stay live (default 25)")
-    pgc.add_argument("--stop", type=int, default=400)
-    pgc.add_argument("--table3-repetitions", type=int, default=160,
-                     help="table3 share repetitions whose keys stay "
-                          "live (default 160, the table3 default; "
-                          "smaller campaigns are a key subset)")
-    pgc.add_argument("--population-samples", type=int, default=250,
-                     help="population sample count whose keys stay "
-                          "live (default 250, the population default; "
-                          "smaller populations are a key subset)")
-    pgc.add_argument("--population-spec", default="default",
-                     help="population spec whose sample keys stay live "
-                          "(preset name, @file, or inline JSON; "
-                          "default: the 'default' preset)")
-    pgc.add_argument("--synthesis-seeds", type=int, default=32,
-                     help="synthesis grid budget whose keys stay live "
-                          "(default 32, the synthesis default; smaller "
-                          "budgets are a key subset)")
-    pgc.add_argument("--synthesis-rounds", type=int, default=2,
-                     help="synthesis refinement rounds planned live "
-                          "(refinement keys resolve only from a warm "
-                          "store, like the probe's fine pass)")
-    pgc.add_argument("--synthesis-top", type=int, default=6,
-                     help="synthesis refinement breadth whose keys "
-                          "stay live (default 6)")
-    pgc.add_argument("--synthesis-neighbors", type=int, default=8,
-                     help="synthesis neighbours-per-parent whose keys "
-                          "stay live (default 8)")
-    pgc.add_argument("--synthesis-clients", default="all",
-                     help="client selectors whose synthesis keys stay "
-                          "live (default 'all')")
+    for flag, names, name in _GC_KNOBS:
+        knob = next(knob for knob in get_experiment(names[0]).knobs
+                    if knob.name == name)
+        pgc.add_argument("--" + flag.replace("_", "-"), dest=flag,
+                         type=knob.type,
+                         help=f"the {knob.option} of {' and '.join(names)} "
+                              f"whose keys stay live (default "
+                              f"{knob.default})")
     pgc.add_argument("--dry-run", action="store_true",
                      help="report what gc would keep/remove and the "
                           "reclaimable bytes without deleting anything")

@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..analysis.render import format_ms, render_mark, render_table
+from ..analysis.render import render_mark, render_table
 from .fingerprint import ClientFingerprint, Deviation, ParameterVerdict
+from .report import _ms
 
 #: Measured values within this much of each other count as unchanged —
 #: the same capture-granularity tolerance the verdict judges use.
@@ -114,10 +115,6 @@ def diff_fingerprints(a: ClientFingerprint,
 # --------------------------------------------------------------------------
 # rendering
 # --------------------------------------------------------------------------
-
-
-def _ms(value: "Optional[float]") -> Optional[str]:
-    return None if value is None else format_ms(value / 1000.0, digits=1)
 
 
 def _impl_cell(row: DriftRow) -> str:

@@ -27,17 +27,19 @@ seed, worker count, campaign store, resilience bundle and the
 experiment's knob values — and every function that executes runs
 takes it whole, so the execution context is one object, never a
 hand-threaded ``(store, workers, resilience)`` tuple.  The session
-also owns cache-summary reporting, so store counters are printed
-exactly once per invocation instead of being copy-pasted into every
-command.
+also owns the invocation's counters (:class:`~repro.metrics.Metrics`)
+and their summary lines, so they are printed exactly once per
+invocation instead of being copy-pasted into every command.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Tuple)
+
+from ..metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..testbed.parallel import Plan
@@ -131,10 +133,16 @@ class Session:
     #: campaign journal, resume mode) — None runs every campaign in
     #: the historical fail-fast mode.
     resilience: Optional[Resilience] = None
+    #: The invocation's counters: the store's own when there is a
+    #: store (so every layer counts into one object), else fresh.
+    metrics: Metrics = field(default_factory=Metrics, init=False,
+                             repr=False)
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1: {self.workers}")
+        if self.store is not None:
+            self.metrics = self.store.metrics
         # Store faults fire parent-side, where the executor reads and
         # writes, so the store takes the session's fault plan.
         if (self.store is not None and self.resilience is not None
@@ -151,43 +159,19 @@ class Session:
         value = self.knobs.get(name)
         return default if value is None else value
 
-    def cache_line(self) -> Optional[str]:
-        """The one-per-invocation ``[cache]`` summary, or None.
+    def summary_lines(self) -> List[str]:
+        """The invocation's ``[cache]`` and ``[faults]`` lines.
 
-        The executor resolves every entry parent-side, so
-        ``store.stats`` holds the invocation's totals; this is the
-        single place they get rendered.  A session whose store was never
-        touched (e.g. ``conformance --list``) reports nothing, so
-        pure commands stay byte-identical with and without a
-        configured cache directory.
-        """
-        store = self.store
-        if store is None:
-            return None
-        if store.stats.lookups == 0 and store.stats.stores == 0:
-            return None
-        return f"[cache] {store.stats.summary()} root={store.root}"
-
-    def fault_line(self) -> Optional[str]:
-        """The one-per-invocation ``[faults]`` summary, or None.
-
-        Printed only when resilience was *explicitly* requested (a
-        retry/timeout/fault-plan/resume flag) and the runtime actually
-        observed something — a plain cached run stays byte-identical
-        to its pre-resilience output.
+        A session whose store was never touched (e.g. ``conformance
+        --list``) prints no ``[cache]`` line, so pure commands stay
+        byte-identical with and without a cache directory; fault lines
+        print only when resilience was *explicitly* requested.
         """
         res = self.resilience
-        if res is None or not res.explicit or not res.manifest.touched:
-            return None
-        return f"[faults] {res.manifest.summary()}"
-
-    def fault_detail_lines(self) -> "list[str]":
-        """Per-failure detail lines for graceful degradation (empty
-        when every entry completed)."""
-        res = self.resilience
-        if res is None or not res.explicit:
-            return []
-        return res.manifest.failure_lines()
+        return self.metrics.summary_lines(
+            root=None if self.store is None else self.store.root,
+            failures=res.failures if res is not None and res.explicit
+            else None)
 
 
 class Experiment:

@@ -43,6 +43,8 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
                     Optional, Sequence, Tuple, TypeVar)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .experiments.base import Session
+    from .metrics import Metrics
     from .testbed.resilience import FailureEntry, Resilience
 
 Item = TypeVar("Item")
@@ -158,13 +160,14 @@ def _run_chunk(fn: "Callable[[Any, int], Any]",
 
 
 def shared_map(fn: "Callable[[Item, int], Result]",
-               items: "Sequence[Item]", workers: Optional[int],
-               resilience: "Optional[Resilience]" = None,
+               items: "Sequence[Item]",
+               session: "Optional[Session]" = None,
                describe: "Optional[Callable[[Item], str]]" = None,
                fallback: "Optional[Callable[[Item, FailureEntry], Result]]"
                = None) -> "Iterator[Result]":
     """``fn(item, attempt)`` for every item, yielding results in item
-    order — in-process, or over the shared pool with ``workers >= 2``.
+    order — in-process, or over the shared pool when ``session`` has
+    ``workers >= 2``.
 
     ``attempt`` is the item's fault-targeting attempt (0 on its first
     dispatch), so seeded fault plans fire deterministically; workers
@@ -174,29 +177,32 @@ def shared_map(fn: "Callable[[Item, int], Result]",
     once per item; ``fn`` carries only what no item holds (the
     executor's fault plan).  Nothing store-like rides along: results
     come back to the caller, which writes them.  ``describe`` labels
-    an item for backoff seeding and the failure manifest.
+    an item for backoff seeding and the failure list.
 
-    ``resilience`` carries the retry policy, the fault plan and the
-    manifest that counts what happened.  With no retry budget, fault
+    ``session`` (None: serial, fail fast) gives the worker count, the
+    retry policy, fault plan and failure list, and the metrics that
+    count what happened.  With no retry budget, fault
     plan or watchdog, an item's exception propagates; otherwise an
     item that exhausts its budget resolves to
     ``fallback(item, failure)`` and the campaign completes.
     """
+    from .experiments.base import Session
     from .testbed.resilience import Resilience
 
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    res = resilience if resilience is not None else Resilience()
+    session = session or Session()
+    workers, metrics = session.workers, session.metrics
+    res = session.resilience or Resilience()
     if res.degrades:
-        res.manifest.dispatched += len(items)
+        metrics.dispatched += len(items)
     if workers is None or workers == 1 or len(items) < 2:
-        yield from _in_process(fn, items, res, describe, fallback)
+        yield from _in_process(fn, items, res, metrics, describe, fallback)
     else:
-        yield from _over_pool(fn, items, workers, res, describe, fallback)
+        yield from _over_pool(fn, items, workers, res, metrics, describe,
+                              fallback)
 
 
-def _give_up(res: "Resilience", item: Any, attempts: int,
-             exc: Exception, started: float,
+def _give_up(res: "Resilience", metrics: "Metrics", item: Any,
+             attempts: int, exc: Exception, started: float,
              describe: "Callable[[Any], str]",
              fallback: "Callable[[Any, FailureEntry], Any]") -> Any:
     """An item out of retries: degrade to ``fallback``, or re-raise
@@ -209,11 +215,13 @@ def _give_up(res: "Resilience", item: Any, attempts: int,
         label=describe(item), attempts=attempts,
         error=str(exc) or type(exc).__name__,
         elapsed_s=time.monotonic() - started)
-    res.manifest.failures.append(failure)
+    res.failures.append(failure)
+    metrics.failures += 1
     return fallback(item, failure)
 
 
-def _in_process(fn, items, res, describe, fallback) -> Iterator[Any]:
+def _in_process(fn, items, res, metrics, describe, fallback
+                ) -> Iterator[Any]:
     """One retry loop per item, in this process.  ``KeyboardInterrupt``
     and ``SystemExit`` always propagate — resilience is for the
     harness's faults, not for overriding the operator."""
@@ -228,15 +236,15 @@ def _in_process(fn, items, res, describe, fallback) -> Iterator[Any]:
             except Exception as exc:
                 attempt += 1
                 if attempt > policy.retries:
-                    value = _give_up(res, item, attempt, exc, started,
-                                     describe, fallback)
+                    value = _give_up(res, metrics, item, attempt, exc,
+                                     started, describe, fallback)
                     break
-                res.manifest.retries += 1
+                metrics.retries += 1
                 time.sleep(policy.backoff_for(describe(item), attempt - 1))
         yield value
 
 
-def _over_pool(fn, items, workers, res, describe, fallback
+def _over_pool(fn, items, workers, res, metrics, describe, fallback
                ) -> Iterator[Any]:
     """Chunks over the shared pool, at most ``workers`` in flight, so a
     chunk's watchdog (``entry_timeout`` per item) measures execution,
@@ -245,7 +253,6 @@ def _over_pool(fn, items, workers, res, describe, fallback
     from concurrent.futures.process import BrokenProcessPool
 
     policy = res.policy
-    manifest = res.manifest
     n = len(items)
     size = -(-n // (workers * _CHUNKS_PER_WORKER))  # ceil division
     #: Payloads awaiting dispatch, sorted by first index: contiguous
@@ -272,11 +279,11 @@ def _over_pool(fn, items, workers, res, describe, fallback
             settling.discard(index)
         if charged[index] > policy.retries:
             results[index] = _give_up(
-                res, items[index], charged[index], exc,
+                res, metrics, items[index], charged[index], exc,
                 first_dispatch[index] or time.monotonic(),
                 describe, fallback)
             return
-        manifest.retries += 1
+        metrics.retries += 1
         ready_at[index] = time.monotonic() + policy.backoff_for(
             describe(items[index]), charged[index] - 1)
         bisect.insort(queue, (index,))
@@ -297,8 +304,8 @@ def _over_pool(fn, items, workers, res, describe, fallback
         alone in its task is charged (a break while items settle can
         only have come from one of them) and settles again; every
         other task is split."""
-        manifest.pool_breaks += 1
-        manifest.respawns += 1
+        metrics.pool_breaks += 1
+        metrics.respawns += 1
         blamed = set(settling or ())
         inflight.clear()
         shutdown_shared_pool()
@@ -376,13 +383,13 @@ def _over_pool(fn, items, workers, res, describe, fallback
                    if now - started >= policy.entry_timeout * len(payload)]
         if not overdue:
             return  # spurious wake (e.g. clamped timeout)
-        manifest.respawns += 1
+        metrics.respawns += 1
         survivors = [payload for payload, _ in inflight.values()
                      if payload not in overdue]
         inflight.clear()
         abandon_shared_pool()
         for payload in overdue:
-            manifest.hang_timeouts += 1
+            metrics.hang_timeouts += 1
             if len(payload) == 1:
                 charge(payload[0], TimeoutError(
                     f"entry exceeded the {policy.entry_timeout:.3f}s "

@@ -32,8 +32,7 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8377
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "core": ("AdmissionError", "CampaignService", "ServedResult",
-             "ServiceStats"),
+    "core": ("AdmissionError", "CampaignService", "ServedResult"),
     "singleflight": ("SingleFlight", "SingleFlightStore"),
     "tiering": ("LRUCache", "TieredStore"),
 })

@@ -18,6 +18,9 @@ Identical in-flight submissions (same experiment, same resolved knobs,
 same seed) additionally *coalesce*: followers share the leader's
 execution and receive the same artifact, reported as ``coalesced``
 with zero executions of their own.
+
+The tier and the single-flight registry count into one lifetime
+:class:`~repro.metrics.Metrics`, :attr:`CampaignService.stats`.
 """
 
 from __future__ import annotations
@@ -70,23 +73,6 @@ class ServedResult:
                 f"coalesced={str(self.coalesced).lower()}")
 
 
-@dataclass
-class ServiceStats:
-    """Service-lifetime counters (reported by ``GET /stats``)."""
-
-    submissions: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    coalesced: int = 0
-    keys_planned: int = 0
-    keys_executed: int = 0
-    keys_waited: int = 0
-
-    def snapshot(self) -> "Dict[str, int]":
-        return dataclasses.asdict(self)
-
-
 class CampaignService:
     """Accepts experiment plans from many concurrent sessions.
 
@@ -127,8 +113,10 @@ class CampaignService:
         self._lookup = lookup
         self.store = TieredStore(CampaignStore(cache_dir),
                                  capacity=lru_capacity)
-        self.flight = SingleFlight()
-        self.stats = ServiceStats()
+        #: Service-lifetime counters: the tier's, which the
+        #: single-flight registry counts into too.
+        self.stats = self.store.metrics
+        self.flight = SingleFlight(self.stats)
         self._threads = ThreadPoolExecutor(
             max_workers=service_workers,
             thread_name_prefix="campaign-service")
@@ -245,16 +233,18 @@ class CampaignService:
         finally:
             resilience.close()
             flight_store.release()
-        executed = flight_store.executed
+        # The submission's own counters: its flight store's stores are
+        # the runs it executed.
+        executed, waited = session.metrics.stores, session.metrics.waited
         result = ServedResult(
             experiment=experiment.name, knobs=dict(values),
             digest=digest, text=artifact.text, data=artifact.data,
             planned=planned, hits=max(0, planned - executed),
-            executed=executed, waited=flight_store.waited)
+            executed=executed, waited=waited)
         self.stats.completed += 1
         self.stats.keys_planned += planned
         self.stats.keys_executed += executed
-        self.stats.keys_waited += flight_store.waited
+        self.stats.keys_waited += waited
         return result
 
     # -- lifecycle -------------------------------------------------------------

@@ -12,7 +12,7 @@ matching client.  The wire format is deliberately plain JSON:
   the client reprints it byte-identical to ``repro run``.
 * ``GET /health`` — liveness plus the registered experiment count.
 * ``GET /stats`` — service counters, tier counters, single-flight
-  counters.
+  counters: the service's lifetime :class:`~repro.metrics.Metrics`.
 
 Each request is handled on its own thread (admission layer); execution
 slots are bounded by the service's own pool, so a submission storm
@@ -91,19 +91,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                               "experiments": len(all_experiments())})
             return
         if self.path == "/stats":
-            tier = service.store
-            self._reply(200, {
-                "ok": True,
-                "service": service.stats.snapshot(),
-                "tier": {"hits": tier.stats.hits,
-                         "misses": tier.stats.misses,
-                         "stores": tier.stats.stores,
-                         "lru_entries": len(tier.lru),
-                         "lru_evictions": tier.lru.evictions},
-                "flight": {"claims": service.flight.claims,
-                           "waits": service.flight.waits,
-                           "in_flight": service.flight.in_flight()},
-            })
+            lru = service.store.lru
+            self._reply(200, {"ok": True, **service.stats.stats_sections(
+                tier={"lru_entries": len(lru),
+                      "lru_evictions": lru.evictions},
+                flight={"in_flight": service.flight.in_flight()})})
             return
         self._reply(404, {"ok": False, "error": f"no route {self.path}"})
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..metrics import Metrics
 from ..testbed.store import Decoded
 
 
@@ -31,17 +32,15 @@ class SingleFlight:
 
     Thread-safe; tokens are opaque per-submission identities (any
     hashable object).  The registry never touches the store — it only
-    arbitrates who is allowed to execute a missing key.
+    arbitrates who is allowed to execute a missing key.  It counts
+    ``claims`` and ``waits`` into ``metrics`` (the service's lifetime
+    counters).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: Metrics) -> None:
         self._cond = threading.Condition()
         self._owners: "Dict[str, Any]" = {}
-        #: Keys granted to some submission (lifetime total).
-        self.claims = 0
-        #: Wait rounds — one submission blocking once on another's
-        #: in-flight keys (lifetime total).
-        self.waits = 0
+        self.metrics = metrics
 
     def in_flight(self) -> int:
         """Keys currently claimed by some submission."""
@@ -65,7 +64,7 @@ class SingleFlight:
             for key in keys:
                 if key not in self._owners:
                     self._owners[key] = token
-                    self.claims += 1
+                    self.metrics.claims += 1
             return True, []
 
     def wait_any(self, token: Any, keys: "Iterable[str]",
@@ -80,7 +79,7 @@ class SingleFlight:
                            for key in keys)
             if some_free():
                 return
-            self.waits += 1
+            self.metrics.waits += 1
             while not some_free():
                 self._cond.wait(timeout=timeout)
 
@@ -123,6 +122,11 @@ class SingleFlightStore:
     wrapper is drop-in wherever a :class:`CampaignStore` is expected.
     It lives in the parent only: the executor resolves every key there
     and ships nothing store-like to pool workers.
+
+    Its own :attr:`metrics` (the submission's) count ``stores`` — keys
+    this submission stored, which are the runs it executed when the
+    campaign layer above only stores fresh executions — and ``waited``,
+    the keys that resolved only after waiting on a foreign claim.
     """
 
     def __init__(self, inner: Any, flight: SingleFlight,
@@ -130,11 +134,7 @@ class SingleFlightStore:
         self.inner = inner
         self.flight = flight
         self.token = token if token is not None else object()
-        #: Keys this submission stored (== runs it executed, when the
-        #: campaign layer above only stores fresh executions).
-        self.executed = 0
-        #: Keys that resolved only after waiting on a foreign claim.
-        self.waited = 0
+        self.metrics = Metrics()
 
     # -- reads (claim protocol) ------------------------------------------------
 
@@ -150,7 +150,7 @@ class SingleFlightStore:
                 break
             self.flight.wait_any(self.token, foreign)
             resolved = self.inner.get_many(foreign, decode)
-            self.waited += len(resolved)
+            self.metrics.waited += len(resolved)
             out.update(resolved)
             pending = [key for key in pending if key not in out]
         return out
@@ -159,7 +159,7 @@ class SingleFlightStore:
 
     def put(self, key: str, payload: Any) -> None:
         self.inner.put(key, payload)
-        self.executed += 1
+        self.metrics.stores += 1
         self.flight.release(self.token, [key])
 
     # -- teardown ----------------------------------------------------------------

@@ -17,7 +17,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List
 
-from ..testbed.store import CacheStats, Decoded
+from ..metrics import Metrics
+from ..testbed.store import Decoded
 
 _MISSING = object()
 
@@ -88,16 +89,15 @@ class TieredStore:
     every operation holds the tier lock — which also serializes access
     to the backing handle's scan state.
 
-    ``stats`` counts at tier granularity (a memory hit and a disk hit
-    are both hits); the backing store's own counters keep counting disk
-    traffic only, which is what the hit-rate split in the service stats
-    is derived from.
+    :attr:`metrics` counts hits, misses and stores at tier granularity
+    (a memory hit and a disk hit are both hits); the backing store's
+    own metrics keep counting disk traffic only.
     """
 
     def __init__(self, backing: Any, capacity: int = 8192) -> None:
         self.backing = backing
         self.lru = LRUCache(capacity)
-        self.stats = CacheStats()
+        self.metrics = Metrics()
         self._lock = threading.RLock()
 
     # -- reads -----------------------------------------------------------------
@@ -119,22 +119,22 @@ class TieredStore:
                     self.lru.discard(key)
                     missing.append(key)
                     continue
-                self.stats.hits += 1
+                self.metrics.hits += 1
             if missing:
                 found = self.backing.get_many(missing, _identity)
                 for key in missing:
                     payload = found.get(key, _MISSING)
                     if payload is _MISSING:
-                        self.stats.misses += 1
+                        self.metrics.misses += 1
                         continue
                     try:
                         out[key] = decode(payload)
                         frozen = _freeze(payload)
                     except Exception:
-                        self.stats.misses += 1
+                        self.metrics.misses += 1
                         continue
                     self.lru.put(key, frozen)
-                    self.stats.hits += 1
+                    self.metrics.hits += 1
             return out
 
     # -- writes ----------------------------------------------------------------
@@ -146,7 +146,7 @@ class TieredStore:
                 self.lru.put(key, _freeze(payload))
             except (TypeError, ValueError):
                 pass  # unserializable payloads stay disk-only
-            self.stats.stores += 1
+            self.metrics.stores += 1
 
     # -- maintenance -----------------------------------------------------------
 
@@ -157,10 +157,6 @@ class TieredStore:
             return stats
 
     # -- plumbing ----------------------------------------------------------------
-
-    @property
-    def root(self) -> Any:
-        return self.backing.root
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self.backing, name)

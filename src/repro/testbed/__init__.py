@@ -17,14 +17,13 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                 "ImpairmentModule", "NetemModule", "SetupModule",
                 "modules_for"),
     "parallel": ("RunSpec", "spec_keys"),
-    "resilience": ("CampaignJournal", "FailureEntry", "FaultManifest",
-                   "Resilience", "RetryPolicy", "failure_record",
-                   "is_harness_failure"),
+    "resilience": ("CampaignJournal", "FailureEntry", "Resilience",
+                   "RetryPolicy", "failure_record", "is_harness_failure"),
     "runner": ("NonMonotonicSeriesError", "RunRecord", "StreamingResultSet",
                "TestRunner", "majority_family", "series_flap_window"),
     "spec": ("CampaignSpec", "SpecError", "run_campaign_spec"),
-    "store": ("CacheStats", "CampaignStore", "PackedCampaignStore",
-              "config_digest", "open_store"),
+    "store": ("CampaignStore", "PackedCampaignStore", "config_digest",
+              "open_store"),
     "topology": ("EchoExchange", "EchoWebServer", "LocalTestbed",
                  "TEST_DOMAIN", "WEB_PORT"),
 })

@@ -111,7 +111,7 @@ class TestbedRun(NamedTuple):
 
     def label(self) -> str:
         """``case/client/v<value_ms>/r<repetition>``: seeds the retry
-        backoff and names the run in the failure manifest."""
+        backoff and names the run in the failure list."""
         campaign = self.campaign
         return (f"{campaign.cases[self.case_index].name}/"
                 f"{campaign.clients[self.client_index].full_name}"
@@ -208,12 +208,12 @@ def resolve_specs(plan: "Sequence[Any]",
         found = store.get_many(list(distinct), kind.decode)
         if resilience is not None:
             for key in distinct:
-                resilience.note_lookup(key, hit=key in found)
+                resilience.note_lookup(key, key in found, session.metrics)
     fault_plan = resilience.fault_plan if resilience is not None else None
     fresh = shared_map(partial(_execute, fault_plan),
                        [entry for key, entry in distinct.items()
                         if key not in found],
-                       session.workers, resilience, _label, _failed)
+                       session, _label, _failed)
     for at, entry in enumerate(plan):
         key = entry.key
         record = found.pop(key, None) if last[key] == at else found.get(key)

@@ -1,4 +1,4 @@
-"""Fault-tolerant campaign runtime: retries, journal, failure manifest.
+"""Fault-tolerant campaign runtime: retries, journal, failure list.
 
 Blackbox measurement pipelines are only trustworthy when the harness
 itself tolerates and reports faults: one crashed worker must not
@@ -15,13 +15,14 @@ pool, is :func:`repro.fanout.shared_map`:
 * :class:`CampaignJournal` — an append-only log of completed store
   keys, flushed per append, so a SIGKILLed campaign resumes
   (``--resume``) with zero re-executions of journaled work.
-* :class:`FaultManifest` — graceful degradation: a campaign that
-  exhausts an entry's retry budget completes anyway, with the failure
-  (payload, attempts, last error, elapsed) recorded and surfaced in a
-  ``[faults]`` summary line next to ``[cache]``.
 * :class:`Resilience` — the bundle a campaign threads through: policy,
-  fault plan, journal, manifest, and the raise-or-degrade rule
-  (:attr:`Resilience.degrades`).
+  fault plan, journal, the raise-or-degrade rule
+  (:attr:`Resilience.degrades`), and graceful degradation's record: a
+  campaign that exhausts an entry's retry budget completes anyway,
+  with the failure (label, attempts, last error, elapsed) kept in
+  :attr:`Resilience.failures` and surfaced in ``[faults]`` lines next
+  to ``[cache]``.  What the runtime counts goes to the session's
+  :class:`~repro.metrics.Metrics`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ..seeding import backoff_jitter, stable_run_seed
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..clients.profile import ClientProfile
     from ..faults import FaultPlan
+    from ..metrics import Metrics
     from .config import TestCaseConfig
     from .runner import RunRecord
 
@@ -49,7 +51,7 @@ HARNESS_ERROR_PREFIX = "harness:"
 _KEY_LINE = re.compile(r"^[0-9a-f]{64}$")
 
 
-# -- policy & manifest ---------------------------------------------------------
+# -- policy & failures --------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -100,62 +102,6 @@ class FailureEntry:
     error: str
     elapsed_s: float
 
-    def line(self) -> str:
-        return (f"[faults] failed {self.label} attempts={self.attempts} "
-                f"elapsed={self.elapsed_s:.3f}s error={self.error}")
-
-
-@dataclass
-class FaultManifest:
-    """Everything the fault-tolerant runtime observed in one invocation.
-
-    Parent-side only (workers never mutate it), so unlike
-    :class:`~repro.testbed.store.CacheStats` it needs no merge step.
-    """
-
-    failures: List[FailureEntry] = field(default_factory=list)
-    #: Entries executed under a degrading policy (fresh work only).
-    dispatched: int = 0
-    #: Re-dispatches charged against entry retry budgets.
-    retries: int = 0
-    #: ``BrokenProcessPool`` events survived.
-    pool_breaks: int = 0
-    #: Pools replaced (breaks + watchdog abandonments).
-    respawns: int = 0
-    #: Watchdog expiries (pool tasks that overran their budget).
-    hang_timeouts: int = 0
-    #: Store writes that errored and were skipped (degraded caching).
-    store_write_errors: int = 0
-    #: Keys appended to the campaign journal this invocation.
-    journaled: int = 0
-    #: Journaled keys served from the store under ``--resume``.
-    resumed: int = 0
-    #: Journaled keys the store could no longer serve (re-executed).
-    journal_stale: int = 0
-
-    @property
-    def touched(self) -> bool:
-        return bool(self.failures or self.dispatched or self.retries
-                    or self.pool_breaks or self.respawns
-                    or self.hang_timeouts or self.store_write_errors
-                    or self.journaled or self.resumed
-                    or self.journal_stale)
-
-    def summary(self) -> str:
-        return (f"failures={len(self.failures)} retries={self.retries} "
-                f"pool-breaks={self.pool_breaks} respawns={self.respawns} "
-                f"hangs={self.hang_timeouts} "
-                f"store-write-errors={self.store_write_errors} "
-                f"journaled={self.journaled} resumed={self.resumed} "
-                f"stale={self.journal_stale}")
-
-    def failure_lines(self, limit: int = 20) -> List[str]:
-        lines = [entry.line() for entry in self.failures[:limit]]
-        if len(self.failures) > limit:
-            lines.append(f"[faults] ... and "
-                         f"{len(self.failures) - limit} more failures")
-        return lines
-
 
 # -- campaign journal ----------------------------------------------------------
 
@@ -176,8 +122,6 @@ class CampaignJournal:
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._handle = None
-        #: Keys appended through this handle (not the on-disk total).
-        self.appended = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CampaignJournal({str(self.path)!r})"
@@ -202,7 +146,6 @@ class CampaignJournal:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(key + "\n")
         self._handle.flush()
-        self.appended += 1
 
     def close(self) -> None:
         if self._handle is not None:
@@ -221,8 +164,8 @@ class CampaignJournal:
 @dataclass
 class Resilience:
     """Everything the fault-tolerant runtime threads through a
-    campaign: policy, fault plan, journal, and the manifest that
-    accumulates what actually happened."""
+    campaign: policy, fault plan, journal, and the entries that ran out
+    of retries."""
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     fault_plan: Optional[FaultPlan] = None
@@ -233,7 +176,10 @@ class Resilience:
     #: Whether the user asked for resilience (controls the ``[faults]``
     #: line); a store-only session journals silently.
     explicit: bool = True
-    manifest: FaultManifest = field(default_factory=FaultManifest)
+    #: Entries that exhausted their retry budget, in the order they
+    #: gave up (the ``[faults] failed ...`` lines).
+    failures: List[FailureEntry] = field(default_factory=list,
+                                         init=False, repr=False)
     _resumable: Optional[frozenset] = field(default=None, repr=False)
 
     @property
@@ -258,28 +204,29 @@ class Resilience:
 
     # -- store-merge hooks (shared by the serial and parallel loops) -----------
 
-    def note_lookup(self, key: str, hit: bool) -> None:
+    def note_lookup(self, key: str, hit: bool, metrics: Metrics) -> None:
         """Resume accounting for one planned key."""
         if not self.resume or key not in self.resumable_keys():
             return
         if hit:
-            self.manifest.resumed += 1
+            metrics.resumed += 1
         else:
-            self.manifest.journal_stale += 1
+            metrics.journal_stale += 1
 
     def store_fresh(self, store, key: str, payload: Any) -> None:
         """Persist + journal one freshly executed entry's payload
         (harness-failure records never get here: a later run must
         retry, not replay the failure).  A store write error degrades
-        to an uncached record instead of aborting the campaign."""
+        to an uncached record instead of aborting the campaign; both
+        are counted in the store's metrics."""
         try:
             store.put(key, payload)
         except OSError:
-            self.manifest.store_write_errors += 1
+            store.metrics.store_write_errors += 1
             return
         if self.journal is not None:
             self.journal.record(key)
-            self.manifest.journaled += 1
+            store.metrics.journaled += 1
 
     def close(self) -> None:
         if self.journal is not None:

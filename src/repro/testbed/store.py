@@ -38,12 +38,12 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     Optional, TYPE_CHECKING, Tuple, TypeVar, Union)
 
 from .. import __version__
+from ..metrics import Metrics
 from ..seeding import render_part
 from ..simnet.addr import Family
 from ..simnet.packet import Protocol
@@ -217,44 +217,6 @@ def decode_record(data: dict) -> "RunRecord":
 # -- the store -----------------------------------------------------------------
 
 
-@dataclass
-class CacheStats:
-    """Lookup counters for one store handle (reset per handle)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    invalid: int = 0
-    #: Content-invalid records copied aside to ``.quarantine/`` (a
-    #: subset of ``invalid``: an unreadable pack proves nothing).
-    quarantined: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def summary(self) -> str:
-        return (f"hits={self.hits} misses={self.misses} "
-                f"stores={self.stores} entries_invalid={self.invalid} "
-                f"quarantined={self.quarantined}")
-
-
-@dataclass
-class GCStats:
-    """Outcome of one :meth:`CampaignStore.gc` sweep."""
-
-    kept: int = 0
-    kept_bytes: int = 0
-    removed: int = 0
-    reclaimed_bytes: int = 0
-    removed_tmp: int = 0
-
-    def summary(self) -> str:
-        return (f"kept={self.kept} ({self.kept_bytes} B) "
-                f"removed={self.removed} tmp={self.removed_tmp} "
-                f"reclaimed={self.reclaimed_bytes} B")
-
-
 #: ``sort_keys`` puts ``"key"`` right after the complete/format markers,
 #: so it always lands in the first ~60 bytes of a record line; searching
 #: a bounded prefix keeps the scan O(entries), not O(bytes).
@@ -354,7 +316,9 @@ class CampaignStore:
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.stats = CacheStats()
+        #: This handle's counters (a Session with this store counts
+        #: into the same object).
+        self.metrics = Metrics()
         #: Chaos harness hook (:class:`~repro.faults.FaultPlan`): when
         #: set, targeted reads raise-as-miss and targeted writes tear,
         #: exactly as crashing hardware would.  None in production.
@@ -369,7 +333,7 @@ class CampaignStore:
         self._prefix = os.path.join(os.fspath(self.root), "")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CampaignStore({str(self.root)!r}, {self.stats.summary()})"
+        return f"CampaignStore({str(self.root)!r})"
 
     # -- addressing ------------------------------------------------------------
 
@@ -536,7 +500,7 @@ class CampaignStore:
     def _resolve_shard(self, shard: str, state: dict, keys: "List[str]",
                        decode: "Callable[[Any], Decoded]",
                        out: "Dict[str, Decoded]") -> None:
-        stats = self.stats
+        metrics = self.metrics
         offsets = state["offsets"]
         wanted = sum(offsets[key][1] for key in keys if key in offsets)
         buffer: bytes = b""
@@ -550,12 +514,12 @@ class CampaignStore:
         try:
             for key in keys:
                 if self._maybe_read_fault(key):
-                    stats.invalid += 1
-                    stats.misses += 1
+                    metrics.invalid += 1
+                    metrics.misses += 1
                     continue
                 span = offsets.get(key)
                 if span is None:
-                    stats.misses += 1
+                    metrics.misses += 1
                     continue
                 start, length = span
                 if start + length <= len(buffer):
@@ -567,18 +531,18 @@ class CampaignStore:
                         handle.seek(start)
                         raw = handle.read(length)
                     except OSError:
-                        stats.invalid += 1
-                        stats.misses += 1
+                        metrics.invalid += 1
+                        metrics.misses += 1
                         continue
                 value = _decode_entry(
                     key, rows[start] if start in rows else _parse_line(raw),
                     decode)
                 if value is _INVALID:
                     self._quarantine(key, shard, raw, state)
-                    stats.invalid += 1
-                    stats.misses += 1
+                    metrics.invalid += 1
+                    metrics.misses += 1
                     continue
-                stats.hits += 1
+                metrics.hits += 1
                 out[key] = value
         finally:
             if handle is not None:
@@ -633,7 +597,7 @@ class CampaignStore:
             dest.write_bytes(raw)
         except OSError:
             return  # can't copy it: degrade to a plain invalid miss
-        self.stats.quarantined += 1
+        self.metrics.quarantined += 1
         span = state["offsets"].pop(key, None)
         if span is not None:
             state["dead"] += span[1]
@@ -709,7 +673,7 @@ class CampaignStore:
             # Foreign bytes precede the record: the next read's
             # reconcile scans them (and re-finds this record).
             state["size"] = state["scanned"]
-        self.stats.stores += 1
+        self.metrics.stores += 1
 
     def _faulted_write(self, key: str, spec, payload: Any) -> None:
         """Chaos-only: what a dying writer leaves behind.
@@ -740,7 +704,7 @@ class CampaignStore:
             os.close(fd)
         # The writer believed it stored the entry — count it so the
         # chaos battery can see the lie in the counters.
-        self.stats.stores += 1
+        self.metrics.stores += 1
 
     # -- maintenance -----------------------------------------------------------
 
@@ -788,7 +752,7 @@ class CampaignStore:
         return old_size, offset
 
     def gc(self, live_keys: "Iterable[str]",
-           dry_run: bool = False) -> GCStats:
+           dry_run: bool = False) -> Metrics:
         """Drop every entry whose key is not in ``live_keys``.
 
         Content-addressed entries accumulate forever: any sweep, seed,
@@ -812,13 +776,14 @@ class CampaignStore:
         Run it offline: a writer racing the sweep would only lose cache
         entries (and re-execute), never correctness.
 
-        ``dry_run=True`` returns the same accounting without touching
-        anything: a rewrite emits exactly the live slices, so the
-        reclaimable bytes of an unclean shard are computable as
-        ``current pack size - live slice bytes`` up front.
+        Returns the sweep's gc counters, which are also added to
+        :attr:`metrics`.  ``dry_run=True`` returns the same accounting
+        without touching anything: a rewrite emits exactly the live
+        slices, so the reclaimable bytes of an unclean shard are
+        computable as ``current pack size - live slice bytes`` up front.
         """
         live = set(live_keys)
-        stats = GCStats()
+        stats = Metrics()
         if not self.root.is_dir():
             return stats
         for shard in self.shards():
@@ -860,15 +825,16 @@ class CampaignStore:
                     index_dir.rmdir()  # only succeeds when emptied
                 except OSError:
                     pass
+        self.metrics += stats
         return stats
 
     @staticmethod
-    def _sweep_file(path: Path, stats: GCStats, dry_run: bool) -> None:
+    def _sweep_file(path: Path, stats: Metrics, dry_run: bool) -> None:
         stats.reclaimed_bytes += path.stat().st_size
         if not dry_run:
             path.unlink()
 
-    def _sweep_legacy_shard(self, shard_dir: Path, stats: GCStats,
+    def _sweep_legacy_shard(self, shard_dir: Path, stats: Metrics,
                             dry_run: bool) -> None:
         """Reclaim one ``<xx>/`` directory of the retired
         one-file-per-entry layout: its ``<key>.json`` entries and

@@ -86,14 +86,14 @@ class TestClientEvaluation:
         cold_store = CampaignStore(tmp_path)
         cold = table2_features(clients=clients,
                                session=Session(seed=66, store=cold_store))
-        assert cold_store.stats.stores > 0
+        assert cold_store.metrics.stores > 0
 
         warm_store = CampaignStore(tmp_path)
         warm = table2_features(clients=clients,
                                session=Session(seed=66, store=warm_store))
         assert warm == cold
-        assert warm_store.stats.hits == cold_store.stats.stores
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.hits == cold_store.metrics.stores
+        assert warm_store.metrics.misses == 0
 
         # Parallel path merges worker-side counters into the campaign
         # total, so warm parallel re-runs report truthfully too.
@@ -102,7 +102,7 @@ class TestClientEvaluation:
             clients=clients,
             session=Session(seed=66, workers=2, store=parallel_store))
         assert parallel == cold
-        assert parallel_store.stats.hits == cold_store.stats.stores
+        assert parallel_store.metrics.hits == cold_store.metrics.stores
 
 
 class TestFigureBuilders:

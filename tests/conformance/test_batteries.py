@@ -91,12 +91,12 @@ class TestWarmReplay:
         cold_store = CampaignStore(tmp_path)
         cold = fingerprint_client(profile, Session(store=cold_store),
                                   battery)
-        assert cold_store.stats.stores > 0
+        assert cold_store.metrics.stores > 0
         warm_store = CampaignStore(tmp_path)
         warm = fingerprint_client(profile, Session(store=warm_store),
                                   battery)
-        assert warm_store.stats.misses == 0
-        assert warm_store.stats.hits == cold_store.stats.stores
+        assert warm_store.metrics.misses == 0
+        assert warm_store.metrics.hits == cold_store.metrics.stores
         assert render_battery_summary("t", [warm], battery) == \
             render_battery_summary("t", [cold], battery)
 

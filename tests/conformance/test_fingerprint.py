@@ -156,7 +156,7 @@ class TestDeterminism:
         warm = fingerprint_client(profile,
                                   Session(seed=11, store=warm_store),
                                   battery)
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.misses == 0
         reference = fingerprints_to_json([serial])
         assert fingerprints_to_json([parallel]) == reference
         assert fingerprints_to_json([warm]) == reference

@@ -49,7 +49,7 @@ class TestAdaptiveProbe:
         lo, hi = outcome.refined_window_ms
         # curl's 200 ms CAD sits inside the refined window.
         assert lo <= 200 <= hi
-        assert store.stats.hits > 0        # coarse overlap replayed
+        assert store.metrics.hits > 0        # coarse overlap replayed
         # The fine pass measured at 5 ms granularity inside the window.
         fine_values = {r.value_ms for r in outcome.records
                        if lo < r.value_ms < hi}
@@ -62,8 +62,8 @@ class TestAdaptiveProbe:
         cold = probe.run(Session(store=CampaignStore(tmp_path)))
         warm_store = CampaignStore(tmp_path)
         warm = probe.run(Session(store=warm_store))
-        assert warm_store.stats.misses == 0
-        assert warm_store.stats.stores == 0
+        assert warm_store.metrics.misses == 0
+        assert warm_store.metrics.stores == 0
         for cold_outcome, warm_outcome in zip(cold, warm):
             assert warm_outcome.records == cold_outcome.records
             assert warm_outcome.refined_window_ms == \

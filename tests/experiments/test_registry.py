@@ -17,6 +17,7 @@ import pytest
 from repro import fanout
 from repro.experiments import (Artifact, Experiment, Knob, Session,
                                all_experiments, get_experiment, register)
+from repro.metrics import Metrics
 from repro.service import SingleFlight, SingleFlightStore, TieredStore
 from repro.testbed import CampaignJournal, CampaignStore, Resilience
 from repro.testbed.store import decode_record
@@ -118,7 +119,7 @@ class TestPlanning:
         store = CampaignStore(tmp_path)
         for experiment in all_experiments():
             experiment.plan(session_for(experiment, store=store))
-        assert store.stats.stores == 0
+        assert store.metrics.stores == 0
         assert list(store.entries()) == []
 
     def test_key_spaces_disjoint_except_declared(self):
@@ -171,15 +172,15 @@ class TestExecutionContract:
         experiment = get_experiment(name)
         cold_store = CampaignStore(tmp_path)
         cold = experiment.run(session_for(experiment, store=cold_store))
-        assert cold_store.stats.stores > 0
+        assert cold_store.metrics.stores > 0
         on_disk = {key for key, _ in cold_store.entries()}
         planned = set(experiment.plan(
             session_for(experiment, store=CampaignStore(tmp_path))).keys())
         assert on_disk <= planned
         warm_store = CampaignStore(tmp_path)
         warm = experiment.run(session_for(experiment, store=warm_store))
-        assert warm_store.stats.misses == 0
-        assert warm_store.stats.hits > 0
+        assert warm_store.metrics.misses == 0
+        assert warm_store.metrics.hits > 0
         assert warm.text == cold.text
 
     def test_renders_are_artifacts(self, tmp_path):
@@ -216,7 +217,7 @@ def parent_only_session(experiment, root, workers=None):
     (single-flight over the memory tier over the packed store) and a
     journal, none of which pickles."""
     store = SingleFlightStore(TieredStore(ParentOnlyStore(root)),
-                              SingleFlight())
+                              SingleFlight(Metrics()))
     journal = ParentOnlyJournal(root / ".journal" / "campaign.log")
     return dataclasses.replace(
         session_for(experiment, store=store), workers=workers,
@@ -261,8 +262,9 @@ class TestParentOnlyStore:
         session = parent_only_session(experiment, tmp_path, workers=2)
         pooled = experiment.run(session)
         session.resilience.close()
-        assert session.store.executed > 0
-        assert session.resilience.manifest.journaled > 0
+        assert session.metrics is session.store.metrics
+        assert session.metrics.stores > 0
+        assert session.metrics.journaled > 0
         assert pooled.text == experiment.run(session_for(experiment)).text
 
     def test_a_runner_carrying_a_store_would_be_caught(self, tmp_path):
@@ -286,11 +288,13 @@ class TestSession:
 
     def test_cache_line_only_after_activity(self, tmp_path):
         session = Session(store=CampaignStore(tmp_path))
-        assert session.cache_line() is None
+        assert session.metrics is session.store.metrics
+        assert session.summary_lines() == []
         session.store.get_many([CampaignStore.key("x")], decode_record)
-        line = session.cache_line()
-        assert line is not None and line.startswith("[cache] ")
-        assert Session().cache_line() is None
+        assert session.summary_lines() == [
+            f"[cache] hits=0 misses=1 stores=0 entries_invalid=0 "
+            f"quarantined=0 root={tmp_path}"]
+        assert Session().summary_lines() == []
 
     def test_knob_declarations_drive_cli_options(self):
         knob = Knob("delay_ms", type=int, default=400)

@@ -33,14 +33,14 @@ class TestCampaignCaching:
         cold = run_resolver_campaign(BIND9, delays_ms=DELAYS,
                                      repetitions=REPS,
                                      session=Session(seed=3, store=store))
-        assert store.stats.misses == len(DELAYS) * REPS
-        assert store.stats.stores == len(DELAYS) * REPS
+        assert store.metrics.misses == len(DELAYS) * REPS
+        assert store.metrics.stores == len(DELAYS) * REPS
         warm_store = CampaignStore(tmp_path)
         warm = run_resolver_campaign(
             BIND9, delays_ms=DELAYS, repetitions=REPS,
             session=Session(seed=3, store=warm_store))
-        assert warm_store.stats.hits == len(DELAYS) * REPS
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.hits == len(DELAYS) * REPS
+        assert warm_store.metrics.misses == 0
         assert warm.observations == cold.observations
 
     def test_cached_equals_uncached(self, tmp_path):
@@ -62,8 +62,8 @@ class TestCampaignCaching:
         run_resolver_campaign(BIND9, delays_ms=[0, 50, 100],
                               repetitions=REPS,
                               session=Session(seed=3, store=store))
-        assert store.stats.hits == len(DELAYS) * REPS
-        assert store.stats.misses == 1 * REPS  # only the 50 ms runs
+        assert store.metrics.hits == len(DELAYS) * REPS
+        assert store.metrics.misses == 1 * REPS  # only the 50 ms runs
 
     def test_behavior_change_misses(self):
         def run_key(behavior, seed, delay_ms, repetition):
@@ -112,12 +112,12 @@ class TestTable3Store:
         cold_store = CampaignStore(tmp_path)
         cold = table3_resolvers(session=Session(seed=2, store=cold_store),
                                 **kwargs)
-        assert cold_store.stats.stores > 0
+        assert cold_store.metrics.stores > 0
         warm_store = CampaignStore(tmp_path)
         warm = table3_resolvers(session=Session(seed=2, store=warm_store),
                                 **kwargs)
-        assert warm_store.stats.misses == 0
-        assert warm_store.stats.hits == cold_store.stats.misses
+        assert warm_store.metrics.misses == 0
+        assert warm_store.metrics.hits == cold_store.metrics.misses
         for cold_row, warm_row in zip(cold, warm):
             assert warm_row.service == cold_row.service
             assert warm_row.aaaa_query == cold_row.aaaa_query

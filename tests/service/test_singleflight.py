@@ -2,6 +2,7 @@
 
 import threading
 
+from repro.metrics import Metrics
 from repro.service import SingleFlight, SingleFlightStore
 from repro.testbed import CampaignStore
 
@@ -10,7 +11,7 @@ K1, K2, K3 = "aa" * 32, "bb" * 32, "cc" * 32
 
 class TestClaimProtocol:
     def test_claim_all_is_all_or_nothing(self):
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         a, b = object(), object()
         granted, foreign = flight.claim_all(a, [K1, K2])
         assert granted and not foreign
@@ -23,15 +24,15 @@ class TestClaimProtocol:
         assert flight.in_flight() == 3
 
     def test_reclaim_own_keys_passes_through(self):
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         token = object()
         assert flight.claim_all(token, [K1])[0]
         assert flight.claim_all(token, [K1, K2])[0]
         assert flight.in_flight() == 2
-        assert flight.claims == 2  # K1 counted once
+        assert flight.metrics.claims == 2  # K1 counted once
 
     def test_release_wakes_waiter(self):
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         a, b = object(), object()
         flight.claim_all(a, [K1])
         woke = threading.Event()
@@ -45,10 +46,10 @@ class TestClaimProtocol:
         flight.release(a, [K1])
         thread.join(timeout=5.0)
         assert woke.is_set()
-        assert flight.waits == 1
+        assert flight.metrics.waits == 1
 
     def test_release_all_covers_abandoned_claims(self):
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         token = object()
         flight.claim_all(token, [K1, K2, K3])
         assert flight.release_all(token) == 3
@@ -61,7 +62,7 @@ class TestClaimProtocol:
         nothing grant means one wins both keys and the other waits
         holding nothing — the classic lock-order deadlock is
         structurally impossible."""
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         barrier = threading.Barrier(2)
         done = []
 
@@ -85,17 +86,17 @@ class TestClaimProtocol:
 
 class TestSingleFlightStore:
     def test_miss_is_claimed_then_released_on_put(self, tmp_path):
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         store = SingleFlightStore(CampaignStore(tmp_path), flight)
         assert store.get_many([K1], lambda p: p) == {}  # miss → claim
         assert flight.in_flight() == 1
         store.put(K1, {"v": 1})
         assert flight.in_flight() == 0
-        assert store.executed == 1
+        assert store.metrics.stores == 1
 
     def test_waiter_sees_winners_record_as_hit(self, tmp_path):
         backing = CampaignStore(tmp_path)
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         winner = SingleFlightStore(backing, flight)
         waiter = SingleFlightStore(backing, flight)
         assert winner.get_many([K1], lambda p: p) == {}  # claims K1
@@ -107,18 +108,18 @@ class TestSingleFlightStore:
         thread = threading.Thread(target=wait_side)
         thread.start()
         for _ in range(1000):  # let the waiter actually block first
-            if flight.waits:
+            if flight.metrics.waits:
                 break
             threading.Event().wait(0.005)
         winner.put(K1, {"v": 7})
         thread.join(timeout=10.0)
         assert resolved == {K1: {"v": 7}}
-        assert waiter.executed == 0
-        assert waiter.waited == 1
+        assert waiter.metrics.stores == 0
+        assert waiter.metrics.waited == 1
 
     def test_abandoned_claim_is_inherited_not_lost(self, tmp_path):
         backing = CampaignStore(tmp_path)
-        flight = SingleFlight()
+        flight = SingleFlight(Metrics())
         crasher = SingleFlightStore(backing, flight)
         heir = SingleFlightStore(backing, flight)
         assert crasher.get_many([K1], lambda p: p) == {}  # claims, no put

@@ -55,10 +55,10 @@ class TestTieredReads:
         tier = TieredStore(backing, capacity=8)
         key = "aa" * 32
         tier.put(key, {"v": 1})
-        backing_hits = backing.stats.hits
+        backing_hits = backing.metrics.hits
         assert get_one(tier, key, lambda p: p["v"]) == 1
-        assert backing.stats.hits == backing_hits  # served from memory
-        assert tier.stats.hits == 1
+        assert backing.metrics.hits == backing_hits  # served from memory
+        assert tier.metrics.hits == 1
 
     def test_disk_hit_promotes_into_lru(self, tmp_path):
         backing = CampaignStore(tmp_path)

@@ -170,12 +170,12 @@ class TestSearchExecution:
     def test_warm_store_replays_with_zero_misses(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
         cold = build_search().execute(Session(store=cold_store))
-        assert cold_store.stats.stores > 0
+        assert cold_store.metrics.stores > 0
         warm_store = CampaignStore(tmp_path)
         warm = build_search().execute(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.misses == 0
-        assert warm_store.stats.hits > 0
+        assert warm_store.metrics.misses == 0
+        assert warm_store.metrics.hits > 0
 
     def test_denser_budget_replays_overlapping_keys(self, tmp_path):
         """The acceptance pin: a repeat run with a denser refinement
@@ -186,8 +186,8 @@ class TestSearchExecution:
             Session(store=CampaignStore(tmp_path)))
         dense_store = CampaignStore(tmp_path)
         build_search(budget=dense).execute(Session(store=dense_store))
-        assert dense_store.stats.hits > 0
-        assert dense_store.stats.misses > 0  # and genuinely denser
+        assert dense_store.metrics.hits > 0
+        assert dense_store.metrics.misses > 0  # and genuinely denser
 
     def test_discovers_three_novel_discriminators(self, tmp_path):
         """The acceptance pin: ≥3 promoted scenarios outside the
@@ -213,7 +213,7 @@ class TestPlan:
         store = CampaignStore(tmp_path)
         keys = build_search().plan(store).keys()
         assert keys
-        assert store.stats.stores == 0
+        assert store.metrics.stores == 0
         assert list(store.entries()) == []
 
     def test_cold_plan_is_the_seed_round(self, tmp_path):
@@ -238,7 +238,7 @@ class TestPlan:
         assert stats.kept == len(live)
         replay_store = CampaignStore(tmp_path)
         build_search().execute(Session(store=replay_store))
-        assert replay_store.stats.misses == 0
+        assert replay_store.metrics.misses == 0
 
 
 class TestExperimentArtifacts:

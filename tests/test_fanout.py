@@ -59,9 +59,13 @@ def work(context, item, attempt):
 
 
 def run(context, items, workers, resilience=None):
+    """Map ``work`` over ``items``; returns the results and the
+    session, whose metrics count what the dispatcher did."""
+    session = Session(workers=workers, resilience=resilience)
     return list(shared_map(functools.partial(work, context), items,
-                           workers, resilience, describe=str,
-                           fallback=lambda item, failure: (None, None)))
+                           session, describe=str,
+                           fallback=lambda item, failure: (None, None))
+                ), session
 
 
 def chunk_count(n, workers):
@@ -72,8 +76,8 @@ def chunk_count(n, workers):
 @MODES
 def test_results_come_back_in_item_order(workers):
     items = list(range(23))
-    assert [value for value, _ in run(Context(), items, workers)] == \
-        [item * 10 for item in items]
+    results, _ = run(Context(), items, workers)
+    assert [value for value, _ in results] == [item * 10 for item in items]
 
 
 @MODES
@@ -82,7 +86,7 @@ def test_chunks_are_contiguous_and_unpickle_context_once(workers):
     is a contiguous run of items, in order, and there are exactly as
     many unpickles as chunks (none in-process)."""
     items = list(range(20))
-    tokens = [token for _, token in run(Context(), items, workers)]
+    tokens = [token for _, token in run(Context(), items, workers)[0]]
     chunks = []
     for item, token in zip(items, tokens):
         if chunks and chunks[-1][0] == token:
@@ -100,17 +104,18 @@ def test_chunks_are_contiguous_and_unpickle_context_once(workers):
 @MODES
 def test_raising_item_is_charged_alone(workers):
     res = Resilience(policy=RetryPolicy(retries=1, **FAST))
-    results = run(Context(fail={7}), list(range(40)), workers, res)
+    results, session = run(Context(fail={7}), list(range(40)), workers,
+                           res)
     assert results[7] == (None, None)
     assert [value for value, _ in results[:7] + results[8:]] == \
         [item * 10 for item in range(40) if item != 7]
     if workers > 1:  # every chunk-mate resolved in its first chunk
         assert len({token for _, token in results if token}) == \
             chunk_count(40, workers)
-    assert [(f.label, f.attempts) for f in res.manifest.failures] == \
-        [("7", 2)]
-    assert res.manifest.retries == 1
-    assert res.manifest.pool_breaks == 0
+    assert [(f.label, f.attempts) for f in res.failures] == [("7", 2)]
+    assert session.metrics.failures == 1
+    assert session.metrics.retries == 1
+    assert session.metrics.pool_breaks == 0
 
 
 @MODES
@@ -179,11 +184,12 @@ def test_workers_die_on_sigterm_whatever_the_parent_handles():
     fanout.shutdown_shared_pool()
     previous = signal.signal(signal.SIGTERM, interrupt)
     try:
-        res = Resilience(policy=RetryPolicy(retries=1, **FAST))
+        session = Session(workers=2, resilience=Resilience(
+            policy=RetryPolicy(retries=1, **FAST)))
         items = list(range(16))
-        assert list(shared_map(terminated_once, items, 2, res,
+        assert list(shared_map(terminated_once, items, session,
                                describe=str)) == [i * 10 for i in items]
-        assert res.manifest.pool_breaks >= 1
+        assert session.metrics.pool_breaks >= 1
     finally:
         signal.signal(signal.SIGTERM, previous)
         fanout.shutdown_shared_pool()
@@ -195,11 +201,11 @@ def test_pool_break_in_a_chunk_charges_nobody():
     attempt, and the campaign heals with no retry spent."""
     res = Resilience(policy=RetryPolicy(retries=1, **FAST))
     items = list(range(16))
-    results = run(Context(crash={5}), items, 2, res)
+    results, session = run(Context(crash={5}), items, 2, res)
     assert [value for value, _ in results] == [item * 10 for item in items]
-    assert res.manifest.pool_breaks >= 1
-    assert res.manifest.retries == 0
-    assert not res.manifest.failures
+    assert session.metrics.pool_breaks >= 1
+    assert session.metrics.retries == 0
+    assert not res.failures
 
 
 def test_chunk_watchdog_splits_without_charging():
@@ -208,11 +214,11 @@ def test_chunk_watchdog_splits_without_charging():
     res = Resilience(policy=RetryPolicy(retries=1, entry_timeout=0.5,
                                         **FAST))
     items = list(range(16))
-    results = run(Context(hang={5}), items, 2, res)
+    results, session = run(Context(hang={5}), items, 2, res)
     assert [value for value, _ in results] == [item * 10 for item in items]
-    assert res.manifest.hang_timeouts >= 1
-    assert res.manifest.retries == 0
-    assert not res.manifest.failures
+    assert session.metrics.hang_timeouts >= 1
+    assert session.metrics.retries == 0
+    assert not res.failures
 
 
 # -- the error policy, seen from the campaign runner ----------------------------
@@ -262,4 +268,4 @@ def test_runner_degrades_to_harness_records(workers):
                                            resilience=res)))
     assert len(records) == 4
     assert all(is_harness_failure(record) for record in records)
-    assert len(res.manifest.failures) == 4
+    assert len(res.failures) == 4

@@ -176,12 +176,12 @@ class TestResolveSpecs:
         plan = tiny_runner(0, 150, 310).plan()
         cold_store = CampaignStore(tmp_path)
         cold = list(resolve_specs(plan, Session(store=cold_store)))
-        assert cold_store.stats.stores == len(plan)
+        assert cold_store.metrics.stores == len(plan)
         assert {key for key, _ in cold_store.entries()} == set(plan.keys())
         warm_store = CampaignStore(tmp_path)
         assert list(resolve_specs(plan, Session(store=warm_store))) == cold
-        assert warm_store.stats.hits == len(plan)
-        assert warm_store.stats.stores == 0
+        assert warm_store.metrics.hits == len(plan)
+        assert warm_store.metrics.stores == 0
 
     def test_partial_warm_executes_only_misses(self, tmp_path):
         """Hits and fresh records interleave back into plan order, on
@@ -193,8 +193,8 @@ class TestResolveSpecs:
         store = CampaignStore(tmp_path)
         records = list(resolve_specs(plan, Session(workers=2, store=store)))
         assert records == list(resolve_specs(plan))
-        assert store.stats.hits == len(warm_part)
-        assert store.stats.stores == len(plan) - len(warm_part)
+        assert store.metrics.hits == len(warm_part)
+        assert store.metrics.stores == len(plan) - len(warm_part)
 
     def test_repeated_key_hits_once(self, tmp_path):
         """A key the plan repeats is looked up once and served for
@@ -206,8 +206,8 @@ class TestResolveSpecs:
         records = list(resolve_specs(Plan([entry, entry]),
                                      Session(store=store)))
         assert records[0] == records[1]
-        assert store.stats.hits == 1
-        assert store.stats.stores == 0
+        assert store.metrics.hits == 1
+        assert store.metrics.stores == 0
 
     def test_repeated_client_resolves_each_key_once(self, tmp_path,
                                                     monkeypatch):
@@ -233,13 +233,13 @@ class TestResolveSpecs:
         cold = runner.run(Session(store=store))
         assert len(cold) == 4 and cold[:2] == cold[2:]
         assert sorted(executed) == [0, 310]
-        assert (store.stats.misses, store.stats.stores) == (2, 2)
+        assert (store.metrics.misses, store.metrics.stores) == (2, 2)
         executed.clear()
         store = CampaignStore(tmp_path)
         assert runner.run(Session(store=store)) == cold
         assert executed == []
-        assert (store.stats.hits, store.stats.misses,
-                store.stats.stores) == (2, 0, 0)
+        assert (store.metrics.hits, store.metrics.misses,
+                store.metrics.stores) == (2, 0, 0)
         assert len(list(store.entries())) == 2
 
     def test_rejects_mixed_entry_kinds(self, tmp_path):
@@ -264,7 +264,7 @@ class TestStages:
         store = CampaignStore(tmp_path)
         plan = plan_stages([two_stages(first, second)], store)
         assert plan.keys() == first.plan().keys()
-        assert store.stats.stores == 0
+        assert store.metrics.stores == 0
         execute_stages(two_stages(first, second), Session(store=store))
         warm = plan_stages([two_stages(first, second)],
                            CampaignStore(tmp_path))
@@ -279,7 +279,7 @@ class TestStages:
         assert cursor.at == len(first.plan())
         assert records == (list(resolve_specs(first.plan()))
                            + list(resolve_specs(second.plan())))
-        assert store.stats.stores == len(first.plan()) + len(second.plan())
+        assert store.metrics.stores == len(first.plan()) + len(second.plan())
 
     def test_cursor_takes_planned_stage_and_derives_the_rest(self):
         first, second = tiny_runner(0, 150), tiny_runner(50, 100, seed=6)

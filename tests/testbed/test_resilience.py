@@ -110,9 +110,10 @@ class TestChaosInvariant:
         targeted = [c for c in campaign_coords(runner)
                     if plan.entry_fault(c, 0)]
         assert targeted, "plan must actually fire for the test to bite"
-        assert list(runner.stream(Session(resilience=res))) == clean_records
-        assert res.manifest.retries >= len(targeted)
-        assert not res.manifest.failures
+        session = Session(resilience=res)
+        assert list(runner.stream(session)) == clean_records
+        assert session.metrics.retries >= len(targeted)
+        assert not res.failures
 
     @pytest.mark.parametrize("plan_text", ["crash:0.4",
                                            "crash:0.3,hang:0.3:1:0.05"])
@@ -124,13 +125,12 @@ class TestChaosInvariant:
         plan = FaultPlan.parse(plan_text, seed=5)
         res = Resilience(policy=RetryPolicy(retries=2, **FAST),
                          fault_plan=plan)
-        assert list(chaos_runner().stream(
-            Session(workers=2, resilience=res))) == \
-            clean_records
+        session = Session(workers=2, resilience=res)
+        assert list(chaos_runner().stream(session)) == clean_records
         if "crash" in plan_text:
-            assert res.manifest.pool_breaks > 0
-            assert res.manifest.respawns >= res.manifest.pool_breaks
-        assert not res.manifest.failures
+            assert session.metrics.pool_breaks > 0
+            assert session.metrics.respawns >= session.metrics.pool_breaks
+        assert not res.failures
         # The shared pool is healthy again after the breaks.
         assert shared_pool(2).submit(len, ()).result() == 0
 
@@ -141,12 +141,11 @@ class TestChaosInvariant:
         plan = FaultPlan.parse("hang:0.4:1:0.25", seed=5)
         res = Resilience(policy=RetryPolicy(retries=2, entry_timeout=0.08,
                                             **FAST), fault_plan=plan)
-        assert list(chaos_runner().stream(
-            Session(workers=2, resilience=res))) == \
-            clean_records
-        assert res.manifest.hang_timeouts > 0
-        assert res.manifest.respawns > 0
-        assert not res.manifest.failures
+        session = Session(workers=2, resilience=res)
+        assert list(chaos_runner().stream(session)) == clean_records
+        assert session.metrics.hang_timeouts > 0
+        assert session.metrics.respawns > 0
+        assert not res.failures
         assert shared_pool(2).submit(len, ()).result() == 0
 
     def test_corrupt_store_writes_heal_on_rerun(self, tmp_path,
@@ -174,9 +173,9 @@ class TestChaosInvariant:
         warm = list(chaos_runner().stream(Session(store=warm_store,
                                                   resilience=res2)))
         assert warm == clean_records
-        assert warm_store.stats.misses == corrupt + partial
-        assert warm_store.stats.quarantined == partial
-        assert warm_store.stats.invalid == partial
+        assert warm_store.metrics.misses == corrupt + partial
+        assert warm_store.metrics.quarantined == partial
+        assert warm_store.metrics.invalid == partial
         quarantined = list((tmp_path / "cache" / ".quarantine")
                            .rglob("*.json"))
         assert len(quarantined) == partial
@@ -185,7 +184,7 @@ class TestChaosInvariant:
         healed_store = CampaignStore(tmp_path / "cache")
         assert list(chaos_runner()
                     .stream(Session(store=healed_store))) == clean_records
-        assert healed_store.stats.misses == 0
+        assert healed_store.metrics.misses == 0
 
     def test_transient_io_errors_degrade_not_abort(self, tmp_path,
                                                    clean_records):
@@ -198,7 +197,7 @@ class TestChaosInvariant:
                          fault_plan=plan)
         assert list(chaos_runner().stream(
             Session(store=store, resilience=res))) == clean_records
-        assert res.manifest.store_write_errors > 0
+        assert store.metrics.store_write_errors > 0
 
     @pytest.mark.parametrize("plan_text, quarantines", [
         ("corrupt:1.0", False), ("partial:1.0", True)])
@@ -238,8 +237,8 @@ class TestGracefulDegradation:
         assert len(records) == 10
         assert all(is_harness_failure(r) for r in records)
         assert all(not r.completed for r in records)
-        assert len(res.manifest.failures) == 10
-        assert all(f.attempts == 2 for f in res.manifest.failures)
+        assert len(res.failures) == 10
+        assert all(f.attempts == 2 for f in res.failures)
 
     def test_parallel_persistent_crasher_is_bounded(self, clean_records):
         """A worker that crashes on every attempt cannot crash-loop:
@@ -252,7 +251,7 @@ class TestGracefulDegradation:
             Session(workers=2, resilience=res)))
         assert len(records) == 4
         assert all(is_harness_failure(r) for r in records)
-        assert len(res.manifest.failures) == 4
+        assert len(res.failures) == 4
         assert shared_pool(2).submit(len, ()).result() == 0
 
     def test_harness_failures_never_cached_or_journaled(self, tmp_path):
@@ -263,7 +262,7 @@ class TestGracefulDegradation:
                          fault_plan=plan, journal=journal)
         list(chaos_runner().stream(Session(store=store, resilience=res)))
         journal.close()
-        assert store.stats.stores == 0
+        assert store.metrics.stores == 0
         assert list(store.entries()) == []
         assert CampaignJournal(journal.path).load() == set()
 
@@ -293,10 +292,10 @@ class TestJournalResume:
                                                       resilience=res2)))
         res2.close()
         assert finished == clean_records
-        assert res2.manifest.resumed == 4          # zero re-executions
-        assert store2.stats.hits == 4
-        assert store2.stats.misses == len(clean_records) - 4
-        assert res2.manifest.journal_stale == 0
+        assert store2.metrics.resumed == 4          # zero re-executions
+        assert store2.metrics.hits == 4
+        assert store2.metrics.misses == len(clean_records) - 4
+        assert store2.metrics.journal_stale == 0
 
     def test_journaled_key_lost_from_store_reexecutes(self, tmp_path,
                                                       clean_records):
@@ -313,9 +312,9 @@ class TestJournalResume:
         assert list(chaos_runner().stream(
             Session(store=store2, resilience=res2))) == clean_records
         res2.close()
-        assert res2.manifest.journal_stale == 1     # detected, not trusted
-        assert res2.manifest.resumed == len(clean_records) - 1
-        assert store2.stats.misses == 1
+        assert store2.metrics.journal_stale == 1     # detected, not trusted
+        assert store2.metrics.resumed == len(clean_records) - 1
+        assert store2.metrics.misses == 1
 
     def test_resume_accounting_is_capped_by_plan(self, tmp_path,
                                                  clean_records):
@@ -332,8 +331,8 @@ class TestJournalResume:
         assert list(chaos_runner().stream(
             Session(store=store2, resilience=res2))) == clean_records
         res2.close()
-        assert res2.manifest.resumed == len(clean_records)
-        assert res2.manifest.journal_stale == 0
+        assert store2.metrics.resumed == len(clean_records)
+        assert store2.metrics.journal_stale == 0
 
 
 class TestSharedPoolSeams:

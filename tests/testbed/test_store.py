@@ -278,14 +278,14 @@ class TestWarmCampaigns:
     def test_second_run_all_hits_and_identical(self, tmp_path):
         cold_store = CampaignStore(tmp_path)
         cold = small_runner().run(Session(store=cold_store))
-        assert cold_store.stats.hits == 0
-        assert cold_store.stats.misses == len(cold)
-        assert cold_store.stats.stores == len(cold)
+        assert cold_store.metrics.hits == 0
+        assert cold_store.metrics.misses == len(cold)
+        assert cold_store.metrics.stores == len(cold)
 
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
-        assert warm_store.stats.hits == len(warm)
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.hits == len(warm)
+        assert warm_store.metrics.misses == 0
         assert warm == cold
 
     def test_cached_equals_uncached(self, tmp_path):
@@ -301,8 +301,8 @@ class TestWarmCampaigns:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(workers=2, store=warm_store))
         assert warm == cold
-        assert warm_store.stats.hits == len(cold)
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.hits == len(cold)
+        assert warm_store.metrics.misses == 0
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_repeated_key_warm_run_identical(self, tmp_path, workers):
@@ -380,7 +380,7 @@ class TestStoreGC:
         store.gc(live)
         warm = CampaignStore(tmp_path)
         small_runner().run(Session(store=warm))
-        assert warm.stats.misses == 0
+        assert warm.metrics.misses == 0
 
     def test_gc_on_missing_root_is_a_noop(self, tmp_path):
         store = CampaignStore(tmp_path / "never-created")
@@ -473,8 +473,8 @@ class TestCacheInvalidation:
         fine_results = fine.run(Session(store=fine_store))
         # 2 clients × 2 reps: {0, 150, 310} replay from the coarse
         # pass, only {100, 200} execute fresh.
-        assert fine_store.stats.hits == 12
-        assert fine_store.stats.misses == 8
+        assert fine_store.metrics.hits == 12
+        assert fine_store.metrics.misses == 8
         assert sorted({r.value_ms for r in fine_results}) == \
             [0, 100, 150, 200, 310]
 
@@ -518,16 +518,16 @@ class TestCacheInvalidation:
         monkeypatch.setattr(store_module, "BEHAVIOR_VERSION", "999.0.0")
         upgraded = CampaignStore(tmp_path)
         small_runner().run(Session(store=upgraded))
-        assert upgraded.stats.hits == 0
-        assert upgraded.stats.misses > 0
+        assert upgraded.metrics.hits == 0
+        assert upgraded.metrics.misses > 0
 
     def test_changed_config_re_executes(self, tmp_path):
         """End to end: a warm cache is useless for a changed campaign."""
         small_runner().run(Session(store=CampaignStore(tmp_path)))
         changed_store = CampaignStore(tmp_path)
         small_runner(resolver_timeout=2.0).run(Session(store=changed_store))
-        assert changed_store.stats.hits == 0
-        assert changed_store.stats.misses > 0
+        assert changed_store.metrics.hits == 0
+        assert changed_store.metrics.misses > 0
 
 
 class TestCorruptEntries:
@@ -540,13 +540,13 @@ class TestCorruptEntries:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.invalid == 1
-        assert warm_store.stats.misses == 1
-        assert warm_store.stats.hits == len(cold) - 1
+        assert warm_store.metrics.invalid == 1
+        assert warm_store.metrics.misses == 1
+        assert warm_store.metrics.hits == len(cold) - 1
         # The corrupted entry was rewritten by the fresh execution.
         repaired = CampaignStore(tmp_path)
         small_runner().run(Session(store=repaired))
-        assert repaired.stats.hits == len(cold)
+        assert repaired.metrics.hits == len(cold)
 
     def test_corrupted_entry_parallel_inline_repair(self, tmp_path):
         """The parallel planner sees the indexed record and plans a
@@ -556,10 +556,10 @@ class TestCorruptEntries:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(workers=2, store=warm_store))
         assert warm == cold
-        assert warm_store.stats.invalid == 1
+        assert warm_store.metrics.invalid == 1
         repaired = CampaignStore(tmp_path)
         small_runner().run(Session(workers=2, store=repaired))
-        assert repaired.stats.hits == len(cold)
+        assert repaired.metrics.hits == len(cold)
 
     def test_partial_entry_falls_back_to_fresh(self, tmp_path):
         """An entry without the completeness marker is a miss."""
@@ -569,7 +569,7 @@ class TestCorruptEntries:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.invalid == 1
+        assert warm_store.metrics.invalid == 1
 
     def test_format_version_mismatch_is_invalid(self, tmp_path):
         cold = self.populate(tmp_path)
@@ -578,7 +578,7 @@ class TestCorruptEntries:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.invalid == 1
+        assert warm_store.metrics.invalid == 1
 
     @pytest.mark.parametrize("field, value", [
         ("kind", "no-such-kind"), ("winning_protocol", "sctp"),
@@ -592,8 +592,8 @@ class TestCorruptEntries:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.invalid == 1
-        assert warm_store.stats.quarantined == 1
+        assert warm_store.metrics.invalid == 1
+        assert warm_store.metrics.quarantined == 1
         moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"
         assert moved.read_bytes() == bad + b"\n"
 
@@ -604,8 +604,8 @@ class TestCorruptEntries:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.invalid == 1
-        assert warm_store.stats.quarantined == 1
+        assert warm_store.metrics.invalid == 1
+        assert warm_store.metrics.quarantined == 1
 
 
 class TestQuarantine:
@@ -626,16 +626,16 @@ class TestQuarantine:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.quarantined == 1
-        assert warm_store.stats.invalid == 1
+        assert warm_store.metrics.quarantined == 1
+        assert warm_store.metrics.invalid == 1
         moved = tmp_path / ".quarantine" / key[:2] / f"{key}.json"
         assert moved.is_file()
         assert moved.read_bytes() == bad + b"\n"
         # The re-execution appended a fresh record: pure hits next.
         repaired = CampaignStore(tmp_path)
         small_runner().run(Session(store=repaired))
-        assert repaired.stats.hits == len(cold)
-        assert repaired.stats.quarantined == 0
+        assert repaired.metrics.hits == len(cold)
+        assert repaired.metrics.quarantined == 0
 
     def test_unreadable_entry_is_not_quarantined(self, tmp_path,
                                                  monkeypatch):
@@ -659,8 +659,8 @@ class TestQuarantine:
         monkeypatch.undo()
         unreadable = [key for key in keys if key[:2] == keys[0][:2]]
         assert set(got) == set(keys) - set(unreadable)
-        assert store.stats.invalid == len(unreadable)
-        assert store.stats.quarantined == 0
+        assert store.metrics.invalid == len(unreadable)
+        assert store.metrics.quarantined == 0
         assert not (tmp_path / ".quarantine").exists()
         # Readable again: every record is still there.
         warm = CampaignStore(tmp_path).get_many(keys, decode_record)

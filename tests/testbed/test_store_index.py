@@ -68,9 +68,9 @@ class TestGetMany:
         got_perkey = {key: get_one(perkey, key) for key in keys}
         assert got_batch == got_perkey
         assert set(got_batch) == set(keys)
-        assert batch.stats.hits == len(keys)
-        assert batch.stats.misses == 0
-        assert perkey.stats.hits == len(keys)
+        assert batch.metrics.hits == len(keys)
+        assert batch.metrics.misses == 0
+        assert perkey.metrics.hits == len(keys)
 
     def test_absent_keys_count_as_misses(self, tmp_path):
         keys = populate(tmp_path)
@@ -78,15 +78,15 @@ class TestGetMany:
         ghost = CampaignStore.key("never-stored")
         got = store.get_many(keys + [ghost], decode_record)
         assert ghost not in got
-        assert store.stats.hits == len(keys)
-        assert store.stats.misses == 1
+        assert store.metrics.hits == len(keys)
+        assert store.metrics.misses == 1
 
     def test_empty_store_is_all_misses(self, tmp_path):
         store = CampaignStore(tmp_path / "empty")
         runner = small_runner()
         keys = list(runner.plan().keys())
         assert store.get_many(keys, decode_record) == {}
-        assert store.stats.misses == len(keys)
+        assert store.metrics.misses == len(keys)
         assert not (tmp_path / "empty").exists()
 
 
@@ -100,7 +100,7 @@ class TestOffsetMap:
         assert set(fresh.get_many(keys, decode_record)) == set(keys)
         warm_store = CampaignStore(tmp_path)
         small_runner().run(Session(store=warm_store))
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.misses == 0
         assert tree(tmp_path) == before
 
     def test_leftover_sidecar_is_never_read(self, tmp_path):
@@ -122,7 +122,7 @@ class TestOffsetMap:
             sort_keys=True), encoding="utf-8")
         fresh = CampaignStore(tmp_path)
         assert fresh.get_many(keys, decode_record) == truth
-        assert fresh.stats.invalid == 0
+        assert fresh.metrics.invalid == 0
         assert {key for key, _ in fresh.entries()} == set(keys)
         leftover = sidecar.stat().st_size
         stats = fresh.gc(keys)
@@ -156,7 +156,7 @@ class TestOffsetMap:
         fresh = CampaignStore(tmp_path)
         assert set(fresh.get_many(keys + extra, decode_record)) \
             == set(keys + extra)
-        assert fresh.stats.misses == 0
+        assert fresh.metrics.misses == 0
 
     def test_out_of_band_deletion_invalidates_the_index(self, tmp_path):
         """A record cut out of its pack behind the store's back (manual
@@ -172,10 +172,10 @@ class TestOffsetMap:
             line for line in pack.read_bytes().splitlines(keepends=True)
             if marker not in line))
         for store in (holder, CampaignStore(tmp_path)):
-            store.stats.misses = 0
+            store.metrics.misses = 0
             got = store.get_many(keys, decode_record)
             assert keys[0] not in got
-            assert store.stats.misses == 1
+            assert store.metrics.misses == 1
             assert get_one(store, keys[0]) is None
 
     def test_out_of_band_addition_is_served(self, tmp_path):
@@ -191,10 +191,10 @@ class TestOffsetMap:
                                      get_one(store, keys[0],
                                              lambda p: p)))
         for reader in (store, CampaignStore(tmp_path)):
-            reader.stats.misses = 0
+            reader.metrics.misses = 0
             got = reader.get_many(keys + [newcomer], decode_record)
             assert got[newcomer] == truth[keys[0]]
-            assert reader.stats.misses == 0
+            assert reader.metrics.misses == 0
 
     def test_gc_bumps_generation_of_swept_shards(self, tmp_path):
         """An index built before a gc sweep — held by another handle —
@@ -237,8 +237,8 @@ class TestOffsetMap:
         fresh = CampaignStore(tmp_path)
         assert fresh.get_many(keys, decode_record) == truth
         assert get_one(fresh, keys[0], lambda p: p) == truth_payload
-        assert fresh.stats.misses == 0
-        assert fresh.stats.invalid == 0
+        assert fresh.metrics.misses == 0
+        assert fresh.metrics.invalid == 0
 
     def test_stale_index_is_ignored(self, tmp_path):
         """A pack rewritten to the same size behind a holder's back,
@@ -258,7 +258,7 @@ class TestOffsetMap:
         index_dir.mkdir(exist_ok=True)
         (index_dir / f"{shard}.gen").write_text("1", encoding="ascii")
         assert holder.get_many(keys, decode_record) == truth
-        assert holder.stats.invalid == 0
+        assert holder.metrics.invalid == 0
         assert not (tmp_path / ".quarantine").exists()
 
     def test_corrupt_index_falls_back_safely(self, tmp_path):
@@ -276,11 +276,11 @@ class TestOffsetMap:
             (index_dir / f"{shard}.json").write_text("{ not json",
                                                      encoding="utf-8")
         for store in (holder, CampaignStore(tmp_path)):
-            store.stats.hits = store.stats.misses = 0
+            store.metrics.hits = store.metrics.misses = 0
             assert store.get_many(keys, decode_record) == truth
-            assert store.stats.hits == len(keys)
-            assert store.stats.misses == 0
-            assert store.stats.invalid == 0
+            assert store.metrics.hits == len(keys)
+            assert store.metrics.misses == 0
+            assert store.metrics.invalid == 0
 
     def test_index_not_listed_as_entries(self, tmp_path):
         """Nothing in ``.index/`` (counters, leftover sidecars, temp
@@ -308,13 +308,13 @@ class TestOffsetMap:
         fresh = CampaignStore(tmp_path)
         got = fresh.get_many(keys, decode_record)
         assert keys[0] not in got
-        assert fresh.stats.invalid == 1
-        assert fresh.stats.misses == 1
-        assert fresh.stats.hits == len(keys) - 1
+        assert fresh.metrics.invalid == 1
+        assert fresh.metrics.misses == 1
+        assert fresh.metrics.hits == len(keys) - 1
         assert keys[0] not in {key for key, _ in fresh.entries()}
         fresh.get_many(keys, decode_record)
-        assert fresh.stats.invalid == 1
-        assert fresh.stats.misses == 2
+        assert fresh.metrics.invalid == 1
+        assert fresh.metrics.misses == 2
 
     def test_gc_sweeps_crashed_index_writer_droppings(self, tmp_path):
         keys = populate(tmp_path)
@@ -348,7 +348,7 @@ class TestOffsetMap:
         warm = CampaignStore(tmp_path)
         got = warm.get_many(keys, decode_record)
         assert set(got) == set(keys) - set(evicted)
-        assert warm.stats.misses == len(evicted)
+        assert warm.metrics.misses == len(evicted)
 
     def test_holder_rescans_a_pack_recreated_after_gc(self, tmp_path):
         """A handle holds a shard's map; gc empties the shard and
@@ -365,7 +365,7 @@ class TestOffsetMap:
         CampaignStore(tmp_path).put(new_key, new_payload)
         got = holder.get_many([old_key, new_key], lambda p: p)
         assert got == {new_key: new_payload}
-        assert (holder.stats.invalid, holder.stats.quarantined) == (0, 0)
+        assert (holder.metrics.invalid, holder.metrics.quarantined) == (0, 0)
         assert not (tmp_path / ".quarantine").exists()
 
 
@@ -375,13 +375,13 @@ class TestRunnerBatchPath:
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
-        assert warm_store.stats.hits == len(cold)
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.hits == len(cold)
+        assert warm_store.metrics.misses == 0
 
     def test_parallel_warm_stream_identical(self, tmp_path):
         cold = small_runner().run(Session(store=CampaignStore(tmp_path)))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(workers=2, store=warm_store))
         assert warm == cold
-        assert warm_store.stats.hits == len(cold)
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.hits == len(cold)
+        assert warm_store.metrics.misses == 0

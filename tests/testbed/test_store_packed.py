@@ -79,7 +79,7 @@ class TestPackedRoundTrip:
         warm = PackedCampaignStore(tmp_path)
         found = warm.get_many(keys, decode_record)
         assert set(found) == set(keys)
-        assert warm.stats.hits == len(keys)
+        assert warm.metrics.hits == len(keys)
 
     def test_supersede_last_write_wins(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
@@ -142,8 +142,8 @@ class TestQuarantine:
                            "payload": {"v": 1}}, sort_keys=True) + "\n"
         (tmp_path / "aa.pack").write_bytes(line.encode("ascii"))
         assert get_one(store, key) is None
-        assert store.stats.invalid == 1
-        assert store.stats.quarantined == 1
+        assert store.metrics.invalid == 1
+        assert store.metrics.quarantined == 1
         quarantined = list((tmp_path / ".quarantine").rglob("*.json"))
         assert len(quarantined) == 1
         assert json.loads(quarantined[0].read_text())["key"] == key
@@ -227,7 +227,7 @@ def _append_worker(root, writer, own, shared, start, versions):
     # descriptor, resolves every key only it writes.
     got = store.get_many(own, lambda p: p)
     assert got == {key: _payload(writer, key, -1) for key in own}
-    assert store.stats.invalid == 0
+    assert store.metrics.invalid == 0
 
 
 class TestConcurrentWriters:
@@ -259,7 +259,7 @@ class TestConcurrentWriters:
         fresh = CampaignStore(tmp_path)
         got = fresh.get_many(everything, lambda p: p)
         assert got == {key: _payload("", key, -1) for key in everything}
-        assert fresh.stats.invalid == fresh.stats.quarantined == 0
+        assert fresh.metrics.invalid == fresh.metrics.quarantined == 0
         assert not (tmp_path / ".quarantine").exists()
 
     def test_foreign_fragment_between_puts_is_healed(self, tmp_path):
@@ -274,7 +274,7 @@ class TestConcurrentWriters:
         for handle in (store, CampaignStore(tmp_path)):
             assert get_one(handle, first, lambda p: p["v"]) == 1
             assert get_one(handle, second, lambda p: p["v"]) == 2
-            assert handle.stats.invalid == 0
+            assert handle.metrics.invalid == 0
         fresh = CampaignStore(tmp_path)
         assert {key for key, _ in fresh.entries()} == {first, second}
         assert reclaimable(fresh) == len(b'{"complete": tru\n')
@@ -305,4 +305,4 @@ class TestConcurrentWriters:
             got = handle.get_many([first, second, foreign],
                                   lambda p: p["v"])
             assert got == {first: 1, second: 2, foreign: 3}
-            assert handle.stats.invalid == 0
+            assert handle.metrics.invalid == 0

@@ -38,14 +38,14 @@ class TestWebCampaignStore:
         cold_store = CampaignStore(tmp_path)
         cold = campaign.run(entries=ENTRIES,
                             session=Session(store=cold_store))
-        assert cold_store.stats.hits == 0
-        assert cold_store.stats.stores == len(ENTRIES)
+        assert cold_store.metrics.hits == 0
+        assert cold_store.metrics.stores == len(ENTRIES)
 
         warm_store = CampaignStore(tmp_path)
         warm = campaign.run(entries=ENTRIES,
                             session=Session(store=warm_store))
-        assert warm_store.stats.hits == len(ENTRIES)
-        assert warm_store.stats.misses == 0
+        assert warm_store.metrics.hits == len(ENTRIES)
+        assert warm_store.metrics.misses == 0
         assert warm.sessions == cold.sessions
 
     def test_cached_equals_uncached(self, tmp_path):
@@ -67,11 +67,11 @@ class TestWebCampaignStore:
         reseeded_store = CampaignStore(tmp_path)
         WebCampaign(seed=14, repetitions=2).run(
             entries=ENTRIES, session=Session(store=reseeded_store))
-        assert reseeded_store.stats.hits == 0
+        assert reseeded_store.metrics.hits == 0
         more_reps_store = CampaignStore(tmp_path)
         WebCampaign(seed=13, repetitions=3).run(
             entries=ENTRIES, session=Session(store=more_reps_store))
-        assert more_reps_store.stats.hits == 0
+        assert more_reps_store.metrics.hits == 0
 
 
 class TestWorkersValidation:
