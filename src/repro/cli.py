@@ -296,7 +296,7 @@ def _cmd_submit(args: argparse.Namespace) -> None:
     running service and reprint its artifact byte-identically (the
     ``[service]`` accounting line goes to stderr, like ``repro run``'s
     would-be ``[cache]`` line goes nowhere — stdout is the artifact)."""
-    from .service.http import submit_request
+    from .service.http import submit_request, summary_line
 
     experiment = get_experiment(args.experiment_name)
     knobs = {}
@@ -319,11 +319,7 @@ def _cmd_submit(args: argparse.Namespace) -> None:
         print(_json.dumps(payload["data"], indent=2, sort_keys=True))
     else:
         print(payload["text"])
-    print(f"[service] planned={payload['planned']} "
-          f"hits={payload['hits']} executed={payload['executed']} "
-          f"waited={payload['waited']} "
-          f"coalesced={str(payload['coalesced']).lower()}",
-          file=sys.stderr)
+    print(summary_line(payload), file=sys.stderr)
 
 
 def usable_cpus() -> int:

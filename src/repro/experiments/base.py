@@ -196,6 +196,12 @@ class Experiment:
     def default_knobs(self) -> Dict[str, Any]:
         return {knob.name: knob.default for knob in self.knobs}
 
+    def knob(self, session: Session, name: str) -> Any:
+        """``session``'s value for the declared knob ``name``, else
+        its declared default — what the CLI fills in — so a library
+        Session built without knobs runs what the CLI runs."""
+        return session.knob(name, self.default_knobs()[name])
+
     # -- the three phases ------------------------------------------------------
 
     def plan(self, session: Session) -> "Plan":

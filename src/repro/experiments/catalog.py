@@ -88,7 +88,7 @@ class Table2Experiment(Experiment):
         from ..webtool import UAEntry, WebCampaign
 
         web = WebCampaign(seed=session.seed + 1,
-                          repetitions=session.knob("repetitions", 10))
+                          repetitions=self.knob(session, "repetitions"))
         return Plan(table2_plan(seed=session.seed) + web.plan(
             tuple(UAEntry(*entry) for entry in TABLE2_WEB_ENTRIES)))
 
@@ -99,7 +99,7 @@ class Table2Experiment(Experiment):
 
         local = [entry for entry in plan if type(entry) is TestbedRun]
         web = None
-        if not session.knob("no_web", False):
+        if not self.knob(session, "no_web"):
             web = run_web_plan(plan[len(local):], session)
         return table2_features(web_campaign=web, plan=local,
                                session=session)
@@ -118,7 +118,7 @@ class Table3Experiment(Experiment):
                   help="share-campaign repetitions per resolver"),)
 
     def _repetitions(self, session: Session) -> "tuple":
-        share = session.knob("repetitions", 160)
+        share = self.knob(session, "repetitions")
         return share, max(3, share // 20)
 
     def plan(self, session: Session) -> "Plan":
@@ -169,7 +169,7 @@ class Table5Experiment(Experiment):
         from ..webtool import TABLE5_MATRIX, WebCampaign
 
         return WebCampaign(seed=session.seed,
-                           repetitions=session.knob("repetitions", 5)
+                           repetitions=self.knob(session, "repetitions")
                            ).plan(TABLE5_MATRIX)
 
     def execute(self, session: Session, plan: "Plan") -> Any:
@@ -210,8 +210,8 @@ class Figure2Experiment(Experiment):
         from ..clients.registry import figure2_clients
 
         return figure2_plan(figure2_clients(),
-                            step_ms=session.knob("step", 25),
-                            stop_ms=session.knob("stop", 400),
+                            step_ms=self.knob(session, "step"),
+                            stop_ms=self.knob(session, "stop"),
                             seed=session.seed)
 
     def execute(self, session: Session, plan: "Plan") -> Any:
@@ -327,7 +327,7 @@ class TraceExperiment(Experiment):
         from ..testbed.topology import LocalTestbed
 
         testbed = LocalTestbed(seed=session.seed)
-        testbed.delay_ipv6_tcp(session.knob("delay_ms", 400) / 1000.0)
+        testbed.delay_ipv6_tcp(self.knob(session, "delay_ms") / 1000.0)
         stub = StubResolver(testbed.client,
                             testbed.resolver_addresses[:1],
                             timeout=3600.0, retries=0)
@@ -407,16 +407,16 @@ class FingerprintExperiment(Experiment):
         from ..conformance import scenario_battery
 
         return _probe_plan(
-            session, _fingerprint_profiles(session.knob("client", "all")),
-            scenario_battery(stop_ms=session.knob("stop", 400)))
+            session, _fingerprint_profiles(self.knob(session, "client")),
+            scenario_battery(stop_ms=self.knob(session, "stop")))
 
     def execute(self, session: Session, plan: "Plan") -> Any:
         from ..conformance import scenario_battery
 
         return _fingerprints(
             session, plan,
-            _fingerprint_profiles(session.knob("client", "all")),
-            scenario_battery(stop_ms=session.knob("stop", 400)))
+            _fingerprint_profiles(self.knob(session, "client")),
+            scenario_battery(stop_ms=self.knob(session, "stop")))
 
     def render(self, result: Any) -> Artifact:
         from ..conformance import fingerprint_to_dict, render_fingerprint
@@ -445,14 +445,14 @@ class ConformanceExperiment(Experiment):
 
         return _probe_plan(
             session, local_testbed_clients(),
-            scenario_battery(stop_ms=session.knob("stop", 400)))
+            scenario_battery(stop_ms=self.knob(session, "stop")))
 
     def execute(self, session: Session, plan: "Plan") -> Any:
         from ..clients.registry import local_testbed_clients
         from ..conformance import scenario_battery
 
-        battery = scenario_battery(stop_ms=session.knob("stop", 400))
-        if session.knob("list", False):
+        battery = scenario_battery(stop_ms=self.knob(session, "stop"))
+        if self.knob(session, "list"):
             return {"catalog": battery}
         return {"fingerprints": _fingerprints(
             session, plan, local_testbed_clients(), battery)}
@@ -551,7 +551,8 @@ class FingerprintDiffExperiment(Experiment):
     )
 
     def _profiles(self, session: Session) -> List:
-        selectors = (session.knob("client_a"), session.knob("client_b"))
+        selectors = (self.knob(session, "client_a"),
+                     self.knob(session, "client_b"))
         if not all(selectors):
             raise SystemExit(
                 "fingerprint-diff needs two client selectors "
@@ -571,18 +572,19 @@ class FingerprintDiffExperiment(Experiment):
         from ..conformance import scenario_battery
         from ..testbed.parallel import Plan
 
-        if not (session.knob("client_a") and session.knob("client_b")):
+        if not (self.knob(session, "client_a")
+                and self.knob(session, "client_b")):
             return Plan()  # no clients selected: nothing beyond others
         return _probe_plan(
             session, self._profiles(session),
-            scenario_battery(stop_ms=session.knob("stop", 400)))
+            scenario_battery(stop_ms=self.knob(session, "stop")))
 
     def execute(self, session: Session, plan: "Plan") -> Any:
         from ..conformance import diff_fingerprints, scenario_battery
 
         first, second = _fingerprints(
             session, plan, self._profiles(session),
-            scenario_battery(stop_ms=session.knob("stop", 400)))
+            scenario_battery(stop_ms=self.knob(session, "stop")))
         return diff_fingerprints(first, second)
 
     def render(self, result: Any) -> Artifact:

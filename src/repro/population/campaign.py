@@ -17,6 +17,24 @@ runner pickles as its recipe — spec, sample count, seed, sweep — so a
 10 000-user campaign ships a few hundred bytes to each pool worker
 instead of 10 000 dataclasses, and each worker materializes only the
 indices it executes.
+
+Planning needs less than a sample: a user's store keys read only its
+*identity* — case name, client ``full_name`` and configuration digest
+(:meth:`~repro.testbed.runner.TestRunner.identity`).  Sampling costs
+six ``random.Random`` seedings plus a canonical rendering of the whole
+configuration, so identities live in one process-wide
+:class:`~repro.memo.BoundedMemo`, :data:`IDENTITIES`, keyed by the
+content that fixes them: the spec's digest, the seed, the run and
+resolver timeouts, the HEv3 flag and the (paired) sample index.  That
+content alone fixes the identity: the sampler is a pure function of
+(spec, seed, index) and the digest renders every spec field; the case
+is its index, the run timeout and :data:`DEGRADATION_SPEC` (its sweep
+is neutralized before digesting); the configuration digest adds only
+the resolver timeout and the HEv3 flag.  Neither the sample count nor
+the degradation sweep is in the key, so a smaller population of the
+same spec, the other population experiment and every later plan in
+the process (service admissions, ``repro ls`` and ``repro cache gc``
+planning both experiments) hit the first plan's entries.
 """
 
 from __future__ import annotations
@@ -24,11 +42,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Dict, List, Tuple
 
+from ..memo import BoundedMemo
 from ..simnet.addr import Family
 from ..simnet.packet import Protocol
 from ..testbed.config import (ImpairmentSpec, SweepSpec, TestCaseConfig,
                               TestCaseKind)
 from ..testbed.runner import TestRunner
+from ..testbed.store import canonical
 from .distributions import PopulationSpec
 from .sampler import PopulationSampler, SampledUser
 
@@ -40,6 +60,12 @@ DEGRADATION_SPEC = ImpairmentSpec(family=Family.V6, protocol=Protocol.TCP,
 
 #: Default degradation sweep: healthy, inflated, badly inflated.
 DEFAULT_DEGRADATION = SweepSpec.fixed(0, 100, 200)
+
+#: Sampled users' store identities, process-wide: the canonical
+#: rendering of ``(spec digest, seed, run timeout, resolver timeout,
+#: HEv3 flag)`` plus the paired sample index -> ``(case name, client
+#: full_name, configuration digest)``.
+IDENTITIES = BoundedMemo()
 
 
 class _SampleColumn(Sequence):
@@ -97,6 +123,11 @@ class PopulationRunner(TestRunner):
         self.seed = seed
         self.resolver_timeout = resolver_timeout
         self.hev3_flag = False
+        #: What fixes a user's identity besides its index (see
+        #: :data:`IDENTITIES`), type-tagged like the digests it keys:
+        #: a timeout of 30 and one of 30.0 render different keys.
+        self._content = canonical((spec.digest(), seed, run_timeout,
+                                   resolver_timeout, self.hev3_flag))
 
     def __reduce__(self):
         return (_rebuild_runner,
@@ -125,6 +156,17 @@ class PopulationRunner(TestRunner):
 
     def user(self, index: int) -> SampledUser:
         return self.materialize(index)[1]
+
+    def identity(self, case_index: int,
+                 client_index: int) -> "Tuple[str, str, str]":
+        """The pair's identity from :data:`IDENTITIES`, sampled and
+        rendered only on the process's first plan of it."""
+        key = (self._content, case_index, client_index)
+        found = IDENTITIES.get(key)
+        if found is None:
+            found = IDENTITIES.put(
+                key, super().identity(case_index, client_index))
+        return found
 
     def enumerate_specs(self) -> "List":
         """Paired enumeration: sample-major, degradation-minor.

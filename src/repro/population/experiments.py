@@ -57,7 +57,7 @@ class PopulationExperiment(Experiment):
         from .distributions import PopulationSpecError, resolve_spec
 
         try:
-            return resolve_spec(session.knob("spec", "default"))
+            return resolve_spec(self.knob(session, "spec"))
         except PopulationSpecError as exc:
             raise SystemExit(f"repro {self.name}: {exc}")
 
@@ -65,18 +65,18 @@ class PopulationExperiment(Experiment):
         from ..testbed.config import SweepSpec
         from .campaign import PopulationRunner
 
-        samples = session.knob("samples", 250)
+        samples = self.knob(session, "samples")
         if samples < 1:
             raise SystemExit(
                 f"repro {self.name}: --samples must be >= 1: {samples}")
-        sweep = SweepSpec.range(0, session.knob("degrade_stop", 200),
-                                session.knob("degrade_step", 100))
+        sweep = SweepSpec.range(0, self.knob(session, "degrade_stop"),
+                                self.knob(session, "degrade_step"))
         return PopulationRunner(self._spec(session), samples,
                                 seed=session.seed, degradation=sweep).plan()
 
     def sample_space(self, session: Session
                      ) -> "Optional[Tuple[int, str]]":
-        return (session.knob("samples", 250),
+        return (self.knob(session, "samples"),
                 self._spec(session).short_digest())
 
     def execute(self, session: Session, plan: "Plan") -> Any:
@@ -101,7 +101,7 @@ class PopulationExperiment(Experiment):
     def _spec_label(self, session: Session) -> str:
         from .distributions import PRESETS
 
-        text = session.knob("spec", "default") or "default"
+        text = self.knob(session, "spec") or "default"
         return text if text in PRESETS else "custom"
 
     def _header(self, result: "Dict[str, Any]") -> str:

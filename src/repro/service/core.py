@@ -67,11 +67,6 @@ class ServedResult:
     #: one and shared its execution wholesale.
     coalesced: bool = False
 
-    def summary(self) -> str:
-        return (f"planned={self.planned} hits={self.hits} "
-                f"executed={self.executed} waited={self.waited} "
-                f"coalesced={str(self.coalesced).lower()}")
-
 
 class CampaignService:
     """Accepts experiment plans from many concurrent sessions.

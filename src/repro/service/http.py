@@ -59,6 +59,15 @@ def result_payload(result: ServedResult) -> "Dict[str, Any]":
     return payload
 
 
+def summary_line(payload: "Dict[str, Any]") -> str:
+    """The ``[service]`` accounting line of a :func:`result_payload`
+    (``repro submit`` prints it to stderr)."""
+    return (f"[service] planned={payload['planned']} "
+            f"hits={payload['hits']} executed={payload['executed']} "
+            f"waited={payload['waited']} "
+            f"coalesced={str(payload['coalesced']).lower()}")
+
+
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """One request; the owning server carries the service reference."""
 

@@ -68,10 +68,10 @@ class _SynthesisExperiment(Experiment):
 
         try:
             return SearchBudget(
-                seeds=session.knob("synthesis_seeds", 32),
-                rounds=session.knob("synthesis_rounds", 2),
-                top=session.knob("synthesis_top", 6),
-                neighbors=session.knob("synthesis_neighbors", 8))
+                seeds=self.knob(session, "synthesis_seeds"),
+                rounds=self.knob(session, "synthesis_rounds"),
+                top=self.knob(session, "synthesis_top"),
+                neighbors=self.knob(session, "synthesis_neighbors"))
         except ValueError as exc:
             raise SystemExit(f"synthesis: {exc}")
 
@@ -83,12 +83,12 @@ class _SynthesisExperiment(Experiment):
 
         space = ScenarioSpace.default()
         budget = self._budget(session)
-        limit = session.knob("promote", 6)
+        limit = self.knob(session, "promote")
         if limit < 1:
             raise SystemExit(
                 f"synthesis: promotion limit must be >= 1: {limit!r}")
-        profiles = _resolve_clients(session.knob("clients", "all"))
-        ablate = session.knob("ablate", DEFAULT_ABLATION_BASE)
+        profiles = _resolve_clients(self.knob(session, "clients"))
+        ablate = self.knob(session, "ablate")
         base = None
         if ablate and ablate.strip().lower() != "none":
             matches = _resolve_clients(ablate)
@@ -215,7 +215,7 @@ class SynthesizeReportExperiment(_SynthesisExperiment):
             fingerprints = [
                 fingerprint_client(profile, session, battery, cursor)
                 for profile in _resolve_clients(
-                    session.knob("clients", "all"))]
+                    self.knob(session, "clients"))]
         return {"result": result, "battery": battery,
                 "fingerprints": fingerprints}
 

@@ -132,7 +132,10 @@ def spec_keys(runner: "TestRunner",
     ``CampaignStore.key(run_seed, config_digest, value_ms,
     repetition)``.  The configuration digest and seed prefix of each
     (case, client) pair are computed once, so each run costs one
-    incremental CRC and one SHA-256."""
+    incremental CRC and one SHA-256.  Each pair is read through
+    :meth:`~repro.testbed.runner.TestRunner.identity`, so a runner
+    that memoizes its pairs' identities derives keys without building
+    a case or profile."""
     key = CampaignStore.keyer()
     pairs: "Dict[Tuple[int, int], Tuple[Callable[..., int], str]]" = {}
     entries: "List[TestbedRun]" = []
@@ -140,11 +143,10 @@ def spec_keys(runner: "TestRunner",
         pair = (spec.case_index, spec.client_index)
         derived = pairs.get(pair)
         if derived is None:
-            case = runner.cases[spec.case_index]
-            profile = runner.clients[spec.client_index]
+            case_name, client_name, digest = runner.identity(*pair)
             derived = pairs[pair] = (
-                run_seeder(runner.seed, case.name, profile.full_name),
-                render_part(runner.config_digest_for(case, profile)))
+                run_seeder(runner.seed, case_name, client_name),
+                render_part(digest))
         seed_of, digest = derived
         value, rep = render_part(spec.value_ms), render_part(spec.repetition)
         run_seed = seed_of(value, rep)

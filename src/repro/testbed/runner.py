@@ -334,6 +334,16 @@ class TestRunner:
 
     # -- caching ------------------------------------------------------------------
 
+    def identity(self, case_index: int,
+                 client_index: int) -> "Tuple[str, str, str]":
+        """What a (case, client) pair's store keys read: the case name
+        and client ``full_name`` that seed its runs, and its
+        :meth:`config_digest_for`."""
+        case = self.cases[case_index]
+        profile = self.clients[client_index]
+        return (case.name, profile.full_name,
+                self.config_digest_for(case, profile))
+
     def config_digest_for(self, case: TestCaseConfig,
                           profile: ClientProfile) -> str:
         """Content digest of everything configuration-shaped that can

@@ -5,6 +5,9 @@ derives, so a key that drifts — a reordered field, a changed rendering
 of one primitive — silently turns every existing store cold.  This
 test pins, per registered experiment at seed 0 with default knobs (plus
 a few larger plans), the SHA-256 over its planned keys in plan order.
+Each plan starts from an empty population identity memo, so the
+golden checks the sampling path whatever planned before it in the
+process.
 
 An intentional key change (a ``STORE_FORMAT`` or package version bump)
 regenerates the golden with::
@@ -18,6 +21,7 @@ import pathlib
 import sys
 
 from repro.experiments import Session, all_experiments, get_experiment
+from repro.population.campaign import IDENTITIES
 
 GOLDEN = (pathlib.Path(__file__).resolve().parent.parent
           / "goldens" / "plan_keys.json")
@@ -35,6 +39,7 @@ EXTRA_PLANS = {
 def _digest(experiment, overrides=None) -> dict:
     knobs = experiment.default_knobs()
     knobs.update(overrides or {})
+    IDENTITIES.clear()
     keys = experiment.plan(Session(seed=0, knobs=knobs)).keys()
     blob = "\n".join(keys).encode("ascii")
     return {"keys": len(keys), "sha256": hashlib.sha256(blob).hexdigest()}

@@ -16,7 +16,8 @@ import pytest
 
 from repro import fanout
 from repro.experiments import (Artifact, Experiment, Knob, Session,
-                               all_experiments, get_experiment, register)
+                               all_experiments, get_experiment,
+                               knob_mapping, register)
 from repro.metrics import Metrics
 from repro.service import SingleFlight, SingleFlightStore, TieredStore
 from repro.testbed import CampaignJournal, CampaignStore, Resilience
@@ -285,6 +286,17 @@ class TestSession:
         assert session.knob("step", 25) == 5
         assert session.knob("missing", 25) == 25
         assert session.knob("flagged", True) is False
+
+    @pytest.mark.parametrize("name", sorted(
+        experiment.name for experiment in all_experiments()
+        if experiment.knobs))
+    def test_knobless_session_plans_the_declared_defaults(self, name):
+        """A library Session without knobs plans what the CLI plans:
+        experiments read each declared ``Knob`` default, not a copy."""
+        experiment = get_experiment(name)
+        declared = Session(seed=0, knobs=knob_mapping(experiment, {}))
+        assert (experiment.plan(Session(seed=0)).keys()
+                == experiment.plan(declared).keys())
 
     def test_cache_line_only_after_activity(self, tmp_path):
         session = Session(store=CampaignStore(tmp_path))

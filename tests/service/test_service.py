@@ -12,7 +12,7 @@ from repro.experiments.base import Artifact, Experiment, Knob, Session, \
     knob_mapping
 from repro.service import AdmissionError, CampaignService
 from repro.service.http import CampaignServiceServer, \
-    ServiceRequestHandler, submit_request
+    ServiceRequestHandler, result_payload, submit_request, summary_line
 from repro.testbed.parallel import Plan
 from repro.testbed.store import config_digest
 
@@ -162,8 +162,9 @@ class TestCoalescing:
         service, _ = make_service(tmp_path)
         with service:
             result = service.submit("grid", {"width": 2})
-        assert result.summary() == ("planned=2 hits=0 executed=2 "
-                                    "waited=0 coalesced=false")
+        assert summary_line(result_payload(result)) == (
+            "[service] planned=2 hits=0 executed=2 waited=0 "
+            "coalesced=false")
 
 
 class TestAdmission:
@@ -434,3 +435,45 @@ class TestRegisteredCampaigns:
         assert warm.executed == 0
         assert warm.hits == warm.planned
         assert warm.text == cold.text
+
+
+class TestPopulationSubmissions:
+    """A warm population submission derives its keys from the
+    process's identity memo: it samples no user and executes nothing,
+    and its artifact is the direct run's."""
+
+    def test_repeats_sample_no_user(self, tmp_path, monkeypatch):
+        from repro.experiments import get_experiment
+        from repro.population.campaign import IDENTITIES
+        from repro.population.sampler import PopulationSampler
+        from repro.testbed import CampaignStore
+
+        knobs = {"samples": 6, "degrade_step": 200}
+        names = ("population-latency", "population-family-share")
+        direct = {}
+        for name in names:
+            experiment = get_experiment(name)
+            direct[name] = experiment.run(Session(
+                store=CampaignStore(tmp_path / "cache"),
+                knobs=knob_mapping(experiment, knobs)))
+        IDENTITIES.clear()
+        sampled = []
+        user = PopulationSampler.user
+        monkeypatch.setattr(
+            PopulationSampler, "user",
+            lambda sampler, index: sampled.append(index)
+            or user(sampler, index))
+        with CampaignService(tmp_path / "cache") as service:
+            first = service.submit(names[0], knobs)
+            cold = list(sampled)
+            repeats = [service.submit(names[0], knobs),
+                       service.submit(names[1], knobs)]
+        assert cold == list(range(6))
+        assert sampled == cold
+        for name, served in zip(names, [first] + repeats[1:]):
+            assert served.text == direct[name].text
+            assert served.data == direct[name].data
+        assert repeats[0].text == first.text
+        assert repeats[0].data == first.data
+        for served in [first] + repeats:
+            assert (served.planned, served.executed) == (12, 0)
