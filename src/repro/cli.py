@@ -304,6 +304,15 @@ def _cmd_submit(args: argparse.Namespace) -> None:
         value = getattr(args, knob.name, None)
         if value is not None and value is not False:
             knobs[knob.name] = value
+    if str(knobs.get("spec", "")).startswith("@"):
+        # Send a population spec file's content: the server would read
+        # the path in its own working directory.
+        from .population.distributions import (PopulationSpecError,
+                                               inline_spec)
+        try:
+            knobs["spec"] = inline_spec(knobs["spec"])
+        except PopulationSpecError as exc:
+            raise SystemExit(f"repro {experiment.name}: {exc}")
     try:
         payload = submit_request(args.experiment_name, knobs,
                                  host=args.host, port=args.port,

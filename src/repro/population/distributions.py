@@ -345,14 +345,7 @@ def resolve_spec(text: "str | None") -> PopulationSpec:
     if text in PRESETS:
         return PopulationSpec.from_dict(PRESETS[text])
     if text.startswith("@"):
-        path = Path(text[1:])
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise PopulationSpecError(f"spec file not found: {path}")
-        except ValueError as exc:
-            raise PopulationSpecError(f"spec file {path}: bad JSON: {exc}")
-        return PopulationSpec.from_dict(data)
+        return PopulationSpec.from_dict(_read_spec_file(text))
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -363,3 +356,27 @@ def resolve_spec(text: "str | None") -> PopulationSpec:
         f"unknown population spec {text!r}: expected a preset "
         f"({', '.join(sorted(PRESETS))}), '@path/to/spec.json', or an "
         "inline JSON object")
+
+
+def _read_spec_file(text: str) -> Any:
+    """The JSON data of an ``@path`` spec."""
+    path = Path(text[1:])
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise PopulationSpecError(f"spec file not found: {path}")
+    except ValueError as exc:
+        raise PopulationSpecError(f"spec file {path}: bad JSON: {exc}")
+
+
+def inline_spec(text: str) -> str:
+    """An ``@path`` spec as the inline JSON object its file holds
+    (any other form unchanged), so the spec travels as its content:
+    ``repro submit`` reads the file where the user named it, not in
+    the server's working directory.  Raises
+    :class:`PopulationSpecError` as :func:`resolve_spec` would."""
+    if not text.startswith("@"):
+        return text
+    data = _read_spec_file(text)
+    PopulationSpec.from_dict(data)
+    return json.dumps(data)

@@ -8,9 +8,10 @@ package is the serving layer for that shape:
 
 * :mod:`~repro.service.core` — :class:`CampaignService`: admission
   through the Experiment registry's pure ``plan()`` (the admitted
-  plan is the one that executes), submission coalescing, and
-  per-submission sessions threaded through the fault-tolerant runtime
-  (journal + retrying ``shared_map``).
+  plan is the one that executes, and a repeated submission reuses a
+  completely executed plan instead of planning again), submission
+  coalescing, and per-submission sessions threaded through the
+  fault-tolerant runtime (journal + retrying ``shared_map``).
 * :mod:`~repro.service.singleflight` — in-flight key dedup: a stampede
   of identical requests executes every run exactly once.
 * :mod:`~repro.service.tiering` — a bounded in-memory LRU in front of

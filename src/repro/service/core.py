@@ -3,9 +3,9 @@
 Admission is the Experiment registry's pure ``plan()``: a submission
 names a registered experiment plus knob values, the service resolves
 the knobs and plans its runs *without executing anything*, and
-oversized or unknown requests are rejected before they cost a single
-simulated run.  An admitted submission executes the plan admission
-built — it is planned once — on a thread pool, in its own
+oversized, unknown or badly-knobbed requests are rejected before they
+cost a single simulated run.  An admitted submission executes the plan
+admission built on a thread pool, in its own
 :class:`~repro.experiments.Session` wired to
 
 * the shared tiered store (memory LRU over the packed disk store),
@@ -13,6 +13,20 @@ built — it is planned once — on a thread pool, in its own
   overlapping concurrent submissions execute every key exactly once,
 * the fault-tolerant runtime — per-experiment campaign journal and the
   retry policy, exactly as ``repro run --retries`` wires them.
+
+Each submission is planned at most once per process: its digest
+(experiment, resolved knobs, seed) keys a memo of complete plans, so a
+repeat is admitted without calling ``plan()``.  Three rules keep every
+reply what a fresh plan would give:
+
+1. a plan is kept only after an execution that raised nothing and
+   looked up no key outside it — a cold staged campaign plans only its
+   first stage, so its truncated plan is never kept;
+2. a submission whose knob values name a file (``@path``, read at
+   plan time) is never kept;
+3. the memo is bounded by plan entries: it is cleared before its
+   entries would pass :data:`~repro.memo.MEMO_CAP`, and a larger plan
+   is never kept.
 
 Identical in-flight submissions (same experiment, same resolved knobs,
 same seed) additionally *coalesce*: followers share the leader's
@@ -32,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Union
 
+from .. import memo
 from ..experiments.base import Session, knob_mapping
 from ..testbed.parallel import Plan
 from ..testbed.resilience import CampaignJournal, Resilience, RetryPolicy
@@ -116,6 +131,10 @@ class CampaignService:
             max_workers=service_workers,
             thread_name_prefix="campaign-service")
         self._inflight: "Dict[str, Future]" = {}
+        #: Completely executed plans by submission digest:
+        #: ``digest -> (plan, planned)``, and the entries they hold.
+        self._plans = memo.BoundedMemo()
+        self._plan_entries = 0
         self._lock = threading.Lock()
         self._closed = False
 
@@ -123,7 +142,12 @@ class CampaignService:
 
     def _admit(self, experiment_name: str,
                knobs: "Optional[Mapping[str, Any]]"):
-        """Resolve and plan a submission; raises AdmissionError."""
+        """Resolve and plan a submission; raises AdmissionError.
+
+        Returns ``(experiment, values, digest, plan, planned,
+        memoize)``.  A digest the plan memo holds is not planned again;
+        ``memoize`` says whether a plan made here may enter the memo
+        once it executes (see :meth:`_remember`)."""
         try:
             experiment = self._lookup(experiment_name)
         except KeyError as exc:
@@ -135,11 +159,18 @@ class CampaignService:
             self.stats.rejected += 1
             raise AdmissionError(
                 f"bad knobs for {experiment_name}: {exc}") from None
+        digest = config_digest(experiment.name, sorted(values.items()),
+                               self.seed)
+        memoized = self._plans.get(digest)
+        if memoized is not None:
+            return (experiment, values, digest) + memoized + (False,)
         planning = Session(seed=self.seed, workers=self.workers,
                            store=self.store, knobs=values)
         try:
             plan = Plan(experiment.plan(planning))
-        except Exception as exc:
+        except (Exception, SystemExit) as exc:
+            # Experiments reject bad knob values with SystemExit (the
+            # CLI's exit message); here that is a refused submission.
             self.stats.rejected += 1
             raise AdmissionError(
                 f"cannot plan {experiment_name}: {exc}") from None
@@ -149,7 +180,25 @@ class CampaignService:
             raise AdmissionError(
                 f"{experiment_name} plans {planned} keys, over the "
                 f"admission limit of {self.admission_limit}")
-        return experiment, values, plan, planned
+        return (experiment, values, digest, plan, planned,
+                not _names_file(values))
+
+    def _remember(self, digest: str, plan: Plan, planned: int) -> None:
+        """Keep a plan whose execution completed for the digest's
+        repeats.  The memo is bounded by plan entries, not plans: it
+        is cleared before its entries would pass ``MEMO_CAP``, and a
+        plan larger than that is never kept."""
+        weight = max(len(plan), 1)
+        if weight > memo.MEMO_CAP:
+            return
+        with self._lock:
+            if digest in self._plans:
+                return
+            if self._plan_entries + weight > memo.MEMO_CAP:
+                self._plans.clear()
+                self._plan_entries = 0
+            self._plans.put(digest, (plan, planned))
+            self._plan_entries += weight
 
     # -- submission ------------------------------------------------------------
 
@@ -165,21 +214,17 @@ class CampaignService:
         """
         if self._closed:
             raise AdmissionError("service is shut down")
-        experiment, values, plan, planned = self._admit(experiment_name,
-                                                        knobs)
-        digest = config_digest(experiment.name, sorted(values.items()),
-                               self.seed)
+        admitted = self._admit(experiment_name, knobs)
+        digest = admitted[2]
         self.stats.submissions += 1
         if not self.coalesce:
-            return self._threads.submit(self._execute, experiment,
-                                        values, plan, planned, digest)
+            return self._threads.submit(self._execute, *admitted)
         with self._lock:
             leader = self._inflight.get(digest)
             if leader is not None:
                 self.stats.coalesced += 1
                 return _follower(leader)
-            future = self._threads.submit(self._execute, experiment,
-                                          values, plan, planned, digest)
+            future = self._threads.submit(self._execute, *admitted)
             self._inflight[digest] = future
         # Outside the lock: a future that already finished runs its
         # callback synchronously right here, and _forget retakes the
@@ -213,21 +258,30 @@ class CampaignService:
                           journal=journal, resume=False,
                           explicit=False)
 
-    def _execute(self, experiment, values: "Dict[str, Any]", plan: Plan,
-                 planned: int, digest: str) -> ServedResult:
-        flight_store = SingleFlightStore(self.store, self.flight)
+    def _execute(self, experiment, values: "Dict[str, Any]", digest: str,
+                 plan: Plan, planned: int, memoize: bool) -> ServedResult:
+        flight_store = SingleFlightStore(self.store, self.flight,
+                                         record=memoize)
         resilience = self._resilience(experiment.name)
         session = Session(seed=self.seed, workers=self.workers,
                           store=flight_store, knobs=values,
                           resilience=resilience)
         try:
             artifact = experiment.render(experiment.execute(session, plan))
+        except SystemExit as exc:
+            self.stats.failed += 1
+            raise AdmissionError(
+                f"cannot run {experiment.name}: {exc}") from None
         except Exception:
             self.stats.failed += 1
             raise
         finally:
             resilience.close()
             flight_store.release()
+        # A plan that looked up a key outside itself stopped short (a
+        # cold staged campaign plans only its first stage): never kept.
+        if memoize and flight_store.asked.issubset(plan.keys()):
+            self._remember(digest, plan, planned)
         # The submission's own counters: its flight store's stores are
         # the runs it executed.
         executed, waited = session.metrics.stores, session.metrics.waited
@@ -254,6 +308,13 @@ class CampaignService:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _names_file(values: "Mapping[str, Any]") -> bool:
+    """Whether a knob value names a file (``@path``): the plan reads
+    it, while the submission digest covers only the path."""
+    return any(isinstance(value, str) and value.startswith("@")
+               for value in values.values())
 
 
 def _follower(leader: "Future[ServedResult]") -> "Future[ServedResult]":

@@ -12,16 +12,18 @@ other's partial grabs.
 
 The waiting side re-probes the store when claims resolve, so a waiter
 observes the winner's stored record (a hit, byte-identical by the
-store's own invariant) instead of executing a duplicate.  A claim whose
-owner finishes without storing (a harness failure — those records are
-never cached) is released at submission end and the longest waiter
-simply inherits the miss and executes it itself.
+store's own invariant) instead of executing a duplicate; so does a
+submission granted a claim after another one stored since its probe.
+A claim whose owner finishes without storing (a harness failure —
+those records are never cached) is released at submission end and the
+longest waiter simply inherits the miss and executes it itself.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
 from ..metrics import Metrics
 from ..testbed.store import Decoded
@@ -41,6 +43,11 @@ class SingleFlight:
         self._cond = threading.Condition()
         self._owners: "Dict[str, Any]" = {}
         self.metrics = metrics
+        #: :meth:`release` calls so far (each follows a store).  A
+        #: submission whose probe predates one re-probes the keys it
+        #: then claims: a key stored between its probe and its claim is
+        #: a hit, not a second execution.
+        self.stored = 0
 
     def in_flight(self) -> int:
         """Keys currently claimed by some submission."""
@@ -87,6 +94,7 @@ class SingleFlight:
         """Release ``token``'s claims on ``keys`` (no-op for keys it
         does not own) and wake every waiter."""
         with self._cond:
+            self.stored += 1
             freed = False
             for key in keys:
                 if self._owners.get(key) is token:
@@ -126,15 +134,20 @@ class SingleFlightStore:
     Its own :attr:`metrics` (the submission's) count ``stores`` — keys
     this submission stored, which are the runs it executed when the
     campaign layer above only stores fresh executions — and ``waited``,
-    the keys that resolved only after waiting on a foreign claim.
+    the keys that resolved only after waiting on a foreign claim or
+    that another submission stored after this one's probe.
+    With ``record=True``, :attr:`asked` is every key the submission
+    looked up, so the service can tell whether execution stayed inside
+    the admitted plan; otherwise it is None and lookups record nothing.
     """
 
     def __init__(self, inner: Any, flight: SingleFlight,
-                 token: Optional[Any] = None) -> None:
+                 token: Optional[Any] = None, record: bool = False) -> None:
         self.inner = inner
         self.flight = flight
         self.token = token if token is not None else object()
         self.metrics = Metrics()
+        self.asked: "Optional[Set[str]]" = set() if record else None
 
     # -- reads (claim protocol) ------------------------------------------------
 
@@ -142,11 +155,22 @@ class SingleFlightStore:
                  decode: "Callable[[Any], Decoded]"
                  ) -> "Dict[str, Decoded]":
         key_list = list(keys)
+        if self.asked is not None:
+            self.asked.update(key_list)
+        seen = self.flight.stored
         out = self.inner.get_many(key_list, decode)
         pending = [key for key in key_list if key not in out]
         while pending:
             granted, foreign = self.flight.claim_all(self.token, pending)
             if granted:
+                if self.flight.stored != seen:
+                    # Another submission stored since the probe: a key
+                    # it stored is a hit now, not a second execution.
+                    late = self.inner.get_many(pending, decode)
+                    if late:
+                        self.flight.release(self.token, list(late))
+                        self.metrics.waited += len(late)
+                        out.update(late)
                 break
             self.flight.wait_any(self.token, foreign)
             resolved = self.inner.get_many(foreign, decode)

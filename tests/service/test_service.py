@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import sys
 import threading
 from typing import NamedTuple
 
@@ -48,12 +49,16 @@ class GridExperiment(Experiment):
                     for i in range(width))
 
     def execute(self, session, plan):
-        store = session.store
         if self.barrier is not None:
             self.barrier.wait()
-        found = store.get_many(plan.keys(), lambda p: p)
+        return self._resolve(session, plan)
+
+    def _resolve(self, session, cells):
+        """Each cell's value: looked up, else executed and stored."""
+        store = session.store
+        found = store.get_many([cell.key for cell in cells], lambda p: p)
         values = []
-        for cell in plan:
+        for cell in cells:
             payload = found.get(cell.key)
             if payload is None:
                 self.executions.append(cell.key)
@@ -396,17 +401,219 @@ class CountingGrid(GridExperiment):
 
 class TestPlannedOnce:
     def test_each_admitted_submission_is_planned_once(self, tmp_path):
-        """Admission plans; execution runs the admitted plan."""
+        """Admission plans; execution runs the admitted plan; a repeat
+        of a completely executed submission is not planned again."""
         exp = CountingGrid()
         service, _ = make_service(tmp_path, experiment=exp, coalesce=False)
         with service:
             cold = service.submit("grid", {"width": 5})
             warm = service.submit("grid", {"width": 5})
             narrow = service.submit("grid", {"width": 3})
+            repeat = service.submit("grid", {"width": 3})
+        assert exp.plans == 2
+        assert exp.plans_while_executing == [0, 0, 0, 0]
+        results = (cold, warm, narrow, repeat)
+        assert [r.planned for r in results] == [5, 5, 3, 3]
+        assert [r.executed for r in results] == [5, 0, 0, 0]
+        assert repeat.text == narrow.text and warm.text == cold.text
+
+
+class StagedGrid(CountingGrid):
+    """Two stages, the way an adaptive campaign has them: the second
+    stage's cells follow from the first stage's records, so planning
+    reaches it only when the store holds every first-stage record,
+    and execution looks the second stage up after the first."""
+
+    name = "staged"
+    fail = False  # set by a test: the next execution raises
+
+    def stage(self, session, number):
+        width = int(session.knob("width", 4))
+        return [GridCell(number * 100 + i,
+                         config_digest("staged-cell", number, i,
+                                       session.seed))
+                for i in range(width)]
+
+    def plan(self, session):
+        self.plans += 1
+        first = self.stage(session, 1)
+        found = session.store.get_many([cell.key for cell in first],
+                                       lambda p: p)
+        if len(found) < len(first):
+            return Plan(first)
+        return Plan(first + self.stage(session, 2))
+
+    def execute(self, session, plan):
+        if self.fail:
+            self.fail = False
+            raise RuntimeError("harness exploded")
+        return (self._resolve(session, self.stage(session, 1))
+                + self._resolve(session, self.stage(session, 2)))
+
+
+class TestPlanMemo:
+    """The service's plan memo: what it keeps, and that replies stay
+    what a fresh plan gives."""
+
+    def test_staged_plan_is_kept_only_once_complete(self, tmp_path):
+        exp = StagedGrid()
+        service, _ = make_service(tmp_path, experiment=exp)
+        with service:
+            cold = service.submit("staged", {"width": 3})
+            warm = service.submit("staged", {"width": 3})
+            repeat = service.submit("staged", {"width": 3})
+        # The cold plan stops at stage 1: it is not kept, and the warm
+        # submission plans again, this time both stages.
+        assert exp.plans == 2
+        assert (cold.planned, cold.hits, cold.executed) == (3, 0, 6)
+        assert (warm.planned, warm.hits, warm.executed) == (6, 6, 0)
+        assert (repeat.planned, repeat.hits, repeat.executed) == (6, 6, 0)
+        assert cold.text == warm.text == repeat.text
+
+    def test_store_between_admission_and_execution_is_not_kept(
+            self, tmp_path, monkeypatch):
+        """A stage-1 record stored after admission planned only stage
+        1 makes execution reach stage 2 outside the admitted plan: that
+        plan is incomplete and must not be kept."""
+        exp = StagedGrid()
+        service, _ = make_service(tmp_path, experiment=exp)
+        knobs = {"width": 3}
+        first = exp.stage(Session(knobs=knobs), 1)
+        for cell in first[1:]:
+            service.store.put(cell.key, {"cell": cell.index,
+                                         "value": cell.index ** 2})
+        admit = service._admit
+
+        def admit_then_store(*args):
+            admitted = admit(*args)
+            service.store.put(first[0].key, {"cell": first[0].index,
+                                             "value": first[0].index ** 2})
+            return admitted
+
+        with service:
+            monkeypatch.setattr(service, "_admit", admit_then_store)
+            raced = service.submit("staged", knobs)
+            monkeypatch.setattr(service, "_admit", admit)
+            again = service.submit("staged", knobs)
+            repeat = service.submit("staged", knobs)
+        assert (raced.planned, raced.executed) == (3, 3)
+        assert exp.plans == 2
+        assert (again.planned, again.executed) == (6, 0)
+        assert (repeat.planned, repeat.executed) == (6, 0)
+        assert raced.text == again.text == repeat.text
+
+    def test_failed_execution_is_never_kept(self, tmp_path):
+        exp = StagedGrid()
+        service, _ = make_service(tmp_path, experiment=exp)
+        with service:
+            service.submit("staged", {"width": 2})
+            exp.fail = True
+            with pytest.raises(RuntimeError, match="exploded"):
+                service.submit("staged", {"width": 2})
+            retried = service.submit("staged", {"width": 2})
+            repeat = service.submit("staged", {"width": 2})
         assert exp.plans == 3
-        assert exp.plans_while_executing == [0, 0, 0]
-        assert (cold.planned, warm.planned, narrow.planned) == (5, 5, 3)
-        assert (cold.executed, warm.executed, narrow.executed) == (5, 0, 0)
+        assert service.stats.failed == 1
+        assert (retried.planned, retried.executed) == (4, 0)
+        assert (repeat.planned, repeat.executed) == (4, 0)
+
+    def test_memo_is_bounded_by_plan_entries(self, tmp_path, monkeypatch):
+        from repro import memo
+
+        monkeypatch.setattr(memo, "MEMO_CAP", 5)
+        exp = CountingGrid()
+        service, _ = make_service(tmp_path, experiment=exp)
+        texts = {}
+
+        def submit(width, plans):
+            result = service.submit("grid", {"width": width})
+            texts.setdefault(width, result.text)
+            assert result.text == texts[width]
+            assert result.planned == width
+            assert exp.plans == plans, width
+
+        with service:
+            submit(6, 1)
+            submit(6, 2)  # larger than the cap: never kept
+            submit(3, 3)
+            submit(2, 4)  # 3 + 2 entries: both kept
+            submit(3, 4)
+            submit(2, 4)
+            submit(4, 5)  # 5 + 4 > 5: the memo is cleared first
+            submit(4, 5)
+            submit(3, 6)
+        fresh, _ = make_service(tmp_path / "fresh")
+        with fresh:
+            for width, text in texts.items():
+                assert fresh.submit("grid", {"width": width}).text == text
+
+    def test_concurrent_repeats_share_one_plan(self, tmp_path):
+        n = 4
+        exp = CountingGrid()
+        service, _ = make_service(tmp_path, experiment=exp,
+                                  coalesce=False, service_workers=n)
+        with service:
+            first = service.submit("grid", {"width": 6})
+            exp.barrier = threading.Barrier(n, timeout=30.0)
+            futures = [service.submit_async("grid", {"width": 6})
+                       for _ in range(n)]
+            results = [f.result(timeout=60.0) for f in futures]
+        assert exp.plans == 1
+        assert {r.text for r in results} == {first.text}
+        assert all((r.planned, r.hits, r.executed) == (6, 6, 0)
+                   for r in results)
+
+    def test_concurrent_admissions_keep_the_memo_consistent(self,
+                                                           tmp_path):
+        """Stress: more submission threads than cores admit and keep
+        plans of six widths at once; every reply matches its width's
+        and the memo's entry count matches the plans it holds."""
+        exp = CountingGrid()
+        service, _ = make_service(tmp_path, experiment=exp,
+                                  coalesce=False, service_workers=8)
+        widths = [1 + i % 6 for i in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with service:
+                futures = [service.submit_async("grid", {"width": w})
+                           for w in widths]
+                results = [f.result(timeout=60.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        texts = {}
+        for width, result in zip(widths, results):
+            assert texts.setdefault(width, result.text) == result.text
+            assert result.planned == width
+        # Widths share their leading cells: six keys, each run once.
+        assert sorted(exp.executions) == sorted(set(exp.executions))
+        assert len(exp.executions) == 6
+        kept = service._plans.values()
+        assert service._plan_entries == sum(len(plan) for plan, _ in kept)
+        assert sorted(planned for _, planned in kept) == [1, 2, 3, 4, 5, 6]
+
+    def test_rewritten_spec_file_is_planned_again(self, tmp_path,
+                                                  monkeypatch):
+        """An ``@path`` knob is read at plan time, so its submission
+        is never kept: a rewritten file serves the new population."""
+        from repro.experiments import get_experiment
+        from repro.population.distributions import PRESETS
+        from repro.testbed import CampaignStore
+
+        spec = tmp_path / "spec.json"
+        knobs = {"samples": 3, "degrade_step": 200, "spec": f"@{spec}"}
+        experiment = get_experiment("population-latency")
+        with CampaignService(tmp_path / "cache") as service:
+            served = []
+            for preset in ("default", "v6-challenged"):
+                spec.write_text(json.dumps(PRESETS[preset]))
+                served.append(service.submit(experiment.name, knobs))
+                direct = experiment.run(Session(
+                    store=CampaignStore(tmp_path / "direct"),
+                    knobs=knob_mapping(experiment, knobs)))
+                assert served[-1].text == direct.text
+                assert served[-1].data == direct.data
+        assert served[0].text != served[1].text
 
 
 class TestRegisteredCampaigns:
@@ -477,3 +684,100 @@ class TestPopulationSubmissions:
         assert repeats[0].data == first.data
         for served in [first] + repeats:
             assert (served.planned, served.executed) == (12, 0)
+
+
+SYNTHESIS_KNOBS = {"synthesis_seeds": 3, "synthesis_rounds": 1,
+                   "synthesis_top": 2, "synthesis_neighbors": 2,
+                   "promote": 2, "clients": "curl,wget,Chrome 130.0"}
+
+
+class TestStagedSubmissions:
+    """Staged campaigns through the service: cold admission plans
+    only the first stage, warm admission plans every stage, and a
+    repeat is served from the kept plan — each byte-identical to the
+    direct run."""
+
+    @pytest.mark.parametrize("name, knobs, cold", [
+        ("synthesize-scenarios", SYNTHESIS_KNOBS, (21, 0, 49)),
+        ("fingerprint", {"client": "Chrome 130.0"}, (31, 0, 49)),
+    ])
+    def test_served_equals_direct_cold_warm_and_repeated(
+            self, tmp_path, monkeypatch, name, knobs, cold):
+        from repro.experiments import get_experiment
+        from repro.testbed import CampaignStore
+
+        experiment = get_experiment(name)
+        direct = experiment.run(Session(
+            store=CampaignStore(tmp_path / "direct"),
+            knobs=knob_mapping(experiment, knobs)))
+        plans = []
+        plan = experiment.plan
+        monkeypatch.setattr(experiment, "plan",
+                            lambda session: plans.append(1)
+                            or plan(session))
+        with CampaignService(tmp_path / "cache") as service:
+            served = [service.submit(name, knobs) for _ in range(3)]
+        assert [(r.planned, r.hits, r.executed) for r in served] == [
+            cold, (49, 49, 0), (49, 49, 0)]
+        assert len(plans) == 2  # the repeat is not planned
+        for result in served:
+            assert result.text == direct.text
+            assert result.data == direct.data
+
+
+class TestKnobRejections:
+    """Experiments refuse bad knob values with ``SystemExit``; the
+    service answers each with a 422 carrying the message and keeps the
+    connection serving."""
+
+    REJECTED = (
+        ("population-latency", {"spec": "@/nonexistent.json"},
+         "spec file not found: /nonexistent.json"),
+        ("population-latency", {"samples": 0},
+         "--samples must be >= 1: 0"),
+        ("fingerprint", {"client": "Nonesuch 1.0"},
+         "no client matches 'Nonesuch 1.0'"),
+        ("synthesize-scenarios", {"promote": 0},
+         "promotion limit must be >= 1: 0"),
+    )
+
+    def test_rejections_answer_on_one_keep_alive_connection(self,
+                                                            tmp_path):
+        service = CampaignService(tmp_path / "cache")
+        server = CampaignServiceServer(service, port=0)
+        host, port = server.address
+        server.serve_background()
+        connection = http.client.HTTPConnection(host, port, timeout=60)
+
+        def post(experiment, knobs):
+            connection.request(
+                "POST", "/submit",
+                body=json.dumps({"experiment": experiment,
+                                 "knobs": knobs}).encode("utf-8"),
+                headers={"Content-Type": "application/json"})
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+
+        try:
+            for experiment, knobs, message in self.REJECTED:
+                status, payload = post(experiment, knobs)
+                assert status == 422, payload
+                assert payload["ok"] is False
+                assert message in payload["error"]
+            # A selector check that runs at execution is refused too.
+            status, payload = post("fingerprint-diff",
+                                   {"client_a": "Chrome 130.0"})
+            assert status == 422, payload
+            assert "needs two client selectors" in payload["error"]
+            status, payload = post("population-latency",
+                                   {"samples": 2, "degrade_step": 200})
+            assert status == 200 and payload["ok"], payload
+            assert payload["planned"] == 4
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert service.stats.rejected == len(self.REJECTED)
+        assert service.stats.failed == 1
+        assert service.stats.completed == 1

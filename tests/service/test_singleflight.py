@@ -117,6 +117,33 @@ class TestSingleFlightStore:
         assert waiter.metrics.stores == 0
         assert waiter.metrics.waited == 1
 
+    def test_key_stored_between_probe_and_claim_is_a_hit(self, tmp_path):
+        """The winner stores (and releases) K1 after the late side's
+        probe missed it but before the late side claims it: the claim
+        is granted, so without a re-probe K1 would execute twice."""
+        flight = SingleFlight(Metrics())
+        backing = CampaignStore(tmp_path)
+        winner = SingleFlightStore(backing, flight)
+
+        class StoreAfterProbe:
+            """The backing store, with the winner's whole miss-execute-
+            store cycle run right after the first probe."""
+
+            probes = 0
+
+            def get_many(self, keys, decode):
+                found = backing.get_many(keys, decode)
+                self.probes += 1
+                if self.probes == 1:
+                    assert winner.get_many([K1], decode) == {}
+                    winner.put(K1, {"v": 7})
+                return found
+
+        late = SingleFlightStore(StoreAfterProbe(), flight)
+        assert late.get_many([K1, K2], lambda p: p) == {K1: {"v": 7}}
+        assert late.metrics.waited == 1
+        assert flight.in_flight() == 1  # only the true miss, K2
+
     def test_abandoned_claim_is_inherited_not_lost(self, tmp_path):
         backing = CampaignStore(tmp_path)
         flight = SingleFlight(Metrics())

@@ -548,6 +548,53 @@ class TestDefaultWorkers:
         assert (fanout._shared_pool is not None) == (usable_cpus() > 1)
 
 
+class TestSubmitSpecFile:
+    def test_spec_file_is_read_where_the_client_runs(self, tmp_path,
+                                                      monkeypatch, capsys):
+        """``repro submit --spec @rel.json`` sends the file's content:
+        a server in another directory (holding a different
+        ``rel.json``) serves what ``repro run`` prints here."""
+        import json
+
+        from repro.population.distributions import PRESETS
+
+        server_dir, client_dir = tmp_path / "server", tmp_path / "client"
+        server_dir.mkdir()
+        client_dir.mkdir()
+        (server_dir / "rel.json").write_text(json.dumps(PRESETS["default"]))
+        (client_dir / "rel.json").write_text(
+            json.dumps(PRESETS["v6-challenged"]))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--workers", "1",
+             "--cache-dir", str(tmp_path / "cache"), "serve",
+             "--port", "0"],
+            cwd=server_dir, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            host, port = re.search(r"http://([^:]+):(\d+)",
+                                   proc.stderr.readline()).groups()
+            monkeypatch.chdir(client_dir)
+            argv = ["population-latency", "--spec", "@rel.json",
+                    "--samples", "3", "--degrade-step", "200"]
+            where = ["--host", host, "--port", port]
+            assert main(["--workers", "1", "run", *argv]) == 0
+            direct = capsys.readouterr().out
+            assert "spec custom" in direct
+            assert main(["submit", *argv, *where]) == 0
+            assert capsys.readouterr().out == direct
+            missing = ["population-latency", "--spec", "@missing.json"]
+            with pytest.raises(SystemExit) as submitted:
+                main(["submit", *missing, *where])
+            with pytest.raises(SystemExit) as ran:
+                main(["run", *missing])
+            assert str(submitted.value) == str(ran.value)
+            assert "spec file not found: missing.json" in str(ran.value)
+        finally:
+            proc.terminate()
+            proc.wait(timeout=60)
+            proc.stderr.close()
+
+
 class TestServeShutdown:
     @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(),
                         reason="reads child pids from Linux /proc")
