@@ -316,23 +316,18 @@ class CampaignSpec:
             len(case.sweep) * case.repetitions for case in self.cases)
 
 
-def run_campaign_spec(data: Mapping[str, Any],
-                      workers: Optional[int] = None,
-                      store: Optional[CampaignStore] = None
-                      ) -> List[RunRecord]:
+def run_campaign_spec(data: Mapping[str, Any]) -> List[RunRecord]:
     """Parse and execute a campaign specification in one call; the
     records come back in enumeration order.
 
-    ``workers`` overrides the spec's own ``workers`` stanza; results
-    are identical either way — parallel campaigns replay the serial
-    enumeration order exactly.  ``store`` (or a ``cache_dir`` stanza)
-    attaches the incremental campaign store, so unchanged runs come
-    back from cache byte-identically instead of re-executing.
+    The spec's ``workers`` stanza sets the worker count; results are
+    identical either way — parallel campaigns replay the serial
+    enumeration order exactly.  A ``cache_dir`` stanza attaches the
+    incremental campaign store, so unchanged runs come back from cache
+    byte-identically instead of re-executing.
     """
     spec = CampaignSpec.from_dict(data)
-    if store is None and spec.cache_dir:
-        store = CampaignStore(spec.cache_dir)
+    store = CampaignStore(spec.cache_dir) if spec.cache_dir else None
     return spec.build_runner().run(Session(
-        seed=spec.seed,
-        workers=workers if workers is not None else spec.workers,
-        store=store, resilience=spec.build_resilience()))
+        seed=spec.seed, workers=spec.workers, store=store,
+        resilience=spec.build_resilience()))

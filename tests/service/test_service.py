@@ -619,11 +619,13 @@ class TestPlanMemo:
 class TestRegisteredCampaigns:
     """Every run a registered experiment executes goes through the
     submission's store: the single-flight layer counts it as executed
-    and the memory tier holds it."""
+    and the memory tier holds it.  The warm repeat executes nothing,
+    and both are byte-identical to a direct run."""
 
     @pytest.mark.parametrize("name, knobs", [
         ("table3", {"repetitions": 2}),
         ("table2", {"repetitions": 1}),
+        ("figure2", {"step": 100}),
     ])
     def test_cold_runs_are_executed_through_the_tiers(self, tmp_path,
                                                       name, knobs):
@@ -642,6 +644,9 @@ class TestRegisteredCampaigns:
         assert warm.executed == 0
         assert warm.hits == warm.planned
         assert warm.text == cold.text
+        experiment = get_experiment(name)
+        assert cold.text == experiment.run(Session(
+            knobs=knob_mapping(experiment, knobs))).text
 
 
 class TestPopulationSubmissions:
