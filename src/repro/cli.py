@@ -254,9 +254,7 @@ def _cmd_serve(args: argparse.Namespace) -> None:
 
     Binds the HTTP admission endpoint over a
     :class:`~repro.service.CampaignService` whose tiered store — an
-    LRU over the packed per-shard store — lives in ``--cache-dir``.  A
-    directory left by the retired one-file-per-entry layout serves as
-    all misses until re-executed; ``repro cache gc`` reclaims it.
+    LRU over the packed per-shard store — lives in ``--cache-dir``.
     """
     if not getattr(args, "cache_dir", None):
         raise SystemExit("repro serve needs --cache-dir (or "

@@ -15,7 +15,8 @@ observables collected from the *authoritative* query log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, NamedTuple, Optional
+from operator import index
+from typing import Any, List, NamedTuple, Optional, Sequence
 
 from ..dns.auth import AuthoritativeServer
 from ..dns.name import DNSName
@@ -275,46 +276,37 @@ class ResolverCampaignResult:
 # --------------------------------------------------------------------------
 
 
-def encode_observation(observation: ResolverRunObservation) -> dict:
-    """JSON-shaped dict; :func:`decode_observation` rebuilds an
-    ``==``-identical observation (the store's byte-identity contract)."""
+def encode_observation(observation: ResolverRunObservation) -> list:
+    """The observation's row, its fields in dataclass order;
+    :func:`decode_observation` rebuilds an ``==``-identical observation
+    (the store's byte-identity contract)."""
     def fam(value: "Optional[Family]") -> Optional[str]:
         return value.name if value is not None else None
 
-    return {
-        "zone": observation.zone,
-        "delay_ms": observation.delay_ms,
-        "success": observation.success,
-        "first_probe_family": fam(observation.first_probe_family),
-        "answering_family": fam(observation.answering_family),
-        "v6_packets": observation.v6_packets,
-        "v4_packets": observation.v4_packets,
-        "aaaa_before_probe": observation.aaaa_before_probe,
-        "aaaa_before_a": observation.aaaa_before_a,
-        "fallback_gap_s": observation.fallback_gap_s,
-        "duration_s": observation.duration_s,
-    }
+    return [observation.zone, observation.delay_ms, observation.success,
+            fam(observation.first_probe_family),
+            fam(observation.answering_family), observation.v6_packets,
+            observation.v4_packets, observation.aaaa_before_probe,
+            observation.aaaa_before_a, observation.fallback_gap_s,
+            observation.duration_s]
 
 
-def decode_observation(data: dict) -> ResolverRunObservation:
-    """Rebuild a cached observation; raises on any malformed entry."""
+def decode_observation(row: "Sequence[Any]") -> ResolverRunObservation:
+    """Rebuild a cached observation from its row (a list or a tuple);
+    raises on a wrong length, an unknown family name or a string where
+    a number belongs."""
     def fam(value) -> "Optional[Family]":
         return Family[value] if value is not None else None
 
+    (zone, delay_ms, success, first_probe_family, answering_family,
+     v6_packets, v4_packets, aaaa_before_probe, aaaa_before_a,
+     fallback_gap_s, duration_s) = row
     return ResolverRunObservation(
-        zone=data["zone"],
-        delay_ms=int(data["delay_ms"]),
-        success=bool(data["success"]),
-        first_probe_family=fam(data["first_probe_family"]),
-        answering_family=fam(data["answering_family"]),
-        v6_packets=int(data["v6_packets"]),
-        v4_packets=int(data["v4_packets"]),
-        aaaa_before_probe=data["aaaa_before_probe"],
-        aaaa_before_a=data["aaaa_before_a"],
-        fallback_gap_s=(float(data["fallback_gap_s"])
-                        if data["fallback_gap_s"] is not None else None),
-        duration_s=float(data["duration_s"]),
-    )
+        zone, index(delay_ms), bool(success), fam(first_probe_family),
+        fam(answering_family), index(v6_packets), index(v4_packets),
+        aaaa_before_probe, aaaa_before_a,
+        None if fallback_gap_s is None else fallback_gap_s * 1.0,
+        duration_s * 1.0)
 
 
 class ResolverRun(NamedTuple):

@@ -1,18 +1,28 @@
 """Tiered store: bounded in-memory LRU over the on-disk campaign store.
 
 The disk tier (the packed store) is the source of truth; the LRU in
-front of it holds *serialized payloads* — the canonical JSON text the
-store persists — so a memory hit decodes through ``json.loads`` plus
-the same ``decode_record`` path as a disk hit and byte-identity is
-preserved by construction (a payload that JSON would normalize, e.g.
-tuples to lists, normalizes identically from either tier).  Caching
-text rather than live objects also makes hits immune to caller-side
-mutation: every hit materializes a fresh object.
+front of it holds each payload as an immutable row: the JSON array the
+store persists, with every list a tuple and every string interned
+(:func:`_freeze`).  A memory hit is ``decode(row)`` and a disk hit is
+``decode(json row)``: every decoder indexes positionally and takes a
+tuple or a list alike, so both tiers decode the same values and
+byte-identity holds by construction.  Rows are immutable and decoders
+build fresh objects, so a caller that mutates a hit cannot poison the
+next one.
+
+Why rows rather than JSON text or parsed dicts: text makes every memory
+hit pay a ``json.loads``, which was most of a warm submission's time.
+Parsed dicts are mutable, so each hit would need a copy, and they stay
+tracked by the cyclic garbage collector, whose passes over thousands of
+entries cost more than the parse saved.  The collector stops tracking
+a tuple that holds only untracked values (one nesting level per pass
+that visits it), so a full LRU of rows soon adds almost nothing to a
+collection.
 """
 
 from __future__ import annotations
 
-import json
+import sys
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List
@@ -23,13 +33,22 @@ from ..testbed.store import Decoded
 _MISSING = object()
 
 
-def _identity(payload: Any) -> Any:
-    return payload
+#: The scalar types a frozen row holds as they are.
+_SCALARS = frozenset({int, float, bool, type(None)})
 
 
-def _freeze(payload: Any) -> str:
-    """The LRU's entry form: canonical JSON text."""
-    return json.dumps(payload, sort_keys=True)
+def _freeze(value: Any) -> Any:
+    """The LRU's entry form of a row: every list a tuple, every string
+    interned (a full LRU repeats a few names thousands of times).  A
+    dict raises ``TypeError``: a store payload is a JSON array."""
+    if type(value) is str:
+        return sys.intern(value)
+    if isinstance(value, (list, tuple)):
+        return tuple([item if type(item) in _SCALARS else _freeze(item)
+                      for item in value])
+    if isinstance(value, dict):
+        raise TypeError("a store payload is a JSON array, not an object")
+    return value
 
 
 class LRUCache:
@@ -108,32 +127,33 @@ class TieredStore:
         with self._lock:
             out: "Dict[str, Decoded]" = {}
             missing: "List[str]" = []
+            lru = self.lru
             for key in keys:
-                frozen = self.lru.get(key)
-                if frozen is _MISSING:
+                row = lru.get(key)
+                if row is _MISSING:
                     missing.append(key)
                     continue
                 try:
-                    out[key] = decode(json.loads(frozen))
+                    out[key] = decode(row)
                 except Exception:
-                    self.lru.discard(key)
+                    # A row put under this key that does not decode:
+                    # the disk read below quarantines it.
+                    lru.discard(key)
                     missing.append(key)
-                    continue
-                self.metrics.hits += 1
+            self.metrics.hits += len(out)
             if missing:
-                found = self.backing.get_many(missing, _identity)
+                # The backing store decodes each disk hit itself, so a
+                # payload that fails to decode is quarantined and
+                # counted there, as on a bare store's read.
+                found = self.backing.get_many(
+                    missing, lambda payload: (payload, decode(payload)))
                 for key in missing:
-                    payload = found.get(key, _MISSING)
-                    if payload is _MISSING:
+                    hit = found.get(key)
+                    if hit is None:
                         self.metrics.misses += 1
                         continue
-                    try:
-                        out[key] = decode(payload)
-                        frozen = _freeze(payload)
-                    except Exception:
-                        self.metrics.misses += 1
-                        continue
-                    self.lru.put(key, frozen)
+                    payload, out[key] = hit
+                    lru.put(key, _freeze(payload))
                     self.metrics.hits += 1
             return out
 
@@ -141,11 +161,9 @@ class TieredStore:
 
     def put(self, key: str, payload: Any) -> None:
         with self._lock:
+            row = _freeze(payload)
             self.backing.put(key, payload)
-            try:
-                self.lru.put(key, _freeze(payload))
-            except (TypeError, ValueError):
-                pass  # unserializable payloads stay disk-only
+            self.lru.put(key, row)
             self.metrics.stores += 1
 
     # -- maintenance -----------------------------------------------------------

@@ -17,11 +17,8 @@ serving stale results.  Entries are newline-delimited JSON records,
 appended to one pack file per shard (``root/<key[:2]>.pack``) with a
 single ``O_APPEND`` write that carries the completeness marker, and
 validated on read; torn, corrupted or partial records are treated as
-misses and fall back to fresh execution.
-
-The cache is derived data.  A directory written by the retired
-one-JSON-file-per-entry layout (``root/<xx>/<key>.json``) simply reads
-as all misses, and :meth:`CampaignStore.gc` reclaims its files.
+misses and fall back to fresh execution.  Each record's payload is a
+row: a JSON array of its result's fields in dataclass order.
 
 Cache hits are **byte-identical** to fresh execution: records
 round-trip through JSON exactly (Python's ``repr``-based float
@@ -38,9 +35,11 @@ import json
 import os
 import re
 import tempfile
+from operator import index
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
-                    Optional, TYPE_CHECKING, Tuple, TypeVar, Union)
+                    Optional, Sequence, TYPE_CHECKING, Tuple, TypeVar,
+                    Union)
 
 from .. import __version__
 from ..metrics import Metrics
@@ -52,11 +51,12 @@ from .config import TestCaseKind
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import RunRecord
 
-#: Bump when the entry layout or record encoding changes; old entries
-#: then read as invalid and re-execute instead of mis-decoding.
-#: Format 2: records carry the policy-stage observables
-#: (winning_protocol, queried_https, attempts_quic, first_attempt_port).
-STORE_FORMAT = 2
+#: Bump when the entry layout or record encoding changes: it is hashed
+#: into every key, so old entries are never looked up again (the next
+#: gc drops them) instead of mis-decoding.
+#: Format 3: every payload is a positional row (a JSON array in its
+#: dataclass's field order), not an object of named fields.
+STORE_FORMAT = 3
 
 #: Folded into every cache key alongside the configuration digest:
 #: caching is only sound while the *code* producing a run is unchanged,
@@ -130,35 +130,24 @@ def config_digest(*parts: Any) -> str:
 # -- record (de)serialization --------------------------------------------------
 
 
-def encode_record(record: "RunRecord") -> dict:
-    """A JSON-shaped dict from which :func:`decode_record` rebuilds
-    an identical (``==``) :class:`~repro.testbed.runner.RunRecord`."""
-    return {
-        "case": record.case,
-        "kind": record.kind.value,
-        "client": record.client,
-        "value_ms": record.value_ms,
-        "repetition": record.repetition,
-        "completed": record.completed,
-        "error": record.error,
-        "winning_family": (record.winning_family.name
-                           if record.winning_family is not None else None),
-        "winning_protocol": (record.winning_protocol.value
-                             if record.winning_protocol is not None
-                             else None),
-        "cad_s": record.cad_s,
-        "rd_s": record.rd_s,
-        "time_to_first_attempt_s": record.time_to_first_attempt_s,
-        "aaaa_first": record.aaaa_first,
-        "queried_https": record.queried_https,
-        "attempts": [[timestamp, family.name]
-                     for timestamp, family in record.attempts],
-        "attempts_v4": record.attempts_v4,
-        "attempts_v6": record.attempts_v6,
-        "attempts_quic": record.attempts_quic,
-        "first_attempt_port": record.first_attempt_port,
-        "duration_s": record.duration_s,
-    }
+def encode_record(record: "RunRecord") -> list:
+    """The record's row: its fields in :class:`RunRecord` order, enums
+    by name (families) or value (kind, protocol), ``attempts`` as
+    ``[[t, "V6"], ...]``.  :func:`decode_record` rebuilds an identical
+    (``==``) :class:`~repro.testbed.runner.RunRecord` from it."""
+    winner = record.winning_family
+    protocol = record.winning_protocol
+    return [
+        record.case, record.kind.value, record.client, record.value_ms,
+        record.repetition, record.completed, record.error,
+        winner.name if winner is not None else None,
+        protocol.value if protocol is not None else None,
+        record.cad_s, record.rd_s, record.time_to_first_attempt_s,
+        record.aaaa_first, record.queried_https,
+        [[timestamp, family.name] for timestamp, family in record.attempts],
+        record.attempts_v4, record.attempts_v6, record.attempts_quic,
+        record.first_attempt_port, record.duration_s,
+    ]
 
 
 #: Enum members by their encoded form, built once: a dict lookup is
@@ -177,40 +166,32 @@ _OPT_PROTOCOLS: "Dict[Optional[str], Optional[Protocol]]" = {
 _RunRecord: "Optional[type]" = None
 
 
-def decode_record(data: dict) -> "RunRecord":
-    """Rebuild a :class:`RunRecord`; raises on any malformed entry."""
+def decode_record(row: "Sequence[Any]") -> "RunRecord":
+    """Rebuild a :class:`RunRecord` from its row, a list or a tuple.
+
+    Raises on any malformed row: a wrong length (the unpacking), an
+    unknown enum name (the lookups) or a string where a number belongs
+    (``index`` and ``* 1.0`` accept numbers only, where ``int()`` and
+    ``float()`` would parse a string), so the entry reads as invalid.
+    """
     global _RunRecord
     if _RunRecord is None:
         from .runner import RunRecord as _RunRecord
-    get = data.get
-    cad_s = data["cad_s"]
-    rd_s = data["rd_s"]
-    first_s = data["time_to_first_attempt_s"]
-    duration_s = data["duration_s"]
-    port = get("first_attempt_port")
-    # Positional, in RunRecord's field order.
+    (case, kind, client, value_ms, repetition, completed, error, family,
+     protocol, cad_s, rd_s, first_s, aaaa_first, queried_https, attempts,
+     attempts_v4, attempts_v6, attempts_quic, port, duration_s) = row
     return _RunRecord(
-        data["case"],
-        _KINDS[data["kind"]],
-        data["client"],
-        int(data["value_ms"]),
-        int(data["repetition"]),
-        bool(data["completed"]),
-        data["error"],
-        _OPT_FAMILIES[data["winning_family"]],
-        _OPT_PROTOCOLS[get("winning_protocol")],
-        None if cad_s is None else float(cad_s),
-        None if rd_s is None else float(rd_s),
-        None if first_s is None else float(first_s),
-        data["aaaa_first"],
-        bool(get("queried_https", False)),
-        [(float(timestamp), _FAMILIES[family])
-         for timestamp, family in data["attempts"]],
-        int(data["attempts_v4"]),
-        int(data["attempts_v6"]),
-        int(get("attempts_quic", 0)),
-        None if port is None else int(port),
-        None if duration_s is None else float(duration_s),
+        case, _KINDS[kind], client, index(value_ms), index(repetition),
+        bool(completed), error, _OPT_FAMILIES[family],
+        _OPT_PROTOCOLS[protocol],
+        None if cad_s is None else cad_s * 1.0,
+        None if rd_s is None else rd_s * 1.0,
+        None if first_s is None else first_s * 1.0,
+        aaaa_first, bool(queried_https),
+        [(timestamp * 1.0, _FAMILIES[name]) for timestamp, name in attempts],
+        index(attempts_v4), index(attempts_v6), index(attempts_quic),
+        None if port is None else index(port),
+        None if duration_s is None else duration_s * 1.0,
     )
 
 
@@ -222,9 +203,6 @@ def decode_record(data: dict) -> "RunRecord":
 #: a bounded prefix keeps the scan O(entries), not O(bytes).
 _PACK_KEY_RE = re.compile(rb'"key": "([0-9a-f]{64})"')
 _PACK_KEY_WINDOW = 160
-
-#: A shard's generation counter in ``.index/``: ``<xx>.gen``.
-_GENERATION_NAME_RE = re.compile(r"[0-9a-f]{2}\.gen")
 
 _INVALID = object()  # "bytes present but not a valid entry"
 
@@ -762,17 +740,13 @@ class CampaignStore:
         and each
         pack is *rewritten* keeping only live records (byte-identical
         slices); a shard whose records are all live and dead-byte-free
-        is left untouched.  Stale ``.tmp-*`` droppings go, and so does
-        everything in ``.index/`` but the generation counters: offset
-        sidecars older versions wrote, crashed writers' temp files.
-        Every shard's counter stays, its pack gone or not (at most 256
-        small files): a counter that restarted at 0 would let a handle
-        holding the shard's old map trust its stale frontier once a new
-        pack appears.  What the retired one-file-per-entry layout left
-        behind is reclaimed too: ``<xx>/<key>.json`` entries (counted as
-        removed) and their ``.tmp-*`` files.  ``.quarantine`` and
-        ``.journal`` survive: quarantined evidence and resume state are
-        not cache entries.
+        is left untouched.  Crashed writers' ``.tmp-*`` files go, in the
+        root and in ``.index/``.  Every shard's generation counter
+        stays, its pack gone or not (at most 256 small files): a counter
+        that restarted at 0 would let a handle holding the shard's old
+        map trust its stale frontier once a new pack appears.
+        ``.quarantine`` and ``.journal`` survive: quarantined evidence
+        and resume state are not cache entries.
         Run it offline: a writer racing the sweep would only lose cache
         entries (and re-execute), never correctness.
 
@@ -805,26 +779,14 @@ class CampaignStore:
                 continue
             old_size, new_size = self._rewrite_pack(shard, kept_keys, state)
             stats.reclaimed_bytes += old_size - new_size
-        for child in sorted(self.root.iterdir()):
-            if child.name.startswith(".tmp-") and child.is_file():
-                self._sweep_file(child, stats, dry_run)
-                stats.removed_tmp += 1
-            elif len(child.name) == 2 and child.is_dir():
-                self._sweep_legacy_shard(child, stats, dry_run)
         index_dir = self.root / ".index"
-        if index_dir.is_dir():
-            for index_file in sorted(index_dir.iterdir()):
-                if (not index_file.is_file()
-                        or _GENERATION_NAME_RE.fullmatch(index_file.name)):
-                    continue
-                self._sweep_file(index_file, stats, dry_run)
-                if index_file.name.startswith("."):  # a writer's temp file
+        for folder in (self.root, index_dir):
+            if not folder.is_dir():
+                continue
+            for child in sorted(folder.glob(".tmp-*")):
+                if child.is_file():
+                    self._sweep_file(child, stats, dry_run)
                     stats.removed_tmp += 1
-            if not dry_run:
-                try:
-                    index_dir.rmdir()  # only succeeds when emptied
-                except OSError:
-                    pass
         self.metrics += stats
         return stats
 
@@ -833,27 +795,6 @@ class CampaignStore:
         stats.reclaimed_bytes += path.stat().st_size
         if not dry_run:
             path.unlink()
-
-    def _sweep_legacy_shard(self, shard_dir: Path, stats: Metrics,
-                            dry_run: bool) -> None:
-        """Reclaim one ``<xx>/`` directory of the retired
-        one-file-per-entry layout: its ``<key>.json`` entries and
-        crashed writers' ``.tmp-*`` files.  Anything else stays, and so
-        does the directory unless that emptied it."""
-        for path in sorted(shard_dir.iterdir()):
-            if not path.is_file():
-                continue
-            if path.name.startswith(".tmp-"):
-                self._sweep_file(path, stats, dry_run)
-                stats.removed_tmp += 1
-            elif path.suffix == ".json":
-                self._sweep_file(path, stats, dry_run)
-                stats.removed += 1
-        if not dry_run:
-            try:
-                shard_dir.rmdir()
-            except OSError:
-                pass
 
 
 #: The one layout under its historical second name.
@@ -866,9 +807,7 @@ def open_store(root: Union[str, Path], layout: str = "auto"
 
     There is one on-disk layout, packed shards.  ``layout`` accepts
     ``"auto"`` and ``"packed"`` (both mean that layout) and rejects
-    anything else.  A directory written by the retired
-    one-file-per-entry layout opens as an empty store — every lookup
-    misses and re-executes into packs — and ``gc`` reclaims its files.
+    anything else.
     """
     if layout not in ("auto", "packed"):
         raise ValueError(f"unknown store layout: {layout!r}")

@@ -10,8 +10,9 @@ validation and consistency columns of Table 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import index
 from typing import (TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional,
-                    Tuple)
+                    Sequence, Tuple)
 
 from ..clients.profile import ClientProfile
 from ..clients.registry import get_profile
@@ -165,37 +166,30 @@ class CampaignResult:
 
 
 def _encode_sessions(sessions: List[SessionResult]) -> list:
-    """JSON-shaped cache payload; :func:`_decode_sessions` rebuilds
+    """The cache payload: one ``[browser, os_name, repetition,
+    outcomes]`` row per session, each outcome a ``[delay_ms, family,
+    connect_time_s, success]`` row; :func:`_decode_sessions` rebuilds
     ``==``-identical session results."""
-    return [{
-        "browser": session.browser,
-        "os_name": session.os_name,
-        "repetition": session.repetition,
-        "outcomes": [[outcome.delay_ms,
-                      (outcome.used_family.name
-                       if outcome.used_family is not None else None),
-                      outcome.connect_time_s,
-                      outcome.success]
-                     for outcome in session.outcomes],
-    } for session in sessions]
+    return [[session.browser, session.os_name, session.repetition,
+             [[outcome.delay_ms,
+               (outcome.used_family.name
+                if outcome.used_family is not None else None),
+               outcome.connect_time_s, outcome.success]
+              for outcome in session.outcomes]]
+            for session in sessions]
 
 
-def _decode_sessions(payload: list) -> List[SessionResult]:
-    """Rebuild cached sessions; raises on any malformed entry."""
-    sessions = []
-    for data in payload:
-        outcomes = [
-            StepOutcome(
-                delay_ms=int(delay_ms),
-                used_family=(Family[family] if family is not None else None),
-                connect_time_s=(float(connect_s)
-                                if connect_s is not None else None),
-                success=bool(success))
-            for delay_ms, family, connect_s, success in data["outcomes"]]
-        sessions.append(SessionResult(
-            browser=data["browser"], os_name=data["os_name"],
-            repetition=int(data["repetition"]), outcomes=outcomes))
-    return sessions
+def _decode_sessions(payload: "Sequence[Any]") -> List[SessionResult]:
+    """Rebuild cached sessions from their rows (lists or tuples);
+    raises on a wrong length, an unknown family name or a string where
+    a number belongs."""
+    return [SessionResult(browser, os_name, index(repetition), [
+                StepOutcome(index(delay_ms),
+                            Family[family] if family is not None else None,
+                            None if connect_s is None else connect_s * 1.0,
+                            bool(success))
+                for delay_ms, family, connect_s, success in outcomes])
+            for browser, os_name, repetition, outcomes in payload]
 
 
 class WebRun(NamedTuple):

@@ -62,10 +62,9 @@ class GridExperiment(Experiment):
             payload = found.get(cell.key)
             if payload is None:
                 self.executions.append(cell.key)
-                payload = {"cell": cell.index,
-                           "value": cell.index ** 2 + session.seed}
+                payload = [cell.index, cell.index ** 2 + session.seed]
                 store.put(cell.key, payload)
-            values.append(payload["value"])
+            values.append(payload[1])
         return values
 
     def render(self, result):
@@ -480,14 +479,13 @@ class TestPlanMemo:
         knobs = {"width": 3}
         first = exp.stage(Session(knobs=knobs), 1)
         for cell in first[1:]:
-            service.store.put(cell.key, {"cell": cell.index,
-                                         "value": cell.index ** 2})
+            service.store.put(cell.key, [cell.index, cell.index ** 2])
         admit = service._admit
 
         def admit_then_store(*args):
             admitted = admit(*args)
-            service.store.put(first[0].key, {"cell": first[0].index,
-                                             "value": first[0].index ** 2})
+            service.store.put(first[0].key,
+                              [first[0].index, first[0].index ** 2])
             return admitted
 
         with service:

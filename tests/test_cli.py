@@ -395,64 +395,34 @@ class TestCliCacheGC:
         assert " misses=0 " in [line for line in warm.splitlines()
                                 if line.startswith("[cache]")][0]
 
-    def test_gc_reclaims_a_legacy_per_file_cache(self, capsys, tmp_path):
-        """A directory of the retired one-file-per-entry layout reads
-        as all misses, reruns byte-identically into packs, and gc
-        leaves only the packs, the journal and quarantine."""
-        import json
-
-        from repro.testbed import CampaignStore
-
+    def test_gc_sweeps_temp_files_and_keeps_quarantine(self, capsys,
+                                                      tmp_path):
+        """gc removes crashed writers' ``.tmp-*`` files, in the root and
+        in ``.index/``, and leaves quarantine and live packs alone."""
         argv = ["figure2", "--step", "400"]
-        assert main(argv) == 0
-        clean = capsys.readouterr().out
-        donor = CampaignStore(tmp_path / "donor")
-        assert main(["--cache-dir", str(donor.root), *argv]) == 0
+        cache = tmp_path / "cache"
+        assert main(["--cache-dir", str(cache), *argv]) == 0
         capsys.readouterr()
-        legacy = tmp_path / "legacy"
-        entries = 0
-        for shard in donor.shards():
-            payloads = donor.get_many(
-                [key for key, _ in donor.entries() if key[:2] == shard],
-                lambda payload: payload)
-            (legacy / shard).mkdir(parents=True)
-            for key, payload in payloads.items():
-                (legacy / shard / f"{key}.json").write_text(json.dumps(
-                    {"complete": True, "format": 2, "key": key,
-                     "payload": payload}, sort_keys=True))
-                entries += 1
-            (legacy / ".index").mkdir(exist_ok=True)
-            (legacy / ".index" / f"{shard}.json").write_text(json.dumps(
-                {"index_format": 2, "store_format": 2, "generation": 0,
-                 "dir_mtime_ns": 1, "entries": payloads}, sort_keys=True))
-        (legacy / shard / ".tmp-crashed.json").write_text("torn")
-        evidence = legacy / ".quarantine" / shard / "evidence.json"
+        (cache / ".tmp-crashed.pack").write_text("torn")
+        (cache / ".index").mkdir()
+        (cache / ".index" / ".tmp-crashed.gen").write_text("7")
+        evidence = cache / ".quarantine" / "ab" / "evidence.json"
         evidence.parent.mkdir(parents=True)
         evidence.write_text("{ not json")
 
-        assert main(["--cache-dir", str(legacy), *argv]) == 0
-        rerun = capsys.readouterr().out
-        assert "[cache] hits=0 misses=34 stores=34 " in rerun
-        assert rerun.rsplit("[cache]", 1)[0] == clean
-        assert list(legacy.glob("*.pack"))
-
         def cache_gc(*flags):
-            assert main(["--cache-dir", str(legacy), "cache", "gc",
+            assert main(["--cache-dir", str(cache), "cache", "gc",
                          *flags]) == 0
             return capsys.readouterr().out
 
-        before = sorted(legacy.rglob("*"))
+        before = sorted(cache.rglob("*"))
         dry = cache_gc("--dry-run")
-        assert f"removed={entries} tmp=1 " in dry
-        assert sorted(legacy.rglob("*")) == before
+        assert " removed=0 tmp=2 " in dry
+        assert sorted(cache.rglob("*")) == before
         assert "kept=34 " in cache_gc()
-        packs = {f"{shard}.pack" for shard in CampaignStore(legacy).shards()}
-        assert {path.name for path in legacy.iterdir()} - packs <= {
-            ".journal", ".quarantine", ".index"}
-        # The legacy offset sidecars are gone; packs have none.
-        assert not list(legacy.glob(".index/*.json"))
+        assert not list(cache.rglob(".tmp-*"))
         assert evidence.read_text() == "{ not json"
-        assert main(["--cache-dir", str(legacy), *argv]) == 0
+        assert main(["--cache-dir", str(cache), *argv]) == 0
         assert "[cache] hits=34 misses=0 " in capsys.readouterr().out
 
 

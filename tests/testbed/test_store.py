@@ -81,6 +81,18 @@ def edit_entry(mutate):
     return transform
 
 
+#: A record row's positions, by field name.
+FIELD = {field.name: at
+         for at, field in enumerate(dataclasses.fields(RunRecord))}
+
+
+def set_field(name: str, value):
+    """An :func:`edit_entry` mutation: set field ``name`` of the row."""
+    def mutate(data):
+        data["payload"][FIELD[name]] = value
+    return mutate
+
+
 def truncate(line: bytes) -> bytes:
     """Torn JSON that still names its key, so it stays indexed."""
     return line[:120]
@@ -587,8 +599,7 @@ class TestCorruptEntries:
                                                value):
         cold = self.populate(tmp_path)
         key = first_key(tmp_path)
-        bad = tamper(tmp_path, key, edit_entry(
-            lambda data: data["payload"].update({field: value})))
+        bad = tamper(tmp_path, key, edit_entry(set_field(field, value)))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold
@@ -599,8 +610,8 @@ class TestCorruptEntries:
 
     def test_undecodable_payload_is_invalid(self, tmp_path):
         cold = self.populate(tmp_path)
-        tamper(tmp_path, first_key(tmp_path), edit_entry(
-            lambda data: data["payload"].update(winning_family="V9")))
+        tamper(tmp_path, first_key(tmp_path),
+               edit_entry(set_field("winning_family", "V9")))
         warm_store = CampaignStore(tmp_path)
         warm = small_runner().run(Session(store=warm_store))
         assert warm == cold

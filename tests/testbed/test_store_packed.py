@@ -127,8 +127,8 @@ class TestTornTail:
     def test_unterminated_final_line_not_indexed(self, tmp_path):
         store = PackedCampaignStore(tmp_path)
         key = "ff" * 32
-        line = json.dumps({"complete": True, "format": 2, "key": key,
-                           "payload": {}}, sort_keys=True)
+        line = json.dumps({"complete": True, "format": STORE_FORMAT,
+                           "key": key, "payload": []}, sort_keys=True)
         (tmp_path / "ff.pack").write_bytes(line.encode("ascii"))
         assert get_one(store, key) is None
 
@@ -138,8 +138,9 @@ class TestQuarantine:
         store = PackedCampaignStore(tmp_path)
         key = "aa" * 32
         # A complete line whose record is invalid (complete: false).
-        line = json.dumps({"complete": False, "format": 2, "key": key,
-                           "payload": {"v": 1}}, sort_keys=True) + "\n"
+        line = json.dumps({"complete": False, "format": STORE_FORMAT,
+                           "key": key, "payload": {"v": 1}},
+                          sort_keys=True) + "\n"
         (tmp_path / "aa.pack").write_bytes(line.encode("ascii"))
         assert get_one(store, key) is None
         assert store.metrics.invalid == 1
@@ -200,8 +201,9 @@ class TestPackedScan:
         key1, key2 = "ab" * 32, "ab" + "11" * 31
         store.put(key1, {"v": 1})
         # Another process appends behind this handle's back.
-        line = json.dumps({"complete": True, "format": 2, "key": key2,
-                           "payload": {"v": 2}}, sort_keys=True) + "\n"
+        line = json.dumps({"complete": True, "format": STORE_FORMAT,
+                           "key": key2, "payload": {"v": 2}},
+                          sort_keys=True) + "\n"
         with (tmp_path / "ab.pack").open("ab") as fh:
             fh.write(line.encode("ascii"))
         fresh = PackedCampaignStore(tmp_path)
